@@ -9,6 +9,7 @@ position; its transfer matrix yields the same generating function as the
 word-language route, which is the point of building both.
 """
 
+import math
 from collections import deque
 
 import numpy as np
@@ -647,130 +648,90 @@ def gf_from_clump_automaton(ca, nu, n_terms=None):
     return RatFun(num, den)
 
 
-def _pair_weights(pair, nu, pmat, cast):
-    w = {}
-    for (x, y) in pair.alphabet:
-        w[(x, y)] = cast(nu[x]) * cast(pmat[x][y])
-    return w
-
-
 def bnn_probability(b, n, params, dps=None):
     """First-appearance probability p_n through the paired product route.
 
     The numerator runs the product of the avoidance automaton (on the
     original sequence) with the pattern automaton (on the mutant), each
     pair symbol weighted by nu(a) p(a, a'); the denominator runs the
-    avoidance automaton alone.  Both are iterated vector by matrix, n
-    steps, in float64, or through mpmath when dps is given.
+    avoidance automaton alone.  In float64 both n-th matrix powers come
+    from repeated squaring, rescaled after every product, so neither mass
+    underflows at any n; the relative error grows like n times the machine
+    epsilon, about 1e-9 at n = 1e7.
+    With dps given, the two masses are n-th matrix powers in mpmath at dps
+    digits over the explicit product automaton instead, a shadow that
+    shares no code with the float kernel.
     """
     alphabet = params.alphabet
     k = len(b)
     if n < k:
         raise ValueError("text length must be at least the pattern length")
     aut = kmp_automaton(b, alphabet)
+    if dps is not None:
+        return _bnn_shadow(aut, n, params, dps)
+    symbols = alphabet.symbols
+    # onehot[a, q, t] = 1 when the pattern automaton steps q -> t on a
+    onehot = np.zeros((len(symbols), k + 1, k + 1))
+    for (q, a), t in aut.delta.items():
+        onehot[alphabet.index(a), q, t] = 1.0
+    nu = np.array([float(params.nu[a]) for a in symbols])
+    wgt = nu[:, None] * np.array([[float(params.p1[x][y]) for y in symbols]
+                                  for x in symbols])
+    # pair state (p, q): original text in avoiding state p < k, mutant in q
+    pair = np.einsum("ab,api,bqj->pqij", wgt, onehot[:, :k, :k],
+                     onehot).reshape(k * (k + 1), k * (k + 1))
+    avoid = np.einsum("a,api->pi", nu, onehot[:, :k, :k])
+    num, e_num = _vec_mat_power(pair, n)
+    den, e_den = _vec_mat_power(avoid, n)
+    hit = num.reshape(k, k + 1)[:, k].sum()
+    return math.ldexp(hit / den.sum(), e_num - e_den)
+
+
+def _vec_mat_power(mat, n):
+    """Row 0 of mat**n as (w, e) with mat**n[0] = w * 2**e.
+
+    Binary exponentiation on a nonnegative matrix.  After every product the
+    vector or the squared power is divided by the power of two that brings
+    its mass into [1/2, 1).  That division is exact and its exponent is
+    kept in e, so nothing underflows however large n is.
+    """
+    def rescaled(x):
+        mass = x.sum()
+        if not mass > 0.0:
+            raise ArithmeticError("automaton mass vanished")
+        e = math.frexp(mass)[1]
+        return np.ldexp(x, -e), e
+
+    vec = np.zeros(len(mat))
+    vec[0] = 1.0
+    e_vec = e_mat = 0
+    while True:
+        if n & 1:
+            vec, e = rescaled(vec @ mat)
+            e_vec += e_mat + e
+        n >>= 1
+        if not n:
+            return vec, e_vec
+        mat, e = rescaled(mat @ mat)
+        e_mat = 2 * e_mat + e
+
+
+def _bnn_shadow(aut, n, params, dps):
+    import mpmath
+
+    def mass(dfa, weight):
+        mat = mpmath.zeros(dfa.n_states)
+        for (q, s), t in dfa.delta.items():
+            w = weight(s)
+            mat[q, t] += mpmath.mpf(int(w.numerator)) / int(w.denominator)
+        power = mat ** n
+        return mpmath.fsum(power[dfa.initial, q] for q in dfa.finals)
+
     avoid = complement(aut)
     pair = product(avoid, aut, lambda f, g: f and g, paired=True)
-    if dps is not None:
-        import mpmath
-
-        with mpmath.workdps(dps):
-            def cast(x):
-                return mpmath.mpf(int(x.numerator)) / mpmath.mpf(int(x.denominator))
-
-            weights = _pair_weights(pair, params.nu, params.p1, cast)
-            num = _iterate_mass_mp(pair, weights, n, pair.finals, mpmath)
-            den_w = {a: cast(params.nu[a]) for a in alphabet.symbols}
-            den = _iterate_mass_mp(avoid, den_w, n, avoid.finals, mpmath)
-            return num / den
-    mat = np.zeros((pair.n_states, pair.n_states))
-    for (q, s), t in pair.delta.items():
-        mat[q, t] += float(params.nu[s[0]]) * float(params.p1[s[0]][s[1]])
-    u = np.zeros(pair.n_states)
-    u[pair.initial] = 1.0
-    for _ in range(n):
-        u = u @ mat
-    num = u[sorted(pair.finals)].sum()
-    dmat = np.zeros((avoid.n_states, avoid.n_states))
-    for (q, a), t in avoid.delta.items():
-        dmat[q, t] += float(params.nu[a])
-    v = np.zeros(avoid.n_states)
-    v[avoid.initial] = 1.0
-    for _ in range(n):
-        v = v @ dmat
-    den = v[sorted(avoid.finals)].sum()
-    if den <= 0.0:
-        raise ArithmeticError("avoiding mass vanished, which cannot happen")
-    return float(num / den)
-
-
-def _iterate_mass_mp(dfa, weights, n, finals, mpmath):
-    size = dfa.n_states
-    mat = [[mpmath.mpf(0) for _ in range(size)] for _ in range(size)]
-    for (q, s), t in dfa.delta.items():
-        mat[q][t] += weights[s]
-    u = [mpmath.mpf(0)] * size
-    u[dfa.initial] = mpmath.mpf(1)
-    for _ in range(n):
-        nxt = [mpmath.mpf(0)] * size
-        for i in range(size):
-            ui = u[i]
-            if ui:
-                row = mat[i]
-                for j in range(size):
-                    if row[j]:
-                        nxt[j] += ui * row[j]
-        u = nxt
-    return sum(u[q] for q in finals)
-
-
-def bnn_scan(words, n, params):
-    """Vectorized p_n over many equal-length words, float64 throughout.
-
-    Builds every pattern automaton's transition table, assembles the
-    weighted product matrices as one stacked tensor, and iterates the
-    start vectors against them in parallel.  Returns a numpy array
-    aligned with words.
-    """
-    alphabet = params.alphabet
-    k = len(words[0])
-    if any(len(w) != k for w in words):
-        raise ValueError("scan words must share one length")
-    if n < k:
-        raise ValueError("text length must be at least the pattern length")
-    sig = alphabet.size
-    count = len(words)
-    tables = np.zeros((count, k + 1, sig), dtype=np.int64)
-    for wi, b in enumerate(words):
-        aut = kmp_automaton(b, alphabet)
-        for q in range(k + 1):
-            for ai, a in enumerate(alphabet.symbols):
-                tables[wi, q, ai] = aut.delta[(q, a)]
-    onehot = np.zeros((count, sig, k + 1, k + 1))
-    wI = np.arange(count)[:, None, None]
-    aI = np.arange(sig)[None, :, None]
-    pI = np.arange(k + 1)[None, None, :]
-    onehot[wI, aI, pI, tables.transpose(0, 2, 1)] = 1.0
-    nu_vec = np.array([float(params.nu[a]) for a in alphabet.symbols])
-    wgt = np.array(
-        [[float(params.nu[x]) * float(params.p1[x][y]) for y in alphabet.symbols]
-         for x in alphabet.symbols]
-    )
-    dim = (k + 1) ** 2
-    num_mat = np.einsum("ab,wapi,wbqj->wpqij", wgt, onehot, onehot).reshape(
-        count, dim, dim
-    )
-    den_mat = np.einsum("a,wapi->wpi", nu_vec, onehot)
-    u = np.zeros((count, 1, dim))
-    u[:, 0, 0] = 1.0
-    v = np.zeros((count, 1, k + 1))
-    v[:, 0, 0] = 1.0
-    for _ in range(n):
-        u = u @ num_mat
-        v = v @ den_mat
-    fin = [p * (k + 1) + k for p in range(k)]
-    num = u[:, 0, fin].sum(axis=1)
-    den = v[:, 0, :k].sum(axis=1)
-    return num / den
+    with mpmath.workdps(dps):
+        num = mass(pair, lambda s: params.nu[s[0]] * params.p1[s[0]][s[1]])
+        return num / mass(avoid, lambda a: params.nu[a])
 
 
 def to_dot(obj):

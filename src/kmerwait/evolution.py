@@ -13,6 +13,7 @@ functions.
 """
 
 import math
+import sys
 import warnings
 from collections import namedtuple
 from fractions import Fraction
@@ -21,7 +22,7 @@ from itertools import product as iproduct
 
 import mpmath
 
-from .automata import bnn_probability, bnn_scan, clump_automaton, \
+from .automata import bnn_probability, clump_automaton, \
     clump_moment_series, state_marks
 from .gfcore import Q, QONE, QZERO, as_q
 from .languages import clump_gf_language
@@ -236,10 +237,20 @@ def expected_hits(b, n, params, mark=None):
     exact = len(params.alphabet) == 2
     fbar, hits = clump_moment_series(ca, params.nu, n, [vec], exact=exact)
     raw = hits[0][n]
-    avoid = fbar[n]
-    if not avoid > 0:
-        raise ArithmeticError("avoiding probability vanished at length %d" % n)
+    avoid = _avoiding_mass(fbar, n)
     return ExpectedHits(raw, raw / avoid, avoid)
+
+
+def _avoiding_mass(fbar, n):
+    """fbar[n], checked: an exact mass must be positive, a float mass must
+    exceed the smallest normal float, since below that the hit masses
+    divided by it lose their digits and then flush to 0."""
+    avoid = fbar[n]
+    floor = sys.float_info.min if isinstance(avoid, float) else 0
+    if not avoid > floor:
+        raise ArithmeticError("avoiding probability %g at length %d is "
+                              "not above %g" % (avoid, n, floor))
+    return avoid
 
 
 def clump_probability(b, n, params):
@@ -257,9 +268,7 @@ def clump_probability(b, n, params):
     vecs = [state_marks(ca, ty) for ty in types]
     exact = len(params.alphabet) == 2
     fbar, hits = clump_moment_series(ca, params.nu, n, vecs, exact=exact)
-    avoid = fbar[n]
-    if not avoid > 0:
-        raise ArithmeticError("avoiding probability vanished at length %d" % n)
+    avoid = _avoiding_mass(fbar, n)
     if exact:
         total = sum((hits[i][n] * params.p1[a][c]
                      for i, (a, c) in enumerate(types)), QZERO)
@@ -269,20 +278,30 @@ def clump_probability(b, n, params):
     return total / avoid
 
 
-def waiting_time(b, n, params, method="BNN"):
-    """Appearance probability and expected waiting time by one method."""
+def _route(method):
+    """Canonical name and p_n function of a method, from the one method
+    table that waiting_time and scan_kmers share."""
     name = str(method).upper()
-    if name == "BV":
-        p = bv_probability(b, n, params)
-    elif name == "BNN":
-        p = bnn_probability(b, n, params)
-    elif name == "CLUMP":
-        p = clump_probability(b, n, params)
-    else:
+    # built per call, so that a function rewrapped on this module (a
+    # profiler, a test double) is the one that runs
+    table = {"BV": bv_probability, "BNN": bnn_probability,
+             "CLUMP": clump_probability}
+    if name not in table:
         raise ValueError("unknown method %r (expected BV, BNN or CLUMP)"
                          % (method,))
+    return name, table[name]
+
+
+def _in_range(p):
     if not 0.0 < p < 1.0:
         raise ArithmeticError("appearance probability %g is out of range" % p)
+    return p
+
+
+def waiting_time(b, n, params, method="BNN"):
+    """Appearance probability and expected waiting time by one method."""
+    name, route = _route(method)
+    p = _in_range(route(b, n, params))
     return WaitingTimeResult(b, n, p, 1.0 / p, name)
 
 
@@ -303,16 +322,8 @@ def scan_kmers(k, n, params, method="BNN"):
                       "single-mutation regime ends around 1e-2" % exposure,
                       stacklevel=2)
     words = ["".join(t) for t in iproduct(params.alphabet.symbols, repeat=k)]
-    name = str(method).upper()
-    if name == "BNN":
-        probs = [float(p) for p in bnn_scan(words, n, params)]
-    elif name == "BV":
-        probs = [bv_probability(w, n, params) for w in words]
-    elif name == "CLUMP":
-        probs = [clump_probability(w, n, params) for w in words]
-    else:
-        raise ValueError("unknown method %r (expected BV, BNN or CLUMP)"
-                         % (method,))
+    name, route = _route(method)
+    probs = [_in_range(route(w, n, params)) for w in words]
     order = sorted(range(len(words)), key=lambda i: (-probs[i], i))
     rank = [0] * len(words)
     for pos, i in enumerate(order, start=1):

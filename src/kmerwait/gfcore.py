@@ -461,19 +461,6 @@ def _as_rf(x):
     return RatFun(Poly.const(x))
 
 
-def rf_arith(a, b, op):
-    """Field arithmetic on rational functions by operation name."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError("unknown operation %r" % op)
-
-
 def taylor_coeffs(f, at_t, n_max):
     return f.taylor(at_t, n_max)
 

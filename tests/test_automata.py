@@ -8,7 +8,6 @@ from kmerwait.automata import (
     ClumpAutomaton,
     Dfa,
     bnn_probability,
-    bnn_scan,
     clump_automaton,
     clump_moment_series,
     clump_series,
@@ -229,19 +228,31 @@ def test_bnn_monotone_in_rate(ac):
         last = p
 
 
-def test_bnn_scan_matches_single_route(table1):
-    words = ("AAAA", "ACGT", "TTTT", "CGCG")
-    probs = bnn_scan(words, 200, table1)
-    for w, p in zip(words, probs):
-        single = bnn_probability(w, 200, table1)
-        assert p == pytest.approx(single, rel=1e-12)
-
-
 def test_bnn_mpmath_shadow(table1):
     for w in ("AAAAA", "CGCGC", "TTTTT"):
         pf = bnn_probability(w, 1000, table1)
         pm = float(bnn_probability(w, 1000, table1, dps=40))
         assert abs(pf - pm) / pm < 1e-10
+
+
+def test_bnn_long_text_regression(table1):
+    # the avoiding mass is ~1e-604 here; a float64 step loop underflowed
+    # and returned 1.0
+    p = bnn_probability("AC", 20000, table1)
+    pm = float(bnn_probability("AC", 20000, table1, dps=40))
+    assert pm == pytest.approx(8.76516815e-5, rel=1e-9)
+    assert abs(p - pm) / pm < 1e-8
+
+
+@pytest.mark.parametrize("word,n", [("CCCCC", 10 ** 6), ("ACGTA", 10 ** 6),
+                                    ("CCCCC", 10 ** 7)])
+def test_bnn_long_texts_match_shadow(table1, word, n):
+    # float64 error grows like n times the machine epsilon: ~1e-10 at 1e6,
+    # ~1e-9 at 1e7
+    p = bnn_probability(word, n, table1)
+    pm = float(bnn_probability(word, n, table1, dps=40))
+    assert 0.0 < p < 1.0
+    assert abs(p - pm) / pm < 1e-8
 
 
 def test_to_dot_smoke(autos):

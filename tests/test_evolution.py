@@ -141,6 +141,18 @@ def test_clump_route_against_bnn(toy_eps):
         assert abs(c - p) / p < 1e-3
 
 
+def test_clump_float_underflow_raises(table1):
+    # at n = 20000 the avoiding mass of AC is subnormal (7.5e-322) and the
+    # hit masses flush to 0; at n = 10000 it is still a normal float
+    with pytest.raises(ArithmeticError):
+        clump_probability("AC", 20000, table1)
+    with pytest.raises(ArithmeticError):
+        expected_hits("AC", 20000, table1)
+    p5 = clump_probability("AC", 5000, table1)
+    p10 = clump_probability("AC", 10000, table1)
+    assert p10 / p5 == pytest.approx(2.0, rel=1e-3)
+
+
 def test_waiting_time_dispatch(table1):
     res = waiting_time("AAAAA", 1000, table1, method="bnn")
     assert res.method == "BNN"
@@ -221,7 +233,11 @@ def test_scan_ranks_and_determinism(table1):
 
 def test_scan_warns_out_of_regime(table1):
     with pytest.warns(UserWarning, match="single-mutation regime"):
-        scan_kmers(2, 10 ** 6, table1)
+        rows = scan_kmers(2, 10 ** 6, table1)
+    assert all(0.0 < r.p_n < 1.0 for r in rows)
+    ac = next(r for r in rows if r.word == "AC")
+    shadow = float(bnn_probability("AC", 10 ** 6, table1, dps=40))
+    assert abs(ac.p_n - shadow) / shadow < 1e-8
 
 
 def test_scan_quiet_in_regime(table1):
