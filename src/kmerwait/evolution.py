@@ -8,8 +8,8 @@ time is 1/p_n.  Three estimates of p_n are provided: a truncated
 inclusion-exclusion sum (bv), the paired automaton quotient (bnn), and the
 clump census of putative-hit positions weighted by the mutation rates
 (clump).  The asymptotics routine extracts the quasi-linear growth
-constants of the conditioned hit expectations from their generating
-functions.
+constants of the conditioned hit expectations from the Perron root and
+Perron vectors of the clump automaton's transfer matrix.
 """
 
 import math
@@ -21,16 +21,20 @@ from importlib import resources
 from itertools import product as iproduct
 
 import mpmath
+import numpy as np
 
 from .automata import bnn_probability, clump_automaton, \
-    clump_moment_series, state_marks
+    clump_moment_series, state_marks, transfer_matrix
 from .gfcore import Q, QONE, QZERO, as_q
-from .languages import clump_gf_language
 from .words import Alphabet, minimal_period
 
 ROW_SUM_TOL = 1e-7
 NU_SUM_TOL = 1e-12
 REGIME_LIMIT = 1e-2
+# inverse iteration at a float shift gains ~15 digits a step on a simple
+# Perron root; stalling below 2.4 digits a step over 240 digits means the
+# root is not simple
+PERRON_STEPS = 100
 
 
 class ModelParams:
@@ -309,10 +313,13 @@ def scan_kmers(k, n, params, method="BNN"):
     """Waiting times of every k-mer, ranked by expected appearance time.
 
     Returns one row per word, in alphabet order; rank 1 is the word that
-    appears soonest, ties broken alphabetically.  Emits a warning when n
-    times the largest mutation rate exceeds 1e-2, the regime where the
-    single-mutation picture starts to degrade.  The clump method is exact
-    but slow here; prefer bnn or bv for full scans.
+    appears soonest.  Ranks follow the float p_n, and only equal floats
+    fall back to alphabetical order.  A word and its reversal have
+    mathematically equal p_n, so their order may be set by last-bit
+    rounding.  Emits a warning when n times the largest mutation rate
+    exceeds 1e-2, the regime where the single-mutation picture starts to
+    degrade.  The clump method is exact but slow here; prefer bnn or bv
+    for full scans.
     """
     if k < 2:
         raise ValueError("scan needs k >= 2")
@@ -333,100 +340,8 @@ def scan_kmers(k, n, params, method="BNN"):
             for i, w in enumerate(words)]
 
 
-def _mp_coeffs(poly):
-    return [mpmath.mpf(int(c.numerator)) / mpmath.mpf(int(c.denominator))
-            for c in poly.zcoeffs()]
-
-
-def _mp_eval(coeffs, x):
-    acc = mpmath.mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _mp_ratio(q):
     return mpmath.mpf(int(q.numerator)) / mpmath.mpf(int(q.denominator))
-
-
-def _deriv_coeffs(coeffs):
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def _smallest_pole(den_coeffs, z_max):
-    """Smallest root of the reduced avoiding-GF denominator beyond 1."""
-    val_one = _mp_eval(den_coeffs, mpmath.mpf(1))
-    if val_one == 0:
-        raise ArithmeticError("avoiding series already singular at z=1")
-    lo = mpmath.mpf(1)
-    flo = val_one
-    step = mpmath.mpf(1) / 128
-    hi = None
-    z = lo
-    while z < z_max:
-        z = z + step
-        fz = _mp_eval(den_coeffs, z)
-        if fz == 0:
-            lo, hi = z - step, z + step
-            flo = _mp_eval(den_coeffs, lo)
-            break
-        if (fz > 0) != (flo > 0):
-            lo, hi = z - step, z
-            flo = _mp_eval(den_coeffs, lo)
-            break
-    if hi is None:
-        raise ArithmeticError("no dominant pole found in (1, %s)" % z_max)
-    for _ in range(mpmath.mp.prec + 10):
-        mid = (lo + hi) / 2
-        fm = _mp_eval(den_coeffs, mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
-def _synth_div(rev_coeffs, tau):
-    """One synthetic division step on reversed coefficients.
-
-    Returns the reversed quotient and the remainder; the remainder equals
-    the polynomial's value at tau."""
-    out = [rev_coeffs[0]]
-    for c in rev_coeffs[1:]:
-        out.append(c + out[-1] * tau)
-    return out[:-1], out[-1]
-
-
-def _pole_constants(num_cs, den_cs, tau):
-    """Pole order of N/D at tau together with its Laurent data.
-
-    Returns (order, lead, sub).  Order 2 means
-    N/D = lead/(z-tau)^2 + sub/(z-tau) + analytic; order 1 means a plain
-    residue lead/(z-tau); order 0 means the quotient is analytic at tau.
-    Deeper poles are rejected: they would contradict the quasi-linear
-    growth the caller is extracting.
-    """
-    tiny = mpmath.mpf(10) ** (-mpmath.mp.dps // 2)
-    scale = max(abs(c) for c in den_cs)
-    rev = list(reversed(den_cs))
-    q1, r0 = _synth_div(rev, tau)
-    if abs(r0) > tiny * scale:
-        return 0, mpmath.mpf(0), mpmath.mpf(0)
-    ntau = _mp_eval(num_cs, tau)
-    q2, d1tau = _synth_div(q1, tau)
-    if abs(d1tau) > tiny * scale:
-        return 1, ntau / d1tau, mpmath.mpf(0)
-    d2 = list(reversed(q2))
-    d2tau = _mp_eval(d2, tau)
-    if abs(d2tau) < tiny * scale:
-        raise ArithmeticError("the pole at the radius has order above two")
-    nder = _mp_eval(_deriv_coeffs(num_cs), tau)
-    d2der = _mp_eval(_deriv_coeffs(d2), tau)
-    lead = ntau / d2tau
-    sub = (nder * d2tau - ntau * d2der) / (d2tau * d2tau)
-    return 2, lead, sub
 
 
 def _fit_decay(points):
@@ -441,26 +356,70 @@ def _fit_decay(points):
     return mpmath.exp(slope)
 
 
+def _solve(lu, vec):
+    mat, perm = lu
+    return mpmath.mp.U_solve(mat, mpmath.mp.L_solve(mat, vec, perm))
+
+
+def _inverse_iteration(lu):
+    """Eigenvector of the eigenvalue nearest the shift of the matrix
+    factored in lu, normalized to sum 1.  Dividing by the sum, not by the
+    largest entry, also undoes the sign flip that every step makes when
+    the shift lies above the eigenvalue."""
+    size = lu[0].rows
+    x = mpmath.matrix([mpmath.mpf(1) / size] * size)
+    tol = mpmath.mpf(10) ** (20 - mpmath.mp.dps)
+    for _ in range(PERRON_STEPS):
+        y = _solve(lu, x)
+        y = y / sum(y)
+        if mpmath.mnorm(y - x, 1) <= tol:
+            return y
+        x = y
+    raise ArithmeticError("the Perron root of the transfer matrix is not "
+                          "simple: inverse iteration did not converge")
+
+
+def _perron(hmat):
+    """Perron root lam of hmat with right and left vectors r, l, l.r = 1."""
+    size = hmat.rows
+    lam0 = mpmath.mpf(max(np.linalg.eigvals(
+        np.array(hmat.tolist(), dtype=float)).real))
+    shifted = hmat - lam0 * mpmath.eye(size)
+    r = _inverse_iteration(mpmath.mp.LU_decomp(shifted))
+    l = _inverse_iteration(mpmath.mp.LU_decomp(shifted.T))
+    i = max(range(size), key=lambda j: abs(r[j]))
+    lam = (hmat * r)[i] / r[i]
+    lr = (l.T * r)[0]
+    if abs(lr) < mpmath.mpf(10) ** (-mpmath.mp.dps // 2):
+        raise ArithmeticError("the Perron root of the transfer matrix is not "
+                              "simple: its left and right vectors are "
+                              "orthogonal")
+    return lam, r, l / lr
+
+
 def asymptotics(b, params, n_fit=200):
     """Quasi-linear growth constants of the conditioned hit expectations.
 
-    The avoiding probability decays like psi * tau^(-(n-1)) where tau is
-    the dominant pole of its generating function, and the raw typed hit
-    expectation grows like tau^(-n) (phi1 n + phi2), so the conditioned
-    expectation is asymptotically c1 n + c2 with c = phi/(psi tau).
+    Let H be the clump automaton's substochastic transfer matrix with
+    Perron root lam and right and left Perron vectors r, l (l.r = 1).  The
+    avoiding probability decays like psi * tau^(-(n-1)) with tau = 1/lam,
+    and the raw typed hit expectation grows like tau^(-n) (phi1 n + phi2),
+    so the conditioned expectation is asymptotically c1 n + c2 with
+    c = phi/(psi tau).  With D the diagonal of a type's state marks, e0 the
+    initial state and G the group inverse of I - H/lam,
+    c1 = l'D r and c2 = (e0'G D r - e0'D r)/r[e0] + c1 + l'D G 1/sum(l);
+    this is the Markov-additive view of Nicodeme, Salvy and Flajolet.
     Aggregating over types with the substitution weights gives the
     appearance probability slope C1 and intercept C2; B bounds the
     relative decay of the neglected terms.
 
-    phi1 and phi2 are extracted numerically from the analytic part of
-    (1 - z/tau)^2 E(z) at tau (Richardson-extrapolated central
-    differences), verified against an exact-coefficient residue
-    computation at 1e-12 and against a linear fit of the conditioned
-    series at n_fit at 1e-8.  A type whose hit function only has a simple
-    pole at tau (hits confined to a bounded prefix of the text) gets a
-    zero slope and the flat limit as its intercept.  Only binary
-    alphabets are supported; the exact generating function assembly is
-    too heavy beyond that.
+    Everything is computed at 240 digits and checked against a linear fit
+    of the exact conditioned series at n_fit at 1e-8.  A constant below
+    10^-120 is reported as exactly 0: a type whose hits are confined to a
+    bounded prefix of the text has a zero slope and the flat limit as its
+    intercept.  A Perron root that is not simple raises ArithmeticError.
+    Only binary alphabets are supported; the 240-digit linear algebra and
+    the exact series are too heavy beyond that.
     """
     alphabet = params.alphabet
     if len(alphabet) != 2:
@@ -474,78 +433,36 @@ def asymptotics(b, params, n_fit=200):
     vecs = [state_marks(ca, ty) for ty in types]
     fbar, hits = clump_moment_series(ca, params.nu, n_fit, vecs, exact=True)
     with mpmath.workdps(240):
-        z_max = 1 / min(_mp_ratio(v) for v in params.nu.values()) + 1
-        gf = clump_gf_language(b, alphabet, params.nu)
-        avoid = gf.subs_t1()
-        den_cs = _mp_coeffs(avoid.den)
-        num_cs = _mp_coeffs(avoid.num)
-        tau = _smallest_pole(den_cs, z_max)
-        tiny = mpmath.mpf(10) ** (-mpmath.mp.dps // 2)
-        dden = _mp_eval(_deriv_coeffs(den_cs), tau)
-        ptau = _mp_eval(num_cs, tau)
-        if abs(dden) < tiny or abs(ptau) < tiny:
-            raise ArithmeticError("the avoiding pole is not simple")
-        psi = -ptau / (tau * tau * dden)
+        tm = transfer_matrix(ca, params.nu)
+        size = tm.size
+        hmat = mpmath.zeros(size, size)
+        for i, row in enumerate(tm.rows):
+            for j, (coef, _) in row.items():
+                hmat[i, j] = _mp_ratio(coef)
+        lam, r, l = _perron(hmat)
+        e0 = ca.dfa.initial
+        lsum = sum(l)
+        tau = 1 / lam
+        psi = lam * r[e0] * lsum
         if not psi > 0:
             raise ArithmeticError("avoiding amplitude came out nonpositive")
-        phi1 = {}
-        phi2 = {}
+        fund = mpmath.mp.LU_decomp(mpmath.eye(size) - hmat / lam + r * l.T)
+        g_one = _solve(fund, mpmath.matrix([1] * size)) - r * lsum
+        tiny = mpmath.mpf(10) ** (-mpmath.mp.dps // 2)
         c1 = {}
         c2 = {}
-        sharp = {}
         decay = {}
-        for ty in types:
-            typed = clump_gf_language(b, alphabet, params.nu, mark=ty)
-            hit_gf = typed.dt_at_one()
-            zero = mpmath.mpf(0)
-            if hit_gf.is_zero():
-                phi1[ty] = phi2[ty] = c1[ty] = c2[ty] = zero
-                sharp[ty] = (zero, zero)
-                continue
-            ncs = _mp_coeffs(hit_gf.num)
-            dcs = _mp_coeffs(hit_gf.den)
-            order, lead, sub = _pole_constants(ncs, dcs, tau)
-            if order == 0:
-                # analytic at the radius: this type's expectation decays
-                # against the avoiding mass and leaves no growth constants
-                phi1[ty] = phi2[ty] = c1[ty] = c2[ty] = zero
-                sharp[ty] = (zero, zero)
-                continue
-
-            def part(z, m=order):
-                return ((1 - z / tau) ** m * _mp_eval(ncs, z)
-                        / _mp_eval(dcs, z))
-
-            h = tau * mpmath.mpf(10) ** -6
-            wide = (part(tau + h) + part(tau - h)) / 2
-            near = (part(tau + h / 2) + part(tau - h / 2)) / 2
-            lim = (4 * near - wide) / 3
-            if order == 1:
-                # a simple pole happens when hits of this type can only
-                # live in a bounded prefix of the text, so the conditioned
-                # expectation flattens out: the slope is exactly zero
-                p1v = zero
-                p2v = lim
-                check1 = zero
-                check2 = -lead / tau
-            else:
-                p1v = lim
-                dwide = (part(tau + h) - part(tau - h)) / (2 * h)
-                dnear = (part(tau + h / 2) - part(tau - h / 2)) / h
-                p2v = p1v - tau * (4 * dnear - dwide) / 3
-                check1 = lead / (tau * tau)
-                check2 = check1 - sub / tau
-            ref = max(mpmath.mpf(1), abs(p1v), abs(p2v))
-            if abs(check1 - p1v) > ref * mpmath.mpf(1e-12) or \
-                    abs(check2 - p2v) > ref * mpmath.mpf(1e-12):
-                raise ArithmeticError("residue and derivative extractions "
-                                      "of the growth constants disagree")
-            phi1[ty], phi2[ty] = p1v, p2v
-            c1[ty], c2[ty] = p1v / (psi * tau), p2v / (psi * tau)
-            # the residue values carry the full working precision, so the
-            # residual fit below sees the true decay, not a rounding floor
-            sharp[ty] = (check1 / (psi * tau), check2 / (psi * tau))
-        for i, ty in enumerate(types):
+        for i, (ty, vec) in enumerate(zip(types, vecs)):
+            dr = mpmath.matrix([vec[j] * r[j] for j in range(size)])
+            c1v = sum(l[j] * dr[j] for j in range(size))
+            g_dr = _solve(fund, dr) - r * c1v
+            c2v = ((g_dr[e0] - dr[e0]) / r[e0] + c1v
+                   + sum(l[j] * vec[j] * g_one[j] for j in range(size))
+                   / lsum)
+            # a vanishing constant comes out at rounding level (-1e-265
+            # for the slope of hits confined to the opening of the text)
+            c1[ty], c2[ty] = [v if abs(v) >= tiny else mpmath.mpf(0)
+                              for v in (c1v, c2v)]
             series = [_mp_ratio(hits[i][n]) / _mp_ratio(fbar[n])
                       for n in range(n_fit + 1)]
             slope = series[n_fit] - series[n_fit - 1]
@@ -555,11 +472,10 @@ def asymptotics(b, params, n_fit=200):
                     abs(icept - c2[ty]) > ref * mpmath.mpf(1e-8):
                 raise ArithmeticError("growth constants disagree with the "
                                       "linear fit of the exact series")
-            s1, s2 = sharp[ty]
             floor = mpmath.mpf(10) ** (20 - mpmath.mp.dps)
             pts = []
             for n in range(50, n_fit + 1):
-                res = abs(series[n] - (s1 * n + s2))
+                res = abs(series[n] - (c1[ty] * n + c2[ty]))
                 if res > floor * (1 + abs(series[n])):
                     pts.append((n, mpmath.log(res)))
             decay[ty] = _fit_decay(pts)
@@ -571,8 +487,8 @@ def asymptotics(b, params, n_fit=200):
         big2 = sum(c2[ty] * weights[ty] for ty in types)
         return AsymptoticConstants(
             float(tau), float(psi),
-            {ty: float(v) for ty, v in phi1.items()},
-            {ty: float(v) for ty, v in phi2.items()},
+            {ty: float(v * psi * tau) for ty, v in c1.items()},
+            {ty: float(v * psi * tau) for ty, v in c2.items()},
             {ty: float(v) for ty, v in c1.items()},
             {ty: float(v) for ty, v in c2.items()},
             float(big1), float(big2),

@@ -461,14 +461,6 @@ def _as_rf(x):
     return RatFun(Poly.const(x))
 
 
-def taylor_coeffs(f, at_t, n_max):
-    return f.taylor(at_t, n_max)
-
-
-def dt_at_one(f):
-    return f.dt_at_one()
-
-
 # ---------------------------------------------------------------------------
 # matrices
 

@@ -207,6 +207,15 @@ def test_asymptotics_acc_closed_forms(binu):
     assert a.c1[("A", "C")] == pytest.approx(1 / s5, abs=1e-14)
 
 
+def test_asymptotics_double_perron_root_raises(ac):
+    """Under A:1/3, C:2/3 the transfer matrix of ACC has a double Perron
+    root, where the Perron-vector formulas do not hold."""
+    swap = {"A": {"A": 0, "C": 1}, "C": {"A": 1, "C": 0}}
+    biased = ModelParams(ac, {"A": F(1, 3), "C": F(2, 3)}, swap)
+    with pytest.raises(ArithmeticError, match="not simple"):
+        asymptotics("ACC", biased)
+
+
 def test_asymptotics_quasi_linear_spot(binu):
     a = asymptotics("ACAC", binu)
     eh = expected_hits("ACAC", 200, binu)

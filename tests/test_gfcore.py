@@ -22,7 +22,6 @@ from kmerwait.gfcore import (
     rfm_identity,
     rfm_inverse,
     rfm_mul,
-    taylor_coeffs,
 )
 
 Z = Poly.monomial(1, 1, 0)
@@ -104,7 +103,6 @@ def test_ratfun_arith():
 def test_ratfun_taylor_geometric():
     f = RatFun(ONE, ONE - Z)
     assert f.taylor(1, 8) == [Q(1)] * 9
-    assert taylor_coeffs(f, 1, 4) == [Q(1)] * 5
 
 
 def test_ratfun_taylor_tpolys():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from kmerwait.evolution import asymptotics
 from kmerwait.gfcore import Poly, Q, RatFun, parse_poly, parse_ratfun
 from kmerwait.languages import (
     clump_gf_language,
@@ -170,8 +171,19 @@ def test_clump_gf_typed_marks(ac):
         assert got == want
 
 
-def test_clump_gf_t1_is_plain_avoiding(ac):
+def test_clump_gf_t1_is_plain_avoiding(ac, binu):
     gf = clump_gf_language("ACAC", ac, UNIFORM)
     avoid = gf.subs_t1()
     plain = rs_solve(("ACAC",), ac, UNIFORM).N
     assert avoid == plain
+    # the transfer matrix's Perron root is the pole of the avoiding GF
+    tau = asymptotics("ACAC", binu).tau
+
+    def at_tau(poly):
+        terms = [float(c) * tau ** i for i, c in enumerate(poly.zcoeffs())]
+        return abs(sum(terms)), sum(abs(x) for x in terms)
+
+    value, scale = at_tau(avoid.den)
+    assert value <= 1e-12 * scale
+    value, scale = at_tau(avoid.num)
+    assert value > 1e-12 * scale
