@@ -218,25 +218,31 @@ def _label_windows(label, b, dset):
     return out
 
 
-def _state_hit_mark(label, b, dset, mark):
-    """Mark exponent of an occurrence state, from its label alone.
+def _fresh_hit(label, b, dset):
+    """Fresh hits of an occurrence state, from its label alone.
 
-    The label always covers the whole overlap chain that can share hit
-    positions with the occurrence just completed, so scanning it decides
-    freshness exactly: an untyped hit is fresh when its position was not
-    hit before, a typed hit when the (position, target) pair is new and
-    the (text letter, target) pair matches the requested type.
+    Returns (untyped, typed): untyped is 1 when the hit position of the
+    occurrence just completed was not hit before, else 0; typed is its
+    (text letter, target letter) substitution type when that (position,
+    target) pair is new, else None.  The label always covers the whole
+    overlap chain that can share hit positions with the occurrence, so
+    scanning it decides freshness exactly.
     """
     windows = _label_windows(label, b, dset)
     if not windows or windows[-1][0] != len(label) - len(b):
-        return 0
+        return 0, None
     _, pos, target, source = windows[-1]
     earlier = windows[:-1]
-    if mark is None:
-        return 0 if pos in {p for (_, p, _, _) in earlier} else 1
-    if (source, target) != mark:
-        return 0
-    return 0 if (pos, target) in {(p, t) for (_, p, t, _) in earlier} else 1
+    untyped = 0 if pos in {p for (_, p, _, _) in earlier} else 1
+    if (pos, target) in {(p, t) for (_, p, t, _) in earlier}:
+        return untyped, None
+    return untyped, (source, target)
+
+
+def _fresh_hits(labels, occ, b, dset):
+    # one label scan per occurrence state serves every mutation type
+    return [_fresh_hit(labels[i], b, dset) if i in occ else (0, None)
+            for i in range(len(labels))]
 
 
 def _theta_word(o, rev, crossing, k):
@@ -285,20 +291,35 @@ class ClumpAutomaton:
         self.pruned = tuple(pruned)
 
 
+def _check_type(alphabet, mark):
+    src, tgt = mark
+    alphabet.check_word(src + tgt)
+    if src == tgt:
+        raise ValueError("a substitution type needs two distinct letters")
+
+
+def _ca_fresh_hits(ca):
+    return _fresh_hits(ca.labels, ca.O, ca.b,
+                       set(neighbors(ca.b, ca.alphabet)))
+
+
 def state_marks(ca, mark):
     """Per-state mark exponents of a clump automaton for one mutation type
     (or for every type at once with mark=None).  The automaton structure
     does not depend on the type, so one build serves all types."""
     if mark is not None:
-        src, tgt = mark
-        ca.alphabet.check_word(src + tgt)
-        if src == tgt:
-            raise ValueError("a substitution type needs two distinct letters")
-    dset = set(neighbors(ca.b, ca.alphabet))
-    return tuple(
-        _state_hit_mark(ca.labels[i], ca.b, dset, mark) if i in ca.O else 0
-        for i in range(ca.dfa.n_states)
-    )
+        _check_type(ca.alphabet, mark)
+    return tuple(untyped if mark is None else int(typed == mark)
+                 for untyped, typed in _ca_fresh_hits(ca))
+
+
+def weighted_marks(ca, weight):
+    """Per-state sum over mutation types ty of weight[ty] times
+    state_marks(ca, ty), as floats, from one scan of the labels.  A state
+    carries a fresh hit of at most one type; types missing from weight
+    count 0."""
+    return np.array([weight.get(typed, 0.0)
+                     for _, typed in _ca_fresh_hits(ca)])
 
 
 def clump_automaton(b, alphabet, mark=None):
@@ -359,21 +380,11 @@ def clump_automaton(b, alphabet, mark=None):
             ebar.add(dfa.run(v[:j]))
     assert ebar == {i for i, lab in enumerate(labels) if len(lab) < k}
 
-    untyped = tuple(
-        _state_hit_mark(labels[i], b, dset, None) if i in occ else 0
-        for i in range(n_states)
-    )
-    if mark is None:
-        smark = untyped
-    else:
-        src_t = mark
-        if src_t[0] == src_t[1]:
-            raise ValueError("a substitution type needs two distinct letters")
-        alphabet.check_word(src_t[0] + src_t[1])
-        smark = tuple(
-            _state_hit_mark(labels[i], b, dset, mark) if i in occ else 0
-            for i in range(n_states)
-        )
+    if mark is not None:
+        _check_type(alphabet, mark)
+    hits = _fresh_hits(labels, occ, b, dset)
+    untyped = tuple(u for u, _ in hits)
+    smark = untyped if mark is None else tuple(int(t == mark) for _, t in hits)
     marks = {key: smark[t] for key, t in delta.items()}
 
     rev = {}
@@ -486,8 +497,10 @@ def clump_moment_series(ca, nu, n_max, mark_vectors=None, exact=True):
     interest (defaults to the automaton's own marks).  Returns (fbar, hits)
     where fbar[n] is the avoiding probability at length n and hits[v][n]
     the unconditioned expectation of the marks collected for vector v.
-    Exact mode runs in rationals; the float mode uses numpy and is meant
-    for chromosome-scale lengths.
+    Exact mode runs in rationals.  Float mode takes the same steps as
+    clump_conditioned_hits; its masses are returned unscaled, so they fall
+    to subnormal floats and 0 once the avoiding probability leaves the
+    float range.
     """
     tm = transfer_matrix(ca, nu)
     size = tm.size
@@ -523,24 +536,63 @@ def clump_moment_series(ca, nu, n_max, mark_vectors=None, exact=True):
             u = w
             svecs = nsvecs
         return fbar, hits
-    h1 = np.zeros((size, size))
-    for i, row in enumerate(tm.rows):
-        for j, (coef, _) in row.items():
-            h1[i, j] = float(coef)
-    markmat = np.array([[float(x) for x in mv] for mv in mark_vectors])
-    u = np.zeros(size)
-    u[ca.dfa.initial] = 1.0
-    smat = np.zeros((len(mark_vectors), size))
     fbar = []
     hits = [[] for _ in mark_vectors]
-    for _ in range(n_max + 1):
-        fbar.append(float(u.sum()))
-        for v in range(len(mark_vectors)):
-            hits[v].append(float(smat[v].sum()))
-        w = u @ h1
-        smat = smat @ h1 + w[None, :] * markmat
-        u = w
+    for u, svecs, e in _float_walk(ca, tm, n_max, mark_vectors):
+        fbar.append(math.ldexp(u.sum(), e))
+        for hit, svec in zip(hits, svecs):
+            hit.append(math.ldexp(svec.sum(), e))
     return fbar, hits
+
+
+def clump_conditioned_hits(ca, nu, n, marks):
+    """Expected weighted mark count of a length-n text conditioned on its
+    avoiding the pattern, in float64.
+
+    marks holds one weight per state, such as weighted_marks(ca, weight)
+    for the substitution-weighted sum over every mutation type.  Steps the
+    avoiding vector and one hit vector over the transfer matrix's edge
+    list and rescales both together, so the quotient has no underflow at
+    any n.  Cost: n steps of O(edges), at most one edge per state and
+    letter.
+    """
+    for u, (s,), _ in _float_walk(ca, transfer_matrix(ca, nu), n, [marks]):
+        pass
+    return float(s.sum() / u.sum())
+
+
+def _float_walk(ca, tm, n_max, marks):
+    """Float64 avoiding vector and hit vectors, one per row of marks,
+    after 0..n_max letters, yielded as (u, hits, e): the true vectors are
+    u * 2**e and each hit vector * 2**e.
+
+    One step sends every vector along the transfer matrix's edge list with
+    one scatter-add (at most one edge per state and letter) and adds the
+    new avoiding vector times the mark row to each hit vector.  After it,
+    all vectors are divided by the power of two that brings the avoiding
+    mass into [1/2, 1), as in _vec_mat_power; the division is exact and
+    leaves every quotient of two masses unchanged.
+    """
+    size = tm.size
+    src, tgt, coef = (np.array(col) for col in zip(*(
+        (i, j, float(c)) for i, row in enumerate(tm.rows)
+        for j, (c, _) in row.items())))
+    marks = [np.asarray(m, dtype=float) for m in marks]
+    u = np.zeros(size)
+    u[ca.dfa.initial] = 1.0
+    hits = [np.zeros(size) for _ in marks]
+    e = 0
+    for _ in range(n_max):
+        yield u, hits, e
+        u = np.bincount(tgt, u[src] * coef, size)
+        hits = [np.bincount(tgt, s[src] * coef, size) + u * m
+                for s, m in zip(hits, marks)]
+        shift = math.frexp(u.sum())[1]
+        if shift:
+            u = np.ldexp(u, -shift)
+            hits = [np.ldexp(s, -shift) for s in hits]
+            e += shift
+    yield u, hits, e
 
 
 def _det_q(mat):

@@ -24,7 +24,8 @@ import mpmath
 import numpy as np
 
 from .automata import bnn_probability, clump_automaton, \
-    clump_moment_series, state_marks, transfer_matrix
+    clump_conditioned_hits, clump_moment_series, state_marks, \
+    transfer_matrix, weighted_marks
 from .gfcore import Q, QONE, QZERO, as_q
 from .words import Alphabet, minimal_period
 
@@ -88,6 +89,11 @@ class ModelParams:
         if len(p1) != len(alphabet):
             raise ValueError("substitution matrix mentions letters outside the alphabet")
         self.p1 = rows
+        # per-letter factors of the one-position appearance probability:
+        # the mutated letter distribution and the chance a letter stays
+        self.mutated = {c: sum((nuq[a] * rows[a][c] for a in alphabet), QZERO)
+                        for c in alphabet}
+        self.stay = {c: nuq[c] * rows[c][c] for c in alphabet}
 
     def mutation_types(self):
         """Ordered letter pairs (a, c) with a != c, in alphabet order."""
@@ -200,15 +206,11 @@ def bv_probability(b, n, params, full_sum=False):
     k = len(b)
     if k < 1:
         raise ValueError("need a nonempty word")
-    mutated = {}
-    for beta in params.alphabet:
-        mutated[beta] = sum((params.nu[a] * params.p1[a][beta]
-                             for a in params.alphabet), QZERO)
     appear = QONE
     stay = QONE
     for c in b:
-        appear *= mutated[c]
-        stay *= params.nu[c] * params.p1[c][c]
+        appear *= params.mutated[c]
+        stay *= params.stay[c]
     p_one = appear - stay
     if p_one <= 0:
         raise ArithmeticError("one-position appearance probability is not positive")
@@ -264,22 +266,23 @@ def clump_probability(b, n, params):
     each weighted by its substitution probability.  This is the leading
     term of p_n when n times the mutation rate is small, since distinct
     putative hits then materialize essentially independently and at most
-    one does per generation.
+    one does per generation.  Binary alphabets are handled in exact
+    rationals; larger ones step one substitution-weighted hit vector in
+    rescaled floats, which has no underflow at any n.
     """
     params.alphabet.check_word(b)
     ca = clump_automaton(b, params.alphabet)
     types = params.mutation_types()
+    if len(params.alphabet) != 2:
+        weight = {(a, c): float(params.p1[a][c]) for a, c in types}
+        return clump_conditioned_hits(ca, params.nu, n,
+                                      weighted_marks(ca, weight))
     vecs = [state_marks(ca, ty) for ty in types]
-    exact = len(params.alphabet) == 2
-    fbar, hits = clump_moment_series(ca, params.nu, n, vecs, exact=exact)
+    fbar, hits = clump_moment_series(ca, params.nu, n, vecs, exact=True)
     avoid = _avoiding_mass(fbar, n)
-    if exact:
-        total = sum((hits[i][n] * params.p1[a][c]
-                     for i, (a, c) in enumerate(types)), QZERO)
-        return float(total / avoid)
-    total = sum(hits[i][n] * float(params.p1[a][c])
-                for i, (a, c) in enumerate(types))
-    return total / avoid
+    total = sum((hits[i][n] * params.p1[a][c]
+                 for i, (a, c) in enumerate(types)), QZERO)
+    return float(total / avoid)
 
 
 def _route(method):
@@ -318,8 +321,9 @@ def scan_kmers(k, n, params, method="BNN"):
     mathematically equal p_n, so their order may be set by last-bit
     rounding.  Emits a warning when n times the largest mutation rate
     exceeds 1e-2, the regime where the single-mutation picture starts to
-    degrade.  The clump method is exact but slow here; prefer bnn or bv
-    for full scans.
+    degrade.  The clump method takes n sparse steps over an automaton of
+    a few hundred states per word, where bnn takes about 2 log2(n) small
+    matrix products; prefer bnn or bv for full scans.
     """
     if k < 2:
         raise ValueError("scan needs k >= 2")

@@ -9,6 +9,7 @@ from kmerwait.automata import (
     Dfa,
     bnn_probability,
     clump_automaton,
+    clump_conditioned_hits,
     clump_moment_series,
     clump_series,
     complement,
@@ -23,6 +24,7 @@ from kmerwait.automata import (
     to_dot,
     transfer_matrix,
     universal_dfa,
+    weighted_marks,
 )
 from kmerwait.languages import clump_gf_language, rs_solve
 from kmerwait.oracle import avoid_weight, enumerate_census
@@ -200,6 +202,22 @@ def test_moment_series_exact_and_float(autos):
     # avoiding mass never increases
     for n in range(40):
         assert fbar[n + 1] <= fbar[n]
+
+
+@pytest.mark.parametrize("b", ("ACAC", "AACC"))
+@pytest.mark.parametrize("nu", [UNIFORM, BIASED], ids=["uniform", "biased"])
+def test_float_kernel_matches_exact_series(autos, b, nu):
+    ca = autos[b]
+    weight = {("A", "C"): F(1, 4), ("C", "A"): F(3, 4)}
+    types = list(weight)
+    fbar, hits = clump_moment_series(ca, nu, 200,
+                                     [state_marks(ca, ty) for ty in types])
+    marks = weighted_marks(ca, {ty: float(w) for ty, w in weight.items()})
+    for n in (40, 200):
+        exact = float(sum(weight[ty] * hits[i][n]
+                          for i, ty in enumerate(types)) / fbar[n])
+        got = clump_conditioned_hits(ca, nu, n, marks)
+        assert abs(got - exact) <= 1e-12 * exact
 
 
 def test_gf_routes_agree_exactly(ac, autos):

@@ -141,16 +141,22 @@ def test_clump_route_against_bnn(toy_eps):
         assert abs(c - p) / p < 1e-3
 
 
-def test_clump_float_underflow_raises(table1):
-    # at n = 20000 the avoiding mass of AC is subnormal (7.5e-322) and the
-    # hit masses flush to 0; at n = 10000 it is still a normal float
-    with pytest.raises(ArithmeticError):
-        clump_probability("AC", 20000, table1)
+def test_clump_long_texts_match_bnn(table1):
+    # at n = 20000 the avoiding mass of AC is subnormal (7.5e-322); the
+    # rescaled kernel never forms it.  CLUMP is the first-order term of
+    # p_n, 2.6e-8 n relative below BNN under table1.
+    p10 = clump_probability("AC", 10000, table1)
+    p20 = clump_probability("AC", 20000, table1)
+    assert p20 / p10 == pytest.approx(2.0, rel=1e-3)
+    for b, n, p in (("AC", 20000, p20),
+                    ("ACGTA", 10 ** 5, clump_probability("ACGTA", 10 ** 5,
+                                                         table1))):
+        bnn = bnn_probability(b, n, table1)
+        assert abs(p - bnn) / bnn <= 5e-8 * n
+    # the unconditioned masses that expected_hits returns are not floats
+    # there
     with pytest.raises(ArithmeticError):
         expected_hits("AC", 20000, table1)
-    p5 = clump_probability("AC", 5000, table1)
-    p10 = clump_probability("AC", 10000, table1)
-    assert p10 / p5 == pytest.approx(2.0, rel=1e-3)
 
 
 def test_waiting_time_dispatch(table1):
