@@ -17,7 +17,6 @@ import numpy as np
 from .gfcore import (
     POLY_ONE,
     POLY_T,
-    POLY_Z,
     POLY_ZERO,
     Poly,
     Q,
@@ -497,44 +496,49 @@ def clump_moment_series(ca, nu, n_max, mark_vectors=None, exact=True):
     interest (defaults to the automaton's own marks).  Returns (fbar, hits)
     where fbar[n] is the avoiding probability at length n and hits[v][n]
     the unconditioned expectation of the marks collected for vector v.
-    Exact mode runs in rationals.  Float mode takes the same steps as
-    clump_conditioned_hits; its masses are returned unscaled, so they fall
-    to subnormal floats and 0 once the avoiding probability leaves the
-    float range.
+    Exact mode scales the transfer matrix by the common denominator D of
+    its coefficients and steps integer vectors, so the masses at length n
+    are those integers over D**n, returned as rationals.  Float mode takes
+    the same steps as clump_conditioned_hits; its masses are returned
+    unscaled, so they fall to subnormal floats and 0 once the avoiding
+    probability leaves the float range.
     """
     tm = transfer_matrix(ca, nu)
     size = tm.size
     if mark_vectors is None:
         mark_vectors = [ca.state_mark]
     if exact:
-        u = [QZERO] * size
-        u[ca.dfa.initial] = QONE
-        svecs = [[QZERO] * size for _ in mark_vectors]
+        scale = math.lcm(*(int(coef.denominator) for row in tm.rows
+                           for coef, _ in row.values()))
+        edges = [(i, j, int(coef * scale)) for i, row in enumerate(tm.rows)
+                 for j, (coef, _) in row.items()]
+        u = [0] * size
+        u[ca.dfa.initial] = 1
+        svecs = [[0] * size for _ in mark_vectors]
         fbar = []
         hits = [[] for _ in mark_vectors]
-        for _ in range(n_max + 1):
-            fbar.append(sum(u, QZERO))
-            for v, svec in enumerate(svecs):
-                hits[v].append(sum(svec, QZERO))
-            w = [QZERO] * size
-            for i, row in enumerate(tm.rows):
-                if u[i]:
-                    for j, (coef, _) in row.items():
+        for n in range(n_max + 1):
+            if n:
+                w = [0] * size
+                for i, j, coef in edges:
+                    if u[i]:
                         w[j] += u[i] * coef
-            nsvecs = []
-            for v, svec in enumerate(svecs):
-                ns = [QZERO] * size
-                for i, row in enumerate(tm.rows):
-                    if svec[i]:
-                        for j, (coef, _) in row.items():
+                nsvecs = []
+                for svec, mv in zip(svecs, mark_vectors):
+                    ns = [0] * size
+                    for i, j, coef in edges:
+                        if svec[i]:
                             ns[j] += svec[i] * coef
-                mv = mark_vectors[v]
-                for j in range(size):
-                    if mv[j]:
-                        ns[j] += w[j]
-                nsvecs.append(ns)
-            u = w
-            svecs = nsvecs
+                    for j in range(size):
+                        if mv[j]:
+                            ns[j] += w[j]
+                    nsvecs.append(ns)
+                u = w
+                svecs = nsvecs
+            denom = scale ** n
+            fbar.append(Q(sum(u), denom))
+            for hit, svec in zip(hits, svecs):
+                hit.append(Q(sum(svec), denom))
         return fbar, hits
     fbar = []
     hits = [[] for _ in mark_vectors]
@@ -595,44 +599,57 @@ def _float_walk(ca, tm, n_max, marks):
     yield u, hits, e
 
 
-def _det_q(mat):
-    # exact determinant by Gaussian elimination over the rationals
-    size = len(mat)
-    m = [list(r) for r in mat]
-    det = QONE
-    for col in range(size):
-        piv = next((r for r in range(col, size) if m[r][col]), None)
+def _det_one_minus_z(mat):
+    """Coefficients [z^0 .. z^n] of det(I - z A) for a square rational
+    matrix A, as the reversed characteristic polynomial of A.
+
+    A copy of A is brought to upper Hessenberg form by exact similarity
+    transforms, swapping in the first row with a nonzero entry when a
+    subdiagonal pivot is zero; det(x I - A) then follows from the
+    Hessenberg recurrence over leading blocks (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.2.9).  O(n^3) rational
+    operations in all.
+    """
+    n = len(mat)
+    h = [list(r) for r in mat]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
         if piv is None:
-            return QZERO
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = QONE / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col + 1, size):
-                    if m[col][c]:
-                        m[r][c] -= f * m[col][c]
-                m[r][col] = QZERO
-    return det
-
-
-def _lagrange_z(points, values):
-    total = POLY_ZERO
-    for m, val in enumerate(values):
-        if not val:
             continue
-        basis = POLY_ONE
-        scale = val
-        for j, pj in enumerate(points):
-            if j == m:
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        inv = QONE / h[m][m - 1]
+        rm = h[m]
+        for j in range(m + 1, n):
+            u = h[j][m - 1] * inv
+            if not u:
                 continue
-            basis = basis * (POLY_Z - Poly.const(Q(pj)))
-            scale = scale / Q(points[m] - pj)
-        total = total + basis.scale(scale)
-    return total
+            rj = h[j]
+            for c in range(m - 1, n):
+                if rm[c]:
+                    rj[c] -= u * rm[c]
+            for row in h:
+                if row[j]:
+                    row[m] += u * row[j]
+    # char[m] = det(x I - H_m) of the leading m x m block, low degree first
+    char = [[QONE]]
+    for m in range(n):
+        cur = [QZERO] + char[m]
+        for d, c in enumerate(char[m]):
+            cur[d] -= h[m][m] * c
+        sub = QONE
+        for i in range(m - 1, -1, -1):
+            sub *= h[i + 1][i]
+            if not sub:
+                break
+            f = sub * h[i][m]
+            if f:
+                for d, c in enumerate(char[i]):
+                    cur[d] -= f * c
+        char.append(cur)
+    return char[n][::-1]
 
 
 def _lagrange_t(points, values):
@@ -654,18 +671,20 @@ def _lagrange_t(points, values):
 MAX_EXACT_STATES = 48
 
 
-def gf_from_clump_automaton(ca, nu, n_terms=None):
+def gf_from_clump_automaton(ca, nu):
     """Generating function of avoiding texts with marks counted by t.
 
-    With n_terms set, returns the coefficient stream (one dict per length,
-    as in clump_series) from iterated vector products.  Otherwise solves
-    (I - z H(t)) y = 1 exactly by Cramer's rule and returns the component
-    of y at the initial state as a RatFun.  The t dependence is recovered
-    by interpolation on integer points so that every determinant is a
-    plain rational computation, sampled in z the same way.
+    Returns the initial-state component of y = (I - z H(t))^-1 1 as a
+    RatFun whose numerator and denominator are the two Cramer
+    determinants.  The t dependence is recovered by interpolation on the
+    integer points 0..marked, so each t-slice is a matrix over the
+    rationals.  Per slice the denominator det(I - z H(t0)) is the reversed
+    characteristic polynomial of H(t0), one O(size^3) Hessenberg
+    reduction.  Cramer's replaced column is z-free, so the numerator has
+    z-degree below size and equals the denominator times the series
+    sum_n (H(t0)^n 1)[init] z^n truncated at z^size; that series takes
+    size sparse steps over the transfer matrix's rows.
     """
-    if n_terms is not None:
-        return clump_series(ca, nu, n_terms)
     tm = transfer_matrix(ca, nu)
     size = tm.size
     if size > MAX_EXACT_STATES:
@@ -675,26 +694,25 @@ def gf_from_clump_automaton(ca, nu, n_terms=None):
     init = ca.dfa.initial
     marked = sum(1 for m in ca.state_mark if m)
     tpoints = list(range(marked + 1))
-    zpoints = list(range(size + 1))
     num_slices = []
     den_slices = []
     for t0 in tpoints:
-        den_vals = []
-        num_vals = []
-        tq = Q(t0)
-        for z0 in zpoints:
-            zq = Q(z0)
-            a = [[QZERO] * size for _ in range(size)]
-            for i in range(size):
-                for j, (coef, texp) in tm.rows[i].items():
-                    a[i][j] -= coef * zq * tq ** texp
-                a[i][i] += QONE
-            den_vals.append(_det_q(a))
-            for i in range(size):
-                a[i][init] = QONE
-            num_vals.append(_det_q(a))
-        den_slices.append(_lagrange_z(zpoints, den_vals))
-        num_slices.append(_lagrange_z(zpoints, num_vals))
+        rows = [[(j, coef * t0 ** texp) for j, (coef, texp) in row.items()]
+                for row in tm.rows]
+        a = [[QZERO] * size for _ in range(size)]
+        for i, row in enumerate(rows):
+            for j, c in row:
+                a[i][j] = c
+        den = _det_one_minus_z(a)
+        series = []
+        y = [QONE] * size
+        for _ in range(size):
+            series.append(y[init])
+            y = [sum((c * y[j] for j, c in row), QZERO) for row in rows]
+        num = [sum((den[i] * series[n - i] for i in range(n + 1)), QZERO)
+               for n in range(size)]
+        den_slices.append(Poly({(n, 0): c for n, c in enumerate(den)}))
+        num_slices.append(Poly({(n, 0): c for n, c in enumerate(num)}))
     num = _lagrange_t(tpoints, num_slices)
     den = _lagrange_t(tpoints, den_slices)
     return RatFun(num, den)

@@ -214,18 +214,22 @@ def bv_probability(b, n, params, full_sum=False):
     p_one = appear - stay
     if p_one <= 0:
         raise ArithmeticError("one-position appearance probability is not positive")
-    total = QZERO
-    power = QONE
-    cutoff = Q(1, 10 ** 30)
+    # with p_one = a/d, the partial sum through ell terms is total / d**ell;
+    # term and total share that scale, so the cutoff compares integers
+    a, d = int(p_one.numerator), int(p_one.denominator)
+    total = 0
+    power = 1
+    scale = 1
     for ell in range(1, n // k + 1):
-        power *= p_one
+        power *= a
+        scale *= d
         term = math.comb(n - (k - 1) * ell, ell) * power
         if ell % 2 == 0:
             term = -term
-        total += term
-        if not full_sum and abs(term) < cutoff * abs(total):
+        total = total * d + term
+        if not full_sum and abs(term) * 10 ** 30 < abs(total):
             break
-    return float(total)
+    return total / scale
 
 
 def expected_hits(b, n, params, mark=None):

@@ -7,6 +7,7 @@ import pytest
 from kmerwait.automata import (
     ClumpAutomaton,
     Dfa,
+    _det_one_minus_z,
     bnn_probability,
     clump_automaton,
     clump_conditioned_hits,
@@ -26,6 +27,7 @@ from kmerwait.automata import (
     universal_dfa,
     weighted_marks,
 )
+from kmerwait.gfcore import POLY_ONE, POLY_ZERO, Poly, bareiss_det
 from kmerwait.languages import clump_gf_language, rs_solve
 from kmerwait.oracle import avoid_weight, enumerate_census
 from kmerwait.words import Alphabet, putative_hit_count
@@ -221,10 +223,51 @@ def test_float_kernel_matches_exact_series(autos, b, nu):
 
 
 def test_gf_routes_agree_exactly(ac, autos):
-    for b in ("AAA", "ACC"):
+    for b in ("AAA", "ACC", "ACAC"):
         g1 = clump_gf_language(b, ac, UNIFORM)
         g2 = gf_from_clump_automaton(autos[b], UNIFORM)
         assert g1 == g2
+
+
+def test_gf_typed_biased_matches_census(ac):
+    # 2*size + 2 terms reach past the size terms the numerator is built
+    # from, so they certify the denominator as well
+    ca = clump_automaton("AACC", ac, mark=("A", "C"))
+    n = 2 * ca.dfa.n_states + 2
+    f = gf_from_clump_automaton(ca, BIASED)
+    assert f.taylor_tpolys(n) == clump_series(ca, BIASED, n)
+
+
+def _q_matrix(rows):
+    return [[F(x) for x in row] for row in rows]
+
+
+CHARPOLY_CASES = {
+    "1x1": _q_matrix([["3/2"]]),
+    "2x2": _q_matrix([["1/2", "1/3"], ["-2", "5/7"]]),
+    # the first subdiagonal entry is zero, so the reduction swaps rows
+    "swap": _q_matrix([[1, 2, 3], [0, 4, 5], ["6/5", 7, 8]]),
+    # block upper triangular: column 1 is zero below the diagonal, so
+    # one reduction step finds no pivot
+    "block": _q_matrix([[1, 2, 0, 1, 1], [3, "1/2", 1, 0, 2],
+                        [0, 0, 2, 1, 0], [0, 0, "1/3", 0, 1],
+                        [0, 0, 1, 1, "-1/4"]]),
+    "singular": _q_matrix([[1, 2, 0, 1], [2, 4, 0, 2],
+                           [0, 1, "1/2", 0], [1, 0, 0, 0]]),
+    "6x6": _q_matrix([[(3 * i + 5 * j) % 7 - 3 if (i + j) % 3 else 0
+                       for j in range(6)] for i in range(6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHARPOLY_CASES))
+def test_det_one_minus_z_matches_bareiss(name):
+    a = CHARPOLY_CASES[name]
+    n = len(a)
+    poly = [[(POLY_ONE if i == j else POLY_ZERO) - Poly.monomial(a[i][j], 1)
+             for j in range(n)] for i in range(n)]
+    coeffs = _det_one_minus_z(a)
+    assert len(coeffs) == n + 1
+    assert Poly({(d, 0): c for d, c in enumerate(coeffs)}) == bareiss_det(poly)
 
 
 def test_bnn_exact_toy(binu):
