@@ -1,12 +1,12 @@
 """Finite automata for avoidance, products, and clump counting.
 
 Three constructions live here.  The classical pattern automaton for a
-single word and generic products (synchronous or over paired symbols)
-drive the matrix route to the first-appearance probability.  The clump
-automaton walks the overlap structure of the mutation neighborhood d(b)
-and carries a t mark on transitions that reveal a fresh putative-hit
-position; its transfer matrix yields the same generating function as the
-word-language route, which is the point of building both.
+single word and its product over paired symbols drive the matrix route
+to the first-appearance probability.  The clump automaton walks the
+overlap structure of the mutation neighborhood d(b) and carries a t mark
+on transitions that reveal a fresh putative-hit position; its transfer
+matrix yields the same generating function as the word-language route,
+which is the point of building both.
 """
 
 import math
@@ -23,9 +23,8 @@ from .gfcore import (
     QONE,
     QZERO,
     RatFun,
-    as_q,
 )
-from .words import correlation_set, neighbors
+from .words import correlation_set, letter_distribution, neighbors
 
 
 class Dfa:
@@ -54,10 +53,6 @@ class Dfa:
                 return None
         return state
 
-    def accepts(self, word):
-        state = self.run(word)
-        return state is not None and state in self.finals
-
     def is_total(self):
         return all(
             (q, a) in self.delta
@@ -72,12 +67,6 @@ def complement(dfa):
         raise ValueError("complement needs a total transition table")
     finals = frozenset(range(dfa.n_states)) - dfa.finals
     return Dfa(dfa.n_states, dfa.alphabet, dfa.delta, dfa.initial, finals)
-
-
-def universal_dfa(alphabet):
-    """One accepting state looping on every symbol."""
-    delta = {(0, a): 0 for a in alphabet.symbols}
-    return Dfa(1, alphabet.symbols, delta, 0, {0})
 
 
 def _longest_border_state(s, b):
@@ -107,50 +96,15 @@ def kmp_automaton(b, alphabet):
     return Dfa(k + 1, alphabet.symbols, delta, 0, {k})
 
 
-def ends_with_dfa(v, alphabet):
-    """Automaton for the texts whose last |v| letters spell v."""
-    alphabet.check_word(v)
-    k = len(v)
-    delta = {}
-    for q in range(k + 1):
-        for a in alphabet.symbols:
-            delta[(q, a)] = _longest_border_state(v[:q] + a if q < k else v + a, v)
-    return Dfa(k + 1, alphabet.symbols, delta, 0, {k})
+def product(a1, a2):
+    """Reachable product of two automata reading symbol pairs.
 
-
-def occurs_before_end_dfa(v, alphabet):
-    """Automaton for the texts with an occurrence of v ending before the
-    last position.  Complementing it forbids every occurrence except one
-    flush with the right end, which is the building block for the
-    right-extension languages."""
-    alphabet.check_word(v)
-    k = len(v)
-    delta = {}
-    for q in range(k):
-        for a in alphabet.symbols:
-            delta[(q, a)] = _longest_border_state(v[:q] + a, v)
-    for a in alphabet.symbols:
-        delta[(k, a)] = k + 1
-        delta[(k + 1, a)] = k + 1
-    return Dfa(k + 2, alphabet.symbols, delta, 0, {k + 1})
-
-
-def product(a1, a2, final_rule, paired=False):
-    """Reachable product of two automata.
-
-    With paired=False both machines read the same symbol and must share an
-    alphabet.  With paired=True the product reads symbol pairs (x, y) fed
-    componentwise, which is how a sequence and its one-step mutant are
-    tracked together.  final_rule maps the two component finality flags to
-    the product's finality.  States are numbered in discovery order and the
-    component pairs are kept on the result as pair_labels.
+    The pair (x, y) feeds x to a1 and y to a2, which is how a sequence and
+    its one-step mutant are tracked together.  A product state is final
+    when both components are.  States are numbered in discovery order and
+    the component pairs are kept on the result as pair_labels.
     """
-    if paired:
-        symbols = tuple((x, y) for x in a1.alphabet for y in a2.alphabet)
-    else:
-        if a1.alphabet != a2.alphabet:
-            raise ValueError("synchronous product needs a shared alphabet")
-        symbols = a1.alphabet
+    symbols = tuple((x, y) for x in a1.alphabet for y in a2.alphabet)
     start = (a1.initial, a2.initial)
     order = {start: 0}
     pairs = [start]
@@ -160,12 +114,8 @@ def product(a1, a2, final_rule, paired=False):
         p, q = queue.popleft()
         src = order[(p, q)]
         for s in symbols:
-            if paired:
-                t1 = a1.delta.get((p, s[0]))
-                t2 = a2.delta.get((q, s[1]))
-            else:
-                t1 = a1.delta.get((p, s))
-                t2 = a2.delta.get((q, s))
+            t1 = a1.delta.get((p, s[0]))
+            t2 = a2.delta.get((q, s[1]))
             if t1 is None or t2 is None:
                 continue
             tgt = (t1, t2)
@@ -174,33 +124,10 @@ def product(a1, a2, final_rule, paired=False):
                 pairs.append(tgt)
                 queue.append(tgt)
             delta[(src, s)] = order[tgt]
-    finals = {
-        i
-        for i, (p, q) in enumerate(pairs)
-        if final_rule(p in a1.finals, q in a2.finals)
-    }
+    finals = {i for i, (p, q) in enumerate(pairs)
+              if p in a1.finals and q in a2.finals}
     out = Dfa(len(pairs), symbols, delta, 0, finals)
     out.pair_labels = tuple(pairs)
-    return out
-
-
-def dfa_series(dfa, weights, n_max):
-    """Exact accepted mass after 0..n_max letters.
-
-    weights maps each symbol of the automaton's alphabet to a rational
-    weight; the result is the weighted count of accepted length-n inputs.
-    """
-    wq = {s: as_q(w) for s, w in weights.items()}
-    u = [QZERO] * dfa.n_states
-    u[dfa.initial] = QONE
-    out = []
-    for _ in range(n_max + 1):
-        out.append(sum((u[q] for q in dfa.finals), QZERO))
-        v = [QZERO] * dfa.n_states
-        for (q, s), t in dfa.delta.items():
-            if u[q]:
-                v[t] += u[q] * wq[s]
-        u = v
     return out
 
 
@@ -269,12 +196,12 @@ class ClumpAutomaton:
     Built by clump_automaton.  Carries the occurrence states O, the
     non-extension states Ebar (clump core E is everything else), the
     maximal unique incoming word theta per occurrence state, and per
-    transition the mark exponent for the selected mutation type.  theta is
-    always derived from the untyped marks, so it describes the structure
-    and not the type filter.
+    state the mark exponent for the selected mutation type, which every
+    transition into that state carries.  theta is always derived from the
+    untyped marks, so it describes the structure and not the type filter.
     """
 
-    def __init__(self, b, alphabet, dfa, labels, occ, ebar, theta, marks,
+    def __init__(self, b, alphabet, dfa, labels, occ, ebar, theta,
                  state_mark, mark, pruned):
         self.b = b
         self.alphabet = alphabet
@@ -284,7 +211,6 @@ class ClumpAutomaton:
         self.Ebar = frozenset(ebar)
         self.E = frozenset(range(dfa.n_states)) - self.Ebar
         self.theta = dict(theta)
-        self.marks = dict(marks)
         self.state_mark = tuple(state_mark)
         self.mark = mark
         self.pruned = tuple(pruned)
@@ -384,7 +310,6 @@ def clump_automaton(b, alphabet, mark=None):
     hits = _fresh_hits(labels, occ, b, dset)
     untyped = tuple(u for u, _ in hits)
     smark = untyped if mark is None else tuple(int(t == mark) for _, t in hits)
-    marks = {key: smark[t] for key, t in delta.items()}
 
     rev = {}
     for (q, a), t in delta.items():
@@ -392,8 +317,8 @@ def clump_automaton(b, alphabet, mark=None):
     crossing = {i for i in range(n_states) if untyped[i]}
     theta = {o: _theta_word(o, rev, crossing, k) for o in sorted(occ)}
 
-    return ClumpAutomaton(b, alphabet, dfa, labels, occ, ebar, theta, marks,
-                          smark, mark, pruned)
+    return ClumpAutomaton(b, alphabet, dfa, labels, occ, ebar, theta, smark,
+                          mark, pruned)
 
 
 def markov_property_check(ca, b=None):
@@ -436,10 +361,7 @@ class TransferMatrix:
 
 def transfer_matrix(ca, nu):
     """Weighted adjacency matrix H(t) of a clump automaton."""
-    nuq = {a: as_q(x) for a, x in nu.items()}
-    total_nu = sum(nuq.values(), QZERO)
-    if total_nu != QONE or any(x <= 0 for x in nuq.values()):
-        raise ValueError("letter distribution must be positive and sum to 1")
+    nuq = letter_distribution(ca.alphabet, nu)
     rows = []
     for q in range(ca.dfa.n_states):
         row = {}
@@ -798,7 +720,7 @@ def _bnn_shadow(aut, n, params, dps):
         return mpmath.fsum(power[dfa.initial, q] for q in dfa.finals)
 
     avoid = complement(aut)
-    pair = product(avoid, aut, lambda f, g: f and g, paired=True)
+    pair = product(avoid, aut)
     with mpmath.workdps(dps):
         num = mass(pair, lambda s: params.nu[s[0]] * params.p1[s[0]][s[1]])
         return num / mass(avoid, lambda a: params.nu[a])
@@ -817,7 +739,7 @@ def to_dot(obj):
             shape = "doublecircle" if i in obj.O else "circle"
             lines.append('  n%d [label="%s" shape=%s];' % (i, lab or "eps", shape))
         for (q, a), t in sorted(obj.dfa.delta.items()):
-            tilde = "~" if obj.marks[(q, a)] else ""
+            tilde = "~" if obj.state_mark[t] else ""
             lines.append('  n%d -> n%d [label="%s%s"];' % (q, t, a, tilde))
         for (q, a) in obj.pruned:
             lines.append(

@@ -329,6 +329,7 @@ def _cmd_oracle(args, out):
 
 def _cmd_series(args, out):
     from .automata import clump_moment_series, state_marks
+    from .evolution import _avoiding_mass
 
     params = load_params(args.params)
     words = [args.word, args.word2]
@@ -339,6 +340,9 @@ def _cmd_series(args, out):
         fbar, hits = clump_moment_series(ca, params.nu, args.max,
                                          [state_marks(ca, None)],
                                          exact=exact)
+        # the mass never increases, so checking the last length covers
+        # every row
+        _avoiding_mass(fbar, args.max)
         columns.append((fbar, hits[0]))
     header = ["n"]
     for b in words:
@@ -351,10 +355,7 @@ def _cmd_series(args, out):
     for n in range(args.max + 1):
         row = [str(n)]
         for fbar, hit in columns:
-            f = float(fbar[n])
-            raw = float(hit[n])
-            cond = raw / f if f else float("nan")
-            row += [_fmt(f), _fmt(raw), _fmt(cond)]
+            row += [_fmt(fbar[n]), _fmt(hit[n]), _fmt(hit[n] / fbar[n])]
         if args.csv:
             w.writerow(row)
         else:

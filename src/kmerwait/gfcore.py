@@ -464,10 +464,6 @@ def _as_rf(x):
 # ---------------------------------------------------------------------------
 # matrices
 
-def identity_poly(n):
-    return [[POLY_ONE if i == j else POLY_ZERO for j in range(n)] for i in range(n)]
-
-
 def mat_mul_poly(a, b):
     n, m, p = len(a), len(b), len(b[0])
     out = []
@@ -528,34 +524,9 @@ def adjugate_poly(mat):
     return adj
 
 
-def cramer_solve_component(mat, rhs, comp):
-    """Component `comp` of the solution of mat * x = rhs (Polys), returned
-    as a RatFun, via two determinants."""
-    d = bareiss_det(mat)
-    if d.is_zero():
-        raise ZeroDivisionError("singular polynomial matrix")
-    n = len(mat)
-    repl = [[rhs[i] if j == comp else mat[i][j] for j in range(n)] for i in range(n)]
-    return RatFun(bareiss_det(repl), d)
-
-
 def rfm_identity(n):
     one, zero = RatFun.const(1), RatFun.const(0)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def rfm_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = RatFun.const(0)
-            for l in range(m):
-                acc = acc + a[i][l] * b[l][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def rfm_inverse(mat):

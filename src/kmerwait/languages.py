@@ -16,10 +16,8 @@ from .gfcore import (
     POLY_ZERO,
     Poly,
     QONE,
-    QZERO,
     RatFun,
     adjugate_poly,
-    as_q,
     bareiss_det,
     mat_mul_poly,
     rfm_inverse,
@@ -27,29 +25,12 @@ from .gfcore import (
 from .words import (
     correlation_set,
     is_reduced,
+    letter_distribution,
     neighbors,
     occurrence_starts,
     putative_hit_count,
     word_prob,
 )
-
-
-def _dist(alphabet, nu):
-    """Validate a letter distribution and convert it to exact rationals."""
-    vals = {}
-    for c in alphabet.symbols:
-        if c not in nu:
-            raise ValueError("distribution missing letter %r" % c)
-        q = as_q(nu[c])
-        if q <= 0:
-            raise ValueError("letter probabilities must be positive")
-        vals[c] = q
-    total = QZERO
-    for q in vals.values():
-        total = total + q
-    if total != 1:
-        raise ValueError("letter probabilities must sum to 1 exactly")
-    return vals
 
 
 def _set_gf(ws, nuq):
@@ -135,7 +116,7 @@ def rs_solve(words, alphabet, nu):
         alphabet.check_word(w)
     if not is_reduced(words):
         raise ValueError("word set is not reduced (some word is a factor of another)")
-    nuq = _dist(alphabet, nu)
+    nuq = letter_distribution(alphabet, nu)
     r = len(words)
     vpolys = [Poly.monomial(word_prob(w, nuq), len(w), 0) for w in words]
     C = [[_set_gf(correlation_set(vi, vj), nuq) for vj in words] for vi in words]
@@ -353,7 +334,7 @@ def marked_code_gf(b, alphabet, nu, mark=None, codes=None):
         codes = constrained_code_matrix(b, alphabet)
     if codes.Kbar is None or codes.base != b:
         raise ValueError("need a constrained code matrix for this word")
-    nuq = _dist(alphabet, nu)
+    nuq = letter_distribution(alphabet, nu)
     d = codes.words
     r = len(d)
     k = len(b)

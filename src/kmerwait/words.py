@@ -1,9 +1,9 @@
 """Core combinatorics on words.
 
-Alphabets, occurrence counting, correlation sets, single-substitution
-neighborhoods, minimal periods, and putative-hit positions (positions of a
-pattern-avoiding text where one substitution creates an occurrence of the
-pattern).
+Alphabets and letter distributions, occurrence counting, correlation
+sets, single-substitution neighborhoods, minimal periods, and putative-hit
+positions (positions of a pattern-avoiding text where one substitution
+creates an occurrence of the pattern).
 
 Positions are 1-indexed throughout, matching the usual sequence notation
 S_1 ... S_n.
@@ -11,8 +11,11 @@ S_1 ... S_n.
 
 from collections import namedtuple
 
+from .gfcore import QONE, QZERO, as_q
+
 DNA = "ACGT"
 BINARY = "AC"
+NU_SUM_TOL = 1e-12
 
 
 class Alphabet:
@@ -216,3 +219,28 @@ def word_prob(w, nu):
     for c in w:
         p = p * nu[c]
     return p
+
+
+def letter_distribution(alphabet, nu):
+    """Exact letter probabilities of nu, checked against the alphabet.
+
+    Every letter needs a positive probability and no other key may
+    appear.  The probabilities must sum to 1; a drift below 1e-12, as
+    produced by rounded decimal files, is renormalized away.
+    """
+    nuq = {}
+    for a in alphabet:
+        if a not in nu:
+            raise ValueError("distribution misses letter %r" % a)
+        v = as_q(nu[a])
+        if v <= 0:
+            raise ValueError("letter probability for %r must be positive" % a)
+        nuq[a] = v
+    if len(nu) != len(alphabet):
+        raise ValueError("distribution mentions letters outside the alphabet")
+    total = sum(nuq.values(), QZERO)
+    if total != QONE:
+        if abs(float(total - QONE)) > NU_SUM_TOL:
+            raise ValueError("letter distribution sums to %s, not 1" % float(total))
+        nuq = {a: v / total for a, v in nuq.items()}
+    return nuq

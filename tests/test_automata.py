@@ -1,5 +1,6 @@
 """Automata: pattern recognizers, products, and the clump construction."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -13,22 +14,17 @@ from kmerwait.automata import (
     clump_conditioned_hits,
     clump_moment_series,
     clump_series,
-    complement,
-    dfa_series,
-    ends_with_dfa,
     gf_from_clump_automaton,
     kmp_automaton,
     markov_property_check,
-    occurs_before_end_dfa,
     product,
     state_marks,
     to_dot,
     transfer_matrix,
-    universal_dfa,
     weighted_marks,
 )
 from kmerwait.gfcore import POLY_ONE, POLY_ZERO, Poly, bareiss_det
-from kmerwait.languages import clump_gf_language, rs_solve
+from kmerwait.languages import clump_gf_language
 from kmerwait.oracle import avoid_weight, enumerate_census
 from kmerwait.words import Alphabet, putative_hit_count
 
@@ -47,56 +43,23 @@ def test_kmp_automaton_tracks_borders(ac):
     assert dfa.run("ACACA") == 4  # the occurrence state is absorbing
     assert dfa.run("AACA") == 3  # longest suffix that is a prefix: ACA
     assert dfa.run("CCC") == 0
-    assert dfa.accepts("AACAC")
-    assert not dfa.accepts("ACCA")
+    assert dfa.run("AACAC") in dfa.finals
+    assert dfa.run("ACCA") not in dfa.finals
 
 
 def test_kmp_avoidance_series(ac):
-    """Complement of the occurrence recognizer counts avoiding texts."""
-    dfa = complement(kmp_automaton("AAC", ac))
-    weights = {"A": F(1, 2), "C": F(1, 2)}
-    series = dfa_series(dfa, weights, 10)
-    # the final (occurrence) state is absorbing, so acceptance means the
-    # prefix read so far stayed clear
+    """The clump automaton prunes every transition that completes the
+    pattern, so its exact avoiding mass counts the texts avoiding it."""
+    fbar, _ = clump_moment_series(clump_automaton("AAC", ac), UNIFORM, 10)
     for n in range(11):
-        assert series[n] == avoid_weight(("AAC",), n, ac, UNIFORM)
-
-
-def test_ends_with_and_occurs_before_end(ac):
-    e = ends_with_dfa("ACA", ac)
-    assert e.accepts("CCACA") and not e.accepts("ACAC")
-    o = occurs_before_end_dfa("ACA", ac)
-    assert o.accepts("ACAC") and not o.accepts("ACA")
-    assert o.accepts("ACAA")
-
-
-def test_first_occurrence_series_via_product(ac):
-    """Ends-with minus occurs-before-end picks out first occurrences,
-    matching the language route's R."""
-    b = "AAA"
-    e = ends_with_dfa(b, ac)
-    o = occurs_before_end_dfa(b, ac)
-    first = product(e, complement(o), lambda x, y: x and y)
-    weights = {"A": F(1, 2), "C": F(1, 2)}
-    series = dfa_series(first, weights, 12)
-    lang = rs_solve((b,), ac, UNIFORM)
-    want = lang.R[0].taylor(1, 12)
-    assert series == want
-
-
-def test_product_with_universal_is_isomorphic(ac):
-    dfa = kmp_automaton("ACC", ac)
-    prod = product(dfa, universal_dfa(ac), lambda x, y: x and y)
-    assert prod.n_states == dfa.n_states
-    for w in all_words(8):
-        assert prod.accepts(w) == dfa.accepts(w)
+        assert fbar[n] == avoid_weight(("AAC",), n, ac, UNIFORM)
 
 
 def test_paired_product_diagonal(ac):
     """Reading pairs, the synchronized diagonal stays small while the full
     pair alphabet is quadratic."""
     a = kmp_automaton("AC", ac)
-    prod = product(a, a, lambda x, y: x and y, paired=True)
+    prod = product(a, a)
     assert len(prod.alphabet) == 4
     # feeding equal pairs keeps both components in lockstep
     st = prod.initial
@@ -152,8 +115,8 @@ def test_markov_property_detects_corruption(ac, autos):
     bad_dfa = Dfa(ca.dfa.n_states, ca.dfa.alphabet, delta, ca.dfa.initial,
                   ca.dfa.finals)
     bad = ClumpAutomaton(ca.b, ca.alphabet, bad_dfa, ca.labels, ca.O,
-                         ca.Ebar, ca.theta, ca.marks, ca.state_mark,
-                         ca.mark, ca.pruned)
+                         ca.Ebar, ca.theta, ca.state_mark, ca.mark,
+                         ca.pruned)
     assert not markov_property_check(bad)
 
 
@@ -316,8 +279,24 @@ def test_bnn_long_texts_match_shadow(table1, word, n):
     assert abs(p - pm) / pm < 1e-8
 
 
-def test_to_dot_smoke(autos):
+def test_to_dot_smoke(ac, autos):
     dot = to_dot(autos["AAA"])
     assert dot.startswith("digraph")
     assert "->" in dot
     assert "AACAA" in dot
+    edge = re.compile(r'n(\d+) -> n(\d+) \[label="([AC])(~?)"\]')
+    seen = set()
+    for b in ("AAA", "AACA"):
+        for mark in (None, ("A", "C")):
+            ca = clump_automaton(b, ac, mark=mark)
+            edges = edge.findall(to_dot(ca))
+            assert len(edges) == len(ca.dfa.delta)
+            # a tilde marks exactly the transitions into a marked state
+            for q, t, a, tilde in edges:
+                assert ca.dfa.delta[(int(q), a)] == int(t)
+                assert (tilde == "~") == (ca.state_mark[int(t)] == 1)
+            seen.update((b, mark, tilde) for *_, tilde in edges)
+    # no position of AAA holds a C, so it has no A->C hit
+    assert ("AAA", ("A", "C"), "~") not in seen
+    assert {("AAA", None, "~"), ("AACA", None, "~"),
+            ("AACA", ("A", "C"), "~")} <= seen

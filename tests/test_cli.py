@@ -146,10 +146,13 @@ def test_asym_csv_values(capsys):
      "symbol 'X' not in alphabet 'ACGT'"),
     (("oracle", "ACGT", "--n", "10", "--mc", "10"),
      "need at least 10^4 trials for a meaningful estimate"),
+    # under table1 the float avoiding mass of AC is subnormal from n = 10184
+    (("series", "AC", "ACGTA", "--max", "12000"),
+     "avoiding probability 0 at length 12000 is not above"),
 ])
 def test_error_paths(capsys, argv, needle):
     rc, out, err = run(capsys, *argv)
-    assert rc == 1
+    assert rc == 1 and out == ""
     assert err.startswith("error: ")
     assert needle in err
     assert err.count("\n") == 1

@@ -5,7 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from kmerwait.automata import bnn_probability
+from kmerwait.automata import (
+    bnn_probability,
+    clump_automaton,
+    clump_moment_series,
+    state_marks,
+    transfer_matrix,
+)
 from kmerwait.evolution import (
     ModelParams,
     asymptotics,
@@ -16,6 +22,7 @@ from kmerwait.evolution import (
     scan_kmers,
     waiting_time,
 )
+from kmerwait.languages import marked_code_gf, rs_solve
 from kmerwait.oracle import exact_pn_tiny
 from kmerwait.words import Alphabet
 
@@ -93,6 +100,24 @@ def test_model_params_validation(ac):
                      "C": {"A": 0, "C": 1}})
 
 
+@pytest.mark.parametrize("nu", [
+    {"A": F(1)},
+    {"A": F(1), "C": F(0)},
+    {"A": F(1, 2), "C": F(1, 4)},
+], ids=["missing", "zero", "sum"])
+def test_letter_distribution_checked_everywhere(ac, nu):
+    swap = {"A": {"A": 0, "C": 1}, "C": {"A": 1, "C": 0}}
+    routes = [
+        lambda: ModelParams(ac, nu, swap),
+        lambda: rs_solve(("AAA",), ac, nu),
+        lambda: marked_code_gf("AAA", ac, nu),
+        lambda: transfer_matrix(clump_automaton("AAA", ac), nu),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match="letter"):
+            route()
+
+
 def test_bv_truncation_matches_full_sum(table1):
     for b in ("AAAAA", "CGCGC"):
         assert bv_probability(b, 1000, table1) == \
@@ -139,6 +164,23 @@ def test_clump_route_against_bnn(toy_eps):
         c = clump_probability(b, 100, toy_eps)
         p = bnn_probability(b, 100, toy_eps)
         assert abs(c - p) / p < 1e-3
+
+
+@pytest.mark.parametrize("model", ["toy_eps", "binu"])
+@pytest.mark.parametrize("b", TOYS + ("AC",))
+def test_clump_walk_matches_exact_series(request, ac, b, model):
+    """CLUMP's one route, the rescaled float walk, against the exact
+    rational moment series on binary alphabets."""
+    params = request.getfixturevalue(model)
+    types = params.mutation_types()
+    ca = clump_automaton(b, ac)
+    fbar, hits = clump_moment_series(
+        ca, params.nu, 1000, [state_marks(ca, ty) for ty in types], exact=True)
+    for n in (14, 100, 1000):
+        want = float(sum(hits[i][n] * params.p1[a][c]
+                         for i, (a, c) in enumerate(types)) / fbar[n])
+        got = clump_probability(b, n, params)
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_clump_long_texts_match_bnn(table1):

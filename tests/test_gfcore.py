@@ -11,17 +11,13 @@ from kmerwait.gfcore import (
     adjugate_poly,
     as_q,
     bareiss_det,
-    cramer_solve_component,
     gcd_univariate,
-    identity_poly,
     mat_mul_poly,
     parse_poly,
     parse_ratfun,
     render_poly,
     render_ratfun,
-    rfm_identity,
     rfm_inverse,
-    rfm_mul,
 )
 
 Z = Poly.monomial(1, 1, 0)
@@ -146,30 +142,15 @@ def test_adjugate_identity():
             assert prod[i][j] == (det if i == j else Poly())
 
 
-def test_cramer_component():
-    m = [[ONE, Z], [Z, ONE]]
-    rhs = [ONE, Poly()]
-    # solve (I with z off-diagonal) x = e1; x0 = 1/(1-z^2)
-    sol = cramer_solve_component(m, rhs, 0)
-    assert sol == RatFun(ONE, ONE - Z * Z)
-
-
 def test_rfm_inverse_roundtrip():
     one = RatFun(ONE)
-    zero = RatFun(Poly())
     zr = RatFun(Z)
     m = [[one, zr], [zr * zr, one]]
-    inv = rfm_inverse(m)
-    prod = rfm_mul(m, inv)
-    ident = rfm_identity(2)
-    for i in range(2):
-        for j in range(2):
-            assert prod[i][j] == ident[i][j]
-
-
-def test_identity_poly():
-    e = identity_poly(3)
-    assert e[0][0] == ONE and e[1][2] == Poly()
+    # det = 1 - z^3, so the inverse is the adjugate over it
+    det = ONE - Z * Z * Z
+    want = [[RatFun(ONE, det), RatFun(-Z, det)],
+            [RatFun(-(Z * Z), det), RatFun(ONE, det)]]
+    assert rfm_inverse(m) == want
 
 
 def test_parse_ratfun():

@@ -60,8 +60,8 @@ def test_parse_identity_simple_sets(ac, dna):
 def test_first_occurrence_series(ac):
     """R_j counts texts ending with their very first occurrence."""
     lang = rs_solve(("AAA",), ac, UNIFORM)
-    series = lang.R[0].taylor(1, 9)
-    for n in range(10):
+    series = lang.R[0].taylor(1, 12)
+    for n in range(13):
         total = Q(0)
         for x in range(2 ** n):
             w = "".join("AC"[(x >> i) & 1] for i in range(n))
