@@ -24,7 +24,8 @@ from .gfcore import (
     QZERO,
     RatFun,
 )
-from .words import correlation_set, letter_distribution, neighbors
+from .words import check_type, correlation_set, letter_distribution, \
+    neighbors
 
 
 class Dfa:
@@ -216,13 +217,6 @@ class ClumpAutomaton:
         self.pruned = tuple(pruned)
 
 
-def _check_type(alphabet, mark):
-    src, tgt = mark
-    alphabet.check_word(src + tgt)
-    if src == tgt:
-        raise ValueError("a substitution type needs two distinct letters")
-
-
 def _ca_fresh_hits(ca):
     return _fresh_hits(ca.labels, ca.O, ca.b,
                        set(neighbors(ca.b, ca.alphabet)))
@@ -232,8 +226,7 @@ def state_marks(ca, mark):
     """Per-state mark exponents of a clump automaton for one mutation type
     (or for every type at once with mark=None).  The automaton structure
     does not depend on the type, so one build serves all types."""
-    if mark is not None:
-        _check_type(ca.alphabet, mark)
+    check_type(ca.alphabet, mark)
     return tuple(untyped if mark is None else int(typed == mark)
                  for untyped, typed in _ca_fresh_hits(ca))
 
@@ -305,8 +298,7 @@ def clump_automaton(b, alphabet, mark=None):
             ebar.add(dfa.run(v[:j]))
     assert ebar == {i for i, lab in enumerate(labels) if len(lab) < k}
 
-    if mark is not None:
-        _check_type(alphabet, mark)
+    check_type(alphabet, mark)
     hits = _fresh_hits(labels, occ, b, dset)
     untyped = tuple(u for u, _ in hits)
     smark = untyped if mark is None else tuple(int(t == mark) for _, t in hits)
@@ -357,6 +349,23 @@ class TransferMatrix:
     def __init__(self, size, rows):
         self.size = size
         self.rows = rows
+
+    def integer_edges(self):
+        """Common denominator D and the integer edges (i, j, D H_ij) at t=1."""
+        scale = math.lcm(*(int(coef.denominator) for row in self.rows
+                           for coef, _ in row.values()))
+        return scale, [(i, j, int(coef * scale))
+                       for i, row in enumerate(self.rows)
+                       for j, (coef, _) in row.items()]
+
+
+def edge_step(edges, x):
+    """Row vector x times the matrix listed as edges (i, j, M_ij)."""
+    y = [0] * len(x)
+    for i, j, coef in edges:
+        if x[i]:
+            y[j] += x[i] * coef
+    return y
 
 
 def transfer_matrix(ca, nu):
@@ -430,10 +439,7 @@ def clump_moment_series(ca, nu, n_max, mark_vectors=None, exact=True):
     if mark_vectors is None:
         mark_vectors = [ca.state_mark]
     if exact:
-        scale = math.lcm(*(int(coef.denominator) for row in tm.rows
-                           for coef, _ in row.values()))
-        edges = [(i, j, int(coef * scale)) for i, row in enumerate(tm.rows)
-                 for j, (coef, _) in row.items()]
+        scale, edges = tm.integer_edges()
         u = [0] * size
         u[ca.dfa.initial] = 1
         svecs = [[0] * size for _ in mark_vectors]
@@ -441,22 +447,10 @@ def clump_moment_series(ca, nu, n_max, mark_vectors=None, exact=True):
         hits = [[] for _ in mark_vectors]
         for n in range(n_max + 1):
             if n:
-                w = [0] * size
-                for i, j, coef in edges:
-                    if u[i]:
-                        w[j] += u[i] * coef
-                nsvecs = []
-                for svec, mv in zip(svecs, mark_vectors):
-                    ns = [0] * size
-                    for i, j, coef in edges:
-                        if svec[i]:
-                            ns[j] += svec[i] * coef
-                    for j in range(size):
-                        if mv[j]:
-                            ns[j] += w[j]
-                    nsvecs.append(ns)
-                u = w
-                svecs = nsvecs
+                u = edge_step(edges, u)
+                svecs = [[s + w if m else s for s, w, m in
+                          zip(edge_step(edges, svec), u, mv)]
+                         for svec, mv in zip(svecs, mark_vectors)]
             denom = scale ** n
             fbar.append(Q(sum(u), denom))
             for hit, svec in zip(hits, svecs):

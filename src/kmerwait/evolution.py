@@ -7,9 +7,9 @@ appears is geometric with success probability p_n, so the expected waiting
 time is 1/p_n.  Three estimates of p_n are provided: a truncated
 inclusion-exclusion sum (bv), the paired automaton quotient (bnn), and the
 clump census of putative-hit positions weighted by the mutation rates
-(clump).  The asymptotics routine extracts the quasi-linear growth
-constants of the conditioned hit expectations from the Perron root and
-Perron vectors of the clump automaton's transfer matrix.
+(clump).  The asymptotics routine takes the quasi-linear growth constants
+of the conditioned hit expectations, on any alphabet, from sparse Perron
+iterations over the integer edges of the clump automaton's transfer matrix.
 """
 
 import math
@@ -21,20 +21,23 @@ from importlib import resources
 from itertools import product as iproduct
 
 import mpmath
-import numpy as np
 
 from .automata import bnn_probability, clump_automaton, \
-    clump_conditioned_hits, clump_moment_series, state_marks, \
+    clump_conditioned_hits, clump_moment_series, edge_step, state_marks, \
     transfer_matrix, weighted_marks
 from .gfcore import Q, QONE, QZERO, as_q
 from .words import Alphabet, letter_distribution, minimal_period
 
 ROW_SUM_TOL = 1e-7
 REGIME_LIMIT = 1e-2
-# inverse iteration at a float shift gains ~15 digits a step on a simple
-# Perron root; stalling below 2.4 digits a step over 240 digits means the
-# root is not simple
-PERRON_STEPS = 100
+# Perron data in ints scaled by 2**864 (240 digits and guard bits), to
+# 2**-800; power iteration goes 20 bits further, below where the Neumann
+# series levels off.  Each step gains log2(lam/|lam2|) bits, so 3000 steps
+# allow |lam2|/lam up to about 0.83; a root that is not simple runs out.
+PERRON_BITS = 864
+PERRON_TOL = 800
+PERRON_STEPS = 3000
+NOT_SIMPLE = "the Perron root of the transfer matrix is not simple: %s"
 
 
 class ModelParams:
@@ -44,8 +47,8 @@ class ModelParams:
     probability that letter a is substituted by b in one generation.  The
     distribution must sum to 1 (a drift below 1e-12, as produced by rounded
     decimal files, is renormalized away).  Substitution rows must sum to 1
-    within ROW_SUM_TOL and off-diagonal entries must be nonnegative; rows
-    are kept verbatim, without renormalization.
+    within ROW_SUM_TOL and every entry must be nonnegative; rows are kept
+    verbatim, without renormalization.
     """
 
     def __init__(self, alphabet, nu, p1, name="custom"):
@@ -63,7 +66,7 @@ class ModelParams:
                 if c not in p1[a]:
                     raise ValueError("substitution matrix misses entry (%r, %r)" % (a, c))
                 v = as_q(p1[a][c])
-                if a != c and v < 0:
+                if v < 0:
                     raise ValueError("negative substitution probability (%r, %r)" % (a, c))
                 row[c] = v
             s = sum(row.values(), QZERO)
@@ -340,45 +343,42 @@ def _fit_decay(points):
     return mpmath.exp(slope)
 
 
-def _solve(lu, vec):
-    mat, perm = lu
-    return mpmath.mp.U_solve(mat, mpmath.mp.L_solve(mat, vec, perm))
+def _step(edges, x, den):
+    """x (D H) * 2**PERRON_BITS / den for a row vector x over the integer
+    edges of D H (or of its transpose), one product and shift an entry."""
+    y = edge_step(edges, x)
+    shift = den.bit_length()
+    inv = (1 << (PERRON_BITS + shift)) // den
+    return [(v * inv) >> shift for v in y]
 
 
-def _inverse_iteration(lu):
-    """Eigenvector of the eigenvalue nearest the shift of the matrix
-    factored in lu, normalized to sum 1.  Dividing by the sum, not by the
-    largest entry, also undoes the sign flip that every step makes when
-    the shift lies above the eigenvalue."""
-    size = lu[0].rows
-    x = mpmath.matrix([mpmath.mpf(1) / size] * size)
-    tol = mpmath.mpf(10) ** (20 - mpmath.mp.dps)
+def _perron_vector(edges, size, scale):
+    """Left Perron vector x of H, with D = scale, as the fixed point of
+    x -> x H 2**PERRON_BITS / sum(x); its sum is lam 2**PERRON_BITS.  The
+    edges of the transpose give the right vector."""
+    x = [(1 << PERRON_BITS) // size] * size
     for _ in range(PERRON_STEPS):
-        y = _solve(lu, x)
-        y = y / sum(y)
-        if mpmath.mnorm(y - x, 1) <= tol:
-            return y
-        x = y
-    raise ArithmeticError("the Perron root of the transfer matrix is not "
-                          "simple: inverse iteration did not converge")
+        nxt = _step(edges, x, scale * sum(x))
+        if sum(abs(a - b) for a, b in zip(nxt, x)) <= \
+                sum(x) >> (PERRON_TOL + 20):
+            return nxt
+        x = nxt
+    raise ArithmeticError(NOT_SIMPLE % "power iteration did not converge")
 
 
-def _perron(hmat):
-    """Perron root lam of hmat with right and left vectors r, l, l.r = 1."""
-    size = hmat.rows
-    lam0 = mpmath.mpf(max(np.linalg.eigvals(
-        np.array(hmat.tolist(), dtype=float)).real))
-    shifted = hmat - lam0 * mpmath.eye(size)
-    r = _inverse_iteration(mpmath.mp.LU_decomp(shifted))
-    l = _inverse_iteration(mpmath.mp.LU_decomp(shifted.T))
-    i = max(range(size), key=lambda j: abs(r[j]))
-    lam = (hmat * r)[i] / r[i]
-    lr = (l.T * r)[0]
-    if abs(lr) < mpmath.mpf(10) ** (-mpmath.mp.dps // 2):
-        raise ArithmeticError("the Perron root of the transfer matrix is not "
-                              "simple: its left and right vectors are "
-                              "orthogonal")
-    return lam, r, l / lr
+def _group_apply(edges, v, perron, den):
+    """G v for the group inverse G of I - H/lam over the edges of the
+    transpose of D H (v'G over those of D H), as the Neumann series
+    sum_k [(H/lam)^k v - perron] with perron = r (l.v) the Perron part of
+    v and den = D lam 2**PERRON_BITS; vectors scaled by 2**PERRON_BITS."""
+    acc = [0] * len(v)
+    for _ in range(PERRON_STEPS):
+        term = [a - b for a, b in zip(v, perron)]
+        acc = [a + b for a, b in zip(acc, term)]
+        if sum(map(abs, term)) <= sum(v) >> PERRON_TOL:
+            return acc
+        v = _step(edges, v, den)
+    raise ArithmeticError(NOT_SIMPLE % "its Neumann series did not converge")
 
 
 def asymptotics(b, params, n_fit=200):
@@ -397,18 +397,15 @@ def asymptotics(b, params, n_fit=200):
     appearance probability slope C1 and intercept C2; B bounds the
     relative decay of the neglected terms.
 
-    Everything is computed at 240 digits and checked against a linear fit
-    of the exact conditioned series at n_fit at 1e-8.  A constant below
-    10^-120 is reported as exactly 0: a type whose hits are confined to a
-    bounded prefix of the text has a zero slope and the flat limit as its
-    intercept.  A Perron root that is not simple raises ArithmeticError.
-    Only binary alphabets are supported; the 240-digit linear algebra and
-    the exact series are too heavy beyond that.
+    For every alphabet, r, l (power iteration) and G v (the Neumann series
+    sum_k [(H/lam)^k v - r l'v]) come from the integer edges of d H, d the
+    common denominator of H, in ints scaled by 2^864.  The constants are
+    checked against a linear fit of the exact series at n_fit at 1e-8.  A
+    constant below 10^-120 is reported as 0: a type whose hits are confined
+    to a bounded prefix of the text has a zero slope and the flat limit as
+    its intercept.  A Perron root that is not simple raises ArithmeticError.
     """
     alphabet = params.alphabet
-    if len(alphabet) != 2:
-        raise ValueError("growth constants are computed exactly for binary "
-                         "alphabets only")
     alphabet.check_word(b)
     if n_fit < 60:
         raise ValueError("need n_fit >= 60 to fit the decay bound")
@@ -416,33 +413,37 @@ def asymptotics(b, params, n_fit=200):
     ca = clump_automaton(b, alphabet)
     vecs = [state_marks(ca, ty) for ty in types]
     fbar, hits = clump_moment_series(ca, params.nu, n_fit, vecs, exact=True)
+    scale, edges = transfer_matrix(ca, params.nu).integer_edges()
+    tedges = [(j, i, coef) for i, j, coef in edges]
+    size = ca.dfa.n_states
+    r = _perron_vector(tedges, size, scale)
+    l = _perron_vector(edges, size, scale)
+    rsum, lsum = sum(r), sum(l)
+    lr = sum(x * y for x, y in zip(l, r))
+    if lr * 10 ** 120 < lsum * rsum:
+        raise ArithmeticError(NOT_SIMPLE
+                              % "its left and right vectors are orthogonal")
+    e0, one = ca.dfa.initial, 1 << PERRON_BITS
+    # G 1 and e0'G, with r normalized to sum 1 and l to l.r = 1
+    g_one = _group_apply(tedges, [one] * size,
+                         [x * lsum * one // lr for x in r], scale * rsum)
+    g_e0 = _group_apply(edges, [one * (j == e0) for j in range(size)],
+                        [x * r[e0] * one // lr for x in l], scale * rsum)
     with mpmath.workdps(240):
-        tm = transfer_matrix(ca, params.nu)
-        size = tm.size
-        hmat = mpmath.zeros(size, size)
-        for i, row in enumerate(tm.rows):
-            for j, (coef, _) in row.items():
-                hmat[i, j] = _mp_ratio(coef)
-        lam, r, l = _perron(hmat)
-        e0 = ca.dfa.initial
-        lsum = sum(l)
-        tau = 1 / lam
-        psi = lam * r[e0] * lsum
+        tau = mpmath.mpf(one) / rsum
+        psi = mpmath.mpf(r[e0]) * lsum * rsum / lr / one
         if not psi > 0:
             raise ArithmeticError("avoiding amplitude came out nonpositive")
-        fund = mpmath.mp.LU_decomp(mpmath.eye(size) - hmat / lam + r * l.T)
-        g_one = _solve(fund, mpmath.matrix([1] * size)) - r * lsum
         tiny = mpmath.mpf(10) ** (-mpmath.mp.dps // 2)
         c1 = {}
         c2 = {}
         decay = {}
         for i, (ty, vec) in enumerate(zip(types, vecs)):
-            dr = mpmath.matrix([vec[j] * r[j] for j in range(size)])
-            c1v = sum(l[j] * dr[j] for j in range(size))
-            g_dr = _solve(fund, dr) - r * c1v
-            c2v = ((g_dr[e0] - dr[e0]) / r[e0] + c1v
-                   + sum(l[j] * vec[j] * g_one[j] for j in range(size))
-                   / lsum)
+            on = [j for j in range(size) if vec[j]]
+            c1v = mpmath.mpf(sum(l[j] * r[j] for j in on)) / lr
+            c2v = ((mpmath.mpf(sum(g_e0[j] * r[j] for j in on)) / one
+                    - vec[e0] * r[e0]) / r[e0] + c1v
+                   + mpmath.mpf(sum(l[j] * g_one[j] for j in on)) / one / lsum)
             # a vanishing constant comes out at rounding level (-1e-265
             # for the slope of hits confined to the opening of the text)
             c1[ty], c2[ty] = [v if abs(v) >= tiny else mpmath.mpf(0)

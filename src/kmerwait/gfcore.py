@@ -556,11 +556,6 @@ def rfm_inverse(mat):
 # ---------------------------------------------------------------------------
 # rendering and parsing
 
-def _coeff_str(c):
-    f = Fraction(int(c.numerator), int(c.denominator))
-    return str(f)
-
-
 def render_poly(p):
     if p.is_zero():
         return "0"

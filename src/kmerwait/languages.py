@@ -23,6 +23,7 @@ from .gfcore import (
     rfm_inverse,
 )
 from .words import (
+    check_type,
     correlation_set,
     is_reduced,
     letter_distribution,
@@ -330,6 +331,7 @@ def marked_code_gf(b, alphabet, nu, mark=None, codes=None):
     `target`.  Exponents count hits of v_i . w beyond those of v_i alone
     and are checked to be nonnegative.
     """
+    check_type(alphabet, mark)
     if codes is None:
         codes = constrained_code_matrix(b, alphabet)
     if codes.Kbar is None or codes.base != b:

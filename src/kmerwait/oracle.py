@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from .gfcore import QONE, QZERO, as_q
-from .words import putative_hit_count, putative_hit_positions
+from .words import check_type, putative_hit_positions
 
 # Refuse enumerations beyond this many texts.
 MAX_ENUM = 1 << 26
@@ -52,10 +52,7 @@ def enumerate_census(b, n, alphabet, nu, mark=None):
     by substitution type.
     """
     alphabet.check_word(b)
-    if mark is not None:
-        alphabet.check_word(mark[0] + mark[1])
-        if mark[0] == mark[1]:
-            raise ValueError("a substitution type needs two distinct letters")
+    check_type(alphabet, mark)
     sigma = len(alphabet)
     _check_size(sigma, n)
     nuq = {c: as_q(nu[c]) for c in alphabet.symbols}

@@ -221,6 +221,16 @@ def word_prob(w, nu):
     return p
 
 
+def check_type(alphabet, mark):
+    """Raise unless mark is None or two distinct letters of the alphabet."""
+    if mark is not None:
+        src, tgt = mark
+        if len(src) != 1 or len(tgt) != 1 or src == tgt:
+            raise ValueError("substitution type %s:%s needs two distinct "
+                             "single letters" % (src, tgt))
+        alphabet.check_word(src + tgt)
+
+
 def letter_distribution(alphabet, nu):
     """Exact letter probabilities of nu, checked against the alphabet.
 

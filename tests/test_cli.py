@@ -137,11 +137,20 @@ def test_asym_csv_values(capsys):
                                                   abs=1e-9)
 
 
+def test_asym_dna(capsys):
+    rc, out, err = run(capsys, "asym", "ACGT")
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "growth constants for ACGT (params table1)"
+    assert sum(line.startswith("  type ") for line in lines) == 12
+    assert lines[-1].startswith("  C1 = 4.762548337e-10   C2 = ")
+
+
 @pytest.mark.parametrize("argv,needle", [
     (("wait", "AAAAA", "--length", "3"),
      "text length must be at least the pattern length"),
-    (("asym", "ACGT"),
-     "growth constants are computed exactly for binary alphabets only"),
+    (("gf", "AAA", "--params", "binary-uniform", "--type", "A:"),
+     "substitution type A: needs two distinct single letters"),
     (("wait", "AAXAA", "--length", "100"),
      "symbol 'X' not in alphabet 'ACGT'"),
     (("oracle", "ACGT", "--n", "10", "--mc", "10"),

@@ -23,7 +23,7 @@ from kmerwait.evolution import (
     waiting_time,
 )
 from kmerwait.languages import marked_code_gf, rs_solve
-from kmerwait.oracle import exact_pn_tiny
+from kmerwait.oracle import enumerate_census, exact_pn_tiny
 from kmerwait.words import Alphabet
 
 from conftest import TOYS, UNIFORM
@@ -98,6 +98,11 @@ def test_model_params_validation(ac):
         ModelParams(ac, dict(UNIFORM),
                     {"A": {"A": F(3, 2), "C": F(-1, 2)},
                      "C": {"A": 0, "C": 1}})
+    # a negative stay probability with a row still summing to 1
+    with pytest.raises(ValueError, match="negative"):
+        ModelParams(ac, dict(UNIFORM),
+                    {"A": {"A": F(-1, 2), "C": F(3, 2)},
+                     "C": {"A": 0, "C": 1}})
 
 
 @pytest.mark.parametrize("nu", [
@@ -115,6 +120,20 @@ def test_letter_distribution_checked_everywhere(ac, nu):
     ]
     for route in routes:
         with pytest.raises(ValueError, match="letter"):
+            route()
+
+
+@pytest.mark.parametrize("mark", [("A", ""), ("AC", "A"), ("A", "A"),
+                                  ("A", "G")])
+def test_substitution_type_checked_everywhere(ac, mark):
+    routes = [
+        lambda: clump_automaton("AAA", ac, mark=mark),
+        lambda: state_marks(clump_automaton("AAA", ac), mark),
+        lambda: marked_code_gf("AAA", ac, UNIFORM, mark=mark),
+        lambda: enumerate_census("AAA", 5, ac, UNIFORM, mark=mark),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError):
             route()
 
 
@@ -270,11 +289,24 @@ def test_asymptotics_quasi_linear_spot(binu):
     assert abs(float(eh.conditioned) - (a.C1 * 200 + a.C2)) < 1e-10
 
 
-def test_asymptotics_guards(table1, binu):
-    with pytest.raises(ValueError):
-        asymptotics("AAAA", table1)
+def test_asymptotics_guards(binu):
     with pytest.raises(ValueError):
         asymptotics("AAA", binu, n_fit=50)
+
+
+# substitution-weighted slopes l'(m o r) from a float64 eigendecomposition
+# of the transfer matrix under table1
+DNA_SLOPES = {"ACGTA": 1.4232325921872e-10, "CCCCC": 1.1022818629622e-10}
+
+
+@pytest.mark.parametrize("b", sorted(DNA_SLOPES))
+def test_asymptotics_dna_matches_walk(table1, b):
+    a = asymptotics(b, table1)
+    assert a.C1 == pytest.approx(DNA_SLOPES[b], rel=1e-12)
+    assert 0 < a.B < 1
+    for n in (2000, 4000):
+        assert a.C1 * n + a.C2 == pytest.approx(
+            clump_probability(b, n, table1), rel=1e-12)
 
 
 def test_scan_ranks_and_determinism(table1):
