@@ -11,6 +11,8 @@ which is the point of building both.
 
 import math
 from collections import deque
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,7 +21,6 @@ from .gfcore import (
     POLY_T,
     POLY_ZERO,
     Poly,
-    Q,
     QONE,
     QZERO,
     RatFun,
@@ -53,21 +54,6 @@ class Dfa:
             if state is None:
                 return None
         return state
-
-    def is_total(self):
-        return all(
-            (q, a) in self.delta
-            for q in range(self.n_states)
-            for a in self.alphabet
-        )
-
-
-def complement(dfa):
-    """Swap finals and non-finals.  Only sound for a total automaton."""
-    if not dfa.is_total():
-        raise ValueError("complement needs a total transition table")
-    finals = frozenset(range(dfa.n_states)) - dfa.finals
-    return Dfa(dfa.n_states, dfa.alphabet, dfa.delta, dfa.initial, finals)
 
 
 def _longest_border_state(s, b):
@@ -313,14 +299,14 @@ def clump_automaton(b, alphabet, mark=None):
                           mark, pruned)
 
 
-def markov_property_check(ca, b=None):
+def markov_property_check(ca):
     """Verify that each clump-core state pins down its recent history.
 
     Collects, for every length up to |b|, the set of words that can lead
     into each state of E from anywhere; the property holds when no such
     set has two members.  Returns False as soon as a collision shows up.
     """
-    k = len(b if b is not None else ca.b)
+    k = len(ca.b)
     dfa = ca.dfa
     current = {q: {""} for q in range(dfa.n_states)}
     for _ in range(k):
@@ -352,7 +338,7 @@ class TransferMatrix:
 
     def integer_edges(self):
         """Common denominator D and the integer edges (i, j, D H_ij) at t=1."""
-        scale = math.lcm(*(int(coef.denominator) for row in self.rows
+        scale = math.lcm(*(coef.denominator for row in self.rows
                            for coef, _ in row.values()))
         return scale, [(i, j, int(coef * scale))
                        for i, row in enumerate(self.rows)
@@ -397,6 +383,8 @@ def clump_series(ca, nu, n_max):
     probability that a random text of length n avoids b and its run
     collects exactly m marks.  Everything is exact.
     """
+    if n_max < 0:
+        raise ValueError("text length %d is negative" % n_max)
     tm = transfer_matrix(ca, nu)
     u = [dict() for _ in range(tm.size)]
     u[ca.dfa.initial][0] = QONE
@@ -434,6 +422,8 @@ def clump_moment_series(ca, nu, n_max, mark_vectors=None, exact=True):
     unscaled, so they fall to subnormal floats and 0 once the avoiding
     probability leaves the float range.
     """
+    if n_max < 0:
+        raise ValueError("text length %d is negative" % n_max)
     tm = transfer_matrix(ca, nu)
     size = tm.size
     if mark_vectors is None:
@@ -452,9 +442,9 @@ def clump_moment_series(ca, nu, n_max, mark_vectors=None, exact=True):
                           zip(edge_step(edges, svec), u, mv)]
                          for svec, mv in zip(svecs, mark_vectors)]
             denom = scale ** n
-            fbar.append(Q(sum(u), denom))
+            fbar.append(Fraction(sum(u), denom))
             for hit, svec in zip(hits, svecs):
-                hit.append(Q(sum(svec), denom))
+                hit.append(Fraction(sum(svec), denom))
         return fbar, hits
     fbar = []
     hits = [[] for _ in mark_vectors]
@@ -578,8 +568,8 @@ def _lagrange_t(points, values):
         for j, pj in enumerate(points):
             if j == m:
                 continue
-            basis = basis * (POLY_T - Poly.const(Q(pj)))
-            scale = scale / Q(points[m] - pj)
+            basis = basis * (POLY_T - Poly.const(pj))
+            scale = scale / (points[m] - pj)
         total = total + (basis * val).scale(scale)
     return total
 
@@ -644,9 +634,9 @@ def bnn_probability(b, n, params, dps=None):
     from repeated squaring, rescaled after every product, so neither mass
     underflows at any n; the relative error grows like n times the machine
     epsilon, about 1e-9 at n = 1e7.
-    With dps given, the two masses are n-th matrix powers in mpmath at dps
-    digits over the explicit product automaton instead, a shadow that
-    shares no code with the float kernel.
+    With dps given, the two masses are n-th matrix powers in decimal
+    arithmetic at dps digits over the explicit product automaton instead,
+    a shadow that shares no code with the float kernel.
     """
     alphabet = params.alphabet
     k = len(b)
@@ -703,48 +693,62 @@ def _vec_mat_power(mat, n):
 
 
 def _bnn_shadow(aut, n, params, dps):
-    import mpmath
+    k = aut.n_states - 1
+    # the pattern automaton without its occurrence state reads the texts
+    # that avoid b; product drops the pairs whose original reaches it
+    avoid = Dfa(k, aut.alphabet, {key: t for key, t in aut.delta.items()
+                                  if t < k}, 0, range(k))
+    pair = product(avoid, aut)
 
     def mass(dfa, weight):
-        mat = mpmath.zeros(dfa.n_states)
+        mat = [[Decimal(0)] * dfa.n_states for _ in range(dfa.n_states)]
         for (q, s), t in dfa.delta.items():
             w = weight(s)
-            mat[q, t] += mpmath.mpf(int(w.numerator)) / int(w.denominator)
-        power = mat ** n
-        return mpmath.fsum(power[dfa.initial, q] for q in dfa.finals)
+            mat[q][t] += Decimal(w.numerator) / w.denominator
+        power = _decimal_power(mat, n)
+        return sum(power[dfa.initial][q] for q in dfa.finals)
 
-    avoid = complement(aut)
-    pair = product(avoid, aut)
-    with mpmath.workdps(dps):
+    # the exponent range is widened to the limit, since avoiding masses
+    # fall far below decimal's default 10**-999999 at long texts
+    with localcontext(Context(prec=dps, Emin=MIN_EMIN, Emax=MAX_EMAX)):
         num = mass(pair, lambda s: params.nu[s[0]] * params.p1[s[0]][s[1]])
         return num / mass(avoid, lambda a: params.nu[a])
 
 
-def to_dot(obj):
-    """Graphviz source for an automaton.
+def _decimal_power(mat, n):
+    """mat**n for n >= 1 by binary exponentiation, in the current context."""
+    def mul(x, y):
+        cols = list(zip(*y))
+        return [[sum(a * b for a, b in zip(row, col)) for col in cols]
+                for row in x]
 
-    Clump automata get their prefix-string state names, a tilde after the
-    letter on transitions into marked states, and a comment per pruned
-    transition; plain automata get numbered states with finals doubled.
+    out = None
+    while n:
+        if n & 1:
+            out = mat if out is None else mul(out, mat)
+        n >>= 1
+        if n:
+            mat = mul(mat, mat)
+    return out
+
+
+def to_dot(obj):
+    """Graphviz source for a clump automaton.
+
+    States get their prefix-string names, transitions into marked states a
+    tilde after the letter, and each pruned transition a comment.
     """
     lines = ["digraph automaton {", "  rankdir=LR;"]
-    if isinstance(obj, ClumpAutomaton):
-        for i, lab in enumerate(obj.labels):
-            shape = "doublecircle" if i in obj.O else "circle"
-            lines.append('  n%d [label="%s" shape=%s];' % (i, lab or "eps", shape))
-        for (q, a), t in sorted(obj.dfa.delta.items()):
-            tilde = "~" if obj.state_mark[t] else ""
-            lines.append('  n%d -> n%d [label="%s%s"];' % (q, t, a, tilde))
-        for (q, a) in obj.pruned:
-            lines.append(
-                "  // pruned: state %d reading %s would complete the pattern"
-                % (q, a)
-            )
-    else:
-        for i in range(obj.n_states):
-            shape = "doublecircle" if i in obj.finals else "circle"
-            lines.append('  n%d [label="%d" shape=%s];' % (i, i, shape))
-        for (q, a), t in sorted(obj.delta.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
-            lines.append('  n%d -> n%d [label="%s"];' % (q, t, a))
+    for i, lab in enumerate(obj.labels):
+        shape = "doublecircle" if i in obj.O else "circle"
+        lines.append('  n%d [label="%s" shape=%s];' % (i, lab or "eps", shape))
+    for (q, a), t in sorted(obj.dfa.delta.items()):
+        tilde = "~" if obj.state_mark[t] else ""
+        lines.append('  n%d -> n%d [label="%s%s"];' % (q, t, a, tilde))
+    for (q, a) in obj.pruned:
+        lines.append(
+            "  // pruned: state %d reading %s would complete the pattern"
+            % (q, a)
+        )
     lines.append("}")
     return "\n".join(lines)

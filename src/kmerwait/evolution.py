@@ -9,7 +9,8 @@ inclusion-exclusion sum (bv), the paired automaton quotient (bnn), and the
 clump census of putative-hit positions weighted by the mutation rates
 (clump).  The asymptotics routine takes the quasi-linear growth constants
 of the conditioned hit expectations, on any alphabet, from sparse Perron
-iterations over the integer edges of the clump automaton's transfer matrix.
+iterations over the integer edges of the clump automaton's transfer matrix,
+and states them as exact Fractions of those integers.
 """
 
 import math
@@ -20,12 +21,10 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product as iproduct
 
-import mpmath
-
 from .automata import bnn_probability, clump_automaton, \
     clump_conditioned_hits, clump_moment_series, edge_step, state_marks, \
     transfer_matrix, weighted_marks
-from .gfcore import Q, QONE, QZERO, as_q
+from .gfcore import QONE, QZERO, as_q
 from .words import Alphabet, letter_distribution, minimal_period
 
 ROW_SUM_TOL = 1e-7
@@ -38,6 +37,12 @@ PERRON_BITS = 864
 PERRON_TOL = 800
 PERRON_STEPS = 3000
 NOT_SIMPLE = "the Perron root of the transfer matrix is not simple: %s"
+# Length of the exact series that certifies the growth constants.
+N_FIT = 200
+# A growth constant below this is reported as 0; residuals of the linear
+# law below this floor (relative to the series) are left out of the decay fit.
+ZERO_BELOW = Fraction(1, 10 ** 120)
+DECAY_FLOOR = Fraction(1, 10 ** 220)
 
 
 class ModelParams:
@@ -103,10 +108,9 @@ _BUILTIN = {
 
 def _decimal(tok):
     try:
-        f = Fraction(tok)
+        return Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise ValueError("bad number %r" % tok)
-    return Q(f.numerator, f.denominator)
 
 
 def load_params(source="table1"):
@@ -203,7 +207,7 @@ def bv_probability(b, n, params, full_sum=False):
         raise ArithmeticError("one-position appearance probability is not positive")
     # with p_one = a/d, the partial sum through ell terms is total / d**ell;
     # term and total share that scale, so the cutoff compares integers
-    a, d = int(p_one.numerator), int(p_one.denominator)
+    a, d = p_one.numerator, p_one.denominator
     total = 0
     power = 1
     scale = 1
@@ -327,20 +331,16 @@ def scan_kmers(k, n, params, method="BNN"):
             for i, w in enumerate(words)]
 
 
-def _mp_ratio(q):
-    return mpmath.mpf(int(q.numerator)) / mpmath.mpf(int(q.denominator))
-
-
 def _fit_decay(points):
     count = len(points)
     if count < 2:
-        return mpmath.mpf(0)
+        return 0.0
     sx = sum(x for x, _ in points)
     sy = sum(y for _, y in points)
     sxx = sum(x * x for x, _ in points)
     sxy = sum(x * y for x, y in points)
     slope = (count * sxy - sx * sy) / (count * sxx - sx * sx)
-    return mpmath.exp(slope)
+    return math.exp(slope)
 
 
 def _step(edges, x, den):
@@ -381,7 +381,7 @@ def _group_apply(edges, v, perron, den):
     raise ArithmeticError(NOT_SIMPLE % "its Neumann series did not converge")
 
 
-def asymptotics(b, params, n_fit=200):
+def asymptotics(b, params):
     """Quasi-linear growth constants of the conditioned hit expectations.
 
     Let H be the clump automaton's substochastic transfer matrix with
@@ -399,20 +399,20 @@ def asymptotics(b, params, n_fit=200):
 
     For every alphabet, r, l (power iteration) and G v (the Neumann series
     sum_k [(H/lam)^k v - r l'v]) come from the integer edges of d H, d the
-    common denominator of H, in ints scaled by 2^864.  The constants are
-    checked against a linear fit of the exact series at n_fit at 1e-8.  A
-    constant below 10^-120 is reported as 0: a type whose hits are confined
-    to a bounded prefix of the text has a zero slope and the flat limit as
-    its intercept.  A Perron root that is not simple raises ArithmeticError.
+    common denominator of H, in ints scaled by 2^864; every constant is an
+    exact Fraction of those ints until it is returned as a float.  The
+    constants are checked against a linear fit of the exact series at
+    N_FIT at 1e-8.  A constant below ZERO_BELOW (10^-120) is reported as 0:
+    a type whose hits are confined to a bounded prefix of the text has a
+    zero slope and the flat limit as its intercept.  A Perron root that is
+    not simple raises ArithmeticError.
     """
     alphabet = params.alphabet
     alphabet.check_word(b)
-    if n_fit < 60:
-        raise ValueError("need n_fit >= 60 to fit the decay bound")
     types = params.mutation_types()
     ca = clump_automaton(b, alphabet)
     vecs = [state_marks(ca, ty) for ty in types]
-    fbar, hits = clump_moment_series(ca, params.nu, n_fit, vecs, exact=True)
+    fbar, hits = clump_moment_series(ca, params.nu, N_FIT, vecs, exact=True)
     scale, edges = transfer_matrix(ca, params.nu).integer_edges()
     tedges = [(j, i, coef) for i, j, coef in edges]
     size = ca.dfa.n_states
@@ -429,52 +429,48 @@ def asymptotics(b, params, n_fit=200):
                          [x * lsum * one // lr for x in r], scale * rsum)
     g_e0 = _group_apply(edges, [one * (j == e0) for j in range(size)],
                         [x * r[e0] * one // lr for x in l], scale * rsum)
-    with mpmath.workdps(240):
-        tau = mpmath.mpf(one) / rsum
-        psi = mpmath.mpf(r[e0]) * lsum * rsum / lr / one
-        if not psi > 0:
-            raise ArithmeticError("avoiding amplitude came out nonpositive")
-        tiny = mpmath.mpf(10) ** (-mpmath.mp.dps // 2)
-        c1 = {}
-        c2 = {}
-        decay = {}
-        for i, (ty, vec) in enumerate(zip(types, vecs)):
-            on = [j for j in range(size) if vec[j]]
-            c1v = mpmath.mpf(sum(l[j] * r[j] for j in on)) / lr
-            c2v = ((mpmath.mpf(sum(g_e0[j] * r[j] for j in on)) / one
-                    - vec[e0] * r[e0]) / r[e0] + c1v
-                   + mpmath.mpf(sum(l[j] * g_one[j] for j in on)) / one / lsum)
-            # a vanishing constant comes out at rounding level (-1e-265
-            # for the slope of hits confined to the opening of the text)
-            c1[ty], c2[ty] = [v if abs(v) >= tiny else mpmath.mpf(0)
-                              for v in (c1v, c2v)]
-            series = [_mp_ratio(hits[i][n]) / _mp_ratio(fbar[n])
-                      for n in range(n_fit + 1)]
-            slope = series[n_fit] - series[n_fit - 1]
-            icept = series[n_fit] - n_fit * slope
-            ref = max(mpmath.mpf(1), abs(c1[ty]))
-            if abs(slope - c1[ty]) > ref * mpmath.mpf(1e-8) or \
-                    abs(icept - c2[ty]) > ref * mpmath.mpf(1e-8):
-                raise ArithmeticError("growth constants disagree with the "
-                                      "linear fit of the exact series")
-            floor = mpmath.mpf(10) ** (20 - mpmath.mp.dps)
-            pts = []
-            for n in range(50, n_fit + 1):
-                res = abs(series[n] - (c1[ty] * n + c2[ty]))
-                if res > floor * (1 + abs(series[n])):
-                    pts.append((n, mpmath.log(res)))
-            decay[ty] = _fit_decay(pts)
-            if not decay[ty] < 1:
-                raise ArithmeticError("residuals of type %r do not decay"
-                                      % (ty,))
-        weights = {ty: _mp_ratio(params.p1[ty[0]][ty[1]]) for ty in types}
-        big1 = sum(c1[ty] * weights[ty] for ty in types)
-        big2 = sum(c2[ty] * weights[ty] for ty in types)
-        return AsymptoticConstants(
-            float(tau), float(psi),
-            {ty: float(v * psi * tau) for ty, v in c1.items()},
-            {ty: float(v * psi * tau) for ty, v in c2.items()},
-            {ty: float(v) for ty, v in c1.items()},
-            {ty: float(v) for ty, v in c2.items()},
-            float(big1), float(big2),
-            float(max(decay.values())) if decay else 0.0)
+    tau = Fraction(one, rsum)
+    psi = Fraction(r[e0] * lsum * rsum, lr * one)
+    if not psi > 0:
+        raise ArithmeticError("avoiding amplitude came out nonpositive")
+    c1 = {}
+    c2 = {}
+    decay = {}
+    for i, (ty, vec) in enumerate(zip(types, vecs)):
+        on = [j for j in range(size) if vec[j]]
+        c1v = Fraction(sum(l[j] * r[j] for j in on), lr)
+        c2v = ((Fraction(sum(g_e0[j] * r[j] for j in on), one)
+                - vec[e0] * r[e0]) / r[e0] + c1v
+               + Fraction(sum(l[j] * g_one[j] for j in on), one * lsum))
+        # a vanishing constant comes out at the fixed-point level (5e-248
+        # for the slope of hits confined to the opening of the text)
+        c1[ty], c2[ty] = [v if abs(v) >= ZERO_BELOW else QZERO
+                          for v in (c1v, c2v)]
+        series = [hits[i][n] / fbar[n] for n in range(N_FIT + 1)]
+        slope = series[N_FIT] - series[N_FIT - 1]
+        icept = series[N_FIT] - N_FIT * slope
+        ref = max(QONE, abs(c1[ty]))
+        if abs(slope - c1[ty]) * 10 ** 8 > ref or \
+                abs(icept - c2[ty]) * 10 ** 8 > ref:
+            raise ArithmeticError("growth constants disagree with the "
+                                  "linear fit of the exact series")
+        pts = []
+        for n in range(50, N_FIT + 1):
+            res = abs(series[n] - (c1[ty] * n + c2[ty]))
+            if res > DECAY_FLOOR * (1 + abs(series[n])):
+                pts.append((n, math.log(res.numerator)
+                            - math.log(res.denominator)))
+        decay[ty] = _fit_decay(pts)
+        if not decay[ty] < 1:
+            raise ArithmeticError("residuals of type %r do not decay"
+                                  % (ty,))
+    big1 = sum(c1[ty] * params.p1[ty[0]][ty[1]] for ty in types)
+    big2 = sum(c2[ty] * params.p1[ty[0]][ty[1]] for ty in types)
+    return AsymptoticConstants(
+        float(tau), float(psi),
+        {ty: float(v * psi * tau) for ty, v in c1.items()},
+        {ty: float(v * psi * tau) for ty, v in c2.items()},
+        {ty: float(v) for ty, v in c1.items()},
+        {ty: float(v) for ty, v in c2.items()},
+        float(big1), float(big2),
+        max(decay.values()) if decay else 0.0)

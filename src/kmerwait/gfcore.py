@@ -4,30 +4,22 @@ Arbitrary-precision rationals, bivariate polynomials in (z, t), rational
 functions, matrices over those, and Taylor coefficient extraction.
 
 Everything here is exact.  Floating point lives in the evolution module
-only.  The rational type is gmpy2.mpq when available (much faster), with
-fractions.Fraction as a drop-in fallback; both expose numerator and
-denominator, so code downstream does not care which one it gets.
+only.  The one rational type is fractions.Fraction over Python ints.
 """
 
+import math
 import re
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    Q = Fraction
-
-QZERO = Q(0)
-QONE = Q(1)
+QZERO = Fraction(0)
+QONE = Fraction(1)
 
 
 def as_q(x):
-    """Coerce ints, Fractions, mpqs and decimal strings to the rational type."""
+    """Coerce ints, Fractions and decimal strings to a Fraction."""
     if isinstance(x, float):
         raise TypeError("refusing to build an exact rational from a float")
-    if isinstance(x, str):
-        return Q(Fraction(x))
-    return Q(x)
+    return Fraction(x)
 
 
 class Poly:
@@ -203,13 +195,9 @@ class Poly:
         denominators); content of 0 is 1."""
         if not self.terms:
             return QONE
-        gnum = 0
-        lden = 1
-        for c in self.terms.values():
-            cn, cd = abs(int(c.numerator)), int(c.denominator)
-            gnum = _gcd(gnum, cn)
-            lden = lden * cd // _gcd(lden, cd)
-        return Q(gnum, lden)
+        coefs = self.terms.values()
+        return Fraction(math.gcd(*(c.numerator for c in coefs)),
+                        math.lcm(*(c.denominator for c in coefs)))
 
     def lowest_coeff(self):
         """Coefficient of the (z,t)-lexicographically smallest monomial."""
@@ -248,12 +236,6 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s)" % render_poly(self)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 POLY_ZERO = Poly()
@@ -571,9 +553,8 @@ def render_poly(p):
             mono.append("t")
         elif dt > 1:
             mono.append("t^%d" % dt)
-        cf = Fraction(int(c.numerator), int(c.denominator))
-        neg = cf < 0
-        cf = abs(cf)
+        neg = c < 0
+        cf = abs(c)
         if not mono:
             body = str(cf)
         elif cf == 1:
@@ -617,7 +598,7 @@ def parse_poly(s):
         if not m:
             raise ValueError("cannot parse term %r" % chunk)
         coef = m.group("coef")
-        c = Q(1) if coef is None else Q(Fraction(coef))
+        c = QONE if coef is None else Fraction(coef)
         dz = dt = 0
         rest = m.group("rest") or ""
         for factor in re.findall(r"[zt](?:\^\d+)?", rest):

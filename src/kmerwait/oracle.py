@@ -18,6 +18,8 @@ from .words import check_type, putative_hit_positions
 
 # Refuse enumerations beyond this many texts.
 MAX_ENUM = 1 << 26
+# Texts sampled per vectorized Monte Carlo round.
+MC_CHUNK = 8192
 
 
 EnumerationReport = namedtuple(
@@ -141,10 +143,9 @@ def exact_pn_tiny(b, n, params):
     k = len(b)
     sigma = len(alphabet)
     _check_size(sigma, n)
-    nuq = {c: as_q(params.nu[c]) for c in alphabet.symbols}
     pq = {
-        a: [(a2, as_q(params.p1[a][a2])) for a2 in alphabet.symbols
-            if as_q(params.p1[a][a2]) != 0]
+        a: [(a2, params.p1[a][a2]) for a2 in alphabet.symbols
+            if params.p1[a][a2] != 0]
         for a in alphabet.symbols
     }
     idx = {a: i for i, a in enumerate(alphabet.symbols)}
@@ -155,7 +156,7 @@ def exact_pn_tiny(b, n, params):
         w = "".join(letters)
         if b in w:
             continue
-        pr0 = _text_prob(letters, nuq)
+        pr0 = _text_prob(letters, params.nu)
         fbar = fbar + pr0
         # survival DP: mass over pattern states 0..k-1 of the mutated text
         states = {0: QONE}
@@ -177,7 +178,7 @@ def exact_pn_tiny(b, n, params):
     return appear / fbar
 
 
-def monte_carlo_pn(b, n, params, trials=200000, seed=20260815, chunk=8192):
+def monte_carlo_pn(b, n, params, trials=200000, seed=20260815):
     """Monte Carlo estimate of the same probability, with standard error.
 
     Rejection-samples initial texts avoiding b, applies one round of
@@ -193,9 +194,9 @@ def monte_carlo_pn(b, n, params, trials=200000, seed=20260815, chunk=8192):
     rng = np.random.default_rng(seed)
     sigma = len(alphabet)
     k = len(b)
-    nu_vec = np.array([float(as_q(params.nu[c])) for c in alphabet.symbols])
+    nu_vec = np.array([float(params.nu[c]) for c in alphabet.symbols])
     pm = np.array(
-        [[float(as_q(params.p1[a][c])) for c in alphabet.symbols]
+        [[float(params.p1[a][c]) for c in alphabet.symbols]
          for a in alphabet.symbols]
     )
     cum = pm.cumsum(axis=1)
@@ -204,8 +205,8 @@ def monte_carlo_pn(b, n, params, trials=200000, seed=20260815, chunk=8192):
     hits = 0
     dry_rounds = 0
     while accepted < trials:
-        s0 = rng.choice(sigma, size=(chunk, n), p=nu_vec)
-        occ = np.zeros(chunk, dtype=bool)
+        s0 = rng.choice(sigma, size=(MC_CHUNK, n), p=nu_vec)
+        occ = np.zeros(MC_CHUNK, dtype=bool)
         for j in range(n - k + 1):
             occ |= (s0[:, j:j + k] == bcode).all(axis=1)
         s0 = s0[~occ]

@@ -279,6 +279,15 @@ def test_bnn_long_texts_match_shadow(table1, word, n):
     assert abs(p - pm) / pm < 1e-8
 
 
+def test_bnn_shadow_at_1e8(table1_renorm):
+    # the avoiding mass of AC is near 10**-2.8e6 here, below the default
+    # exponent range of decimal arithmetic
+    p = bnn_probability("AC", 10 ** 8, table1_renorm)
+    pm = float(bnn_probability("AC", 10 ** 8, table1_renorm, dps=40))
+    assert 0.0 < pm < 1.0
+    assert abs(p - pm) / pm < 1e-7
+
+
 def test_to_dot_smoke(ac, autos):
     dot = to_dot(autos["AAA"])
     assert dot.startswith("digraph")

@@ -1,8 +1,15 @@
 """Command line surface: formats, determinism, error handling."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from kmerwait.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -158,6 +165,10 @@ def test_asym_dna(capsys):
     # under table1 the float avoiding mass of AC is subnormal from n = 10184
     (("series", "AC", "ACGTA", "--max", "12000"),
      "avoiding probability 0 at length 12000 is not above"),
+    (("series", "ACAC", "AACC", "--max", "-1", "--params", "binary-uniform"),
+     "text length -1 is negative"),
+    (("gf", "AAA", "--coeffs", "-1", "--params", "binary-uniform"),
+     "text length -1 is negative"),
 ])
 def test_error_paths(capsys, argv, needle):
     rc, out, err = run(capsys, *argv)
@@ -171,3 +182,20 @@ def test_bad_method_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["wait", "AAA", "--length", "10", "--method", "magic"])
     assert exc.value.code == 2
+
+
+def test_no_mpmath_or_gmpy2_loaded():
+    # numpy is the one dependency: the exact layer is Fraction over ints,
+    # the dps shadow runs in decimal
+    code = ("import sys\n"
+            "import kmerwait.cli\n"
+            "from kmerwait.automata import bnn_probability\n"
+            "from kmerwait.evolution import asymptotics, load_params\n"
+            "asymptotics('ACC', load_params('binary-uniform'))\n"
+            "bnn_probability('AAAAA', 1000, load_params('table1'), dps=40)\n"
+            "print(sorted({'mpmath', 'gmpy2'} & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, stdin=subprocess.DEVNULL)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -9,6 +9,7 @@ from kmerwait.automata import (
     bnn_probability,
     clump_automaton,
     clump_moment_series,
+    clump_series,
     state_marks,
     transfer_matrix,
 )
@@ -155,6 +156,16 @@ def test_expected_hits_below_length(toy_eps):
     assert eh.raw == 0 and eh.conditioned == 0 and eh.fbar == 1
 
 
+def test_negative_lengths_raise(ac, toy_eps):
+    ca = clump_automaton("AAA", ac)
+    for call in (lambda: expected_hits("AAA", -1, toy_eps),
+                 lambda: clump_moment_series(ca, toy_eps.nu, -1),
+                 lambda: clump_moment_series(ca, toy_eps.nu, -1, exact=False),
+                 lambda: clump_series(ca, toy_eps.nu, -1)):
+        with pytest.raises(ValueError, match="negative"):
+            call()
+
+
 def test_expected_hits_typed_decomposition(toy_eps):
     for b in ("ACC", "AACA"):
         whole = expected_hits(b, 10, toy_eps)
@@ -204,8 +215,10 @@ def test_clump_walk_matches_exact_series(request, ac, b, model):
 
 def test_clump_long_texts_match_bnn(table1):
     # at n = 20000 the avoiding mass of AC is subnormal (7.5e-322); the
-    # rescaled kernel never forms it.  CLUMP is the first-order term of
-    # p_n, 2.6e-8 n relative below BNN under table1.
+    # rescaled kernel never forms it.  CLUMP lies 2.6e-8 n relative below
+    # BNN under table1 because the bundled substitution rows sum to
+    # 1 + 2e-8 to 3.1e-8, a surplus BNN carries per position and CLUMP,
+    # which reads only the off-diagonal rates, never sees.
     p10 = clump_probability("AC", 10000, table1)
     p20 = clump_probability("AC", 20000, table1)
     assert p20 / p10 == pytest.approx(2.0, rel=1e-3)
@@ -218,6 +231,16 @@ def test_clump_long_texts_match_bnn(table1):
     # there
     with pytest.raises(ArithmeticError):
         expected_hits("AC", 20000, table1)
+
+
+@pytest.mark.parametrize("b", ["ACGTA", "CCCCC"])
+def test_bnn_matches_clump_with_renormalized_rows(table1_renorm, b):
+    # with rows summing to 1 the 2.6e-8 n gap of the bundled table1 is
+    # gone: the two agree within 7.2e-6 (ACGTA) and 5.6e-6 (CCCCC)
+    n = 10 ** 5
+    bnn = bnn_probability(b, n, table1_renorm)
+    assert clump_probability(b, n, table1_renorm) == pytest.approx(bnn,
+                                                                   rel=1e-4)
 
 
 def test_waiting_time_dispatch(table1):
@@ -287,11 +310,6 @@ def test_asymptotics_quasi_linear_spot(binu):
     a = asymptotics("ACAC", binu)
     eh = expected_hits("ACAC", 200, binu)
     assert abs(float(eh.conditioned) - (a.C1 * 200 + a.C2)) < 1e-10
-
-
-def test_asymptotics_guards(binu):
-    with pytest.raises(ValueError):
-        asymptotics("AAA", binu, n_fit=50)
 
 
 # substitution-weighted slopes l'(m o r) from a float64 eigendecomposition

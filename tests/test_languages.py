@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from kmerwait.evolution import asymptotics
-from kmerwait.gfcore import Poly, Q, RatFun, parse_poly, parse_ratfun
+from kmerwait.gfcore import Poly, RatFun, parse_poly, parse_ratfun
 from kmerwait.languages import (
     clump_gf_language,
     code_matrix,
@@ -17,7 +17,7 @@ from kmerwait.languages import (
     structure_identity_residuals,
 )
 from kmerwait.oracle import avoid_weight, enumerate_census
-from kmerwait.words import Alphabet
+from kmerwait.words import Alphabet, neighbors
 
 from conftest import BIASED, TOYS, UNIFORM
 
@@ -50,6 +50,8 @@ def test_parse_identity_simple_sets(ac, dna):
         (("AAA",), ac, UNIFORM),
         (("AAC", "ACA", "CAA"), ac, BIASED),
         (("CATAT", "TATAT"), dna, quarter),
+        # seven words: rs_solve takes its adjugate through the inverse
+        (neighbors("AC", dna) + ("AC",), dna, quarter),
     ):
         lang = rs_solve(words, alphabet, nu)
         assert parse_identity_residual(lang).is_zero()
@@ -62,11 +64,11 @@ def test_first_occurrence_series(ac):
     lang = rs_solve(("AAA",), ac, UNIFORM)
     series = lang.R[0].taylor(1, 12)
     for n in range(13):
-        total = Q(0)
+        total = F(0)
         for x in range(2 ** n):
             w = "".join("AC"[(x >> i) & 1] for i in range(n))
             if w.endswith("AAA") and "AAA" not in w[:-1]:
-                total += Q(1, 2 ** n)
+                total += F(1, 2 ** n)
         assert series[n] == total
 
 
