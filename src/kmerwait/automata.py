@@ -25,8 +25,8 @@ from .gfcore import (
     QZERO,
     RatFun,
 )
-from .words import check_type, correlation_set, letter_distribution, \
-    neighbors
+from .words import check_text_length, check_type, correlation_set, \
+    letter_distribution, neighbors
 
 
 class Dfa:
@@ -325,24 +325,22 @@ def markov_property_check(ca):
 
 
 class TransferMatrix:
-    """Substochastic transfer matrix with a t mark on some entries.
+    """Substochastic transfer matrix H(t) as integers over scale D.
 
-    rows[i] maps a target state j to (rational weight, t exponent); the
+    rows[i] maps a target state j to (D H_ij, t exponent), both ints; the
     exponent is 0 or 1 and is a property of the target state.  Row sums at
-    t=1 equal 1 except on rows that lost a pruned transition.
+    t=1 equal D except on rows that lost a pruned transition.
     """
 
-    def __init__(self, size, rows):
+    def __init__(self, size, scale, rows):
         self.size = size
+        self.scale = scale
         self.rows = rows
 
-    def integer_edges(self):
-        """Common denominator D and the integer edges (i, j, D H_ij) at t=1."""
-        scale = math.lcm(*(coef.denominator for row in self.rows
-                           for coef, _ in row.values()))
-        return scale, [(i, j, int(coef * scale))
-                       for i, row in enumerate(self.rows)
-                       for j, (coef, _) in row.items()]
+    def edges(self):
+        """The edges (i, j, D H_ij) at t=1, for edge_step."""
+        return [(i, j, coef) for i, row in enumerate(self.rows)
+                for j, (coef, _) in row.items()]
 
 
 def edge_step(edges, x):
@@ -355,8 +353,10 @@ def edge_step(edges, x):
 
 
 def transfer_matrix(ca, nu):
-    """Weighted adjacency matrix H(t) of a clump automaton."""
+    """H(t) of a clump automaton in ints over D, nu's common denominator."""
     nuq = letter_distribution(ca.alphabet, nu)
+    scale = math.lcm(*(p.denominator for p in nuq.values()))
+    weight = {a: int(p * scale) for a, p in nuq.items()}
     rows = []
     for q in range(ca.dfa.n_states):
         row = {}
@@ -364,16 +364,13 @@ def transfer_matrix(ca, nu):
             t = ca.dfa.delta.get((q, a))
             if t is None:
                 continue
-            coef, texp = row.get(t, (QZERO, ca.state_mark[t]))
-            row[t] = (coef + nuq[a], texp)
+            coef, texp = row.get(t, (0, ca.state_mark[t]))
+            row[t] = (coef + weight[a], texp)
+        total = sum(c for c, _ in row.values())
+        pruned = any((q, a) not in ca.dfa.delta for a in ca.dfa.alphabet)
+        assert total < scale if pruned else total == scale
         rows.append(row)
-    for q, row in enumerate(rows):
-        total = sum((c for c, _ in row.values()), QZERO)
-        if any((q, a) not in ca.dfa.delta for a in ca.dfa.alphabet):
-            assert total < QONE
-        else:
-            assert total == QONE
-    return TransferMatrix(ca.dfa.n_states, rows)
+    return TransferMatrix(ca.dfa.n_states, scale, rows)
 
 
 def clump_series(ca, nu, n_max):
@@ -381,20 +378,22 @@ def clump_series(ca, nu, n_max):
 
     Returns one dict per length n <= n_max, mapping a mark count m to the
     probability that a random text of length n avoids b and its run
-    collects exactly m marks.  Everything is exact.
+    collects exactly m marks.  Everything is exact: integer weights over
+    D**n, D the transfer matrix's scale, and one Fraction per entry.
     """
     if n_max < 0:
         raise ValueError("text length %d is negative" % n_max)
     tm = transfer_matrix(ca, nu)
     u = [dict() for _ in range(tm.size)]
-    u[ca.dfa.initial][0] = QONE
+    u[ca.dfa.initial][0] = 1
     out = []
-    for _ in range(n_max + 1):
+    for n in range(n_max + 1):
         census = {}
         for col in u:
             for m, w in col.items():
-                census[m] = census.get(m, QZERO) + w
-        out.append({m: w for m, w in sorted(census.items()) if w})
+                census[m] = census.get(m, 0) + w
+        denom = tm.scale ** n
+        out.append({m: Fraction(w, denom) for m, w in sorted(census.items())})
         nxt = [dict() for _ in range(tm.size)]
         for i, row in enumerate(tm.rows):
             if not u[i]:
@@ -403,7 +402,7 @@ def clump_series(ca, nu, n_max):
                 dst = nxt[j]
                 for m, w in u[i].items():
                     key = m + texp
-                    dst[key] = dst.get(key, QZERO) + w * coef
+                    dst[key] = dst.get(key, 0) + w * coef
         u = nxt
     return out
 
@@ -415,43 +414,46 @@ def clump_moment_series(ca, nu, n_max, mark_vectors=None, exact=True):
     interest (defaults to the automaton's own marks).  Returns (fbar, hits)
     where fbar[n] is the avoiding probability at length n and hits[v][n]
     the unconditioned expectation of the marks collected for vector v.
-    Exact mode scales the transfer matrix by the common denominator D of
-    its coefficients and steps integer vectors, so the masses at length n
-    are those integers over D**n, returned as rationals.  Float mode takes
-    the same steps as clump_conditioned_hits; its masses are returned
-    unscaled, so they fall to subnormal floats and 0 once the avoiding
-    probability leaves the float range.
+    Exact mode steps integer vectors over the transfer matrix's edges, so
+    the masses at length n are those integers over D**n, returned as
+    rationals.  Float mode takes the same steps as clump_conditioned_hits;
+    its masses are returned unscaled, so they fall to subnormal floats and
+    0 once the avoiding probability leaves the float range.
     """
     if n_max < 0:
         raise ValueError("text length %d is negative" % n_max)
     tm = transfer_matrix(ca, nu)
-    size = tm.size
     if mark_vectors is None:
         mark_vectors = [ca.state_mark]
     if exact:
-        scale, edges = tm.integer_edges()
-        u = [0] * size
-        u[ca.dfa.initial] = 1
-        svecs = [[0] * size for _ in mark_vectors]
-        fbar = []
-        hits = [[] for _ in mark_vectors]
-        for n in range(n_max + 1):
-            if n:
-                u = edge_step(edges, u)
-                svecs = [[s + w if m else s for s, w, m in
-                          zip(edge_step(edges, svec), u, mv)]
-                         for svec, mv in zip(svecs, mark_vectors)]
-            denom = scale ** n
-            fbar.append(Fraction(sum(u), denom))
-            for hit, svec in zip(hits, svecs):
-                hit.append(Fraction(sum(svec), denom))
-        return fbar, hits
+        return _exact_moments(ca, tm, n_max, mark_vectors)
     fbar = []
     hits = [[] for _ in mark_vectors]
     for u, svecs, e in _float_walk(ca, tm, n_max, mark_vectors):
         fbar.append(math.ldexp(u.sum(), e))
         for hit, svec in zip(hits, svecs):
             hit.append(math.ldexp(svec.sum(), e))
+    return fbar, hits
+
+
+def _exact_moments(ca, tm, n_max, mark_vectors):
+    """clump_moment_series in exact mode, over the transfer matrix tm of ca."""
+    edges = tm.edges()
+    u = [0] * tm.size
+    u[ca.dfa.initial] = 1
+    svecs = [[0] * tm.size for _ in mark_vectors]
+    fbar = []
+    hits = [[] for _ in mark_vectors]
+    for n in range(n_max + 1):
+        if n:
+            u = edge_step(edges, u)
+            svecs = [[s + w if m else s for s, w, m in
+                      zip(edge_step(edges, svec), u, mv)]
+                     for svec, mv in zip(svecs, mark_vectors)]
+        denom = tm.scale ** n
+        fbar.append(Fraction(sum(u), denom))
+        for hit, svec in zip(hits, svecs):
+            hit.append(Fraction(sum(svec), denom))
     return fbar, hits
 
 
@@ -485,8 +487,7 @@ def _float_walk(ca, tm, n_max, marks):
     """
     size = tm.size
     src, tgt, coef = (np.array(col) for col in zip(*(
-        (i, j, float(c)) for i, row in enumerate(tm.rows)
-        for j, (c, _) in row.items())))
+        (i, j, c / tm.scale) for i, j, c in tm.edges())))
     marks = [np.asarray(m, dtype=float) for m in marks]
     u = np.zeros(size)
     u[ca.dfa.initial] = 1.0
@@ -603,18 +604,16 @@ def gf_from_clump_automaton(ca, nu):
     num_slices = []
     den_slices = []
     for t0 in tpoints:
-        rows = [[(j, coef * t0 ** texp) for j, (coef, texp) in row.items()]
-                for row in tm.rows]
-        a = [[QZERO] * size for _ in range(size)]
-        for i, row in enumerate(rows):
-            for j, c in row:
-                a[i][j] = c
-        den = _det_one_minus_z(a)
+        rows = [{j: Fraction(coef * t0 ** texp, tm.scale)
+                 for j, (coef, texp) in row.items()} for row in tm.rows]
+        den = _det_one_minus_z([[row.get(j, QZERO) for j in range(size)]
+                                for row in rows])
         series = []
         y = [QONE] * size
         for _ in range(size):
             series.append(y[init])
-            y = [sum((c * y[j] for j, c in row), QZERO) for row in rows]
+            y = [sum((c * y[j] for j, c in row.items()), QZERO)
+                 for row in rows]
         num = [sum((den[i] * series[n - i] for i in range(n + 1)), QZERO)
                for n in range(size)]
         den_slices.append(Poly({(n, 0): c for n, c in enumerate(den)}))
@@ -640,8 +639,7 @@ def bnn_probability(b, n, params, dps=None):
     """
     alphabet = params.alphabet
     k = len(b)
-    if n < k:
-        raise ValueError("text length must be at least the pattern length")
+    check_text_length(b, n)
     aut = kmp_automaton(b, alphabet)
     if dps is not None:
         return _bnn_shadow(aut, n, params, dps)

@@ -21,11 +21,12 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product as iproduct
 
-from .automata import bnn_probability, clump_automaton, \
+from .automata import _exact_moments, bnn_probability, clump_automaton, \
     clump_conditioned_hits, clump_moment_series, edge_step, state_marks, \
     transfer_matrix, weighted_marks
 from .gfcore import QONE, QZERO, as_q
-from .words import Alphabet, letter_distribution, minimal_period
+from .words import Alphabet, check_text_length, letter_distribution, \
+    minimal_period
 
 ROW_SUM_TOL = 1e-7
 REGIME_LIMIT = 1e-2
@@ -197,6 +198,7 @@ def bv_probability(b, n, params, full_sum=False):
     k = len(b)
     if k < 1:
         raise ValueError("need a nonempty word")
+    check_text_length(b, n)
     appear = QONE
     stay = QONE
     for c in b:
@@ -266,6 +268,7 @@ def clump_probability(b, n, params):
     rescaled float64, which has no underflow at any n.  On binary toys it
     matches the exact rational series within 1e-12 relative.
     """
+    check_text_length(b, n)
     ca = clump_automaton(b, params.alphabet)
     weight = {(a, c): float(params.p1[a][c])
               for a, c in params.mutation_types()}
@@ -398,8 +401,8 @@ def asymptotics(b, params):
     relative decay of the neglected terms.
 
     For every alphabet, r, l (power iteration) and G v (the Neumann series
-    sum_k [(H/lam)^k v - r l'v]) come from the integer edges of d H, d the
-    common denominator of H, in ints scaled by 2^864; every constant is an
+    sum_k [(H/lam)^k v - r l'v]) come from the integer edges of D H, D the
+    transfer matrix's scale, in ints scaled by 2^864; every constant is an
     exact Fraction of those ints until it is returned as a float.  The
     constants are checked against a linear fit of the exact series at
     N_FIT at 1e-8.  A constant below ZERO_BELOW (10^-120) is reported as 0:
@@ -412,12 +415,13 @@ def asymptotics(b, params):
     types = params.mutation_types()
     ca = clump_automaton(b, alphabet)
     vecs = [state_marks(ca, ty) for ty in types]
-    fbar, hits = clump_moment_series(ca, params.nu, N_FIT, vecs, exact=True)
-    scale, edges = transfer_matrix(ca, params.nu).integer_edges()
+    tm = transfer_matrix(ca, params.nu)
+    fbar, hits = _exact_moments(ca, tm, N_FIT, vecs)
+    edges = tm.edges()
     tedges = [(j, i, coef) for i, j, coef in edges]
     size = ca.dfa.n_states
-    r = _perron_vector(tedges, size, scale)
-    l = _perron_vector(edges, size, scale)
+    r = _perron_vector(tedges, size, tm.scale)
+    l = _perron_vector(edges, size, tm.scale)
     rsum, lsum = sum(r), sum(l)
     lr = sum(x * y for x, y in zip(l, r))
     if lr * 10 ** 120 < lsum * rsum:
@@ -426,9 +430,9 @@ def asymptotics(b, params):
     e0, one = ca.dfa.initial, 1 << PERRON_BITS
     # G 1 and e0'G, with r normalized to sum 1 and l to l.r = 1
     g_one = _group_apply(tedges, [one] * size,
-                         [x * lsum * one // lr for x in r], scale * rsum)
+                         [x * lsum * one // lr for x in r], tm.scale * rsum)
     g_e0 = _group_apply(edges, [one * (j == e0) for j in range(size)],
-                        [x * r[e0] * one // lr for x in l], scale * rsum)
+                        [x * r[e0] * one // lr for x in l], tm.scale * rsum)
     tau = Fraction(one, rsum)
     psi = Fraction(r[e0] * lsum * rsum, lr * one)
     if not psi > 0:

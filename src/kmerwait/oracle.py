@@ -37,6 +37,8 @@ def _text_prob(letters, nuq):
 
 
 def _check_size(sigma, n):
+    if n < 0:
+        raise ValueError("text length %d is negative" % n)
     if sigma ** n > MAX_ENUM:
         raise ValueError(
             "refusing to enumerate %d^%d texts; use the analytic routes" % (sigma, n)

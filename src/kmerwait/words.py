@@ -221,6 +221,12 @@ def word_prob(w, nu):
     return p
 
 
+def check_text_length(b, n):
+    """Raise unless a text of length n is long enough to hold b."""
+    if n < len(b):
+        raise ValueError("text length must be at least the pattern length")
+
+
 def check_type(alphabet, mark):
     """Raise unless mark is None or two distinct letters of the alphabet."""
     if mark is not None:

@@ -142,11 +142,21 @@ def test_run_marks_count_putative_hits(ac, autos, b):
                 assert marks == putative_hit_count(w, b, ca.alphabet)
 
 
-def test_transfer_matrix_rows(ac, autos):
+def _full_rows(tm):
+    return sum(1 for row in tm.rows
+               if sum(w for w, _ in row.values()) == tm.scale)
+
+
+def test_transfer_matrix_rows(ac, autos, table1):
     tm = transfer_matrix(autos["AAA"], UNIFORM)
-    assert tm.size == 17
-    full = sum(1 for row in tm.rows if sum(w for w, _ in row.values()) == 1)
-    assert full == 17 - 4  # four rows lost a pruned transition
+    assert tm.size == 17 and tm.scale == 2
+    assert _full_rows(tm) == 17 - 4  # four rows lost a pruned transition
+    ca = clump_automaton("ACGTA", table1.alphabet)
+    tm = transfer_matrix(ca, table1.nu)
+    assert tm.scale == 100000 and tm.size == len(tm.rows) == 463
+    assert all(type(c) is int and type(e) is int
+               for row in tm.rows for c, e in row.values())
+    assert _full_rows(tm) == 463 - len({q for q, _ in ca.pruned})
 
 
 @pytest.mark.parametrize("b", TOYS)
@@ -155,6 +165,18 @@ def test_census_vs_enumeration(autos, ac, b, nu):
     rows = clump_series(autos[b], nu, 9)
     for n in range(10):
         assert rows[n] == dict(enumerate_census(b, n, ac, nu).census)
+
+
+@pytest.mark.parametrize("b,mark", [("ACG", None), ("ACG", ("A", "C")),
+                                    ("GATA", ("T", "A"))])
+def test_census_vs_enumeration_dna(table1, b, mark):
+    # table1's letter probabilities have common denominator 10**5, so the
+    # census is stepped in integers over 10**(5n)
+    ca = clump_automaton(b, table1.alphabet, mark=mark)
+    rows = clump_series(ca, table1.nu, 6)
+    for n in range(7):
+        assert rows[n] == dict(enumerate_census(
+            b, n, table1.alphabet, table1.nu, mark=mark).census)
 
 
 def test_moment_series_exact_and_float(autos):

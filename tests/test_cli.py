@@ -169,6 +169,16 @@ def test_asym_dna(capsys):
      "text length -1 is negative"),
     (("gf", "AAA", "--coeffs", "-1", "--params", "binary-uniform"),
      "text length -1 is negative"),
+    (("wait", "ACGTA", "--length", "3", "--method", "clump"),
+     "text length must be at least the pattern length"),
+    (("wait", "ACGTA", "--length", "3", "--method", "bv"),
+     "text length must be at least the pattern length"),
+    (("wait", "AC", "--length", "-1", "--method", "clump"),
+     "text length must be at least the pattern length"),
+    (("wait", "AC", "--length", "-1", "--method", "bv"),
+     "text length must be at least the pattern length"),
+    (("oracle", "AAA", "--n", "-1", "--params", "binary-uniform"),
+     "text length -1 is negative"),
 ])
 def test_error_paths(capsys, argv, needle):
     rc, out, err = run(capsys, *argv)

@@ -256,9 +256,12 @@ def test_waiting_time_dispatch(table1):
 
 
 def test_waiting_time_rejects_degenerate(table1):
-    # below the word length nothing can appear; the BV sum is empty
-    with pytest.raises(ArithmeticError):
-        waiting_time("AAAAA", 3, table1, method="BV")
+    # below the word length nothing can appear; every method rejects the
+    # length itself rather than computing p_n = 0
+    for method in ("BV", "BNN", "CLUMP"):
+        for n in (3, -1):
+            with pytest.raises(ValueError, match="pattern length"):
+                waiting_time("AAAAA", n, table1, method=method)
 
 
 FROZEN = {
