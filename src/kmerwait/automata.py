@@ -1,17 +1,16 @@
-"""Finite automata for avoidance, products, and clump counting.
+"""Finite automata for avoidance and clump counting.
 
-Three constructions live here.  The classical pattern automaton for a
-single word and its product over paired symbols drive the matrix route
-to the first-appearance probability.  The clump automaton walks the
-overlap structure of the mutation neighborhood d(b) and carries a t mark
-on transitions that reveal a fresh putative-hit position; its transfer
-matrix yields the same generating function as the word-language route,
-which is the point of building both.
+Two constructions live here.  The classical pattern automaton for a
+single word drives the matrix route to the first-appearance probability,
+tracking the original text and its one-step mutant as a pair of pattern
+states.  The clump automaton walks the overlap structure of the mutation
+neighborhood d(b) and carries a t mark on transitions that reveal a fresh
+putative-hit position; its transfer matrix yields the same generating
+function as the word-language route, which is the point of building both.
 """
 
 import math
 from collections import deque
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -33,8 +32,7 @@ class Dfa:
     """Deterministic automaton with integer states 0..n-1.
 
     Transitions live in a dict keyed by (state, symbol); a missing key is
-    a deliberately pruned transition and kills the run.  Symbols may be
-    letters or letter pairs (for channel products).
+    a deliberately pruned transition and kills the run.
     """
 
     def __init__(self, n_states, symbols, delta, initial, finals):
@@ -81,41 +79,6 @@ def kmp_automaton(b, alphabet):
     for a in alphabet.symbols:
         delta[(k, a)] = k
     return Dfa(k + 1, alphabet.symbols, delta, 0, {k})
-
-
-def product(a1, a2):
-    """Reachable product of two automata reading symbol pairs.
-
-    The pair (x, y) feeds x to a1 and y to a2, which is how a sequence and
-    its one-step mutant are tracked together.  A product state is final
-    when both components are.  States are numbered in discovery order and
-    the component pairs are kept on the result as pair_labels.
-    """
-    symbols = tuple((x, y) for x in a1.alphabet for y in a2.alphabet)
-    start = (a1.initial, a2.initial)
-    order = {start: 0}
-    pairs = [start]
-    delta = {}
-    queue = deque([start])
-    while queue:
-        p, q = queue.popleft()
-        src = order[(p, q)]
-        for s in symbols:
-            t1 = a1.delta.get((p, s[0]))
-            t2 = a2.delta.get((q, s[1]))
-            if t1 is None or t2 is None:
-                continue
-            tgt = (t1, t2)
-            if tgt not in order:
-                order[tgt] = len(pairs)
-                pairs.append(tgt)
-                queue.append(tgt)
-            delta[(src, s)] = order[tgt]
-    finals = {i for i, (p, q) in enumerate(pairs)
-              if p in a1.finals and q in a2.finals}
-    out = Dfa(len(pairs), symbols, delta, 0, finals)
-    out.pair_labels = tuple(pairs)
-    return out
 
 
 def _label_windows(label, b, dset):
@@ -182,14 +145,15 @@ class ClumpAutomaton:
 
     Built by clump_automaton.  Carries the occurrence states O, the
     non-extension states Ebar (clump core E is everything else), the
-    maximal unique incoming word theta per occurrence state, and per
-    state the mark exponent for the selected mutation type, which every
-    transition into that state carries.  theta is always derived from the
-    untyped marks, so it describes the structure and not the type filter.
+    maximal unique incoming word theta per occurrence state, per state
+    the fresh hits of its label scan (see _fresh_hit), and per state the
+    mark exponent for the selected mutation type, which every transition
+    into that state carries.  theta is always derived from the untyped
+    marks, so it describes the structure and not the type filter.
     """
 
     def __init__(self, b, alphabet, dfa, labels, occ, ebar, theta,
-                 state_mark, mark, pruned):
+                 fresh_hits, mark, pruned):
         self.b = b
         self.alphabet = alphabet
         self.dfa = dfa
@@ -198,14 +162,15 @@ class ClumpAutomaton:
         self.Ebar = frozenset(ebar)
         self.E = frozenset(range(dfa.n_states)) - self.Ebar
         self.theta = dict(theta)
-        self.state_mark = tuple(state_mark)
+        self.fresh_hits = tuple(fresh_hits)
+        self.state_mark = _marks(self.fresh_hits, mark)
         self.mark = mark
         self.pruned = tuple(pruned)
 
 
-def _ca_fresh_hits(ca):
-    return _fresh_hits(ca.labels, ca.O, ca.b,
-                       set(neighbors(ca.b, ca.alphabet)))
+def _marks(fresh_hits, mark):
+    return tuple(untyped if mark is None else int(typed == mark)
+                 for untyped, typed in fresh_hits)
 
 
 def state_marks(ca, mark):
@@ -213,8 +178,7 @@ def state_marks(ca, mark):
     (or for every type at once with mark=None).  The automaton structure
     does not depend on the type, so one build serves all types."""
     check_type(ca.alphabet, mark)
-    return tuple(untyped if mark is None else int(typed == mark)
-                 for untyped, typed in _ca_fresh_hits(ca))
+    return _marks(ca.fresh_hits, mark)
 
 
 def weighted_marks(ca, weight):
@@ -222,8 +186,7 @@ def weighted_marks(ca, weight):
     state_marks(ca, ty), as floats, from one scan of the labels.  A state
     carries a fresh hit of at most one type; types missing from weight
     count 0."""
-    return np.array([weight.get(typed, 0.0)
-                     for _, typed in _ca_fresh_hits(ca)])
+    return np.array([weight.get(typed, 0.0) for _, typed in ca.fresh_hits])
 
 
 def clump_automaton(b, alphabet, mark=None):
@@ -286,16 +249,14 @@ def clump_automaton(b, alphabet, mark=None):
 
     check_type(alphabet, mark)
     hits = _fresh_hits(labels, occ, b, dset)
-    untyped = tuple(u for u, _ in hits)
-    smark = untyped if mark is None else tuple(int(t == mark) for _, t in hits)
 
     rev = {}
     for (q, a), t in delta.items():
         rev.setdefault(t, []).append((q, a))
-    crossing = {i for i in range(n_states) if untyped[i]}
+    crossing = {i for i, (untyped, _) in enumerate(hits) if untyped}
     theta = {o: _theta_word(o, rev, crossing, k) for o in sorted(occ)}
 
-    return ClumpAutomaton(b, alphabet, dfa, labels, occ, ebar, theta, smark,
+    return ClumpAutomaton(b, alphabet, dfa, labels, occ, ebar, theta, hits,
                           mark, pruned)
 
 
@@ -623,7 +584,7 @@ def gf_from_clump_automaton(ca, nu):
     return RatFun(num, den)
 
 
-def bnn_probability(b, n, params, dps=None):
+def bnn_probability(b, n, params):
     """First-appearance probability p_n through the paired product route.
 
     The numerator runs the product of the avoidance automaton (on the
@@ -632,17 +593,13 @@ def bnn_probability(b, n, params, dps=None):
     avoidance automaton alone.  In float64 both n-th matrix powers come
     from repeated squaring, rescaled after every product, so neither mass
     underflows at any n; the relative error grows like n times the machine
-    epsilon, about 1e-9 at n = 1e7.
-    With dps given, the two masses are n-th matrix powers in decimal
-    arithmetic at dps digits over the explicit product automaton instead,
-    a shadow that shares no code with the float kernel.
+    epsilon, about 1e-9 at n = 1e7.  oracle.bnn_decimal is the 40-digit
+    shadow of this quotient.
     """
     alphabet = params.alphabet
     k = len(b)
     check_text_length(b, n)
     aut = kmp_automaton(b, alphabet)
-    if dps is not None:
-        return _bnn_shadow(aut, n, params, dps)
     symbols = alphabet.symbols
     # onehot[a, q, t] = 1 when the pattern automaton steps q -> t on a
     onehot = np.zeros((len(symbols), k + 1, k + 1))
@@ -688,46 +645,6 @@ def _vec_mat_power(mat, n):
             return vec, e_vec
         mat, e = rescaled(mat @ mat)
         e_mat = 2 * e_mat + e
-
-
-def _bnn_shadow(aut, n, params, dps):
-    k = aut.n_states - 1
-    # the pattern automaton without its occurrence state reads the texts
-    # that avoid b; product drops the pairs whose original reaches it
-    avoid = Dfa(k, aut.alphabet, {key: t for key, t in aut.delta.items()
-                                  if t < k}, 0, range(k))
-    pair = product(avoid, aut)
-
-    def mass(dfa, weight):
-        mat = [[Decimal(0)] * dfa.n_states for _ in range(dfa.n_states)]
-        for (q, s), t in dfa.delta.items():
-            w = weight(s)
-            mat[q][t] += Decimal(w.numerator) / w.denominator
-        power = _decimal_power(mat, n)
-        return sum(power[dfa.initial][q] for q in dfa.finals)
-
-    # the exponent range is widened to the limit, since avoiding masses
-    # fall far below decimal's default 10**-999999 at long texts
-    with localcontext(Context(prec=dps, Emin=MIN_EMIN, Emax=MAX_EMAX)):
-        num = mass(pair, lambda s: params.nu[s[0]] * params.p1[s[0]][s[1]])
-        return num / mass(avoid, lambda a: params.nu[a])
-
-
-def _decimal_power(mat, n):
-    """mat**n for n >= 1 by binary exponentiation, in the current context."""
-    def mul(x, y):
-        cols = list(zip(*y))
-        return [[sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in x]
-
-    out = None
-    while n:
-        if n & 1:
-            out = mat if out is None else mul(out, mat)
-        n >>= 1
-        if n:
-            mat = mul(mat, mat)
-    return out
 
 
 def to_dot(obj):

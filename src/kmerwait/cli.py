@@ -12,7 +12,8 @@ import sys
 
 from .automata import clump_automaton, clump_series, \
     gf_from_clump_automaton, to_dot
-from .evolution import asymptotics, load_params, scan_kmers, waiting_time
+from .evolution import asymptotics, hit_series, load_params, scan_kmers, \
+    waiting_time
 from .gfcore import render_poly, render_ratfun
 from .languages import constrained_code_matrix, marked_code_gf
 from .oracle import enumerate_census, exact_pn_tiny, monte_carlo_pn
@@ -328,22 +329,9 @@ def _cmd_oracle(args, out):
 
 
 def _cmd_series(args, out):
-    from .automata import clump_moment_series, state_marks
-    from .evolution import _avoiding_mass
-
     params = load_params(args.params)
     words = [args.word, args.word2]
-    exact = len(params.alphabet) == 2
-    columns = []
-    for b in words:
-        ca = clump_automaton(b, params.alphabet)
-        fbar, hits = clump_moment_series(ca, params.nu, args.max,
-                                         [state_marks(ca, None)],
-                                         exact=exact)
-        # the mass never increases, so checking the last length covers
-        # every row
-        _avoiding_mass(fbar, args.max)
-        columns.append((fbar, hits[0]))
+    columns = [hit_series(b, args.max, params) for b in words]
     header = ["n"]
     for b in words:
         header += ["fbar_%s" % b, "EH_%s" % b, "EHcond_%s" % b]

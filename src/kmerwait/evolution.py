@@ -225,35 +225,38 @@ def bv_probability(b, n, params, full_sum=False):
     return total / scale
 
 
+def hit_series(b, n_max, params, mark=None):
+    """Avoiding mass and expected putative-hit count per text length.
+
+    Returns (fbar, hits) for lengths 0..n_max: fbar[n] is the avoiding
+    probability and hits[n] the expected count over all texts, of the
+    substitution type mark = (source, target) or of every type with None.
+    Binary alphabets are handled in exact rationals, larger ones in
+    floats.  Raises unless the mass at n_max is positive (exact) or above
+    the smallest normal float, since below that the hit masses divided by
+    it lose their digits and then flush to 0; the mass never increases, so
+    that check covers every length.
+    """
+    ca = clump_automaton(b, params.alphabet)
+    exact = len(params.alphabet) == 2
+    fbar, (hits,) = clump_moment_series(ca, params.nu, n_max,
+                                        [state_marks(ca, mark)], exact=exact)
+    floor = 0 if exact else sys.float_info.min
+    if not fbar[n_max] > floor:
+        raise ArithmeticError("avoiding probability %g at length %d is "
+                              "not above %g" % (fbar[n_max], n_max, floor))
+    return fbar, hits
+
+
 def expected_hits(b, n, params, mark=None):
     """Expected number of putative-hit positions in a length-n text.
 
     Returns the expectation over all texts (raw), the expectation
     conditioned on the text avoiding b, and the avoiding probability
-    itself.  mark selects one substitution type (source, target); None
-    counts every type at once.  Binary alphabets are handled in exact
-    rationals, larger ones in floats.
+    itself, from hit_series.
     """
-    params.alphabet.check_word(b)
-    ca = clump_automaton(b, params.alphabet)
-    vec = state_marks(ca, mark)
-    exact = len(params.alphabet) == 2
-    fbar, hits = clump_moment_series(ca, params.nu, n, [vec], exact=exact)
-    raw = hits[0][n]
-    avoid = _avoiding_mass(fbar, n)
-    return ExpectedHits(raw, raw / avoid, avoid)
-
-
-def _avoiding_mass(fbar, n):
-    """fbar[n], checked: an exact mass must be positive, a float mass must
-    exceed the smallest normal float, since below that the hit masses
-    divided by it lose their digits and then flush to 0."""
-    avoid = fbar[n]
-    floor = sys.float_info.min if isinstance(avoid, float) else 0
-    if not avoid > floor:
-        raise ArithmeticError("avoiding probability %g at length %d is "
-                              "not above %g" % (avoid, n, floor))
-    return avoid
+    fbar, hits = hit_series(b, n, params, mark)
+    return ExpectedHits(hits[n], hits[n] / fbar[n], fbar[n])
 
 
 def clump_probability(b, n, params):

@@ -41,26 +41,21 @@ def _set_gf(ws, nuq):
     return p
 
 
-def _row_sum(mat, i, ncols=None):
-    ncols = len(mat[i]) if ncols is None else ncols
-    acc = POLY_ZERO
-    for j in range(ncols):
-        acc = acc + mat[i][j]
-    return acc
-
-
 class _System:
-    """Raw polynomial data of a solved system, kept for reuse."""
+    """Raw polynomial data of a solved system, kept for reuse: R, U and M
+    of the solve as numerators over the common denominator delta."""
 
-    __slots__ = ("words", "vpolys", "C", "B", "delta", "adjB", "nuq")
+    __slots__ = ("words", "vpolys", "C", "delta", "Rnum", "Unum", "Mnum",
+                 "nuq")
 
-    def __init__(self, words, vpolys, C, B, delta, adjB, nuq):
+    def __init__(self, words, vpolys, C, delta, Rnum, Unum, Mnum, nuq):
         self.words = words
         self.vpolys = vpolys
         self.C = C
-        self.B = B
         self.delta = delta
-        self.adjB = adjB
+        self.Rnum = Rnum
+        self.Unum = Unum
+        self.Mnum = Mnum
         self.nuq = nuq
 
 
@@ -82,22 +77,6 @@ class LanguageGFs:
         self.U = list(U)
         self.system = system
         self.extended = None
-
-
-def _adjugate_via_inverse(B, delta):
-    """Adjugate of a larger t-free matrix through its fraction-field inverse."""
-    inv = rfm_inverse([[RatFun(e) for e in row] for row in B])
-    drf = RatFun(delta)
-    out = []
-    for row in inv:
-        orow = []
-        for e in row:
-            adj = e * drf
-            if adj.den != POLY_ONE:
-                raise ArithmeticError("adjugate reconstruction failed")
-            orow.append(adj.num)
-        out.append(orow)
-    return out
 
 
 def rs_solve(words, alphabet, nu):
@@ -126,24 +105,15 @@ def rs_solve(words, alphabet, nu):
     delta = bareiss_det(B)
     if delta.is_zero():
         raise ArithmeticError("degenerate language system")
-    adjB = adjugate_poly(B) if r <= 6 else _adjugate_via_inverse(B, delta)
-
-    U = [RatFun(_row_sum(adjB, i), delta) for i in range(r)]
-    Rnum = []
-    R = []
-    for j in range(r):
-        num = POLY_ZERO
-        for i in range(r):
-            num = num + vpolys[i] * adjB[i][j]
-        Rnum.append(num)
-        R.append(RatFun(num, delta))
-    M = [
-        [
-            RatFun((delta if i == j else POLY_ZERO) - one_minus_z * adjB[i][j], delta)
-            for j in range(r)
-        ]
-        for i in range(r)
-    ]
+    adjB = adjugate_poly(B)
+    Rnum = [sum((vpolys[i] * adjB[i][j] for i in range(r)), POLY_ZERO)
+            for j in range(r)]
+    Unum = [sum(row, POLY_ZERO) for row in adjB]
+    Mnum = [[(delta if i == j else POLY_ZERO) - one_minus_z * adjB[i][j]
+             for j in range(r)] for i in range(r)]
+    R = [RatFun(num, delta) for num in Rnum]
+    U = [RatFun(num, delta) for num in Unum]
+    M = [[RatFun(num, delta) for num in row] for row in Mnum]
     N = None
     for j in range(r):
         numj = POLY_ZERO
@@ -155,7 +125,7 @@ def rs_solve(words, alphabet, nu):
         elif not (N == Nj):
             raise ArithmeticError("avoiding function differs across columns")
 
-    system = _System(words, vpolys, C, B, delta, adjB, nuq)
+    system = _System(words, vpolys, C, delta, Rnum, Unum, Mnum, nuq)
     return LanguageGFs(words, N, R, M, U, system)
 
 
@@ -246,9 +216,11 @@ class CodeMatrix:
     """Finite codeword sets for clump chaining over a reduced word set.
 
     B[i][j] holds the correlation words e of (v_i, v_j) such that v_i.e
-    has no internal occurrence of any set word; K[i][j] additionally drops
-    words with a proper prefix already in B[i][j] (a no-op for reduced
-    sets, kept as a distinct filtering stage).  Kbar[i][j], present for
+    has no internal occurrence of any set word.  K[i][j], the code proper,
+    keeps the words of B[i][j] with no proper prefix in B[i][j], which on a
+    reduced set is all of them: if a nonempty proper prefix e' of e were in
+    B[i][j], then v_i.e' would end with an occurrence of v_j, internal to
+    v_i.e, so e would not be in B[i][j].  Kbar[i][j], present for
     constrained matrices only, further drops extensions that create an
     occurrence of the avoided word.
     """
@@ -262,33 +234,21 @@ class CodeMatrix:
 
 
 def code_matrix(words, alphabet):
-    """Codeword sets B_ij and K_ij for a reduced word set."""
+    """Codeword sets B_ij and K_ij (equal to B_ij) for a reduced word set."""
     words = tuple(words)
     for w in words:
         alphabet.check_word(w)
     if not is_reduced(words):
         raise ValueError("word set is not reduced (some word is a factor of another)")
-    r = len(words)
-    Bm = []
-    Km = []
-    for i in range(r):
-        brow = []
-        krow = []
-        for j in range(r):
-            cands = [e for e in correlation_set(words[i], words[j]) if e]
-            bset = tuple(
-                e for e in cands if _no_internal_occurrence(words[i] + e, words)
-            )
-            kset = tuple(
-                e
-                for e in bset
-                if not any(e[:m] in bset for m in range(1, len(e)))
-            )
-            brow.append(bset)
-            krow.append(kset)
-        Bm.append(tuple(brow))
-        Km.append(tuple(krow))
-    return CodeMatrix(words, tuple(Bm), tuple(Km))
+    bmat = tuple(
+        tuple(
+            tuple(e for e in correlation_set(vi, vj)
+                  if e and _no_internal_occurrence(vi + e, words))
+            for vj in words
+        )
+        for vi in words
+    )
+    return CodeMatrix(words, bmat, bmat)
 
 
 def constrained_code_matrix(b, alphabet):
@@ -447,18 +407,6 @@ def _enriched_chain(b, codes, nuq, mark):
     return entry_idx, state_words, kmat
 
 
-def _cofactor(mat, row_del, col_del):
-    minor = [
-        [mat[rr][cc] for cc in range(len(mat)) if cc != col_del]
-        for rr in range(len(mat))
-        if rr != row_del
-    ]
-    if not minor:
-        return POLY_ONE
-    det = bareiss_det(minor)
-    return det if (row_del + col_del) % 2 == 0 else -det
-
-
 def clump_gf_language(b, alphabet, nu, mark=None):
     """Bivariate generating function F(z, t) over texts avoiding b.
 
@@ -493,40 +441,31 @@ def clump_gf_language(b, alphabet, nu, mark=None):
         raise ArithmeticError("degenerate clump chain system")
     # row entry_idx[i] of the adjugate, summed per exit word: the chain may
     # stop at any state, and only the word of the last link matters outside
+    adj_k = adjugate_poly(imk)
     gnum = []
     for i in range(r):
         sums = [POLY_ZERO] * r
-        for q in range(nstates):
-            cof = _cofactor(imk, q, entry_idx[i])
+        for q, cof in enumerate(adj_k[entry_idx[i]]):
             sums[state_words[q]] = sums[state_words[q]] + cof
         gnum.append([mk.v[i] * sums[j] for j in range(r)])
 
     delta = sysx.delta
-    adjb = sysx.adjB
-    vplain = sysx.vpolys
-    rp1 = r + 1
 
     # prefix ending just before the first neighbor occurrence: the
     # first-occurrence texts with the trailing occurrence letters removed
-    rrownum = []
-    for i in range(r):
-        num = POLY_ZERO
-        for s in range(rp1):
-            num = num + vplain[s] * adjb[s][i]
-        rrownum.append(num.shift_div_z(k).scale(QONE / word_prob(d[i], nuq)))
+    rrownum = [sysx.Rnum[i].shift_div_z(k).scale(QONE / word_prob(d[i], nuq))
+               for i in range(r)]
 
     # occurrence-free tails (over the full extended set)
-    unum = [_row_sum(adjb, i, rp1) for i in range(r)]
+    unum = sysx.Unum[:r]
 
     # inter-clump gaps: minimal continuations that leave the clump, with
     # the trailing neighbor occurrence removed (the next clump re-adds it)
-    one_minus_z = POLY_ONE - POLY_Z
     wnum = []
     for i in range(r):
         row = []
         for j in range(r):
-            mn = (delta if i == j else POLY_ZERO) - one_minus_z * adjb[i][j]
-            gap = mn - mk.K[i][j].eval_t1() * delta
+            gap = sysx.Mnum[i][j] - mk.K[i][j].eval_t1() * delta
             row.append(gap.shift_div_z(k).scale(QONE / word_prob(d[j], nuq)))
         wnum.append(row)
 

@@ -1,25 +1,29 @@
 """Brute-force references for small instances.
 
 Everything here is deliberately naive: full enumeration over texts, a
-plain dynamic program over pattern-matching states, and straight Monte
-Carlo.  These are the independent answers that the generating-function
-and automaton routes are tested against, so this module must not import
-from those.
+plain dynamic program over pattern-matching states, straight Monte Carlo,
+and a decimal shadow of the BNN quotient that powers dense matrices over
+the same pattern states.  These are the independent answers that the
+generating-function and automaton routes are tested against, so this
+module must not import from those.
 """
 
 import math
 from collections import namedtuple
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from itertools import product
 
 import numpy as np
 
 from .gfcore import QONE, QZERO, as_q
-from .words import check_type, putative_hit_positions
+from .words import check_text_length, check_type, putative_hit_positions
 
 # Refuse enumerations beyond this many texts.
 MAX_ENUM = 1 << 26
 # Texts sampled per vectorized Monte Carlo round.
 MC_CHUNK = 8192
+# Significant digits of the decimal BNN shadow.
+DECIMAL_DIGITS = 40
 
 
 EnumerationReport = namedtuple(
@@ -142,6 +146,7 @@ def exact_pn_tiny(b, n, params):
     """
     alphabet = params.alphabet
     alphabet.check_word(b)
+    check_text_length(b, n)
     k = len(b)
     sigma = len(alphabet)
     _check_size(sigma, n)
@@ -193,6 +198,7 @@ def monte_carlo_pn(b, n, params, trials=200000, seed=20260815):
         raise ValueError("need at least 10^4 trials for a meaningful estimate")
     alphabet = params.alphabet
     alphabet.check_word(b)
+    check_text_length(b, n)
     rng = np.random.default_rng(seed)
     sigma = len(alphabet)
     k = len(b)
@@ -230,3 +236,72 @@ def monte_carlo_pn(b, n, params, trials=200000, seed=20260815):
     phat = hits / trials
     se = math.sqrt(max(phat * (1.0 - phat), 1e-300) / trials)
     return phat, se
+
+
+def bnn_decimal(b, n, params):
+    """The BNN quotient p_n in decimal arithmetic at DECIMAL_DIGITS digits.
+
+    The denominator is the mass of texts avoiding b, row 0 of the n-th
+    power of the avoiding matrix over pattern states 0..k-1; the numerator
+    the mass of (original, mutant) pairs whose original avoids b and whose
+    mutant contains it, from the pair matrix over (original state < k,
+    mutant state <= k), each letter pair weighted by nu(x) p1(x, y).  Both
+    come from binary exponentiation over dense matrices built from
+    _kmp_table, sharing no code with the float kernel.
+    """
+    alphabet = params.alphabet
+    alphabet.check_word(b)
+    check_text_length(b, n)
+    k = len(b)
+    syms = alphabet.symbols
+    nxt = _kmp_table(b, alphabet)
+    # the exponent range is widened to the limit, since avoiding masses
+    # fall far below decimal's default 10**-999999 at long texts
+    with localcontext(Context(prec=DECIMAL_DIGITS, Emin=MIN_EMIN,
+                              Emax=MAX_EMAX)):
+        def dec(q):
+            return Decimal(q.numerator) / q.denominator
+
+        avoid = [[Decimal(0)] * k for _ in range(k)]
+        for q in range(k):
+            for i, x in enumerate(syms):
+                if nxt[q][i] < k:
+                    avoid[q][nxt[q][i]] += dec(params.nu[x])
+        width = k + 1
+        pair = [[Decimal(0)] * (k * width) for _ in range(k * width)]
+        for p in range(k):
+            for q in range(width):
+                for i, x in enumerate(syms):
+                    if nxt[p][i] == k:
+                        continue
+                    for j, y in enumerate(syms):
+                        w = params.nu[x] * params.p1[x][y]
+                        if w:
+                            pair[p * width + q][nxt[p][i] * width
+                                                + nxt[q][j]] += dec(w)
+        hit = sum(_decimal_row_power(pair, n)[k::width])
+        return hit / sum(_decimal_row_power(avoid, n))
+
+
+def _decimal_row_power(mat, n):
+    """Row 0 of mat**n for n >= 1, by binary exponentiation in the current
+    decimal context."""
+    def mul(x, y):
+        # rows of x times y, skipping zero entries of x
+        out = []
+        for row in x:
+            acc = [Decimal(0)] * len(y[0])
+            for a, yrow in zip(row, y):
+                if a:
+                    acc = [c + a * e for c, e in zip(acc, yrow)]
+            out.append(acc)
+        return out
+
+    vec = None
+    while n:
+        if n & 1:
+            vec = mat[0] if vec is None else mul([vec], mat)[0]
+        n >>= 1
+        if n:
+            mat = mul(mat, mat)
+    return vec

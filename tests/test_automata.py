@@ -1,4 +1,4 @@
-"""Automata: pattern recognizers, products, and the clump construction."""
+"""Automata: pattern recognizers, the BNN quotient, and the clump construction."""
 
 import re
 from fractions import Fraction as F
@@ -17,7 +17,6 @@ from kmerwait.automata import (
     gf_from_clump_automaton,
     kmp_automaton,
     markov_property_check,
-    product,
     state_marks,
     to_dot,
     transfer_matrix,
@@ -25,7 +24,7 @@ from kmerwait.automata import (
 )
 from kmerwait.gfcore import POLY_ONE, POLY_ZERO, Poly, bareiss_det
 from kmerwait.languages import clump_gf_language
-from kmerwait.oracle import avoid_weight, enumerate_census
+from kmerwait.oracle import avoid_weight, bnn_decimal, enumerate_census
 from kmerwait.words import Alphabet, putative_hit_count
 
 from conftest import BIASED, TOYS, UNIFORM
@@ -53,20 +52,6 @@ def test_kmp_avoidance_series(ac):
     fbar, _ = clump_moment_series(clump_automaton("AAC", ac), UNIFORM, 10)
     for n in range(11):
         assert fbar[n] == avoid_weight(("AAC",), n, ac, UNIFORM)
-
-
-def test_paired_product_diagonal(ac):
-    """Reading pairs, the synchronized diagonal stays small while the full
-    pair alphabet is quadratic."""
-    a = kmp_automaton("AC", ac)
-    prod = product(a, a)
-    assert len(prod.alphabet) == 4
-    # feeding equal pairs keeps both components in lockstep
-    st = prod.initial
-    for s in (("A", "A"), ("C", "C")):
-        st = prod.step(st, s)
-    p, q = prod.pair_labels[st]
-    assert p == q
 
 
 def test_clump_automaton_aaa_structure(ac, autos):
@@ -115,7 +100,7 @@ def test_markov_property_detects_corruption(ac, autos):
     bad_dfa = Dfa(ca.dfa.n_states, ca.dfa.alphabet, delta, ca.dfa.initial,
                   ca.dfa.finals)
     bad = ClumpAutomaton(ca.b, ca.alphabet, bad_dfa, ca.labels, ca.O,
-                         ca.Ebar, ca.theta, ca.state_mark, ca.mark,
+                         ca.Ebar, ca.theta, ca.fresh_hits, ca.mark,
                          ca.pruned)
     assert not markov_property_check(bad)
 
@@ -277,7 +262,7 @@ def test_bnn_monotone_in_rate(ac):
 def test_bnn_mpmath_shadow(table1):
     for w in ("AAAAA", "CGCGC", "TTTTT"):
         pf = bnn_probability(w, 1000, table1)
-        pm = float(bnn_probability(w, 1000, table1, dps=40))
+        pm = float(bnn_decimal(w, 1000, table1))
         assert abs(pf - pm) / pm < 1e-10
 
 
@@ -285,7 +270,7 @@ def test_bnn_long_text_regression(table1):
     # the avoiding mass is ~1e-604 here; a float64 step loop underflowed
     # and returned 1.0
     p = bnn_probability("AC", 20000, table1)
-    pm = float(bnn_probability("AC", 20000, table1, dps=40))
+    pm = float(bnn_decimal("AC", 20000, table1))
     assert pm == pytest.approx(8.76516815e-5, rel=1e-9)
     assert abs(p - pm) / pm < 1e-8
 
@@ -296,7 +281,7 @@ def test_bnn_long_texts_match_shadow(table1, word, n):
     # float64 error grows like n times the machine epsilon: ~1e-10 at 1e6,
     # ~1e-9 at 1e7
     p = bnn_probability(word, n, table1)
-    pm = float(bnn_probability(word, n, table1, dps=40))
+    pm = float(bnn_decimal(word, n, table1))
     assert 0.0 < p < 1.0
     assert abs(p - pm) / pm < 1e-8
 
@@ -305,7 +290,7 @@ def test_bnn_shadow_at_1e8(table1_renorm):
     # the avoiding mass of AC is near 10**-2.8e6 here, below the default
     # exponent range of decimal arithmetic
     p = bnn_probability("AC", 10 ** 8, table1_renorm)
-    pm = float(bnn_probability("AC", 10 ** 8, table1_renorm, dps=40))
+    pm = float(bnn_decimal("AC", 10 ** 8, table1_renorm))
     assert 0.0 < pm < 1.0
     assert abs(p - pm) / pm < 1e-7
 

@@ -179,6 +179,14 @@ def test_asym_dna(capsys):
      "text length must be at least the pattern length"),
     (("oracle", "AAA", "--n", "-1", "--params", "binary-uniform"),
      "text length -1 is negative"),
+    (("oracle", "AAA", "--n", "-1", "--mc", "10000", "--params",
+      "binary-uniform"),
+     "text length must be at least the pattern length"),
+    (("oracle", "AAA", "--n", "2", "--mc", "10000", "--params",
+      "binary-uniform"),
+     "text length must be at least the pattern length"),
+    (("oracle", "AAA", "--n", "2", "--pn", "--params", "binary-uniform"),
+     "text length must be at least the pattern length"),
 ])
 def test_error_paths(capsys, argv, needle):
     rc, out, err = run(capsys, *argv)
@@ -196,13 +204,13 @@ def test_bad_method_rejected_by_parser(capsys):
 
 def test_no_mpmath_or_gmpy2_loaded():
     # numpy is the one dependency: the exact layer is Fraction over ints,
-    # the dps shadow runs in decimal
+    # the BNN shadow runs in decimal
     code = ("import sys\n"
             "import kmerwait.cli\n"
-            "from kmerwait.automata import bnn_probability\n"
+            "from kmerwait.oracle import bnn_decimal\n"
             "from kmerwait.evolution import asymptotics, load_params\n"
             "asymptotics('ACC', load_params('binary-uniform'))\n"
-            "bnn_probability('AAAAA', 1000, load_params('table1'), dps=40)\n"
+            "bnn_decimal('AAAAA', 1000, load_params('table1'))\n"
             "print(sorted({'mpmath', 'gmpy2'} & set(sys.modules)))\n")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -24,7 +24,7 @@ from kmerwait.evolution import (
     waiting_time,
 )
 from kmerwait.languages import marked_code_gf, rs_solve
-from kmerwait.oracle import enumerate_census, exact_pn_tiny
+from kmerwait.oracle import bnn_decimal, enumerate_census, exact_pn_tiny
 from kmerwait.words import Alphabet
 
 from conftest import TOYS, UNIFORM
@@ -346,7 +346,7 @@ def test_scan_warns_out_of_regime(table1):
         rows = scan_kmers(2, 10 ** 6, table1)
     assert all(0.0 < r.p_n < 1.0 for r in rows)
     ac = next(r for r in rows if r.word == "AC")
-    shadow = float(bnn_probability("AC", 10 ** 6, table1, dps=40))
+    shadow = float(bnn_decimal("AC", 10 ** 6, table1))
     assert abs(ac.p_n - shadow) / shadow < 1e-8
 
 

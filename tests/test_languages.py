@@ -72,10 +72,20 @@ def test_first_occurrence_series(ac):
         assert series[n] == total
 
 
-def test_code_matrix_periodic_word(ac):
+def test_code_matrix_periodic_word(ac, dna):
     cm = code_matrix(("AAAA",), ac)
     assert cm.K[0][0] == ("A",)
     assert cm.B[0][0] == ("A",)
+    # on reduced sets no codeword has a proper prefix among its own
+    # codewords, so the prefix-free code K is all of B
+    for words, alphabet in ([(neighbors(b, ac), ac) for b in TOYS]
+                            + [(neighbors("ACGT", dna), dna)]):
+        cm = code_matrix(words, alphabet)
+        assert cm.K == cm.B
+        for row in cm.B:
+            for codes in row:
+                assert not any(e[:m] in codes for e in codes
+                               for m in range(1, len(e)))
 
 
 def test_code_matrix_drops_internal_occurrences(dna):
@@ -149,17 +159,6 @@ def test_constrained_languages_extended(ac):
     series = ext.N.taylor(1, 8)
     for n in range(9):
         assert series[n] == avoid_weight(ext.words, n, ac, UNIFORM)
-
-
-@pytest.mark.parametrize("b", TOYS)
-@pytest.mark.parametrize("nu", [UNIFORM, BIASED], ids=["uniform", "biased"])
-def test_clump_gf_census_vs_enumeration(ac, b, nu):
-    gf = clump_gf_language(b, ac, nu)
-    rows = gf.taylor_tpolys(9)
-    for n in range(10):
-        got = {m: c for m, c in rows[n].items() if c}
-        want = dict(enumerate_census(b, n, ac, nu).census)
-        assert got == want
 
 
 def test_clump_gf_typed_marks(ac):
