@@ -303,6 +303,15 @@ class TransferMatrix:
         return [(i, j, coef) for i, row in enumerate(self.rows)
                 for j, (coef, _) in row.items()]
 
+    def edge_arrays(self):
+        """The edges at t=1 as numpy arrays (src, tgt, H_ij), H_ij the
+        correctly rounded float64 of D H_ij / D.  A row vector x times H
+        is np.bincount(tgt, x[src] * coef, size); swapping src and tgt
+        gives H times a column vector."""
+        src, tgt, coef = zip(*((i, j, c / self.scale)
+                               for i, j, c in self.edges()))
+        return np.array(src), np.array(tgt), np.array(coef)
+
 
 def edge_step(edges, x):
     """Row vector x times the matrix listed as edges (i, j, M_ij)."""
@@ -447,8 +456,7 @@ def _float_walk(ca, tm, n_max, marks):
     leaves every quotient of two masses unchanged.
     """
     size = tm.size
-    src, tgt, coef = (np.array(col) for col in zip(*(
-        (i, j, c / tm.scale) for i, j, c in tm.edges())))
+    src, tgt, coef = tm.edge_arrays()
     marks = [np.asarray(m, dtype=float) for m in marks]
     u = np.zeros(size)
     u[ca.dfa.initial] = 1.0

@@ -8,9 +8,10 @@ time is 1/p_n.  Three estimates of p_n are provided: a truncated
 inclusion-exclusion sum (bv), the paired automaton quotient (bnn), and the
 clump census of putative-hit positions weighted by the mutation rates
 (clump).  The asymptotics routine takes the quasi-linear growth constants
-of the conditioned hit expectations, on any alphabet, from sparse Perron
-iterations over the integer edges of the clump automaton's transfer matrix,
-and states them as exact Fractions of those integers.
+of the conditioned hit expectations, on any alphabet, from float64 Perron
+walks over the edge arrays of the clump automaton's transfer matrix, reads
+vanishing slopes off the graph, and certifies the constants against the
+exact rational series.
 """
 
 import math
@@ -21,8 +22,10 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product as iproduct
 
+import numpy as np
+
 from .automata import _exact_moments, bnn_probability, clump_automaton, \
-    clump_conditioned_hits, clump_moment_series, edge_step, state_marks, \
+    clump_conditioned_hits, clump_moment_series, state_marks, \
     transfer_matrix, weighted_marks
 from .gfcore import QONE, QZERO, as_q
 from .words import Alphabet, check_text_length, letter_distribution, \
@@ -30,19 +33,17 @@ from .words import Alphabet, check_text_length, letter_distribution, \
 
 ROW_SUM_TOL = 1e-7
 REGIME_LIMIT = 1e-2
-# Perron data in ints scaled by 2**864 (240 digits and guard bits), to
-# 2**-800; power iteration goes 20 bits further, below where the Neumann
-# series levels off.  Each step gains log2(lam/|lam2|) bits, so 3000 steps
-# allow |lam2|/lam up to about 0.83; a root that is not simple runs out.
-PERRON_BITS = 864
-PERRON_TOL = 800
+# Float64 Perron walks stop once a step moves the vector (or adds to the
+# Neumann series) less than PERRON_TOL in l1 norm, relative to its start.
+# 3000 steps allow |lam2|/lam up to about 0.99; a root that is not simple
+# converges like 1/steps and runs out.
+PERRON_TOL = 1e-15
 PERRON_STEPS = 3000
 NOT_SIMPLE = "the Perron root of the transfer matrix is not simple: %s"
-# Length of the exact series that certifies the growth constants.
+# Last residual of the exact series in the decay fit of B.
 N_FIT = 200
-# A growth constant below this is reported as 0; residuals of the linear
-# law below this floor (relative to the series) are left out of the decay fit.
-ZERO_BELOW = Fraction(1, 10 ** 120)
+# Residuals of the linear law below this floor (relative to the series)
+# are left out of the decay fit.
 DECAY_FLOOR = Fraction(1, 10 ** 220)
 
 
@@ -349,42 +350,49 @@ def _fit_decay(points):
     return math.exp(slope)
 
 
-def _step(edges, x, den):
-    """x (D H) * 2**PERRON_BITS / den for a row vector x over the integer
-    edges of D H (or of its transpose), one product and shift an entry."""
-    y = edge_step(edges, x)
-    shift = den.bit_length()
-    inv = (1 << (PERRON_BITS + shift)) // den
-    return [(v * inv) >> shift for v in y]
-
-
-def _perron_vector(edges, size, scale):
-    """Left Perron vector x of H, with D = scale, as the fixed point of
-    x -> x H 2**PERRON_BITS / sum(x); its sum is lam 2**PERRON_BITS.  The
-    edges of the transpose give the right vector."""
-    x = [(1 << PERRON_BITS) // size] * size
+def _perron(src, tgt, coef, size):
+    """Perron root lam of the matrix M listed as edges (src, tgt, M_ij) and
+    its left vector x (x M = lam x, sum 1), by power iteration; swapping
+    src and tgt gives the right vector."""
+    x = np.full(size, 1.0 / size)
     for _ in range(PERRON_STEPS):
-        nxt = _step(edges, x, scale * sum(x))
-        if sum(abs(a - b) for a, b in zip(nxt, x)) <= \
-                sum(x) >> (PERRON_TOL + 20):
-            return nxt
-        x = nxt
+        y = np.bincount(tgt, x[src] * coef, size)
+        lam = y.sum()
+        y /= lam
+        if np.abs(y - x).sum() <= PERRON_TOL:
+            return float(lam), y
+        x = y
     raise ArithmeticError(NOT_SIMPLE % "power iteration did not converge")
 
 
-def _group_apply(edges, v, perron, den):
-    """G v for the group inverse G of I - H/lam over the edges of the
-    transpose of D H (v'G over those of D H), as the Neumann series
-    sum_k [(H/lam)^k v - perron] with perron = r (l.v) the Perron part of
-    v and den = D lam 2**PERRON_BITS; vectors scaled by 2**PERRON_BITS."""
-    acc = [0] * len(v)
-    for _ in range(PERRON_STEPS):
-        term = [a - b for a, b in zip(v, perron)]
-        acc = [a + b for a, b in zip(acc, term)]
-        if sum(map(abs, term)) <= sum(v) >> PERRON_TOL:
-            return acc
-        v = _step(edges, v, den)
+def _group_apply(src, tgt, coef, v, lam, x, y):
+    """v'G and its step count for the group inverse G of I - M/lam, with
+    x and y the left and right Perron vectors of M over the edges (src,
+    tgt, M_ij): the Neumann series sum_k (v - P v)' (M/lam)^k, where
+    P v = x (v.y)/(x.y) is the Perron part of the row vector v.  Every
+    term is deflated again, since the rounding of each step leaves a
+    Perron part that the series would otherwise sum."""
+    xy = x @ y
+    term = v - x * (v @ y) / xy
+    acc = np.zeros_like(v)
+    for steps in range(PERRON_STEPS):
+        acc += term
+        if np.abs(term).sum() <= PERRON_TOL * np.abs(v).sum():
+            return acc, steps
+        term = np.bincount(tgt, term[src] * coef, len(v)) / lam
+        term -= x * (term @ y) / xy
     raise ArithmeticError(NOT_SIMPLE % "its Neumann series did not converge")
+
+
+def _strong_class(src, tgt, seed, size):
+    """States reached from seed and reaching it: its strongly connected
+    class in the graph of the edges (src, tgt)."""
+    def reach(a, b):
+        seen = np.eye(1, size, seed, dtype=bool)[0]
+        while not seen[b[seen[a]]].all():
+            seen[b[seen[a]]] = True
+        return seen
+    return reach(src, tgt) & reach(tgt, src)
 
 
 def asymptotics(b, params):
@@ -403,67 +411,57 @@ def asymptotics(b, params):
     appearance probability slope C1 and intercept C2; B bounds the
     relative decay of the neglected terms.
 
-    For every alphabet, r, l (power iteration) and G v (the Neumann series
-    sum_k [(H/lam)^k v - r l'v]) come from the integer edges of D H, D the
-    transfer matrix's scale, in ints scaled by 2^864; every constant is an
-    exact Fraction of those ints until it is returned as a float.  The
-    constants are checked against a linear fit of the exact series at
-    N_FIT at 1e-8.  A constant below ZERO_BELOW (10^-120) is reported as 0:
-    a type whose hits are confined to a bounded prefix of the text has a
-    zero slope and the flat limit as its intercept.  A Perron root that is
-    not simple raises ArithmeticError.
+    r, l (power iteration) and G 1, e0'G (Neumann series) are float64
+    walks over the transfer matrix's edge arrays, stopped at PERRON_TOL.
+    l o r is positive exactly on the dominant strongly connected class, so
+    a type none of whose marked states lies in that class (its hits fit
+    only in a bounded prefix of the text) has c1 = 0 exactly, and its flat
+    limit as c2.  The exact rational series, run K steps past N_FIT with
+    K the longer Neumann series' step count, certifies the constants at
+    1e-8 by its two-point fit at its last length; that fit is also the
+    reference for the residuals over n in [50, N_FIT] whose decay gives B.
+    A Perron root that is not simple raises ArithmeticError.
     """
-    alphabet = params.alphabet
-    alphabet.check_word(b)
     types = params.mutation_types()
-    ca = clump_automaton(b, alphabet)
+    ca = clump_automaton(b, params.alphabet)
     vecs = [state_marks(ca, ty) for ty in types]
     tm = transfer_matrix(ca, params.nu)
-    fbar, hits = _exact_moments(ca, tm, N_FIT, vecs)
-    edges = tm.edges()
-    tedges = [(j, i, coef) for i, j, coef in edges]
-    size = ca.dfa.n_states
-    r = _perron_vector(tedges, size, tm.scale)
-    l = _perron_vector(edges, size, tm.scale)
-    rsum, lsum = sum(r), sum(l)
-    lr = sum(x * y for x, y in zip(l, r))
-    if lr * 10 ** 120 < lsum * rsum:
+    src, tgt, coef = tm.edge_arrays()
+    size, e0 = tm.size, ca.dfa.initial
+    lam, l = _perron(src, tgt, coef, size)
+    _, r = _perron(tgt, src, coef, size)
+    lr = l @ r
+    if not lr > PERRON_TOL:
         raise ArithmeticError(NOT_SIMPLE
                               % "its left and right vectors are orthogonal")
-    e0, one = ca.dfa.initial, 1 << PERRON_BITS
-    # G 1 and e0'G, with r normalized to sum 1 and l to l.r = 1
-    g_one = _group_apply(tedges, [one] * size,
-                         [x * lsum * one // lr for x in r], tm.scale * rsum)
-    g_e0 = _group_apply(edges, [one * (j == e0) for j in range(size)],
-                        [x * r[e0] * one // lr for x in l], tm.scale * rsum)
-    tau = Fraction(one, rsum)
-    psi = Fraction(r[e0] * lsum * rsum, lr * one)
+    # G 1 over the edges of the transpose, and e0'G
+    g_one, k_one = _group_apply(tgt, src, coef, np.ones(size), lam, r, l)
+    g_e0, k_e0 = _group_apply(src, tgt, coef, np.eye(1, size, e0)[0], lam,
+                              l, r)
+    psi = float(lam * r[e0] * l.sum() / lr)
     if not psi > 0:
         raise ArithmeticError("avoiding amplitude came out nonpositive")
-    c1 = {}
-    c2 = {}
-    decay = {}
+    dominant = _strong_class(src, tgt, int(np.argmax(l * r)), size)
+    last = N_FIT + max(k_one, k_e0)
+    fbar, hits = _exact_moments(ca, tm, last, vecs)
+    c1, c2, decay = {}, {}, {}
     for i, (ty, vec) in enumerate(zip(types, vecs)):
-        on = [j for j in range(size) if vec[j]]
-        c1v = Fraction(sum(l[j] * r[j] for j in on), lr)
-        c2v = ((Fraction(sum(g_e0[j] * r[j] for j in on), one)
-                - vec[e0] * r[e0]) / r[e0] + c1v
-               + Fraction(sum(l[j] * g_one[j] for j in on), one * lsum))
-        # a vanishing constant comes out at the fixed-point level (5e-248
-        # for the slope of hits confined to the opening of the text)
-        c1[ty], c2[ty] = [v if abs(v) >= ZERO_BELOW else QZERO
-                          for v in (c1v, c2v)]
-        series = [hits[i][n] / fbar[n] for n in range(N_FIT + 1)]
-        slope = series[N_FIT] - series[N_FIT - 1]
-        icept = series[N_FIT] - N_FIT * slope
-        ref = max(QONE, abs(c1[ty]))
-        if abs(slope - c1[ty]) * 10 ** 8 > ref or \
-                abs(icept - c2[ty]) * 10 ** 8 > ref:
+        on = np.array(vec, dtype=bool)
+        c1[ty] = float((l * r)[on & dominant].sum() / lr)
+        c2[ty] = float((g_e0[on] @ r[on] - vec[e0] * r[e0]) / r[e0] + c1[ty]
+                       + l[on] @ g_one[on] / l.sum())
+        series = {n: hits[i][n] / fbar[n]
+                  for n in [*range(50, N_FIT + 1), last - 1, last]}
+        slope = series[last] - series[last - 1]
+        icept = series[last] - last * slope
+        ref = max(1.0, abs(c1[ty]))
+        if abs(float(slope) - c1[ty]) > 1e-8 * ref or \
+                abs(float(icept) - c2[ty]) > 1e-8 * ref:
             raise ArithmeticError("growth constants disagree with the "
                                   "linear fit of the exact series")
         pts = []
         for n in range(50, N_FIT + 1):
-            res = abs(series[n] - (c1[ty] * n + c2[ty]))
+            res = abs(series[n] - (slope * n + icept))
             if res > DECAY_FLOOR * (1 + abs(series[n])):
                 pts.append((n, math.log(res.numerator)
                             - math.log(res.denominator)))
@@ -471,13 +469,10 @@ def asymptotics(b, params):
         if not decay[ty] < 1:
             raise ArithmeticError("residuals of type %r do not decay"
                                   % (ty,))
-    big1 = sum(c1[ty] * params.p1[ty[0]][ty[1]] for ty in types)
-    big2 = sum(c2[ty] * params.p1[ty[0]][ty[1]] for ty in types)
+    big = [sum(c[a, t] * float(params.p1[a][t]) for a, t in types)
+           for c in (c1, c2)]
     return AsymptoticConstants(
-        float(tau), float(psi),
-        {ty: float(v * psi * tau) for ty, v in c1.items()},
-        {ty: float(v * psi * tau) for ty, v in c2.items()},
-        {ty: float(v) for ty, v in c1.items()},
-        {ty: float(v) for ty, v in c2.items()},
-        float(big1), float(big2),
-        max(decay.values()) if decay else 0.0)
+        1 / lam, psi,
+        {ty: v * psi / lam for ty, v in c1.items()},
+        {ty: v * psi / lam for ty, v in c2.items()},
+        c1, c2, *big, max(decay.values()) if decay else 0.0)

@@ -164,14 +164,6 @@ class Poly:
                 out[m] = s
         return Poly(out)
 
-    def deriv_z(self):
-        out = {}
-        for (dz, dt), c in self.terms.items():
-            if dz == 0:
-                continue
-            out[(dz - 1, dt)] = out.get((dz - 1, dt), QZERO) + c * dz
-        return Poly(out)
-
     def zcoeffs(self):
         """Dense coefficient list [z^0 .. z^deg]; requires a t-free poly."""
         if not self.is_t_free():

@@ -18,7 +18,6 @@ from .gfcore import (
     QONE,
     RatFun,
     adjugate_poly,
-    bareiss_det,
     mat_mul_poly,
     rfm_inverse,
 )
@@ -39,6 +38,11 @@ def _set_gf(ws, nuq):
     for w in ws:
         p = p + Poly.monomial(word_prob(w, nuq), len(w), 0)
     return p
+
+
+def _row_det(mat, adj):
+    """det(mat) as the expansion along row 0, from the adjugate adj."""
+    return sum((mat[0][j] * adj[j][0] for j in range(len(mat))), POLY_ZERO)
 
 
 class _System:
@@ -102,10 +106,10 @@ def rs_solve(words, alphabet, nu):
     C = [[_set_gf(correlation_set(vi, vj), nuq) for vj in words] for vi in words]
     one_minus_z = POLY_ONE - POLY_Z
     B = [[one_minus_z * C[i][j] + vpolys[j] for j in range(r)] for i in range(r)]
-    delta = bareiss_det(B)
+    adjB = adjugate_poly(B)
+    delta = _row_det(B, adjB)
     if delta.is_zero():
         raise ArithmeticError("degenerate language system")
-    adjB = adjugate_poly(B)
     Rnum = [sum((vpolys[i] * adjB[i][j] for i in range(r)), POLY_ZERO)
             for j in range(r)]
     Unum = [sum(row, POLY_ZERO) for row in adjB]
@@ -436,12 +440,12 @@ def clump_gf_language(b, alphabet, nu, mark=None):
         [(POLY_ONE if i == j else POLY_ZERO) - kmat[i][j] for j in range(nstates)]
         for i in range(nstates)
     ]
-    delta_k = bareiss_det(imk)
+    adj_k = adjugate_poly(imk)
+    delta_k = _row_det(imk, adj_k)
     if delta_k.is_zero():
         raise ArithmeticError("degenerate clump chain system")
     # row entry_idx[i] of the adjugate, summed per exit word: the chain may
     # stop at any state, and only the word of the last link matters outside
-    adj_k = adjugate_poly(imk)
     gnum = []
     for i in range(r):
         sums = [POLY_ZERO] * r
@@ -475,10 +479,10 @@ def clump_gf_language(b, alphabet, nu, mark=None):
         [(d2 if i == j else POLY_ZERO) - pwg[i][j] for j in range(r)]
         for i in range(r)
     ]
-    det_m2 = bareiss_det(m2)
+    adj_m2 = adjugate_poly(m2)
+    det_m2 = _row_det(m2, adj_m2)
     if det_m2.is_zero():
         raise ArithmeticError("degenerate gap-and-clump system")
-    adj_m2 = adjugate_poly(m2)
 
     row_a = []
     for j in range(r):

@@ -27,7 +27,7 @@ from kmerwait.languages import marked_code_gf, rs_solve
 from kmerwait.oracle import bnn_decimal, enumerate_census, exact_pn_tiny
 from kmerwait.words import Alphabet
 
-from conftest import TOYS, UNIFORM
+from conftest import BIASED, TOYS, UNIFORM
 
 
 def test_load_table1_values(table1):
@@ -266,11 +266,16 @@ def test_waiting_time_rejects_degenerate(table1):
 
 FROZEN = {
     #        tau           psi        C1            C2             B
-    "AAA": (1.0873780254, 1.046050, 0.2368398446, -0.3365586721, 0.404),
-    "ACC": (1.2360679775, 1.532624, 0.4472135955, -0.8583592135, 0.623),
-    "ACAC": (1.0620201129, 1.119325, 0.2452503889, -0.6855653517, 0.535),
-    "AACC": (1.0873780254, 1.246356, 0.3068491681, -1.1136350388, 0.548),
-    "AACA": (1.0713747736, 1.146088, 0.2719329227, -0.7445839622, 0.469),
+    "AAA": (1.0873780254, 1.046050, 0.2368398446, -0.3365586721,
+            0.404067744676),
+    "ACC": (1.2360679775, 1.532624, 0.4472135955, -0.8583592135,
+            0.623414092952),
+    "ACAC": (1.0620201129, 1.119325, 0.2452503889, -0.6855653517,
+             0.535320431984),
+    "AACC": (1.0873780254, 1.246356, 0.3068491681, -1.1136350388,
+             0.548048885401),
+    "AACA": (1.0713747736, 1.146088, 0.2719329227, -0.7445839622,
+             0.469349736017),
 }
 
 
@@ -282,7 +287,9 @@ def test_asymptotic_constants(binu, b):
     assert a.psi == pytest.approx(psi, rel=1e-6)
     assert a.C1 == pytest.approx(c1, abs=2e-9)
     assert a.C2 == pytest.approx(c2, abs=2e-9)
-    assert a.B == pytest.approx(decay, abs=5e-3)
+    # B is the decay rate of the residuals against the exact series' own
+    # two-point fit far past n = 200; a fit at 200 moves it by about 1e-4
+    assert a.B == pytest.approx(decay, abs=1e-10)
     assert 0 < a.B < 1
 
 
@@ -300,13 +307,38 @@ def test_asymptotics_acc_closed_forms(binu):
     assert a.c1[("A", "C")] == pytest.approx(1 / s5, abs=1e-14)
 
 
-def test_asymptotics_double_perron_root_raises(ac):
-    """Under A:1/3, C:2/3 the transfer matrix of ACC has a double Perron
-    root, where the Perron-vector formulas do not hold."""
+@pytest.fixture(scope="module")
+def biased_swap(ac):
     swap = {"A": {"A": 0, "C": 1}, "C": {"A": 1, "C": 0}}
-    biased = ModelParams(ac, {"A": F(1, 3), "C": F(2, 3)}, swap)
-    with pytest.raises(ArithmeticError, match="not simple"):
-        asymptotics("ACC", biased)
+    return ModelParams(ac, dict(BIASED), swap, name="biased-swap")
+
+
+def test_asymptotics_double_perron_root_raises(biased_swap, binu):
+    """Under A:1/3, C:2/3 the transfer matrix of ACC has a double Perron
+    root, where the Perron-vector formulas do not hold.  So has AC under
+    uniform letters: its avoiding texts are C*A*, a defective root."""
+    for b, params in (("ACC", biased_swap), ("AC", binu)):
+        with pytest.raises(ArithmeticError, match="not simple"):
+            asymptotics(b, params)
+
+
+@pytest.mark.parametrize("b, model", [(b, "binu") for b in TOYS + ("ACCC",)]
+                         + [(b, "biased_swap") for b in TOYS if b != "ACC"]
+                         + [("CCCCC", "table1"), ("GGAGG", "table1")])
+def test_asymptotics_zero_slopes_match_exact_series(request, b, model):
+    """c1 is exactly 0 for the types whose marked states all lie outside
+    the dominant class (ACC's and ACCC's C->A hits fit only in the
+    opening run of C letters), and only for them: the exact series' own
+    slope at n = 200 vanishes for the same types."""
+    params = request.getfixturevalue(model)
+    types = params.mutation_types()
+    ca = clump_automaton(b, params.alphabet)
+    fbar, hits = clump_moment_series(
+        ca, params.nu, 200, [state_marks(ca, ty) for ty in types])
+    a = asymptotics(b, params)
+    for ty, hit in zip(types, hits):
+        slope = hit[200] / fbar[200] - hit[199] / fbar[199]
+        assert (a.c1[ty] == 0.0) == (abs(slope) < F(1, 10 ** 30))
 
 
 def test_asymptotics_quasi_linear_spot(binu):
@@ -316,14 +348,19 @@ def test_asymptotics_quasi_linear_spot(binu):
 
 
 # substitution-weighted slopes l'(m o r) from a float64 eigendecomposition
-# of the transfer matrix under table1
-DNA_SLOPES = {"ACGTA": 1.4232325921872e-10, "CCCCC": 1.1022818629622e-10}
+# of the transfer matrix under table1 (ACGTACGT has 810 states)
+DNA_SLOPES = {"ACGTA": 1.4232325921872e-10, "CCCCC": 1.1022818629622e-10,
+              "ACGTACGT": 3.5892018986411e-12}
+# residual decay rates B, from the exact series' fit at n = 200 + K
+DNA_DECAY = {"ACGTA": 0.239862968944, "CCCCC": 0.251161315699,
+             "ACGTACGT": 0.262700487721}
 
 
 @pytest.mark.parametrize("b", sorted(DNA_SLOPES))
 def test_asymptotics_dna_matches_walk(table1, b):
     a = asymptotics(b, table1)
     assert a.C1 == pytest.approx(DNA_SLOPES[b], rel=1e-12)
+    assert a.B == pytest.approx(DNA_DECAY[b], abs=1e-10)
     assert 0 < a.B < 1
     for n in (2000, 4000):
         assert a.C1 * n + a.C2 == pytest.approx(

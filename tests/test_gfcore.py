@@ -50,7 +50,6 @@ def test_poly_subs_and_derivatives():
     assert p.eval_t1() == p.subs_t(1)
     # d/dt at t=1 keeps only the marked term
     assert p.dt1() == Poly.monomial(F(1, 2), 2, 0)
-    assert p.deriv_z() == Poly.monomial(1, 1, 1) + ONE
 
 
 def test_poly_zcoeffs():
