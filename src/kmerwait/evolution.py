@@ -24,9 +24,9 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .automata import _exact_moments, bnn_probability, clump_automaton, \
-    clump_conditioned_hits, clump_moment_series, state_marks, \
-    transfer_matrix, weighted_marks
+from .automata import PERRON_TOL, _exact_moments, bnn_probability, \
+    clump_automaton, clump_conditioned_hits, clump_moment_series, \
+    state_marks, transfer_matrix, weighted_marks
 from .gfcore import QONE, QZERO, as_q
 from .words import Alphabet, check_text_length, letter_distribution, \
     minimal_period
@@ -34,10 +34,9 @@ from .words import Alphabet, check_text_length, letter_distribution, \
 ROW_SUM_TOL = 1e-7
 REGIME_LIMIT = 1e-2
 # Float64 Perron walks stop once a step moves the vector (or adds to the
-# Neumann series) less than PERRON_TOL in l1 norm, relative to its start.
-# 3000 steps allow |lam2|/lam up to about 0.99; a root that is not simple
-# converges like 1/steps and runs out.
-PERRON_TOL = 1e-15
+# Neumann series) at most automata.PERRON_TOL in l1 norm, relative to its
+# start.  3000 steps allow |lam2|/lam up to about 0.99; a root that is not
+# simple converges like 1/steps and runs out.
 PERRON_STEPS = 3000
 NOT_SIMPLE = "the Perron root of the transfer matrix is not simple: %s"
 # Last residual of the exact series in the decay fit of B.
@@ -269,8 +268,12 @@ def clump_probability(b, n, params):
     putative hits then materialize essentially independently and at most
     one does per generation.  Every alphabet takes the same route: one
     substitution-weighted hit vector stepped with the avoiding vector in
-    rescaled float64, which has no underflow at any n.  On binary toys it
-    matches the exact rational series within 1e-12 relative.
+    normalised float64, which has no underflow at any n.  The walk stops
+    once it has mixed and extends the quasi-linear law C1 n + C2 to n (see
+    automata.clump_conditioned_hits), so a call costs the automaton build
+    plus 27 to 38 steps on a DNA 5-mer under table1, at n = 1e3 as at
+    1e7.  On binary toys it matches the exact rational series within
+    1e-12 relative.
     """
     check_text_length(b, n)
     ca = clump_automaton(b, params.alphabet)
@@ -315,9 +318,10 @@ def scan_kmers(k, n, params, method="BNN"):
     mathematically equal p_n, so their order may be set by last-bit
     rounding.  Emits a warning when n times the largest mutation rate
     exceeds 1e-2, the regime where the single-mutation picture starts to
-    degrade.  The clump method takes n sparse steps over an automaton of
-    a few hundred states per word, where bnn takes about 2 log2(n) small
-    matrix products; prefer bnn or bv for full scans.
+    degrade.  The clump method builds an automaton of a few hundred states
+    per word and takes about 30 to 40 sparse steps over it, whatever n;
+    bnn takes about 2 log2(n) small matrix products.  A full 5-mer scan
+    under table1 takes about 8 s by clump and well under 1 s by bnn.
     """
     if k < 2:
         raise ValueError("scan needs k >= 2")

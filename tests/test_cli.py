@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from kmerwait.cli import main
+from kmerwait.evolution import asymptotics, load_params
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -34,6 +35,19 @@ def test_wait_csv(capsys):
     assert rc == 0
     assert out == ("word,n,method,p_n,expected_T\n"
                    "AAAAA,1000,BNN,9.38497222e-08,10655332.55\n")
+
+
+def test_wait_clump_long_text(capsys):
+    # the CLUMP walk stops once it has mixed, so 1e7 letters cost as
+    # much as 1e3; the answer is the growth law C1 n + C2
+    rc, out, err = run(capsys, "wait", "CCCCC", "--length", "10000000",
+                       "--method", "clump", "--csv")
+    assert rc == 0 and err == ""
+    row = out.splitlines()[1].split(",")
+    assert row[:3] == ["CCCCC", "10000000", "CLUMP"]
+    a = asymptotics("CCCCC", load_params("table1"))
+    law = a.C1 * 1e7 + a.C2
+    assert float(row[3]) == pytest.approx(law, rel=1e-9, abs=0)
 
 
 def test_corr_two_words(capsys):

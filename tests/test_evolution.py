@@ -12,6 +12,7 @@ from kmerwait.automata import (
     clump_series,
     state_marks,
     transfer_matrix,
+    weighted_marks,
 )
 from kmerwait.evolution import (
     ModelParams,
@@ -224,6 +225,9 @@ def test_clump_long_texts_match_bnn(table1):
     assert p20 / p10 == pytest.approx(2.0, rel=1e-3)
     for b, n, p in (("AC", 20000, p20),
                     ("ACGTA", 10 ** 5, clump_probability("ACGTA", 10 ** 5,
+                                                         table1)),
+                    # the gap is 2.6e-8 n here
+                    ("CCCCC", 10 ** 6, clump_probability("CCCCC", 10 ** 6,
                                                          table1))):
         bnn = bnn_probability(b, n, table1)
         assert abs(p - bnn) / bnn <= 5e-8 * n
@@ -236,11 +240,68 @@ def test_clump_long_texts_match_bnn(table1):
 @pytest.mark.parametrize("b", ["ACGTA", "CCCCC"])
 def test_bnn_matches_clump_with_renormalized_rows(table1_renorm, b):
     # with rows summing to 1 the 2.6e-8 n gap of the bundled table1 is
-    # gone: the two agree within 7.2e-6 (ACGTA) and 5.6e-6 (CCCCC)
+    # gone: what is left is first order in n times the mutation rate,
+    # 7.2e-11 n (ACGTA) and 5.6e-11 n (CCCCC) relative
+    for n in (10 ** 5, 10 ** 6, 10 ** 7):
+        bnn = bnn_probability(b, n, table1_renorm)
+        assert clump_probability(b, n, table1_renorm) == pytest.approx(
+            bnn, rel=1e-9 * n, abs=0)
+
+
+def _full_walk(b, n, params):
+    """CLUMP without the stop rule: the float moment series run to n."""
+    ca = clump_automaton(b, params.alphabet)
+    weight = {(a, c): float(params.p1[a][c])
+              for a, c in params.mutation_types()}
+    fbar, (hits,) = clump_moment_series(
+        ca, params.nu, n, [weighted_marks(ca, weight)], exact=False)
+    return hits[n] / fbar[n]
+
+
+@pytest.mark.parametrize("b", ["ACGTA", "CCCCC", "AAAAAAAA"])
+def test_clump_stop_rule_matches_full_walk(table1, b):
+    """The walk stops after a few dozen steps and extends the law to n;
+    the float series stepped through all n letters agrees."""
     n = 10 ** 5
-    bnn = bnn_probability(b, n, table1_renorm)
-    assert clump_probability(b, n, table1_renorm) == pytest.approx(bnn,
-                                                                   rel=1e-4)
+    got = clump_probability(b, n, table1)
+    assert got == pytest.approx(_full_walk(b, n, table1), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("b, model", [("AC", "binu"), ("ACC", "biased_swap")])
+def test_clump_walk_defective_root_runs_to_n(request, ac, b, model):
+    """The Perron roots of these transfer matrices are not simple, so the
+    conditioned count reaches no linear law at a geometric rate and the
+    steps of the centred hit vector decay only like 1/n.  The stop rule
+    must not fire there: the walk runs to n and matches the exact
+    series."""
+    params = request.getfixturevalue(model)
+    types = params.mutation_types()
+    ca = clump_automaton(b, ac)
+    n = 2000
+    fbar, hits = clump_moment_series(
+        ca, params.nu, n, [state_marks(ca, ty) for ty in types])
+    want = float(sum(hits[i][n] * params.p1[a][c]
+                     for i, (a, c) in enumerate(types)) / fbar[n])
+    got = clump_probability(b, n, params)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_clump_scan_ranks_match_bnn(table1):
+    clump = scan_kmers(4, 1000, table1, "CLUMP")
+    bnn = scan_kmers(4, 1000, table1, "BNN")
+    assert [r.word for r in clump] == [r.word for r in bnn]
+    for c, p in zip(clump, bnn):
+        assert c.p_n == pytest.approx(p.p_n, rel=1e-4, abs=0)
+    # ranks are a permutation, so Spearman's rho has its tie-free form
+    count = len(clump)
+    d2 = sum((c.rank - p.rank) ** 2 for c, p in zip(clump, bnn))
+    assert 1 - 6 * d2 / (count * (count ** 2 - 1)) >= 0.999
+
+    def top(rows):
+        return {r.word for r in rows if r.rank <= 10}
+    assert top(clump) == top(bnn)
+    assert {r.word for r in clump if r.rank > count - 4} == \
+        {"AAAA", "CCCC", "GGGG", "TTTT"}
 
 
 def test_waiting_time_dispatch(table1):
@@ -359,12 +420,14 @@ DNA_DECAY = {"ACGTA": 0.239862968944, "CCCCC": 0.251161315699,
 @pytest.mark.parametrize("b", sorted(DNA_SLOPES))
 def test_asymptotics_dna_matches_walk(table1, b):
     a = asymptotics(b, table1)
-    assert a.C1 == pytest.approx(DNA_SLOPES[b], rel=1e-12)
+    # abs=0: approx's default abs=1e-12 would let C1 ~ 1e-10 move by 1%
+    assert a.C1 == pytest.approx(DNA_SLOPES[b], rel=1e-12, abs=0)
     assert a.B == pytest.approx(DNA_DECAY[b], abs=1e-10)
     assert 0 < a.B < 1
-    for n in (2000, 4000):
+    # the walk stops after a few dozen steps and extends the law to n
+    for n in (2000, 4000, 10 ** 6, 10 ** 7):
         assert a.C1 * n + a.C2 == pytest.approx(
-            clump_probability(b, n, table1), rel=1e-12)
+            clump_probability(b, n, table1), rel=1e-12, abs=0)
 
 
 def test_scan_ranks_and_determinism(table1):
