@@ -12,6 +12,7 @@ function as the word-language route, which is the point of building both.
 import math
 from collections import deque
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -60,13 +61,26 @@ class Dfa:
         return state
 
 
-def _longest_border_state(s, b):
-    # length of the longest suffix of s that is a prefix of b
-    top = min(len(s), len(b))
-    for m in range(top, -1, -1):
-        if s[len(s) - m:] == b[:m]:
-            return m
-    return 0
+def _kmp_table(b, alphabet):
+    """Transitions of the pattern automaton of b as rows of letter indices:
+    rows[q][i] is the state reached from q on the i-th letter of the
+    alphabet, state k = len(b) absorbing.
+
+    Built by the failure function in O(k |alphabet|): state q copies the
+    row of its failure state, the longest proper border of b[:q], and then
+    points its own letter b[q] on to q + 1.
+    """
+    code = [alphabet.index(c) for c in b]
+    k = len(b)
+    rows = [[0] * len(alphabet)]
+    back = 0
+    for q, c in enumerate(code):
+        if q:
+            rows.append(list(rows[back]))
+            back = rows[back][c]
+        rows[q][c] = q + 1
+    rows.append([k] * len(alphabet))
+    return rows
 
 
 def kmp_automaton(b, alphabet):
@@ -77,14 +91,9 @@ def kmp_automaton(b, alphabet):
     means b occurred somewhere.
     """
     alphabet.check_word(b)
-    k = len(b)
-    delta = {}
-    for q in range(k):
-        for a in alphabet.symbols:
-            delta[(q, a)] = _longest_border_state(b[:q] + a, b)
-    for a in alphabet.symbols:
-        delta[(k, a)] = k
-    return Dfa(k + 1, alphabet.symbols, delta, 0, {k})
+    delta = {(q, a): t for q, row in enumerate(_kmp_table(b, alphabet))
+             for a, t in zip(alphabet.symbols, row)}
+    return Dfa(len(b) + 1, alphabet.symbols, delta, 0, {len(b)})
 
 
 def _label_windows(label, b, dset):
@@ -635,67 +644,151 @@ def gf_from_clump_automaton(ca, nu):
     return RatFun(num, den)
 
 
+# A BNN stack holds at most this many matrix entries, its pair and
+# avoidance matrices together: 35 words of length 5, 18 of length 6 and
+# one word at a time from length 11 on, so that the memory of a scan does
+# not grow with the number of words.
+_STACK_ENTRIES = 1 << 15
+
+
+def _stack_words(k):
+    """Number of words of length k that bnn_scan takes in one stack."""
+    return max(1, _STACK_ENTRIES // ((k * (k + 1)) ** 2 + k * k))
+
+
 def bnn_probability(b, n, params):
-    """First-appearance probability p_n through the paired product route.
+    """First-appearance probability p_n of one word: bnn_scan([b], n,
+    params)[0]."""
+    return bnn_scan([b], n, params)[0]
+
+
+def bnn_scan(words, n, params):
+    """First-appearance probabilities p_n of words of one length, in order,
+    through the paired product route.
 
     The numerator runs the product of the avoidance automaton (on the
     original sequence) with the pattern automaton (on the mutant), each
     pair symbol weighted by nu(a) p(a, a'); the denominator runs the
-    avoidance automaton alone.  In float64 both n-th matrix powers come
-    from repeated squaring, rescaled after every product, so neither mass
-    underflows at any n; the relative error grows like n times the machine
-    epsilon, about 1e-9 at n = 1e7.  oracle.bnn_decimal is the 40-digit
-    shadow of this quotient.
+    avoidance automaton alone.  Words go in stacks of at most
+    _STACK_ENTRIES matrix entries (35 words of length 5, 18 of length 6):
+    the pair and avoidance matrices of a stack are built by index scatters
+    over the words' pattern tables, and one loop of stacked squarings
+    takes row 0 of both n-th powers for all of them.  In float64 every
+    product is rescaled per word, so neither mass underflows at any n; the
+    relative error grows like n times the machine epsilon, about 1e-9 at
+    n = 1e7.  A word's value does not depend on its stack mates.
+    oracle.bnn_decimal is the 40-digit shadow of this quotient.
     """
+    words = list(words)
+    if not words:
+        raise ValueError("no words to scan")
+    k = len(words[0])
+    if any(len(w) != k for w in words):
+        raise ValueError("bnn_scan needs words of one length")
+    check_text_length(words[0], n)
     alphabet = params.alphabet
-    k = len(b)
-    check_text_length(b, n)
-    aut = kmp_automaton(b, alphabet)
-    symbols = alphabet.symbols
-    # onehot[a, q, t] = 1 when the pattern automaton steps q -> t on a
-    onehot = np.zeros((len(symbols), k + 1, k + 1))
-    for (q, a), t in aut.delta.items():
-        onehot[alphabet.index(a), q, t] = 1.0
-    nu = np.array([float(params.nu[a]) for a in symbols])
-    wgt = nu[:, None] * np.array([[float(params.p1[x][y]) for y in symbols]
-                                  for x in symbols])
-    # pair state (p, q): original text in avoiding state p < k, mutant in q
-    pair = np.einsum("ab,api,bqj->pqij", wgt, onehot[:, :k, :k],
-                     onehot).reshape(k * (k + 1), k * (k + 1))
-    avoid = np.einsum("a,api->pi", nu, onehot[:, :k, :k])
-    num, e_num = _vec_mat_power(pair, n)
-    den, e_den = _vec_mat_power(avoid, n)
-    hit = num.reshape(k, k + 1)[:, k].sum()
-    return math.ldexp(hit / den.sum(), e_num - e_den)
+    for w in words:
+        alphabet.check_word(w)
+    nu, wgt = params.bnn_weights
+    step = _stack_words(k)
+    out = []
+    for start in range(0, len(words), step):
+        pair, avoid = _bnn_matrices(words[start:start + step], alphabet, nu,
+                                    wgt)
+        num, den, shift = _row0_powers(pair, avoid, n)
+        hit = num.reshape(-1, k, k + 1)[:, :, k].sum(axis=1)
+        out += map(math.ldexp, (hit / den.sum(axis=(1, 2))).tolist(), shift)
+    return out
 
 
-def _vec_mat_power(mat, n):
-    """Row 0 of mat**n as (w, e) with mat**n[0] = w * 2**e.
+def _bnn_matrices(words, alphabet, nu, wgt):
+    """Pair and avoidance matrices of words of one length k, as stacks.
 
-    Binary exponentiation on a nonnegative matrix.  After every product the
-    vector or the squared power is divided by the power of two that brings
-    its mass into [1/2, 1).  That division is exact and its exponent is
-    kept in e, so nothing underflows however large n is.
+    With T[q, a] the pattern table of a word, the avoidance matrix steps
+    p < k to T[p, a] < k with weight nu[a].  Pair state (p, q), at index
+    p (k + 1) + q, has the original text in avoiding state p and the
+    mutant in state q; letters a and a' move it to (T[p, a], T[q, a'])
+    with weight wgt[a, a'] when T[p, a] < k.  np.bincount adds each
+    entry's weights in letter order; a step on which the original text
+    completes its word lands in a spare bin past the end.
     """
-    def rescaled(x):
-        mass = x.sum()
-        if not mass > 0.0:
-            raise ArithmeticError("automaton mass vanished")
-        e = math.frexp(mass)[1]
-        return np.ldexp(x, -e), e
+    count, k = len(words), len(words[0])
+    s = k * (k + 1)
+    table = np.array([_kmp_table(w, alphabet) for w in words])
+    orig = table[:, :k]
+    stay = orig < k
+    # axes (word, p, a): entry (word, p, T[p, a]) of the avoidance stack
+    at = np.where(stay, np.arange(0, count * k * k, k).reshape(count, k, 1)
+                  + orig, count * k * k)
+    weight = np.empty(at.shape)
+    weight[...] = nu
+    avoid = np.bincount(at.ravel(), weight.ravel(), count * k * k + 1)
+    # axes (word, p, q, a, a'): row (word, p, q) and column (i, j) of the
+    # pair stack, as x[word, p, a] + y[word, q, a']
+    big = count * s * s
+    x = np.where(stay, (np.arange(0, count * k * s, s).reshape(count, k, 1)
+                        + orig) * (k + 1), big)
+    y = np.arange(0, (k + 1) * s, s).reshape(k + 1, 1) + table
+    at = x[:, :, None, :, None] + y[:, None, :, None, :]
+    weight = np.empty(at.shape)
+    weight[...] = wgt
+    pair = np.bincount(at.ravel(), weight.ravel(), big + (k + 1) * s)
+    return (pair[:big].reshape(count, s, s),
+            avoid[:-1].reshape(count, k, k))
 
-    vec = np.zeros(len(mat))
-    vec[0] = 1.0
-    e_vec = e_mat = 0
+
+def _row0_powers(num, den, n):
+    """Row 0 of the n-th powers of the matrix stacks num and den, as
+    (u, v, shift): num[w]**n[0] / den[w]**n[0] = u[w] / v[w] * 2**shift[w].
+
+    Binary exponentiation whose products every word of a stack shares.
+    After every product each slice is divided by the power of two that
+    brings its mass into [1/2, 1), as _rescale does.  Its exponent is kept
+    with the weight it carries into the shift: a squaring made while
+    n >> j is left carries weight n >> j, since every set bit above it
+    multiplies the vector by a power of that square.  Raises
+    ArithmeticError when a word's mass vanishes: a slice without mass stays
+    0, and so does every later vector of that word, since the top bit of n
+    always comes after the last squaring.
+    """
+    u = np.zeros((len(num), 1, num.shape[2]))
+    v = np.zeros((len(den), 1, den.shape[2]))
+    u[:, 0, 0] = v[:, 0, 0] = 1.0
+    weights, exps = [], []
     while True:
         if n & 1:
-            vec, e = rescaled(vec @ mat)
-            e_vec += e_mat + e
+            u = u @ num
+            v = v @ den
+            weights += (1, -1)
+            exps += (_rescale(u), _rescale(v))
         n >>= 1
         if not n:
-            return vec, e_vec
-        mat, e = rescaled(mat @ mat)
-        e_mat = 2 * e_mat + e
+            break
+        num = num @ num
+        den = den @ den
+        weights += (n, -n)
+        exps += (_rescale(num), _rescale(den))
+    if not (np.add.reduce(u, (1, 2)).min() > 0.0
+            and np.add.reduce(v, (1, 2)).min() > 0.0):
+        raise ArithmeticError("automaton mass vanished")
+    # Python ints, so that no n overflows the sum
+    shift = [sum(map(mul, weights, col)) for col in zip(*exps)]
+    return u, v, shift
+
+
+def _rescale(x):
+    """Divide every slice of the stack x in place by the power of two that
+    brings its mass into [1/2, 1) (a slice without mass stays 0), and
+    return the exponents as a list of ints.  That division is exact.  A
+    stack whose slices share one exponent, such as a stack of one word,
+    is scaled by a scalar."""
+    exps = [math.frexp(m)[1] for m in np.add.reduce(x, (1, 2)).tolist()]
+    e = exps[0]
+    if exps.count(e) == len(exps):
+        np.ldexp(x, -e, out=x)
+    else:
+        np.ldexp(x, -np.array(exps, dtype=np.int32)[:, None, None], out=x)
+    return exps
 
 
 def to_dot(obj):

@@ -25,7 +25,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .automata import PERRON_TOL, _exact_moments, bnn_probability, \
-    clump_automaton, clump_conditioned_hits, clump_moment_series, \
+    bnn_scan, clump_automaton, clump_conditioned_hits, clump_moment_series, \
     state_marks, transfer_matrix, weighted_marks
 from .gfcore import QONE, QZERO, as_q
 from .words import Alphabet, check_text_length, letter_distribution, \
@@ -87,6 +87,11 @@ class ModelParams:
         self.mutated = {c: sum((nuq[a] * rows[a][c] for a in alphabet), QZERO)
                         for c in alphabet}
         self.stay = {c: nuq[c] * rows[c][c] for c in alphabet}
+        # the letter weights of automata.bnn_scan in float64: nu(a), and
+        # nu(a) p1(a, c) for a letter a that the mutant reads as c
+        nu_f = np.array([float(nuq[a]) for a in alphabet])
+        self.bnn_weights = (nu_f, nu_f[:, None] * np.array(
+            [[float(rows[a][c]) for c in alphabet] for a in alphabet]))
 
     def mutation_types(self):
         """Ordered letter pairs (a, c) with a != c, in alphabet order."""
@@ -199,14 +204,18 @@ def bv_probability(b, n, params, full_sum=False):
     if k < 1:
         raise ValueError("need a nonempty word")
     check_text_length(b, n)
-    appear = QONE
-    stay = QONE
+    # both products as int numerators over int denominators, so that only
+    # their difference is reduced to lowest terms
+    an = ad = sn = sd = 1
     for c in b:
-        appear *= params.mutated[c]
-        stay *= params.stay[c]
-    p_one = appear - stay
-    if p_one <= 0:
+        appear, stay = params.mutated[c], params.stay[c]
+        an *= appear.numerator
+        ad *= appear.denominator
+        sn *= stay.numerator
+        sd *= stay.denominator
+    if an * sd <= sn * ad:
         raise ArithmeticError("one-position appearance probability is not positive")
+    p_one = Fraction(an * sd - sn * ad, ad * sd)
     # with p_one = a/d, the partial sum through ell terms is total / d**ell;
     # term and total share that scale, so the cutoff compares integers
     a, d = p_one.numerator, p_one.denominator
@@ -283,17 +292,23 @@ def clump_probability(b, n, params):
 
 
 def _route(method):
-    """Canonical name and p_n function of a method, from the one method
-    table that waiting_time and scan_kmers share."""
+    """Canonical name, p_n function and scan function of a method, from
+    the one method table that waiting_time and scan_kmers share.  The scan
+    function maps a list of words to their p_n; only BNN has a kernel of
+    its own for that, the others run word by word."""
     name = str(method).upper()
     # built per call, so that a function rewrapped on this module (a
     # profiler, a test double) is the one that runs
-    table = {"BV": bv_probability, "BNN": bnn_probability,
-             "CLUMP": clump_probability}
+    table = {"BV": (bv_probability, None), "BNN": (bnn_probability, bnn_scan),
+             "CLUMP": (clump_probability, None)}
     if name not in table:
         raise ValueError("unknown method %r (expected BV, BNN or CLUMP)"
                          % (method,))
-    return name, table[name]
+    one, many = table[name]
+    if many is None:
+        def many(words, n, params):
+            return [one(w, n, params) for w in words]
+    return name, one, many
 
 
 def _in_range(p):
@@ -304,7 +319,7 @@ def _in_range(p):
 
 def waiting_time(b, n, params, method="BNN"):
     """Appearance probability and expected waiting time by one method."""
-    name, route = _route(method)
+    name, route, _ = _route(method)
     p = _in_range(route(b, n, params))
     return WaitingTimeResult(b, n, p, 1.0 / p, name)
 
@@ -319,9 +334,12 @@ def scan_kmers(k, n, params, method="BNN"):
     rounding.  Emits a warning when n times the largest mutation rate
     exceeds 1e-2, the regime where the single-mutation picture starts to
     degrade.  The clump method builds an automaton of a few hundred states
-    per word and takes about 30 to 40 sparse steps over it, whatever n;
-    bnn takes about 2 log2(n) small matrix products.  A full 5-mer scan
-    under table1 takes about 8 s by clump and well under 1 s by bnn.
+    per word and takes about 30 to 40 sparse steps over it, whatever n.
+    bnn runs automata.bnn_scan: about 2 log2(n) stacked matrix products
+    per stack of 35 (k = 5) or 18 (k = 6) words, shared by the stack.
+    Under table1 at n = 1000 a full 5-mer scan takes about 8 s by clump,
+    0.07 s by bnn and 0.06 s by bv; a 6-mer scan takes about 0.5 s by bnn
+    (one BLAS thread on a shared 2-core host).
     """
     if k < 2:
         raise ValueError("scan needs k >= 2")
@@ -331,8 +349,8 @@ def scan_kmers(k, n, params, method="BNN"):
                       "single-mutation regime ends around 1e-2" % exposure,
                       stacklevel=2)
     words = ["".join(t) for t in iproduct(params.alphabet.symbols, repeat=k)]
-    name, route = _route(method)
-    probs = [_in_range(route(w, n, params)) for w in words]
+    name, _, scan = _route(method)
+    probs = [_in_range(p) for p in scan(words, n, params)]
     order = sorted(range(len(words)), key=lambda i: (-probs[i], i))
     rank = [0] * len(words)
     for pos, i in enumerate(order, start=1):

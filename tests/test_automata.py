@@ -2,14 +2,20 @@
 
 import re
 from fractions import Fraction as F
+from itertools import product
 
+import numpy as np
 import pytest
 
 from kmerwait.automata import (
     ClumpAutomaton,
     Dfa,
+    _bnn_matrices,
     _det_one_minus_z,
+    _row0_powers,
+    _stack_words,
     bnn_probability,
+    bnn_scan,
     clump_automaton,
     clump_conditioned_hits,
     clump_moment_series,
@@ -44,6 +50,24 @@ def test_kmp_automaton_tracks_borders(ac):
     assert dfa.run("CCC") == 0
     assert dfa.run("AACAC") in dfa.finals
     assert dfa.run("ACCA") not in dfa.finals
+
+
+def longest_border(s, b):
+    """Length of the longest suffix of s that is a prefix of b."""
+    return max(m for m in range(min(len(s), len(b)) + 1)
+               if s.endswith(b[:m]))
+
+
+@pytest.mark.parametrize("symbols,top", [("AC", 7), ("ACGT", 4)])
+def test_kmp_table_matches_border_definition(symbols, top):
+    alphabet = Alphabet(symbols)
+    for k in range(1, top + 1):
+        for letters in product(symbols, repeat=k):
+            b = "".join(letters)
+            dfa = kmp_automaton(b, alphabet)
+            assert dfa.delta == {
+                (q, a): k if q == k else longest_border(b[:q] + a, b)
+                for q in range(k + 1) for a in symbols}
 
 
 def test_kmp_avoidance_series(ac):
@@ -271,7 +295,7 @@ def test_bnn_long_text_regression(table1):
     # and returned 1.0
     p = bnn_probability("AC", 20000, table1)
     pm = float(bnn_decimal("AC", 20000, table1))
-    assert pm == pytest.approx(8.76516815e-5, rel=1e-9)
+    assert pm == pytest.approx(8.76516815e-5, rel=1e-9, abs=0)
     assert abs(p - pm) / pm < 1e-8
 
 
@@ -293,6 +317,77 @@ def test_bnn_shadow_at_1e8(table1_renorm):
     pm = float(bnn_decimal("AC", 10 ** 8, table1_renorm))
     assert 0.0 < pm < 1.0
     assert abs(p - pm) / pm < 1e-7
+
+
+def reference_bnn_matrices(b, params):
+    """Pair and avoidance matrices of b by loops over states and letter
+    pairs, each entry adding its weights in letter order."""
+    k, symbols = len(b), params.alphabet.symbols
+    delta = kmp_automaton(b, params.alphabet).delta
+    nu, wgt = params.bnn_weights
+    pair = np.zeros((k * (k + 1), k * (k + 1)))
+    avoid = np.zeros((k, k))
+    for p in range(k):
+        for x, a in enumerate(symbols):
+            i = delta[(p, a)]
+            if i == k:
+                continue
+            avoid[p, i] += nu[x]
+            for q in range(k + 1):
+                for y, c in enumerate(symbols):
+                    pair[p * (k + 1) + q, i * (k + 1) + delta[(q, c)]] += \
+                        wgt[x, y]
+    return pair, avoid
+
+
+@pytest.mark.parametrize("model,symbols,k", [("table1", "ACGT", 4),
+                                             ("toy_eps", "AC", 6)])
+def test_bnn_matrices_match_loops(request, model, symbols, k):
+    params = request.getfixturevalue(model)
+    words = ["".join(t) for t in product(symbols, repeat=k)]
+    pair, avoid = _bnn_matrices(words, params.alphabet, *params.bnn_weights)
+    for w, p, a in zip(words, pair, avoid):
+        ref_pair, ref_avoid = reference_bnn_matrices(w, params)
+        assert (p == ref_pair).all() and (a == ref_avoid).all()
+
+
+@pytest.mark.parametrize("n", [1000, 10 ** 6])
+def test_bnn_scan_matches_single_words(table1, n):
+    words = ["".join(t) for t in product("ACGT", repeat=5)]
+    assert bnn_scan(words, n, table1) == [bnn_probability(w, n, table1)
+                                          for w in words]
+
+
+@pytest.mark.parametrize("model", ["binu", "toy_eps"])
+def test_bnn_scan_spans_stacks(request, model):
+    # three words past one full stack, so the last stack is short
+    params = request.getfixturevalue(model)
+    words = ["".join(t) for t in product("AC", repeat=6)][:_stack_words(6) + 3]
+    for n in (6, 30, 1000):
+        assert bnn_scan(words, n, params) == [bnn_probability(w, n, params)
+                                              for w in words]
+
+
+def test_bnn_scan_rejects_bad_word_lists(table1):
+    with pytest.raises(ValueError, match="no words"):
+        bnn_scan([], 1000, table1)
+    with pytest.raises(ValueError, match="one length"):
+        bnn_scan(["ACGT", "ACG"], 1000, table1)
+    with pytest.raises(ValueError, match="text length"):
+        bnn_scan(["ACG", "CGT"], 2, table1)
+    with pytest.raises(ValueError, match="not in alphabet"):
+        bnn_scan(["ACG", "ACX"], 1000, table1)
+
+
+def test_bnn_powers_raise_when_a_mass_vanishes():
+    # the second slice is nilpotent, so its third power has no mass
+    num = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.0, 1.0], [0.0, 0.0]]])
+    den = np.array([[[0.5]], [[0.5]]])
+    with pytest.raises(ArithmeticError, match="vanished"):
+        _row0_powers(num, den, 3)
+    # row 0 of num**3 is (1/2, 1/2) and den**3 is 1/8
+    u, v, shift = _row0_powers(num[:1], den[:1], 3)
+    assert np.ldexp(u[0, 0] / v[0, 0, 0], shift[0]).tolist() == [4.0, 4.0]
 
 
 def test_to_dot_smoke(ac, autos):

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as F
+from itertools import product as iproduct
 
 import pytest
 
@@ -38,7 +39,8 @@ def test_load_table1_values(table1):
     assert sum(table1.nu.values()) == 1
     assert table1.p1["A"]["C"] == F(454999995, 10 ** 17)
     assert float(table1.p1["A"]["A"]) == pytest.approx(0.999999996, abs=1e-12)
-    assert table1.max_mutation() == pytest.approx(2.17499994e-08, rel=1e-12)
+    assert table1.max_mutation() == pytest.approx(2.17499994e-08, rel=1e-12,
+                                                  abs=0)
 
 
 def test_load_binary_uniform(binu):
@@ -439,6 +441,17 @@ def test_scan_ranks_and_determinism(table1):
     assert by_rank[16] == "GG"
     assert all(r.expected_T == 1.0 / r.p_n for r in rows)
     assert {r.word: r.minimal_period for r in rows}["AA"] == 1
+
+
+def test_scan_bnn_rows_match_single_words(table1):
+    # the scan takes the stacked kernel; every row is the single-word value
+    rows = scan_kmers(4, 1000, table1, "BNN")
+    assert [r.word for r in rows] == ["".join(t) for t in
+                                      iproduct("ACGT", repeat=4)]
+    assert [r.p_n for r in rows] == [bnn_probability(r.word, 1000, table1)
+                                     for r in rows]
+    order = sorted(rows, key=lambda r: r.rank)
+    assert all(a.p_n >= b.p_n for a, b in zip(order, order[1:]))
 
 
 def test_scan_warns_out_of_regime(table1):

@@ -1,6 +1,7 @@
 """The library names that the benchmark's span tracer (perfbench/tracing.py)
 reads: TransferMatrix.rows for the nnz fact, the positional signature of
-clump_moment_series for the span name, and RatFun.dt_at_one as a method."""
+clump_moment_series for the span name, the (words, n, params) signature
+of bnn_scan for its facts, and RatFun.dt_at_one as a method."""
 
 import importlib.util
 import json
@@ -32,6 +33,7 @@ def test_tracer_hooks(table1, binu):
         ca = automata.clump_automaton("AAA", binu.alphabet)
         automata.gf_from_clump_automaton(ca, binu.nu).dt_at_one()
         automata.clump_moment_series(ca, binu.nu, 10, None, False)
+        evolution.scan_kmers(3, 1000, table1)
     finally:
         tracer.uninstall()
     assert automata.transfer_matrix is original
@@ -52,3 +54,6 @@ def test_tracer_hooks(table1, binu):
     kids = tracing.children(spans)
     asym = names.index("evolution.asymptotics")
     assert [names[j] for j in kids[asym]].count(build) == 1
+    scans = [s for s, name in zip(spans, names) if name == "automata.bnn_scan"]
+    assert [s[tracing.FACTS] for s in scans] == [
+        {"words": 64, "k": 3, "n": 1000}]
