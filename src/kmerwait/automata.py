@@ -1,16 +1,16 @@
 """Finite automata for avoidance and clump counting.
 
-Two constructions live here.  The classical pattern automaton for a
-single word drives the matrix route to the first-appearance probability,
-tracking the original text and its one-step mutant as a pair of pattern
-states.  The clump automaton walks the overlap structure of the mutation
-neighborhood d(b) and carries a t mark on transitions that reveal a fresh
-putative-hit position; its transfer matrix yields the same generating
-function as the word-language route, which is the point of building both.
+Two constructions live here.  The pattern automaton of a single word,
+built as rows of letter indices by _kmp_table, drives the matrix route to
+the first-appearance probability, tracking the original text and its
+one-step mutant as a pair of pattern states.  The clump automaton walks
+the overlap structure of the mutation neighborhood d(b) and carries a t
+mark on transitions that reveal a fresh putative-hit position; its
+transfer matrix yields the same generating function as the word-language
+route, which is the point of building both.
 """
 
 import math
-from collections import deque
 from fractions import Fraction
 from operator import mul
 
@@ -42,23 +42,14 @@ class Dfa:
     a deliberately pruned transition and kills the run.
     """
 
-    def __init__(self, n_states, symbols, delta, initial, finals):
+    def __init__(self, n_states, symbols, delta, initial):
         self.n_states = n_states
         self.alphabet = tuple(symbols)
         self.delta = dict(delta)
         self.initial = initial
-        self.finals = frozenset(finals)
 
     def step(self, state, symbol):
         return self.delta.get((state, symbol))
-
-    def run(self, word, start=None):
-        state = self.initial if start is None else start
-        for symbol in word:
-            state = self.delta.get((state, symbol))
-            if state is None:
-                return None
-        return state
 
 
 def _kmp_table(b, alphabet):
@@ -81,19 +72,6 @@ def _kmp_table(b, alphabet):
         rows[q][c] = q + 1
     rows.append([k] * len(alphabet))
     return rows
-
-
-def kmp_automaton(b, alphabet):
-    """Automaton recognizing the texts that contain b.
-
-    State q is the length of the longest prefix of b matching a suffix of
-    the text read so far; state k is absorbing and final, so acceptance
-    means b occurred somewhere.
-    """
-    alphabet.check_word(b)
-    delta = {(q, a): t for q, row in enumerate(_kmp_table(b, alphabet))
-             for a, t in zip(alphabet.symbols, row)}
-    return Dfa(len(b) + 1, alphabet.symbols, delta, 0, {len(b)})
 
 
 def _label_windows(label, b, dset):
@@ -128,12 +106,6 @@ def _fresh_hit(label, b, dset):
     if (pos, target) in {(p, t) for (_, p, t, _) in earlier}:
         return untyped, None
     return untyped, (source, target)
-
-
-def _fresh_hits(labels, occ, b, dset):
-    # one label scan per occurrence state serves every mutation type
-    return [_fresh_hit(labels[i], b, dset) if i in occ else (0, None)
-            for i in range(len(labels))]
 
 
 def _theta_word(o, rev, crossing, k):
@@ -212,6 +184,13 @@ def clump_automaton(b, alphabet, mark=None):
     longest suffix that is again such a prefix, and transitions that would
     complete b itself are pruned.  Every state is terminal.  mark selects
     the mutation type whose fresh putative hits carry the t exponent.
+
+    The breadth-first build reaches a label of length m at depth m, after
+    its failure label, its longest proper suffix that is again a label.
+    So a label's row is its failure label's row with its own extensions
+    written in, as in _kmp_table (Aho and Corasick, CACM 1975).  Ebar, the
+    states that the neighbors' proper prefixes reach, is the labels
+    shorter than k.
     """
     alphabet.check_word(b)
     d = neighbors(b, alphabet)
@@ -226,44 +205,38 @@ def clump_automaton(b, alphabet, mark=None):
     prefixes = {w[:i] for w in xwords for i in range(len(w) + 1)}
 
     labels = [""]
-    index = {"": 0}
+    # per state its failure state and its target on each letter
+    fail = [0]
+    rows = []
     delta = {}
     pruned = []
-    queue = deque([""])
-    head = b[:-1]
-    while queue:
-        lab = queue.popleft()
-        src = index[lab]
-        for a in alphabet.symbols:
-            if a == b[-1] and len(lab) >= k - 1 and lab.endswith(head):
+    for src, lab in enumerate(labels):
+        back = rows[fail[src]] if src else [0] * len(alphabet)
+        row = list(back)
+        for i, a in enumerate(alphabet.symbols):
+            grown = lab + a
+            if grown.endswith(b):
+                row[i] = None
                 pruned.append((src, a))
                 continue
-            grown = lab + a
-            for cut in range(len(grown) + 1):
-                tgt = grown[cut:]
-                if tgt in prefixes:
-                    break
-            if tgt not in index:
-                index[tgt] = len(labels)
-                labels.append(tgt)
-                queue.append(tgt)
-            delta[(src, a)] = index[tgt]
+            if grown in prefixes:
+                fail.append(back[i])
+                row[i] = len(labels)
+                labels.append(grown)
+            delta[(src, a)] = row[i]
+        rows.append(row)
     assert all(b not in lab for lab in labels)
 
-    n_states = len(labels)
-    dfa = Dfa(n_states, alphabet.symbols, delta, 0, frozenset(range(n_states)))
-
+    dfa = Dfa(len(labels), alphabet.symbols, delta, 0)
     occ = frozenset(
         i for i, lab in enumerate(labels) if len(lab) >= k and lab[-k:] in dset
     )
-    ebar = set()
-    for v in d:
-        for j in range(k):
-            ebar.add(dfa.run(v[:j]))
-    assert ebar == {i for i, lab in enumerate(labels) if len(lab) < k}
+    ebar = {i for i, lab in enumerate(labels) if len(lab) < k}
 
     check_type(alphabet, mark)
-    hits = _fresh_hits(labels, occ, b, dset)
+    # one label scan per occurrence state serves every mutation type
+    hits = [_fresh_hit(lab, b, dset) if i in occ else (0, None)
+            for i, lab in enumerate(labels)]
 
     rev = {}
     for (q, a), t in delta.items():
@@ -313,28 +286,15 @@ class TransferMatrix:
         self.scale = scale
         self.rows = rows
 
-    def edges(self):
-        """The edges (i, j, D H_ij) at t=1, for edge_step."""
-        return [(i, j, coef) for i, row in enumerate(self.rows)
-                for j, (coef, _) in row.items()]
-
     def edge_arrays(self):
-        """The edges at t=1 as numpy arrays (src, tgt, H_ij), H_ij the
-        correctly rounded float64 of D H_ij / D.  A row vector x times H
-        is np.bincount(tgt, x[src] * coef, size); swapping src and tgt
-        gives H times a column vector."""
+        """The edges at t=1 as numpy arrays (src, tgt, H_ij), row by row,
+        H_ij the correctly rounded float64 of D H_ij / D.  A row vector x
+        times H is np.bincount(tgt, x[src] * coef, size); swapping src and
+        tgt gives H times a column vector."""
         src, tgt, coef = zip(*((i, j, c / self.scale)
-                               for i, j, c in self.edges()))
+                               for i, row in enumerate(self.rows)
+                               for j, (c, _) in row.items()))
         return np.array(src), np.array(tgt), np.array(coef)
-
-
-def edge_step(edges, x):
-    """Row vector x times the matrix listed as edges (i, j, M_ij)."""
-    y = [0] * len(x)
-    for i, j, coef in edges:
-        if x[i]:
-            y[j] += x[i] * coef
-    return y
 
 
 def transfer_matrix(ca, nu):
@@ -342,19 +302,15 @@ def transfer_matrix(ca, nu):
     nuq = letter_distribution(ca.alphabet, nu)
     scale = math.lcm(*(p.denominator for p in nuq.values()))
     weight = {a: int(p * scale) for a, p in nuq.items()}
-    rows = []
-    for q in range(ca.dfa.n_states):
-        row = {}
-        for a in ca.dfa.alphabet:
-            t = ca.dfa.delta.get((q, a))
-            if t is None:
-                continue
-            coef, texp = row.get(t, (0, ca.state_mark[t]))
-            row[t] = (coef + weight[a], texp)
+    rows = [{} for _ in range(ca.dfa.n_states)]
+    for (q, a), t in ca.dfa.delta.items():
+        row = rows[q]
+        coef, texp = row.get(t, (0, ca.state_mark[t]))
+        row[t] = (coef + weight[a], texp)
+    lossy = {q for q, _ in ca.pruned}
+    for q, row in enumerate(rows):
         total = sum(c for c, _ in row.values())
-        pruned = any((q, a) not in ca.dfa.delta for a in ca.dfa.alphabet)
-        assert total < scale if pruned else total == scale
-        rows.append(row)
+        assert total < scale if q in lossy else total == scale
     return TransferMatrix(ca.dfa.n_states, scale, rows)
 
 
@@ -369,16 +325,23 @@ def clump_series(ca, nu, n_max):
     if n_max < 0:
         raise ValueError("text length %d is negative" % n_max)
     tm = transfer_matrix(ca, nu)
+    return [{m: Fraction(w, tm.scale ** n) for m, w in census.items()}
+            for n, census in enumerate(_census(ca, tm, n_max))]
+
+
+def _census(ca, tm, n_max):
+    """clump_series over the transfer matrix tm of ca, as the integer
+    weights over D**n: one dict per length n <= n_max, in increasing mark
+    count."""
     u = [dict() for _ in range(tm.size)]
     u[ca.dfa.initial][0] = 1
     out = []
-    for n in range(n_max + 1):
+    for _ in range(n_max + 1):
         census = {}
         for col in u:
             for m, w in col.items():
                 census[m] = census.get(m, 0) + w
-        denom = tm.scale ** n
-        out.append({m: Fraction(w, denom) for m, w in sorted(census.items())})
+        out.append(dict(sorted(census.items())))
         nxt = [dict() for _ in range(tm.size)]
         for i, row in enumerate(tm.rows):
             if not u[i]:
@@ -425,7 +388,17 @@ def clump_moment_series(ca, nu, n_max, mark_vectors=None, exact=True):
 
 def _exact_moments(ca, tm, n_max, mark_vectors):
     """clump_moment_series in exact mode, over the transfer matrix tm of ca."""
-    edges = tm.edges()
+    # one flat edge list steps small ints faster than the nested rows
+    edges = [(i, j, coef) for i, row in enumerate(tm.rows)
+             for j, (coef, _) in row.items()]
+
+    def step(x):
+        y = [0] * len(x)
+        for i, j, coef in edges:
+            if x[i]:
+                y[j] += x[i] * coef
+        return y
+
     u = [0] * tm.size
     u[ca.dfa.initial] = 1
     svecs = [[0] * tm.size for _ in mark_vectors]
@@ -433,9 +406,8 @@ def _exact_moments(ca, tm, n_max, mark_vectors):
     hits = [[] for _ in mark_vectors]
     for n in range(n_max + 1):
         if n:
-            u = edge_step(edges, u)
-            svecs = [[s + w if m else s for s, w, m in
-                      zip(edge_step(edges, svec), u, mv)]
+            u = step(u)
+            svecs = [[s + w if m else s for s, w, m in zip(step(svec), u, mv)]
                      for svec, mv in zip(svecs, mark_vectors)]
         denom = tm.scale ** n
         fbar.append(Fraction(sum(u), denom))
@@ -610,8 +582,9 @@ def gf_from_clump_automaton(ca, nu):
     characteristic polynomial of H(t0), one O(size^3) Hessenberg
     reduction.  Cramer's replaced column is z-free, so the numerator has
     z-degree below size and equals the denominator times the series
-    sum_n (H(t0)^n 1)[init] z^n truncated at z^size; that series takes
-    size sparse steps over the transfer matrix's rows.
+    sum_n (H(t0)^n 1)[init] z^n truncated at z^size.  That series is the
+    census of clump_series evaluated at t0, and one census of size terms
+    serves every slice.
     """
     tm = transfer_matrix(ca, nu)
     size = tm.size
@@ -619,7 +592,7 @@ def gf_from_clump_automaton(ca, nu):
         raise ValueError(
             "exact clump generating function capped at %d states" % MAX_EXACT_STATES
         )
-    init = ca.dfa.initial
+    census = _census(ca, tm, size - 1)
     marked = sum(1 for m in ca.state_mark if m)
     tpoints = list(range(marked + 1))
     num_slices = []
@@ -629,12 +602,9 @@ def gf_from_clump_automaton(ca, nu):
                  for j, (coef, texp) in row.items()} for row in tm.rows]
         den = _det_one_minus_z([[row.get(j, QZERO) for j in range(size)]
                                 for row in rows])
-        series = []
-        y = [QONE] * size
-        for _ in range(size):
-            series.append(y[init])
-            y = [sum((c * y[j] for j, c in row.items()), QZERO)
-                 for row in rows]
+        series = [Fraction(sum(w * t0 ** m for m, w in counts.items()),
+                           tm.scale ** n)
+                  for n, counts in enumerate(census)]
         num = [sum((den[i] * series[n - i] for i in range(n + 1)), QZERO)
                for n in range(size)]
         den_slices.append(Poly({(n, 0): c for n, c in enumerate(den)}))

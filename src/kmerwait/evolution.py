@@ -79,7 +79,9 @@ class ModelParams:
             if abs(float(s - QONE)) > ROW_SUM_TOL:
                 raise ValueError("substitution row %r sums to %.12g" % (a, float(s)))
             rows[a] = row
-        if len(p1) != len(alphabet):
+        # every row and entry of the alphabet is present, so a longer row
+        # or matrix mentions another letter
+        if any(len(x) != len(alphabet) for x in (p1, *p1.values())):
             raise ValueError("substitution matrix mentions letters outside the alphabet")
         self.p1 = rows
         # per-letter factors of the one-position appearance probability:
@@ -187,7 +189,7 @@ AsymptoticConstants = namedtuple(
     "AsymptoticConstants", "tau psi phi1 phi2 c1 c2 C1 C2 B")
 
 
-def bv_probability(b, n, params, full_sum=False):
+def bv_probability(b, n, params):
     """Inclusion-exclusion estimate of the appearance probability.
 
     The chance that b shows up at one fixed position after the mutation
@@ -196,8 +198,8 @@ def bv_probability(b, n, params, full_sum=False):
     letter distribution.  Occurrences at positions at least k apart are
     treated as independent, giving the alternating sum over the number of
     disjoint occurrences.  Terms below 1e-30 of the partial sum are
-    dropped unless full_sum is set.  Overlapping occurrences are double
-    counted by design; the method is kept verbatim as a cross-check.
+    dropped.  Overlapping occurrences are double counted by design; the
+    method is kept verbatim as a cross-check.
     """
     params.alphabet.check_word(b)
     k = len(b)
@@ -229,7 +231,7 @@ def bv_probability(b, n, params, full_sum=False):
         if ell % 2 == 0:
             term = -term
         total = total * d + term
-        if not full_sum and abs(term) * 10 ** 30 < abs(total):
+        if abs(term) * 10 ** 30 < abs(total):
             break
     return total / scale
 

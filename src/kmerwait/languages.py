@@ -219,32 +219,30 @@ def _no_internal_occurrence(w, words):
 class CodeMatrix:
     """Finite codeword sets for clump chaining over a reduced word set.
 
-    B[i][j] holds the correlation words e of (v_i, v_j) such that v_i.e
-    has no internal occurrence of any set word.  K[i][j], the code proper,
-    keeps the words of B[i][j] with no proper prefix in B[i][j], which on a
-    reduced set is all of them: if a nonempty proper prefix e' of e were in
-    B[i][j], then v_i.e' would end with an occurrence of v_j, internal to
-    v_i.e, so e would not be in B[i][j].  Kbar[i][j], present for
+    K[i][j] holds the correlation words e of (v_i, v_j) such that v_i.e
+    has no internal occurrence of any set word.  On a reduced set that is
+    the code proper, prefix-free: if a nonempty proper prefix e' of e were
+    in K[i][j], then v_i.e' would end with an occurrence of v_j, internal
+    to v_i.e, so e would not be in K[i][j].  Kbar[i][j], present for
     constrained matrices only, further drops extensions that create an
     occurrence of the avoided word.
     """
 
-    def __init__(self, words, B, K, Kbar=None, base=None):
+    def __init__(self, words, K, Kbar=None, base=None):
         self.words = tuple(words)
-        self.B = B
         self.K = K
         self.Kbar = Kbar
         self.base = base
 
 
 def code_matrix(words, alphabet):
-    """Codeword sets B_ij and K_ij (equal to B_ij) for a reduced word set."""
+    """Codeword sets K_ij for a reduced word set."""
     words = tuple(words)
     for w in words:
         alphabet.check_word(w)
     if not is_reduced(words):
         raise ValueError("word set is not reduced (some word is a factor of another)")
-    bmat = tuple(
+    kmat = tuple(
         tuple(
             tuple(e for e in correlation_set(vi, vj)
                   if e and _no_internal_occurrence(vi + e, words))
@@ -252,7 +250,7 @@ def code_matrix(words, alphabet):
         )
         for vi in words
     )
-    return CodeMatrix(words, bmat, bmat)
+    return CodeMatrix(words, kmat)
 
 
 def constrained_code_matrix(b, alphabet):
@@ -268,7 +266,7 @@ def constrained_code_matrix(b, alphabet):
         )
         for i in range(r)
     )
-    return CodeMatrix(d, cm.B, cm.K, Kbar=kbar, base=b)
+    return CodeMatrix(d, cm.K, Kbar=kbar, base=b)
 
 
 class MarkedCodes:

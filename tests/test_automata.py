@@ -12,6 +12,7 @@ from kmerwait.automata import (
     Dfa,
     _bnn_matrices,
     _det_one_minus_z,
+    _kmp_table,
     _row0_powers,
     _stack_words,
     bnn_probability,
@@ -21,7 +22,6 @@ from kmerwait.automata import (
     clump_moment_series,
     clump_series,
     gf_from_clump_automaton,
-    kmp_automaton,
     markov_property_check,
     state_marks,
     to_dot,
@@ -31,7 +31,7 @@ from kmerwait.automata import (
 from kmerwait.gfcore import POLY_ONE, POLY_ZERO, Poly, bareiss_det
 from kmerwait.languages import clump_gf_language
 from kmerwait.oracle import avoid_weight, bnn_decimal, enumerate_census
-from kmerwait.words import Alphabet, putative_hit_count
+from kmerwait.words import Alphabet, neighbors, putative_hit_count
 
 from conftest import BIASED, TOYS, UNIFORM
 
@@ -42,14 +42,21 @@ def all_words(n):
 
 
 def test_kmp_automaton_tracks_borders(ac):
-    dfa = kmp_automaton("ACAC", ac)
-    assert dfa.n_states == 5
-    assert dfa.run("ACAC") == 4
-    assert dfa.run("ACACA") == 4  # the occurrence state is absorbing
-    assert dfa.run("AACA") == 3  # longest suffix that is a prefix: ACA
-    assert dfa.run("CCC") == 0
-    assert dfa.run("AACAC") in dfa.finals
-    assert dfa.run("ACCA") not in dfa.finals
+    rows = _kmp_table("ACAC", ac)
+    assert len(rows) == 5
+
+    def run(text):
+        q = 0
+        for c in text:
+            q = rows[q][ac.index(c)]
+        return q
+
+    assert run("ACAC") == 4
+    assert run("ACACA") == 4  # the occurrence state is absorbing
+    assert run("AACA") == 3  # longest suffix that is a prefix: ACA
+    assert run("CCC") == 0
+    assert run("AACAC") == 4
+    assert run("ACCA") == 1
 
 
 def longest_border(s, b):
@@ -64,10 +71,9 @@ def test_kmp_table_matches_border_definition(symbols, top):
     for k in range(1, top + 1):
         for letters in product(symbols, repeat=k):
             b = "".join(letters)
-            dfa = kmp_automaton(b, alphabet)
-            assert dfa.delta == {
-                (q, a): k if q == k else longest_border(b[:q] + a, b)
-                for q in range(k + 1) for a in symbols}
+            assert _kmp_table(b, alphabet) == [
+                [k if q == k else longest_border(b[:q] + a, b)
+                 for a in symbols] for q in range(k + 1)]
 
 
 def test_kmp_avoidance_series(ac):
@@ -108,6 +114,48 @@ def test_clump_automaton_aaa_theta(ac, autos):
     }
 
 
+def check_build(ca):
+    """The clump automaton against the definitions that its failure-rule
+    build replaces: each transition goes to the longest suffix of label +
+    letter that is again a label, exactly the transitions whose label +
+    letter ends with b are pruned, and Ebar is the set of states that the
+    neighbors' proper prefixes reach."""
+    b, k = ca.b, len(ca.b)
+    index = {lab: q for q, lab in enumerate(ca.labels)}
+    pruned = set()
+    for q, lab in enumerate(ca.labels):
+        for a in ca.alphabet.symbols:
+            grown = lab + a
+            if grown.endswith(b):
+                pruned.add((q, a))
+                assert (q, a) not in ca.dfa.delta
+                continue
+            longest = next(grown[cut:] for cut in range(len(grown) + 1)
+                           if grown[cut:] in index)
+            assert ca.dfa.delta[(q, a)] == index[longest]
+    assert set(ca.pruned) == pruned
+
+    def run(text):
+        q = ca.dfa.initial
+        for a in text:
+            q = ca.dfa.step(q, a)
+        return q
+
+    assert ca.Ebar == {run(v[:j]) for v in neighbors(b, ca.alphabet)
+                       for j in range(k)}
+
+
+def test_clump_build_matches_definitions_binary(ac):
+    for k in range(2, 8):
+        for b in all_words(k):
+            check_build(clump_automaton(b, ac))
+
+
+@pytest.mark.parametrize("b", ["ACGTA", "CCCCC", "GGAGG", "ACGTACGT"])
+def test_clump_build_matches_definitions_dna(table1, b):
+    check_build(clump_automaton(b, table1.alphabet))
+
+
 @pytest.mark.parametrize("b", TOYS)
 def test_markov_property(autos, b):
     assert markov_property_check(autos[b])
@@ -121,8 +169,7 @@ def test_markov_property_detects_corruption(ac, autos):
     src = ca.labels.index("CA")
     tgt = ca.labels.index("AAC")
     delta[(src, "A")] = tgt
-    bad_dfa = Dfa(ca.dfa.n_states, ca.dfa.alphabet, delta, ca.dfa.initial,
-                  ca.dfa.finals)
+    bad_dfa = Dfa(ca.dfa.n_states, ca.dfa.alphabet, delta, ca.dfa.initial)
     bad = ClumpAutomaton(ca.b, ca.alphabet, bad_dfa, ca.labels, ca.O,
                          ca.Ebar, ca.theta, ca.fresh_hits, ca.mark,
                          ca.pruned)
@@ -224,8 +271,10 @@ def test_gf_routes_agree_exactly(ac, autos):
 
 
 def test_gf_typed_biased_matches_census(ac):
-    # 2*size + 2 terms reach past the size terms the numerator is built
-    # from, so they certify the denominator as well
+    # the numerator is built from the census's first size terms, so those
+    # agree by construction; the terms up to 2*size + 2 certify the
+    # denominator.  test_gf_routes_agree_exactly checks the closed form
+    # against the independent language route.
     ca = clump_automaton("AACC", ac, mark=("A", "C"))
     n = 2 * ca.dfa.n_states + 2
     f = gf_from_clump_automaton(ca, BIASED)
@@ -322,20 +371,20 @@ def test_bnn_shadow_at_1e8(table1_renorm):
 def reference_bnn_matrices(b, params):
     """Pair and avoidance matrices of b by loops over states and letter
     pairs, each entry adding its weights in letter order."""
-    k, symbols = len(b), params.alphabet.symbols
-    delta = kmp_automaton(b, params.alphabet).delta
+    k, letters = len(b), range(len(params.alphabet))
+    table = _kmp_table(b, params.alphabet)
     nu, wgt = params.bnn_weights
     pair = np.zeros((k * (k + 1), k * (k + 1)))
     avoid = np.zeros((k, k))
     for p in range(k):
-        for x, a in enumerate(symbols):
-            i = delta[(p, a)]
+        for x in letters:
+            i = table[p][x]
             if i == k:
                 continue
             avoid[p, i] += nu[x]
             for q in range(k + 1):
-                for y, c in enumerate(symbols):
-                    pair[p * (k + 1) + q, i * (k + 1) + delta[(q, c)]] += \
+                for y in letters:
+                    pair[p * (k + 1) + q, i * (k + 1) + table[q][y]] += \
                         wgt[x, y]
     return pair, avoid
 

@@ -107,6 +107,11 @@ def test_model_params_validation(ac):
         ModelParams(ac, dict(UNIFORM),
                     {"A": {"A": F(-1, 2), "C": F(3, 2)},
                      "C": {"A": 0, "C": 1}})
+    # a column for a letter outside the alphabet
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        ModelParams(ac, dict(UNIFORM),
+                    {"A": {"A": F(9, 10), "C": F(1, 10), "G": F(1, 2)},
+                     "C": {"A": 0, "C": 1}})
 
 
 @pytest.mark.parametrize("nu", [
@@ -141,10 +146,38 @@ def test_substitution_type_checked_everywhere(ac, mark):
             route()
 
 
+def _bv_numerator(b, n, a, d, top):
+    """The first top terms of BV's alternating sum, as the integer
+    numerator over d**top, with a/d the one-position probability."""
+    k = len(b)
+    total = 0
+    for ell in range(1, top + 1):
+        term = math.comb(n - (k - 1) * ell, ell) * a ** ell
+        total = total * d + (term if ell % 2 else -term)
+    return total
+
+
 def test_bv_truncation_matches_full_sum(table1):
+    """BV drops the terms below 1e-30 of its partial sum.  At n = 1000 all
+    n // k terms are summed here exactly.  At n = 1e5 (20000 terms) the
+    first 60 are, and the rest is no larger than the 61st term: n p < 1
+    bounds each term's size by n p / ell times the one before, so the
+    terms alternate with decreasing size."""
     for b in ("AAAAA", "CGCGC"):
-        assert bv_probability(b, 1000, table1) == \
-            bv_probability(b, 1000, table1, full_sum=True)
+        k = len(b)
+        p = (math.prod(table1.mutated[c] for c in b)
+             - math.prod(table1.stay[c] for c in b))
+        a, d = p.numerator, p.denominator
+        top = 1000 // k
+        full = _bv_numerator(b, 1000, a, d, top)
+        assert full / d ** top == bv_probability(b, 1000, table1)
+        n, top = 10 ** 5, 60
+        assert n * p < 1
+        head = _bv_numerator(b, n, a, d, top) * d
+        tail = math.comb(n - (k - 1) * (top + 1), top + 1) * a ** (top + 1)
+        scale = d ** (top + 1)
+        assert (head - tail) / scale == (head + tail) / scale \
+            == bv_probability(b, n, table1)
 
 
 def test_expected_hits_small(toy_eps):

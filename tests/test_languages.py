@@ -75,14 +75,12 @@ def test_first_occurrence_series(ac):
 def test_code_matrix_periodic_word(ac, dna):
     cm = code_matrix(("AAAA",), ac)
     assert cm.K[0][0] == ("A",)
-    assert cm.B[0][0] == ("A",)
     # on reduced sets no codeword has a proper prefix among its own
-    # codewords, so the prefix-free code K is all of B
+    # codewords, so K is a code
     for words, alphabet in ([(neighbors(b, ac), ac) for b in TOYS]
                             + [(neighbors("ACGT", dna), dna)]):
         cm = code_matrix(words, alphabet)
-        assert cm.K == cm.B
-        for row in cm.B:
+        for row in cm.K:
             for codes in row:
                 assert not any(e[:m] in codes for e in codes
                                for m in range(1, len(e)))
