@@ -276,9 +276,9 @@ def markov_property_check(ca):
 class TransferMatrix:
     """Substochastic transfer matrix H(t) as integers over scale D.
 
-    rows[i] maps a target state j to (D H_ij, t exponent), both ints; the
-    exponent is 0 or 1 and is a property of the target state.  Row sums at
-    t=1 equal D except on rows that lost a pruned transition.
+    rows[i] maps a target state j to the int D H_ij at t=1; the t exponent
+    of the edge is the target state's mark, ca.state_mark[j].  Row sums
+    equal D except on rows that lost a pruned transition.
     """
 
     def __init__(self, size, scale, rows):
@@ -293,7 +293,7 @@ class TransferMatrix:
         tgt gives H times a column vector."""
         src, tgt, coef = zip(*((i, j, c / self.scale)
                                for i, row in enumerate(self.rows)
-                               for j, (c, _) in row.items()))
+                               for j, c in row.items()))
         return np.array(src), np.array(tgt), np.array(coef)
 
 
@@ -304,12 +304,10 @@ def transfer_matrix(ca, nu):
     weight = {a: int(p * scale) for a, p in nuq.items()}
     rows = [{} for _ in range(ca.dfa.n_states)]
     for (q, a), t in ca.dfa.delta.items():
-        row = rows[q]
-        coef, texp = row.get(t, (0, ca.state_mark[t]))
-        row[t] = (coef + weight[a], texp)
+        rows[q][t] = rows[q].get(t, 0) + weight[a]
     lossy = {q for q, _ in ca.pruned}
     for q, row in enumerate(rows):
-        total = sum(c for c, _ in row.values())
+        total = sum(row.values())
         assert total < scale if q in lossy else total == scale
     return TransferMatrix(ca.dfa.n_states, scale, rows)
 
@@ -346,8 +344,9 @@ def _census(ca, tm, n_max):
         for i, row in enumerate(tm.rows):
             if not u[i]:
                 continue
-            for j, (coef, texp) in row.items():
+            for j, coef in row.items():
                 dst = nxt[j]
+                texp = ca.state_mark[j]
                 for m, w in u[i].items():
                     key = m + texp
                     dst[key] = dst.get(key, 0) + w * coef
@@ -390,7 +389,7 @@ def _exact_moments(ca, tm, n_max, mark_vectors):
     """clump_moment_series in exact mode, over the transfer matrix tm of ca."""
     # one flat edge list steps small ints faster than the nested rows
     edges = [(i, j, coef) for i, row in enumerate(tm.rows)
-             for j, (coef, _) in row.items()]
+             for j, coef in row.items()]
 
     def step(x):
         y = [0] * len(x)
@@ -598,8 +597,8 @@ def gf_from_clump_automaton(ca, nu):
     num_slices = []
     den_slices = []
     for t0 in tpoints:
-        rows = [{j: Fraction(coef * t0 ** texp, tm.scale)
-                 for j, (coef, texp) in row.items()} for row in tm.rows]
+        rows = [{j: Fraction(coef * t0 ** ca.state_mark[j], tm.scale)
+                 for j, coef in row.items()} for row in tm.rows]
         den = _det_one_minus_z([[row.get(j, QZERO) for j in range(size)]
                                 for row in rows])
         series = [Fraction(sum(w * t0 ** m for m, w in counts.items()),

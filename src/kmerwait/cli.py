@@ -15,7 +15,7 @@ from .automata import clump_automaton, clump_series, \
 from .evolution import asymptotics, hit_series, load_params, scan_kmers, \
     waiting_time
 from .gfcore import render_poly, render_ratfun
-from .languages import constrained_code_matrix, marked_code_gf
+from .languages import marked_code_gf
 from .oracle import enumerate_census, exact_pn_tiny, monte_carlo_pn
 from .words import correlation_set
 
@@ -147,9 +147,8 @@ def _cmd_corr(args, out):
 def _cmd_codes(args, out):
     params = load_params(args.params)
     mark = _parse_type(args.type)
-    codes = constrained_code_matrix(args.word, params.alphabet)
-    marked = marked_code_gf(args.word, params.alphabet, params.nu,
-                            mark=mark, codes=codes)
+    marked = marked_code_gf(args.word, params.alphabet, params.nu, mark=mark)
+    codes = marked.codes
     d = codes.words
     if args.csv:
         w = _writer(out)

@@ -39,15 +39,13 @@ class Poly:
 
     @staticmethod
     def const(c):
-        c = as_q(c)
-        return Poly({(0, 0): c}) if c != 0 else Poly()
+        return Poly({(0, 0): as_q(c)})
 
     @staticmethod
     def monomial(c, dz, dt=0):
-        c = as_q(c)
         if dz < 0 or dt < 0:
             raise ValueError("negative degree")
-        return Poly({(dz, dt): c}) if c != 0 else Poly()
+        return Poly({(dz, dt): as_q(c)})
 
     def is_zero(self):
         return not self.terms
@@ -60,27 +58,16 @@ class Poly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, QZERO) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
+            out[m] = out.get(m, QZERO) + c
         return Poly(out)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, QZERO) - c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
+            out[m] = out.get(m, QZERO) - c
         return Poly(out)
 
     def __neg__(self):
@@ -95,26 +82,17 @@ class Poly:
         for (za, ta), ca in self.terms.items():
             for (zb, tb), cb in other.terms.items():
                 m = (za + zb, ta + tb)
-                s = out.get(m, QZERO) + ca * cb
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+                out[m] = out.get(m, QZERO) + ca * cb
         return Poly(out)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = as_q(c)
-        if c == 0:
-            return Poly()
         return Poly({m: cc * c for m, cc in self.terms.items()})
 
     def degree_z(self):
         return max((m[0] for m in self.terms), default=-1)
-
-    def degree_t(self):
-        return max((m[1] for m in self.terms), default=-1)
 
     def valuation_z(self):
         return min((m[0] for m in self.terms), default=0)
@@ -139,12 +117,7 @@ class Poly:
         val = as_q(val)
         out = {}
         for (dz, dt), c in self.terms.items():
-            m = (dz, 0)
-            s = out.get(m, QZERO) + c * val ** dt
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
+            out[(dz, 0)] = out.get((dz, 0), QZERO) + c * val ** dt
         return Poly(out)
 
     def eval_t1(self):
@@ -154,14 +127,7 @@ class Poly:
         """Partial derivative in t, then t := 1 (a poly in z only)."""
         out = {}
         for (dz, dt), c in self.terms.items():
-            if dt == 0:
-                continue
-            m = (dz, 0)
-            s = out.get(m, QZERO) + c * dt
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
+            out[(dz, 0)] = out.get((dz, 0), QZERO) + c * dt
         return Poly(out)
 
     def zcoeffs(self):
@@ -173,12 +139,11 @@ class Poly:
             out[dz] = c
         return out
 
-    def zcoeff_tpolys(self, n_max=None):
-        """Coefficients of z^0..z^n as mappings t_degree -> coefficient."""
-        n = self.degree_z() if n_max is None else n_max
-        out = [dict() for _ in range(n + 1)]
+    def zcoeff_tpolys(self, n_max):
+        """Coefficients of z^0..z^n_max as mappings t_degree -> coefficient."""
+        out = [dict() for _ in range(n_max + 1)]
         for (dz, dt), c in self.terms.items():
-            if dz <= n:
+            if dz <= n_max:
                 out[dz][dt] = out[dz].get(dt, QZERO) + c
         return out
 
@@ -255,22 +220,17 @@ def _trim(cs):
 
 
 def _polyrem(a, b):
-    a = list(a)
+    a = _trim(list(a))
     b = _trim(list(b))
     db = len(b) - 1
     lead = b[-1]
-    while len(_trim(a)) - 1 >= db and a:
-        a = _trim(a)
-        if not a:
-            break
+    while len(a) - 1 >= db:
         da = len(a) - 1
-        if da < db:
-            break
         f = a[-1] / lead
         for i in range(db + 1):
             a[da - db + i] -= f * b[i]
-        a = a[:-1]
-    return _trim(a)
+        a = _trim(a[:-1])
+    return a
 
 
 class RatFun:
@@ -325,9 +285,6 @@ class RatFun:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        raise TypeError("RatFun is not hashable")
-
     def __add__(self, other):
         other = _as_rf(other)
         return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -358,9 +315,6 @@ class RatFun:
 
     def __rtruediv__(self, other):
         return _as_rf(other).__truediv__(self)
-
-    def subs_t1(self):
-        return RatFun(self.num.eval_t1(), self.den.eval_t1())
 
     def subs_t(self, val):
         return RatFun(self.num.subs_t(val), self.den.subs_t(val))
@@ -415,11 +369,7 @@ class RatFun:
                 for dt_i, ci in q[i].items():
                     for dt_a, ca in coeffs[n - i].items():
                         m = dt_i + dt_a
-                        s = acc.get(m, QZERO) - ci * ca
-                        if s == 0:
-                            acc.pop(m, None)
-                        else:
-                            acc[m] = s
+                        acc[m] = acc.get(m, QZERO) - ci * ca
             coeffs.append({m: c / q0c for m, c in acc.items() if c != 0})
         return coeffs
 
@@ -498,16 +448,12 @@ def adjugate_poly(mat):
     return adj
 
 
-def rfm_identity(n):
-    one, zero = RatFun.const(1), RatFun.const(0)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def rfm_inverse(mat):
     """Exact inverse of a square RatFun matrix by Gauss-Jordan elimination."""
     n = len(mat)
     a = [row[:] for row in mat]
-    inv = rfm_identity(n)
+    one, zero = RatFun.const(1), RatFun.const(0)
+    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
         if piv is None:
@@ -606,23 +552,3 @@ def parse_poly(s):
         terms[key] = terms.get(key, QZERO) + c
     return Poly(terms)
 
-
-def parse_ratfun(s):
-    """Inverse of render_ratfun.  The quotient slash is the spaced " / "
-    between the parenthesized halves; unspaced slashes inside coefficients
-    like 1/2*z never split."""
-    s = s.strip()
-    depth = 0
-    split_at = None
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif (ch == "/" and depth == 0 and s[i - 1:i] == " "
-              and s[i + 1:i + 2] == " "):
-            split_at = i
-            break
-    if split_at is None:
-        return RatFun(parse_poly(s))
-    return RatFun(parse_poly(s[:split_at]), parse_poly(s[split_at + 1:]))

@@ -228,11 +228,10 @@ class CodeMatrix:
     occurrence of the avoided word.
     """
 
-    def __init__(self, words, K, Kbar=None, base=None):
+    def __init__(self, words, K, Kbar=None):
         self.words = tuple(words)
         self.K = K
         self.Kbar = Kbar
-        self.base = base
 
 
 def code_matrix(words, alphabet):
@@ -266,27 +265,29 @@ def constrained_code_matrix(b, alphabet):
         )
         for i in range(r)
     )
-    return CodeMatrix(d, cm.K, Kbar=kbar, base=b)
+    return CodeMatrix(d, cm.K, Kbar=kbar)
 
 
 class MarkedCodes:
     """Generating-function translation of constrained codes.
 
-    v[i] is the weight of neighbor i carrying t to the power of its own
-    putative-hit count; K[i][j] translates each codeword extension with t
-    to the power of newly created putative hits.  Entries are bivariate
-    polynomials.
+    codes is the constrained code matrix translated, and words its
+    neighbor words.  v[i] is the weight of neighbor i carrying t to the
+    power of its own putative-hit count; K[i][j] translates each codeword
+    extension with t to the power of newly created putative hits.  Entries
+    are bivariate polynomials.
     """
 
-    def __init__(self, words, v, K, mark):
-        self.words = words
+    def __init__(self, codes, v, K, mark):
+        self.codes = codes
+        self.words = codes.words
         self.v = v
         self.K = K
         self.mark = mark
 
 
-def marked_code_gf(b, alphabet, nu, mark=None, codes=None):
-    """Translate constrained codes to marked generating functions.
+def marked_code_gf(b, alphabet, nu, mark=None):
+    """Translate the constrained codes of b to marked generating functions.
 
     mark=None marks every putative-hit position; mark=(source, target)
     marks only hits where the text letter `source` would need to mutate to
@@ -294,10 +295,7 @@ def marked_code_gf(b, alphabet, nu, mark=None, codes=None):
     and are checked to be nonnegative.
     """
     check_type(alphabet, mark)
-    if codes is None:
-        codes = constrained_code_matrix(b, alphabet)
-    if codes.Kbar is None or codes.base != b:
-        raise ValueError("need a constrained code matrix for this word")
+    codes = constrained_code_matrix(b, alphabet)
     nuq = letter_distribution(alphabet, nu)
     d = codes.words
     r = len(d)
@@ -319,7 +317,7 @@ def marked_code_gf(b, alphabet, nu, mark=None, codes=None):
                 p = p + Poly.monomial(word_prob(wext, nuq), len(wext), dm)
             row.append(p)
         kmat.append(row)
-    return MarkedCodes(d, vmark, kmat, mark)
+    return MarkedCodes(codes, vmark, kmat, mark)
 
 
 def _mismatch_data(b, words):
@@ -427,12 +425,11 @@ def clump_gf_language(b, alphabet, nu, mark=None):
     d = cons.words
     r = len(d)
     k = len(b)
-    codes = constrained_code_matrix(b, alphabet)
-    mk = marked_code_gf(b, alphabet, nu, mark, codes=codes)
+    mk = marked_code_gf(b, alphabet, nu, mark)
 
     # chains of overlapping extensions within one clump, with enough state
     # to count each hit position once
-    entry_idx, state_words, kmat = _enriched_chain(b, codes, nuq, mark)
+    entry_idx, state_words, kmat = _enriched_chain(b, mk.codes, nuq, mark)
     nstates = len(state_words)
     imk = [
         [(POLY_ONE if i == j else POLY_ZERO) - kmat[i][j] for j in range(nstates)]

@@ -13,8 +13,6 @@ from collections import namedtuple
 
 from .gfcore import QONE, QZERO, as_q
 
-DNA = "ACGT"
-BINARY = "AC"
 NU_SUM_TOL = 1e-12
 
 
@@ -32,7 +30,6 @@ class Alphabet:
         if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
         self.symbols = symbols
-        self.size = len(symbols)
         self._index = {c: i for i, c in enumerate(symbols)}
 
     def index(self, c):
@@ -59,7 +56,7 @@ class Alphabet:
         return iter(self.symbols)
 
     def __len__(self):
-        return self.size
+        return len(self.symbols)
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.symbols == other.symbols

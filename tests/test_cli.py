@@ -1,5 +1,7 @@
 """Command line surface: formats, determinism, error handling."""
 
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -9,6 +11,8 @@ import pytest
 
 from kmerwait.cli import main
 from kmerwait.evolution import asymptotics, load_params
+
+from test_acceptance import KBAR_ACAC
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -94,6 +98,26 @@ def test_oracle_census(capsys):
         "  E(hits of C->A) = 3/8\n"
         "  P(0 hits) = 1/2\n"
         "  P(1 hits) = 3/8\n")
+
+
+def test_codes_csv(capsys):
+    rc, out, err = run(capsys, "codes", "ACAC", "--params", "binary-uniform",
+                       "--csv")
+    assert rc == 0 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))
+    matrix = rows[:rows.index([])]  # a blank row ends the matrix
+    assert matrix[0] == ["row_word", "col_word", "K", "Kbar", "Kbar_gf"]
+    assert len(matrix) == 1 + 16
+    assert [row[4] for row in matrix[1:]] == [
+        entry for table_row in KBAR_ACAC for entry in table_row]
+
+
+def test_codes_typed_header(capsys):
+    rc, out, err = run(capsys, "codes", "AACC", "--type", "C:A",
+                       "--params", "binary-uniform")
+    assert rc == 0 and err == ""
+    assert out.splitlines()[0] == (
+        "neighbor words of AACC: AAAC, AACA, ACCC, CACC  (marks: C->A)")
 
 
 def test_series_csv(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from kmerwait.evolution import asymptotics
-from kmerwait.gfcore import Poly, RatFun, parse_poly, parse_ratfun
+from kmerwait.gfcore import Poly, RatFun, parse_poly
 from kmerwait.languages import (
     clump_gf_language,
     code_matrix,
@@ -25,10 +25,10 @@ from conftest import BIASED, TOYS, UNIFORM
 def test_avoiding_gf_single_words(ac):
     """Closed forms for the avoiding functions of ACC and AAA, uniform."""
     lang = rs_solve(("ACC",), ac, UNIFORM)
-    assert lang.N == parse_ratfun("(1) / (1 - z + 1/8*z^3)")
+    assert lang.N == RatFun(parse_poly("1"), parse_poly("1 - z + 1/8*z^3"))
     lang2 = rs_solve(("AAA",), ac, UNIFORM)
-    want = parse_ratfun(
-        "(1 + 1/2*z + 1/4*z^2) / (1 - 1/2*z - 1/4*z^2 - 1/8*z^3)")
+    want = RatFun(parse_poly("1 + 1/2*z + 1/4*z^2"),
+                  parse_poly("1 - 1/2*z - 1/4*z^2 - 1/8*z^3"))
     assert lang2.N == want
 
 
@@ -172,7 +172,7 @@ def test_clump_gf_typed_marks(ac):
 
 def test_clump_gf_t1_is_plain_avoiding(ac, binu):
     gf = clump_gf_language("ACAC", ac, UNIFORM)
-    avoid = gf.subs_t1()
+    avoid = gf.subs_t(1)
     plain = rs_solve(("ACAC",), ac, UNIFORM).N
     assert avoid == plain
     # the transfer matrix's Perron root is the pole of the avoiding GF

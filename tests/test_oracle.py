@@ -1,6 +1,8 @@
 """Brute-force oracle: exhaustive enumeration and Monte Carlo checks."""
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -102,3 +104,29 @@ def test_monte_carlo_agrees_with_bnn(dna_eps):
     ref = bnn_probability("ACG", 25, dna_eps)
     assert err > 0
     assert abs(est - ref) < 3 * err + 1e-12
+
+
+
+def _package_imports(module):
+    """The package modules that src/kmerwait/<module>.py imports, by a
+    relative import or through the package name."""
+    path = Path(__file__).resolve().parents[1] / "src" / "kmerwait"
+    found = set()
+    for node in ast.walk(ast.parse((path / (module + ".py")).read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "kmerwait." + (node.module or "") if node.level else node.module
+            names = [base.rstrip(".") + "." + a.name for a in node.names]
+        else:
+            continue
+        found.update((n.split(".") + ["__init__"])[1] for n in names
+                     if n.split(".")[0] == "kmerwait")
+    return found
+
+
+def test_oracle_imports_only_exact_core_and_words():
+    # read from the source: the package's __init__ imports the language
+    # route, so sys.modules cannot tell which module imported what
+    assert _package_imports("oracle") == {"gfcore", "words"}
+    assert _package_imports("gfcore") == set()
