@@ -12,6 +12,8 @@ route, which is the point of building both.
 
 import math
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -25,8 +27,8 @@ from .gfcore import (
     QZERO,
     RatFun,
 )
-from .words import check_text_length, check_type, correlation_set, \
-    letter_distribution, neighbors
+from .words import check_text_length, check_type, letter_distribution, \
+    neighbors
 
 # Float64 walks over a transfer matrix stop once a step changes their
 # state by at most PERRON_TOL in l1 norm, relative to its size: the
@@ -74,73 +76,63 @@ def _kmp_table(b, alphabet):
     return rows
 
 
-def _label_windows(label, b, dset):
-    # every neighbor occurrence inside the label, as
-    # (window start, hit position, target letter, text letter)
-    k = len(b)
-    out = []
-    for start in range(len(label) - k + 1):
-        w = label[start:start + k]
-        if w in dset:
-            m = next(i for i in range(k) if w[i] != b[i])
-            out.append((start, start + m, b[m], w[m]))
-    return out
-
-
-def _fresh_hit(label, b, dset):
+def _fresh_hit(label, k, hit_of):
     """Fresh hits of an occurrence state, from its label alone.
 
-    Returns (untyped, typed): untyped is 1 when the hit position of the
-    occurrence just completed was not hit before, else 0; typed is its
-    (text letter, target letter) substitution type when that (position,
-    target) pair is new, else None.  The label always covers the whole
-    overlap chain that can share hit positions with the occurrence, so
-    scanning it decides freshness exactly.
+    hit_of maps each neighbor v of b (length k) to (m, b[m], v[m]): the
+    offset where v differs from b, the target letter there and the text
+    letter.  The label ends with a neighbor.  Returns (untyped, typed):
+    untyped is 1 when the hit position of that occurrence was not hit by
+    an earlier neighbor window of the label, else 0; typed is its (text
+    letter, target letter) substitution type when that (position, target)
+    pair is new, else None.  The label always covers the whole overlap
+    chain that can share hit positions with the occurrence, so scanning it
+    decides freshness exactly.
     """
-    windows = _label_windows(label, b, dset)
-    if not windows or windows[-1][0] != len(label) - len(b):
-        return 0, None
-    _, pos, target, source = windows[-1]
-    earlier = windows[:-1]
-    untyped = 0 if pos in {p for (_, p, _, _) in earlier} else 1
-    if (pos, target) in {(p, t) for (_, p, t, _) in earlier}:
+    last = len(label) - k
+    m, target, source = hit_of[label[last:]]
+    pos = last + m
+    earlier = [(start + hit[0], hit[1]) for start in range(last)
+               if (hit := hit_of.get(label[start:start + k]))]
+    untyped = int(all(p != pos for p, _ in earlier))
+    if (pos, target) in earlier:
         return untyped, None
     return untyped, (source, target)
 
 
-def _theta_word(o, rev, crossing, k):
+def _theta_word(o, rev, crossing, k, label):
     # backward breadth-first search, at most k layers deep; paths may not
-    # cross a marked state except at their endpoints
-    letters = []
+    # cross a marked state except at their endpoints.  Every transition
+    # into layer j reads label[-j - 1] (see _check_incoming_letters), so
+    # the word read is the suffix of the label as deep as the search goes.
+    depth = 0
     layer = {o}
-    for _ in range(k):
-        step = [(q, a) for t in layer for (q, a) in rev.get(t, ())]
-        if not step:
-            break
-        symbols = {a for (_, a) in step}
-        if len(symbols) != 1:
-            raise AssertionError("ambiguous incoming letters, Markov property lost")
-        letters.append(symbols.pop())
-        layer = {q for (q, _) in step} - crossing
+    while depth < k:
+        layer = {q for t in layer for q in rev.get(t, ())}
         if not layer:
             break
-    return "".join(reversed(letters))
+        depth += 1
+        layer -= crossing
+        if not layer:
+            break
+    return label[len(label) - depth:]
 
 
 class ClumpAutomaton:
     """Pruned automaton over the prefixes of the neighbor overlap words.
 
     Built by clump_automaton.  Carries the occurrence states O, the
-    non-extension states Ebar (clump core E is everything else), the
-    maximal unique incoming word theta per occurrence state, per state
+    non-extension states Ebar (clump core E is everything else), per state
     the fresh hits of its label scan (see _fresh_hit), and per state the
     mark exponent for the selected mutation type, which every transition
-    into that state carries.  theta is always derived from the untyped
-    marks, so it describes the structure and not the type filter.
+    into that state carries.  theta, the maximal unique incoming word per
+    occurrence state, is computed on demand from the transitions and the
+    untyped marks, so it describes the structure and not the type filter;
+    no walk over the transfer matrix reads it.
     """
 
-    def __init__(self, b, alphabet, dfa, labels, occ, ebar, theta,
-                 fresh_hits, mark, pruned):
+    def __init__(self, b, alphabet, dfa, labels, occ, ebar, fresh_hits,
+                 mark, pruned):
         self.b = b
         self.alphabet = alphabet
         self.dfa = dfa
@@ -148,11 +140,22 @@ class ClumpAutomaton:
         self.O = frozenset(occ)
         self.Ebar = frozenset(ebar)
         self.E = frozenset(range(dfa.n_states)) - self.Ebar
-        self.theta = dict(theta)
         self.fresh_hits = tuple(fresh_hits)
         self.state_mark = _marks(self.fresh_hits, mark)
         self.mark = mark
         self.pruned = tuple(pruned)
+
+    @cached_property
+    def theta(self):
+        """theta word per occurrence state, computed on first read."""
+        rev = {}
+        for (q, _), t in self.dfa.delta.items():
+            rev.setdefault(t, []).append(q)
+        crossing = {i for i, (untyped, _) in enumerate(self.fresh_hits)
+                    if untyped}
+        k = len(self.b)
+        return {o: _theta_word(o, rev, crossing, k, self.labels[o])
+                for o in sorted(self.O)}
 
 
 def _marks(fresh_hits, mark):
@@ -185,6 +188,9 @@ def clump_automaton(b, alphabet, mark=None):
     complete b itself are pruned.  Every state is terminal.  mark selects
     the mutation type whose fresh putative hits carry the t exponent.
 
+    X comes from one overlap table: for each overlap length m in 1..k-1
+    the neighbors are indexed by their m-prefix, and each neighbor vi is
+    extended by the rest of every neighbor listed under its m-suffix.
     The breadth-first build reaches a label of length m at depth m, after
     its failure label, its longest proper suffix that is again a label.
     So a label's row is its failure label's row with its own extensions
@@ -194,14 +200,18 @@ def clump_automaton(b, alphabet, mark=None):
     """
     alphabet.check_word(b)
     d = neighbors(b, alphabet)
-    dset = set(d)
     k = len(b)
+    hit_of = {}  # see _fresh_hit
+    for v in d:
+        m = next(i for i in range(k) if v[i] != b[i])
+        hit_of[v] = (m, b[m], v[m])
     xwords = set(d)
-    for vi in d:
+    for m in range(1, k):
+        tails = {}
         for vj in d:
-            for e in correlation_set(vi, vj):
-                if e:
-                    xwords.add(vi + e)
+            tails.setdefault(vj[:m], []).append(vj[m:])
+        for vi in d:
+            xwords.update(vi + e for e in tails.get(vi[-m:], ()))
     prefixes = {w[:i] for w in xwords for i in range(len(w) + 1)}
 
     labels = [""]
@@ -226,26 +236,39 @@ def clump_automaton(b, alphabet, mark=None):
             delta[(src, a)] = row[i]
         rows.append(row)
     assert all(b not in lab for lab in labels)
+    _check_incoming_letters(labels, delta)
 
     dfa = Dfa(len(labels), alphabet.symbols, delta, 0)
-    occ = frozenset(
-        i for i, lab in enumerate(labels) if len(lab) >= k and lab[-k:] in dset
-    )
+    occ = frozenset(i for i, lab in enumerate(labels)
+                    if len(lab) >= k and lab[-k:] in hit_of)
     ebar = {i for i, lab in enumerate(labels) if len(lab) < k}
 
     check_type(alphabet, mark)
     # one label scan per occurrence state serves every mutation type
-    hits = [_fresh_hit(lab, b, dset) if i in occ else (0, None)
+    hits = [_fresh_hit(lab, k, hit_of) if i in occ else (0, None)
             for i, lab in enumerate(labels)]
+    return ClumpAutomaton(b, alphabet, dfa, labels, occ, ebar, hits, mark,
+                          pruned)
 
-    rev = {}
+
+def _check_incoming_letters(labels, delta):
+    """Raise unless every transition into a state other than the root
+    reads the last letter of that state's label.
+
+    This keeps the Markov property that theta relies on, in O(edges).  A
+    transition on a from a state labelled y moves to a suffix of y + a
+    (the failure rule), so by induction every state with a path of j
+    transitions to a state labelled x has a label ending in x[:len(x) - j].
+    An occurrence label has length at least k, so in each layer j < k of
+    theta's backward search all labels end in one nonempty word: no layer
+    holds the root, every transition into layer j reads x[-j - 1], and the
+    letters read spell the suffix of x as deep as the search goes.
+    """
     for (q, a), t in delta.items():
-        rev.setdefault(t, []).append((q, a))
-    crossing = {i for i, (untyped, _) in enumerate(hits) if untyped}
-    theta = {o: _theta_word(o, rev, crossing, k) for o in sorted(occ)}
-
-    return ClumpAutomaton(b, alphabet, dfa, labels, occ, ebar, theta, hits,
-                          mark, pruned)
+        if t and labels[t][-1] != a:
+            raise AssertionError(
+                "transition %d --%s--> %d does not read the last letter of "
+                "%r: Markov property lost" % (q, a, t, labels[t]))
 
 
 def markov_property_check(ca):
@@ -290,11 +313,21 @@ class TransferMatrix:
         """The edges at t=1 as numpy arrays (src, tgt, H_ij), row by row,
         H_ij the correctly rounded float64 of D H_ij / D.  A row vector x
         times H is np.bincount(tgt, x[src] * coef, size); swapping src and
-        tgt gives H times a column vector."""
-        src, tgt, coef = zip(*((i, j, c / self.scale)
-                               for i, row in enumerate(self.rows)
-                               for j, c in row.items()))
-        return np.array(src), np.array(tgt), np.array(coef)
+        tgt gives H times a column vector.
+
+        Each D H_ij lies in 0..D.  While D <= 2**53 both ints are exact in
+        float64, so one float division rounds each quotient as the int
+        true division does; larger scales take the int division per edge.
+        """
+        rows = self.rows
+        src = np.repeat(np.arange(self.size), [len(row) for row in rows])
+        tgt = np.fromiter(chain.from_iterable(rows), int, len(src))
+        coef = chain.from_iterable(row.values() for row in rows)
+        if self.scale <= 1 << 53:
+            coef = np.fromiter(coef, float, len(src)) / self.scale
+        else:
+            coef = np.fromiter((c / self.scale for c in coef), float, len(src))
+        return src, tgt, coef
 
 
 def transfer_matrix(ca, nu):

@@ -339,7 +339,7 @@ def scan_kmers(k, n, params, method="BNN"):
     per word and takes about 30 to 40 sparse steps over it, whatever n.
     bnn runs automata.bnn_scan: about 2 log2(n) stacked matrix products
     per stack of 35 (k = 5) or 18 (k = 6) words, shared by the stack.
-    Under table1 at n = 1000 a full 5-mer scan takes about 8 s by clump,
+    Under table1 at n = 1000 a full 5-mer scan takes about 4 s by clump,
     0.07 s by bnn and 0.06 s by bv; a 6-mer scan takes about 0.5 s by bnn
     (one BLAS thread on a shared 2-core host).
     """

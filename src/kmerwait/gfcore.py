@@ -50,9 +50,6 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -119,9 +116,6 @@ class Poly:
         for (dz, dt), c in self.terms.items():
             out[(dz, 0)] = out.get((dz, 0), QZERO) + c * val ** dt
         return Poly(out)
-
-    def eval_t1(self):
-        return self.subs_t(1)
 
     def dt1(self):
         """Partial derivative in t, then t := 1 (a poly in z only)."""
@@ -321,8 +315,8 @@ class RatFun:
 
     def dt_at_one(self):
         """Exact d/dt at t=1 (quotient rule, then substitute)."""
-        n1 = self.num.eval_t1()
-        d1 = self.den.eval_t1()
+        n1 = self.num.subs_t(1)
+        d1 = self.den.subs_t(1)
         nt = self.num.dt1()
         dt = self.den.dt1()
         return RatFun(nt * d1 - n1 * dt, d1 * d1)

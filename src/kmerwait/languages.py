@@ -464,7 +464,7 @@ def clump_gf_language(b, alphabet, nu, mark=None):
     for i in range(r):
         row = []
         for j in range(r):
-            gap = sysx.Mnum[i][j] - mk.K[i][j].eval_t1() * delta
+            gap = sysx.Mnum[i][j] - mk.K[i][j].subs_t(1) * delta
             row.append(gap.shift_div_z(k).scale(QONE / word_prob(d[j], nuq)))
         wnum.append(row)
 

@@ -7,10 +7,12 @@ from itertools import product
 import numpy as np
 import pytest
 
+from kmerwait import automata
 from kmerwait.automata import (
     ClumpAutomaton,
     Dfa,
     _bnn_matrices,
+    _check_incoming_letters,
     _det_one_minus_z,
     _kmp_table,
     _row0_powers,
@@ -28,10 +30,13 @@ from kmerwait.automata import (
     transfer_matrix,
     weighted_marks,
 )
+from kmerwait.cli import main
+from kmerwait.evolution import asymptotics, waiting_time
 from kmerwait.gfcore import POLY_ONE, POLY_ZERO, Poly, bareiss_det
 from kmerwait.languages import clump_gf_language
 from kmerwait.oracle import avoid_weight, bnn_decimal, enumerate_census
-from kmerwait.words import Alphabet, neighbors, putative_hit_count
+from kmerwait.words import Alphabet, correlation_set, neighbors, \
+    putative_hit_count
 
 from conftest import BIASED, TOYS, UNIFORM
 
@@ -114,13 +119,52 @@ def test_clump_automaton_aaa_theta(ac, autos):
     }
 
 
+def test_walk_routes_never_compute_theta(ac, binu, table1, monkeypatch,
+                                         capsys):
+    """theta is computed on demand: the routes that step the transfer
+    matrix answer with _theta_word raising, and the automaton command
+    computes it, once per occurrence state."""
+    def refuse(*args):
+        raise AssertionError("a walk route computed theta")
+
+    monkeypatch.setattr(automata, "_theta_word", refuse)
+    assert 0 < waiting_time("ACGTA", 1000, table1, "CLUMP").p_n < 1
+    assert asymptotics("ACAC", binu).C1 > 0
+    ca = clump_automaton("AACA", ac)
+    fbar, hits = clump_moment_series(ca, UNIFORM, 20, exact=False)
+    assert 0 < fbar[20] < 1 and hits[0][20] > 0
+    assert gf_from_clump_automaton(ca, UNIFORM).taylor(1, 3) == [1, 1, 1, 1]
+    with pytest.raises(AssertionError, match="computed theta"):
+        ca.theta
+
+    monkeypatch.undo()
+    real = automata._theta_word
+    calls = []
+
+    def counted(o, *args):
+        calls.append(o)
+        return real(o, *args)
+
+    monkeypatch.setattr(automata, "_theta_word", counted)
+    assert main(["automaton", "AAA", "--alphabet", "AC"]) == 0
+    assert "theta=AAC" in capsys.readouterr().out
+    assert sorted(calls) == sorted(clump_automaton("AAA", ac).O)
+
+
 def check_build(ca):
-    """The clump automaton against the definitions that its failure-rule
-    build replaces: each transition goes to the longest suffix of label +
-    letter that is again a label, exactly the transitions whose label +
-    letter ends with b are pruned, and Ebar is the set of states that the
-    neighbors' proper prefixes reach."""
+    """The clump automaton against the definitions that its build
+    replaces: the labels are the b-avoiding prefixes of X, the neighbors
+    extended by their correlation words over every pair of neighbors; each
+    transition goes to the longest suffix of label + letter that is again
+    a label, exactly the transitions whose label + letter ends with b are
+    pruned, and Ebar is the set of states that the neighbors' proper
+    prefixes reach."""
     b, k = ca.b, len(ca.b)
+    d = neighbors(b, ca.alphabet)
+    xwords = set(d) | {vi + e for vi in d for vj in d
+                       for e in correlation_set(vi, vj) if e}
+    assert set(ca.labels) == {w[:i] for w in xwords
+                              for i in range(len(w) + 1) if b not in w[:i]}
     index = {lab: q for q, lab in enumerate(ca.labels)}
     pruned = set()
     for q, lab in enumerate(ca.labels):
@@ -141,8 +185,7 @@ def check_build(ca):
             q = ca.dfa.step(q, a)
         return q
 
-    assert ca.Ebar == {run(v[:j]) for v in neighbors(b, ca.alphabet)
-                       for j in range(k)}
+    assert ca.Ebar == {run(v[:j]) for v in d for j in range(k)}
 
 
 def test_clump_build_matches_definitions_binary(ac):
@@ -171,9 +214,19 @@ def test_markov_property_detects_corruption(ac, autos):
     delta[(src, "A")] = tgt
     bad_dfa = Dfa(ca.dfa.n_states, ca.dfa.alphabet, delta, ca.dfa.initial)
     bad = ClumpAutomaton(ca.b, ca.alphabet, bad_dfa, ca.labels, ca.O,
-                         ca.Ebar, ca.theta, ca.fresh_hits, ca.mark,
-                         ca.pruned)
+                         ca.Ebar, ca.fresh_hits, ca.mark, ca.pruned)
     assert not markov_property_check(bad)
+
+
+def test_incoming_letter_check_detects_corruption(ac, autos):
+    """The build's O(edges) check: the same rerouting, CA --A--> AAC, reads
+    A into a state whose label ends with C."""
+    ca = autos["AAA"]
+    _check_incoming_letters(ca.labels, ca.dfa.delta)
+    delta = dict(ca.dfa.delta)
+    delta[(ca.labels.index("CA"), "A")] = ca.labels.index("AAC")
+    with pytest.raises(AssertionError, match="Markov property lost"):
+        _check_incoming_letters(ca.labels, delta)
 
 
 @pytest.mark.parametrize("b", TOYS)
@@ -211,6 +264,21 @@ def test_transfer_matrix_rows(ac, autos, table1):
     assert tm.scale == 100000 and tm.size == len(tm.rows) == 463
     assert all(type(c) is int for row in tm.rows for c in row.values())
     assert _full_rows(tm) == 463 - len({q for q, _ in ca.pruned})
+
+
+def test_edge_arrays_match_int_division(ac):
+    """Each H_ij of edge_arrays is the int true division D H_ij / D, edge by
+    edge in row order.  Above D = 2**53 the float quotient of the rounded
+    ints can differ, as it does for this D = 10**17."""
+    big, c = 10**17, 12345678901234567
+    assert float(c) / float(big) != c / big
+    for nu in (UNIFORM, BIASED, {"A": F(c, big), "C": F(big - c, big)}):
+        tm = transfer_matrix(clump_automaton("ACAC", ac), nu)
+        src, tgt, coef = tm.edge_arrays()
+        assert list(zip(src.tolist(), tgt.tolist(), coef.tolist())) == [
+            (i, j, w / tm.scale) for i, row in enumerate(tm.rows)
+            for j, w in row.items()]
+    assert tm.scale == big
 
 
 @pytest.mark.parametrize("b", TOYS)
