@@ -147,7 +147,10 @@ class ClumpAutomaton:
 
     @cached_property
     def theta(self):
-        """theta word per occurrence state, computed on first read."""
+        """theta word per occurrence state, computed on first read.  It
+        checks the incoming letters first, since _theta_word reads the
+        word off the label only where that check holds."""
+        _check_incoming_letters(self.labels, self.dfa.delta)
         rev = {}
         for (q, _), t in self.dfa.delta.items():
             rev.setdefault(t, []).append(q)
@@ -314,19 +317,12 @@ class TransferMatrix:
         H_ij the correctly rounded float64 of D H_ij / D.  A row vector x
         times H is np.bincount(tgt, x[src] * coef, size); swapping src and
         tgt gives H times a column vector.
-
-        Each D H_ij lies in 0..D.  While D <= 2**53 both ints are exact in
-        float64, so one float division rounds each quotient as the int
-        true division does; larger scales take the int division per edge.
         """
         rows = self.rows
         src = np.repeat(np.arange(self.size), [len(row) for row in rows])
         tgt = np.fromiter(chain.from_iterable(rows), int, len(src))
-        coef = chain.from_iterable(row.values() for row in rows)
-        if self.scale <= 1 << 53:
-            coef = np.fromiter(coef, float, len(src)) / self.scale
-        else:
-            coef = np.fromiter((c / self.scale for c in coef), float, len(src))
+        coef = np.fromiter((c / self.scale for row in rows
+                            for c in row.values()), float, len(src))
         return src, tgt, coef
 
 

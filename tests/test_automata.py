@@ -216,6 +216,10 @@ def test_markov_property_detects_corruption(ac, autos):
     bad = ClumpAutomaton(ca.b, ca.alphabet, bad_dfa, ca.labels, ca.O,
                          ca.Ebar, ca.fresh_hits, ca.mark, ca.pruned)
     assert not markov_property_check(bad)
+    # theta reads its words off the labels only where the incoming letters
+    # match them, so it refuses this automaton
+    with pytest.raises(AssertionError, match="Markov property lost"):
+        bad.theta
 
 
 def test_incoming_letter_check_detects_corruption(ac, autos):
@@ -269,7 +273,8 @@ def test_transfer_matrix_rows(ac, autos, table1):
 def test_edge_arrays_match_int_division(ac):
     """Each H_ij of edge_arrays is the int true division D H_ij / D, edge by
     edge in row order.  Above D = 2**53 the float quotient of the rounded
-    ints can differ, as it does for this D = 10**17."""
+    ints can differ, as it does for this D = 10**17, so dividing a float
+    array by D would not do."""
     big, c = 10**17, 12345678901234567
     assert float(c) / float(big) != c / big
     for nu in (UNIFORM, BIASED, {"A": F(c, big), "C": F(big - c, big)}):
