@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import mul
+from operator import mul, sub
 
 import numpy as np
 
@@ -667,7 +667,11 @@ def bnn_scan(words, n, params):
     The numerator runs the product of the avoidance automaton (on the
     original sequence) with the pattern automaton (on the mutant), each
     pair symbol weighted by nu(a) p(a, a'); the denominator runs the
-    avoidance automaton alone.  Words go in stacks of at most
+    avoidance automaton alone.  Letters are i.i.d. and mutate
+    independently per position, so reversing both texts shows that a word
+    and its reversal have the same p_n: the kernel runs each reversal
+    class once, as its smaller word min(w, w[::-1]), and hands every word
+    of the class that value.  Those words go in stacks of at most
     _STACK_ENTRIES matrix entries (35 words of length 5, 18 of length 6):
     the pair and avoidance matrices of a stack are built by index scatters
     over the words' pattern tables, and one loop of stacked squarings
@@ -688,15 +692,18 @@ def bnn_scan(words, n, params):
     for w in words:
         alphabet.check_word(w)
     nu, wgt = params.bnn_weights
+    classes = [min(w, w[::-1]) for w in words]
+    runs = list(dict.fromkeys(classes))
     step = _stack_words(k)
     out = []
-    for start in range(0, len(words), step):
-        pair, avoid = _bnn_matrices(words[start:start + step], alphabet, nu,
+    for start in range(0, len(runs), step):
+        pair, avoid = _bnn_matrices(runs[start:start + step], alphabet, nu,
                                     wgt)
         num, den, shift = _row0_powers(pair, avoid, n)
         hit = num.reshape(-1, k, k + 1)[:, :, k].sum(axis=1)
         out += map(math.ldexp, (hit / den.sum(axis=(1, 2))).tolist(), shift)
-    return out
+    value = dict(zip(runs, out))
+    return [value[c] for c in classes]
 
 
 def _bnn_matrices(words, alphabet, nu, wgt):
@@ -741,36 +748,36 @@ def _row0_powers(num, den, n):
 
     Binary exponentiation whose products every word of a stack shares.
     After every product each slice is divided by the power of two that
-    brings its mass into [1/2, 1), as _rescale does.  Its exponent is kept
-    with the weight it carries into the shift: a squaring made while
-    n >> j is left carries weight n >> j, since every set bit above it
-    multiplies the vector by a power of that square.  Raises
-    ArithmeticError when a word's mass vanishes: a slice without mass stays
-    0, and so does every later vector of that word, since the top bit of n
-    always comes after the last squaring.
+    brings its mass into [1/2, 1), as _rescale does.  The difference of
+    the num and den exponents is kept with the weight it carries into the
+    shift: a squaring made while n >> j is left carries weight n >> j,
+    since every set bit above it multiplies the vector by a power of that
+    square.  Raises ArithmeticError when a word's mass vanishes: a slice
+    without mass stays 0, and so does every later vector of that word,
+    since the top bit of n always comes after the last squaring.
     """
     u = np.zeros((len(num), 1, num.shape[2]))
     v = np.zeros((len(den), 1, den.shape[2]))
     u[:, 0, 0] = v[:, 0, 0] = 1.0
-    weights, exps = [], []
+    weights, diffs = [], []
     while True:
         if n & 1:
             u = u @ num
             v = v @ den
-            weights += (1, -1)
-            exps += (_rescale(u), _rescale(v))
+            weights.append(1)
+            diffs.append(list(map(sub, _rescale(u), _rescale(v))))
         n >>= 1
         if not n:
             break
         num = num @ num
         den = den @ den
-        weights += (n, -n)
-        exps += (_rescale(num), _rescale(den))
+        weights.append(n)
+        diffs.append(list(map(sub, _rescale(num), _rescale(den))))
     if not (np.add.reduce(u, (1, 2)).min() > 0.0
             and np.add.reduce(v, (1, 2)).min() > 0.0):
         raise ArithmeticError("automaton mass vanished")
     # Python ints, so that no n overflows the sum
-    shift = [sum(map(mul, weights, col)) for col in zip(*exps)]
+    shift = [sum(map(mul, weights, col)) for col in zip(*diffs)]
     return u, v, shift
 
 
@@ -778,15 +785,16 @@ def _rescale(x):
     """Divide every slice of the stack x in place by the power of two that
     brings its mass into [1/2, 1) (a slice without mass stays 0), and
     return the exponents as a list of ints.  That division is exact.  A
-    stack whose slices share one exponent, such as a stack of one word,
-    is scaled by a scalar."""
-    exps = [math.frexp(m)[1] for m in np.add.reduce(x, (1, 2)).tolist()]
-    e = exps[0]
-    if exps.count(e) == len(exps):
+    stack of one word is scaled by a scalar, which is cheaper than a
+    broadcast for the single-word calls of bnn_probability."""
+    mass = np.add.reduce(x, (1, 2))
+    if len(mass) == 1:
+        e = math.frexp(mass[0])[1]
         np.ldexp(x, -e, out=x)
-    else:
-        np.ldexp(x, -np.array(exps, dtype=np.int32)[:, None, None], out=x)
-    return exps
+        return [e]
+    exps = np.frexp(mass)[1]
+    np.ldexp(x, -exps[:, None, None], out=x)
+    return exps.tolist()
 
 
 def to_dot(obj):

@@ -144,10 +144,7 @@ def minimal_period(b):
     if not b:
         raise ValueError("empty word")
     n = len(b)
-    for i in range(1, n + 1):
-        if all(b[j] == b[j - i] for j in range(i, n)):
-            return i
-    return n
+    return next(i for i in range(1, n + 1) if b[i:] == b[:n - i])
 
 
 def is_reduced(words):

@@ -488,6 +488,41 @@ def test_bnn_scan_spans_stacks(request, model):
                                               for w in words]
 
 
+@pytest.mark.parametrize("word,model,n", [("ACGTA", "table1", 1000),
+                                          ("CCCCT", "table1", 1000),
+                                          ("AACA", "binu", 30)])
+def test_bnn_reversal_symmetry(request, word, model, n):
+    # letters are i.i.d. and mutate independently per position, so a word
+    # and its reversal have one p_n: the decimal shadow certifies it, and
+    # the kernel gives both words one float
+    params = request.getfixturevalue(model)
+    back = word[::-1]
+    assert back != word
+    pm, pr = bnn_decimal(word, n, params), bnn_decimal(back, n, params)
+    assert abs(pm - pr) / pm < 1e-30
+    assert bnn_probability(word, n, params) == bnn_probability(back, n, params)
+    # the larger word takes its reversal's value, still within the
+    # kernel's n eps rounding of its own shadow
+    assert abs(bnn_probability(max(word, back), n, params)
+               - float(pr if back > word else pm)) / float(pm) < 1e-12
+
+
+@pytest.mark.parametrize("k,runs", [(4, 136), (5, 544)])
+def test_bnn_scan_runs_each_reversal_class_once(table1, monkeypatch, k,
+                                                runs):
+    built = []
+
+    def counting(words, *args):
+        built.extend(words)
+        return _bnn_matrices(words, *args)
+
+    monkeypatch.setattr(automata, "_bnn_matrices", counting)
+    words = ["".join(t) for t in product("ACGT", repeat=k)]
+    bnn_scan(words, 1000, table1)
+    assert len(built) == len(set(built)) == runs
+    assert all(w <= w[::-1] for w in built)
+
+
 def test_bnn_scan_rejects_bad_word_lists(table1):
     with pytest.raises(ValueError, match="no words"):
         bnn_scan([], 1000, table1)

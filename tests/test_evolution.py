@@ -487,6 +487,24 @@ def test_scan_bnn_rows_match_single_words(table1):
     assert all(a.p_n >= b.p_n for a, b in zip(order, order[1:]))
 
 
+def test_scan_bv_rows_match_single_words(table1):
+    # the scan runs one series per letter composition; every row is still
+    # the single-word value
+    rows = scan_kmers(5, 1000, table1, "BV")
+    assert [r.p_n for r in rows] == [bv_probability(r.word, 1000, table1)
+                                     for r in rows]
+
+
+@pytest.mark.parametrize("method", ["BNN", "BV"])
+def test_scan_reversals_tie_alphabetically(table1, method):
+    rows = {r.word: r for r in scan_kmers(5, 1000, table1, method)}
+    pairs = [(r, rows[w[::-1]]) for w, r in rows.items() if w < w[::-1]]
+    assert len(pairs) == 480
+    for r, back in pairs:
+        assert r.p_n == back.p_n
+        assert r.rank < back.rank
+
+
 def test_scan_warns_out_of_regime(table1):
     with pytest.warns(UserWarning, match="single-mutation regime"):
         rows = scan_kmers(2, 10 ** 6, table1)

@@ -1,6 +1,7 @@
 """Word-level combinatorics: correlation sets, neighborhoods, putative hits."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -91,6 +92,16 @@ def test_minimal_period():
     assert minimal_period("AACC") == 4
     assert minimal_period("AACA") == 3
     assert minimal_period("CATAT") == 5
+
+
+def test_minimal_period_matches_definition():
+    # the smallest i >= 1 with b a prefix of b[:i] repeated
+    words = ["".join(t) for k in range(1, 9) for t in product("AC", repeat=k)]
+    words += ["".join(t) for t in product("ACGT", repeat=4)]
+    for b in words:
+        want = next(i for i in range(1, len(b) + 1)
+                    if (b[:i] * len(b)).startswith(b))
+        assert minimal_period(b) == want, b
 
 
 def test_is_reduced():
