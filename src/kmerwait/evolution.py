@@ -11,7 +11,8 @@ clump census of putative-hit positions weighted by the mutation rates
 of the conditioned hit expectations, on any alphabet, from float64 Perron
 walks over the edge arrays of the clump automaton's transfer matrix, reads
 vanishing slopes off the graph, and certifies the constants against the
-exact rational series.
+conditioned float walk of clump; the decay B of the terms the linear law
+leaves out is the spectral gap |lam2|/lam of the transfer matrix.
 """
 
 import math
@@ -24,7 +25,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .automata import PERRON_TOL, _exact_moments, bnn_probability, \
+from .automata import PERRON_TOL, _float_walk, bnn_probability, \
     bnn_scan, clump_automaton, clump_conditioned_hits, clump_moment_series, \
     state_marks, transfer_matrix, weighted_marks
 from .gfcore import QONE, QZERO, as_q
@@ -39,11 +40,6 @@ REGIME_LIMIT = 1e-2
 # simple converges like 1/steps and runs out.
 PERRON_STEPS = 3000
 NOT_SIMPLE = "the Perron root of the transfer matrix is not simple: %s"
-# Last residual of the exact series in the decay fit of B.
-N_FIT = 200
-# Residuals of the linear law below this floor (relative to the series)
-# are left out of the decay fit.
-DECAY_FLOOR = Fraction(1, 10 ** 220)
 
 
 class ModelParams:
@@ -284,46 +280,50 @@ def clump_probability(b, n, params):
     automata.clump_conditioned_hits), so a call costs the automaton build
     plus 27 to 38 steps on a DNA 5-mer under table1, at n = 1e3 as at
     1e7.  On binary toys it matches the exact rational series within
-    1e-12 relative.
+    1e-12 relative.  Letters are i.i.d. and mutate position by position,
+    so a word and its reversal have one p_n; the walk runs on
+    min(b, b[::-1]), which gives both bitwise the same float.
     """
     check_text_length(b, n)
-    ca = clump_automaton(b, params.alphabet)
+    ca = clump_automaton(min(b, b[::-1]), params.alphabet)
     weight = {(a, c): float(params.p1[a][c])
               for a, c in params.mutation_types()}
     return clump_conditioned_hits(ca, params.nu, n, weighted_marks(ca, weight))
 
 
-def _bv_scan(words, n, params):
-    """BV p_n of each word, one series per letter composition.  The series
-    reads a word only through integer products over its letters, and those
-    do not depend on the letters' order, so every word with the same
-    letters gets bitwise the same float."""
-    keys = ["".join(sorted(w)) for w in words]
-    value = {key: bv_probability(key, n, params)
-             for key in dict.fromkeys(keys)}
-    return [value[key] for key in keys]
+def _per_class(one, key):
+    """Scan function that runs one(c, n, params) once per distinct class
+    c = key(w) of the words and gives every word of a class its value."""
+    def many(words, n, params):
+        keys = [key(w) for w in words]
+        value = {c: one(c, n, params) for c in dict.fromkeys(keys)}
+        return [value[c] for c in keys]
+    return many
 
 
 def _route(method):
     """Canonical name, p_n function and scan function of a method, from
     the one method table that waiting_time and scan_kmers share.  The scan
-    function maps a list of words to their p_n.  BNN and BV compute each
-    distinct value once (automata.bnn_scan by reversal class, _bv_scan by
-    letter composition); CLUMP runs word by word."""
+    function maps a list of words to their p_n, computing each distinct
+    value once.  BNN and CLUMP run each reversal class once, as
+    min(w, w[::-1]) (automata.bnn_scan; clump_probability already reads
+    that word).  BV runs one series per letter composition: it reads a
+    word only through integer products over its letters, which do not
+    depend on their order, so every word with the same letters gets
+    bitwise the same float."""
     name = str(method).upper()
     # built per call, so that a function rewrapped on this module (a
     # profiler, a test double) is the one that runs
-    table = {"BV": (bv_probability, _bv_scan),
+    table = {"BV": (bv_probability,
+                    _per_class(bv_probability, lambda w: "".join(sorted(w)))),
              "BNN": (bnn_probability, bnn_scan),
-             "CLUMP": (clump_probability, None)}
+             "CLUMP": (clump_probability,
+                       _per_class(clump_probability,
+                                  lambda w: min(w, w[::-1])))}
     if name not in table:
         raise ValueError("unknown method %r (expected BV, BNN or CLUMP)"
                          % (method,))
-    one, many = table[name]
-    if many is None:
-        def many(words, n, params):
-            return [one(w, n, params) for w in words]
-    return name, one, many
+    return (name, *table[name])
 
 
 def _in_range(p):
@@ -344,20 +344,20 @@ def scan_kmers(k, n, params, method="BNN"):
 
     Returns one row per word, in alphabet order; rank 1 is the word that
     appears soonest.  Ranks follow the float p_n, and only equal floats
-    fall back to alphabetical order.  bnn and bv give a word and its
+    fall back to alphabetical order.  Every method gives a word and its
     reversal one float, and bv gives every word with the same letters one
     float, so such ties rank alphabetically.  Emits a warning when n times
     the largest mutation rate exceeds 1e-2, the regime where the
-    single-mutation picture starts to degrade.  The clump method builds an
-    automaton of a few hundred states per word and takes about 30 to 40
-    sparse steps over it, whatever n.  bnn runs automata.bnn_scan once per
-    reversal class (544 of 1024 5-mers, 2080 of 4096 6-mers): about
-    2 log2(n) stacked matrix products per stack of 35 (k = 5) or 18
-    (k = 6) words, shared by the stack.  bv runs one series per letter
-    composition (56 for k = 5, 84 for k = 6).  Under table1 at n = 1000 a
-    full 5-mer scan takes about 4 s by clump, 0.025 s by bnn and 0.004 s
-    by bv; a 6-mer scan takes about 0.17 s by bnn and 0.015 s by bv (one
-    BLAS thread on a shared 2-core host).
+    single-mutation picture starts to degrade.  clump and bnn run once per
+    reversal class (544 of 1024 5-mers, 2080 of 4096 6-mers).  The clump
+    method builds an automaton of a few hundred states per class and
+    takes about 30 to 40 sparse steps over it, whatever n.  bnn runs
+    automata.bnn_scan: about 2 log2(n) stacked matrix products per stack
+    of 35 (k = 5) or 18 (k = 6) words, shared by the stack.  bv runs one
+    series per letter composition (56 for k = 5, 84 for k = 6).  Under
+    table1 at n = 1000 a full 5-mer scan takes about 2 s by clump,
+    0.025 s by bnn and 0.004 s by bv; a 6-mer scan takes about 0.17 s by
+    bnn and 0.015 s by bv (one BLAS thread on a shared 2-core host).
     """
     if k < 2:
         raise ValueError("scan needs k >= 2")
@@ -376,18 +376,6 @@ def scan_kmers(k, n, params, method="BNN"):
     return [ScanRow(w, name, probs[i], 1.0 / probs[i], rank[i],
                     minimal_period(w))
             for i, w in enumerate(words)]
-
-
-def _fit_decay(points):
-    count = len(points)
-    if count < 2:
-        return 0.0
-    sx = sum(x for x, _ in points)
-    sy = sum(y for _, y in points)
-    sxx = sum(x * x for x, _ in points)
-    sxy = sum(x * y for x, y in points)
-    slope = (count * sxy - sx * sy) / (count * sxx - sx * sx)
-    return math.exp(slope)
 
 
 def _perron(src, tgt, coef, size):
@@ -448,19 +436,23 @@ def asymptotics(b, params):
     c1 = l'D r and c2 = (e0'G D r - e0'D r)/r[e0] + c1 + l'D G 1/sum(l);
     this is the Markov-additive view of Nicodeme, Salvy and Flajolet.
     Aggregating over types with the substitution weights gives the
-    appearance probability slope C1 and intercept C2; B bounds the
-    relative decay of the neglected terms.
+    appearance probability slope C1 and intercept C2.  The terms the law
+    leaves out decay like B^n with B = |lam2|/lam, the ratio of the two
+    largest eigenvalue moduli of H, taken from a dense eigenvalue solve.
 
     r, l (power iteration) and G 1, e0'G (Neumann series) are float64
     walks over the transfer matrix's edge arrays, stopped at PERRON_TOL.
     l o r is positive exactly on the dominant strongly connected class, so
     a type none of whose marked states lies in that class (its hits fit
     only in a bounded prefix of the text) has c1 = 0 exactly, and its flat
-    limit as c2.  The exact rational series, run K steps past N_FIT with
-    K the longer Neumann series' step count, certifies the constants at
-    1e-8 by its two-point fit at its last length; that fit is also the
-    reference for the residuals over n in [50, N_FIT] whose decay gives B.
-    A Perron root that is not simple raises ArithmeticError.
+    limit as c2.  The other route to the same law, the conditioned walk of
+    automata._float_walk over 2K letters with K the longer Neumann series'
+    step count, certifies the constants at 1e-8: its last increment
+    against c1 and E_2K - 2K delta against c2, for every type.  A Perron
+    root that is not simple raises ArithmeticError, and so does B = 1.
+    Under table1 a call takes about 0.06 s on ACGTA (463 states) and
+    0.26 s on ACGTACGT (810 states) on one BLAS thread, most of it in the
+    eigenvalue solve.
     """
     types = params.mutation_types()
     ca = clump_automaton(b, params.alphabet)
@@ -482,37 +474,32 @@ def asymptotics(b, params):
     if not psi > 0:
         raise ArithmeticError("avoiding amplitude came out nonpositive")
     dominant = _strong_class(src, tgt, int(np.argmax(l * r)), size)
-    last = N_FIT + max(k_one, k_e0)
-    fbar, hits = _exact_moments(ca, tm, last, vecs)
-    c1, c2, decay = {}, {}, {}
-    for i, (ty, vec) in enumerate(zip(types, vecs)):
+    c1, c2 = {}, {}
+    for ty, vec in zip(types, vecs):
         on = np.array(vec, dtype=bool)
         c1[ty] = float((l * r)[on & dominant].sum() / lr)
         c2[ty] = float((g_e0[on] @ r[on] - vec[e0] * r[e0]) / r[e0] + c1[ty]
                        + l[on] @ g_one[on] / l.sum())
-        series = {n: hits[i][n] / fbar[n]
-                  for n in [*range(50, N_FIT + 1), last - 1, last]}
-        slope = series[last] - series[last - 1]
-        icept = series[last] - last * slope
+    last = 2 * max(k_one, k_e0)
+    for *_, moments in _float_walk(ca, tm, last, vecs):
+        pass
+    for ty, (cond, inc, _) in zip(types, moments):
         ref = max(1.0, abs(c1[ty]))
-        if abs(float(slope) - c1[ty]) > 1e-8 * ref or \
-                abs(float(icept) - c2[ty]) > 1e-8 * ref:
+        if abs(inc - c1[ty]) > 1e-8 * ref or \
+                abs(cond - last * inc - c2[ty]) > 1e-8 * ref:
             raise ArithmeticError("growth constants disagree with the "
-                                  "linear fit of the exact series")
-        pts = []
-        for n in range(50, N_FIT + 1):
-            res = abs(series[n] - (slope * n + icept))
-            if res > DECAY_FLOOR * (1 + abs(series[n])):
-                pts.append((n, math.log(res.numerator)
-                            - math.log(res.denominator)))
-        decay[ty] = _fit_decay(pts)
-        if not decay[ty] < 1:
-            raise ArithmeticError("residuals of type %r do not decay"
-                                  % (ty,))
+                                  "conditioned walk's linear law")
+    h = np.zeros((size, size))
+    np.add.at(h, (src, tgt), coef)
+    top = np.sort(np.abs(np.linalg.eigvals(h)))[-2:]
+    decay = float(top[0] / top[1])
+    if not decay < 1:
+        raise ArithmeticError("the transfer matrix has a second eigenvalue "
+                              "as large as its Perron root")
     big = [sum(c[a, t] * float(params.p1[a][t]) for a, t in types)
            for c in (c1, c2)]
     return AsymptoticConstants(
         1 / lam, psi,
         {ty: v * psi / lam for ty, v in c1.items()},
         {ty: v * psi / lam for ty, v in c2.items()},
-        c1, c2, *big, max(decay.values()) if decay else 0.0)
+        c1, c2, *big, decay)

@@ -163,7 +163,7 @@ def test_asym_human(capsys):
     assert lines[0] == "growth constants for ACAC (params binary-uniform)"
     assert lines[1] == "  tau = 1.062020113   psi = 1.119325445"
     assert lines[-1] == ("  C1 = 0.2452503889   C2 = -0.6855653517   "
-                         "decay B = 0.535320432")
+                         "decay B = 0.5310100565")
 
 
 def test_asym_csv_values(capsys):

@@ -4,9 +4,12 @@ import math
 from fractions import Fraction as F
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
+from kmerwait import automata, evolution
 from kmerwait.automata import (
+    _det_one_minus_z,
     bnn_probability,
     clump_automaton,
     clump_moment_series,
@@ -363,15 +366,15 @@ def test_waiting_time_rejects_degenerate(table1):
 FROZEN = {
     #        tau           psi        C1            C2             B
     "AAA": (1.0873780254, 1.046050, 0.2368398446, -0.3365586721,
-            0.404067744676),
+            0.400890564601),
     "ACC": (1.2360679775, 1.532624, 0.4472135955, -0.8583592135,
-            0.623414092952),
+            0.618033988750),
     "ACAC": (1.0620201129, 1.119325, 0.2452503889, -0.6855653517,
-             0.535320431984),
+             0.531010056460),
     "AACC": (1.0873780254, 1.246356, 0.3068491681, -1.1136350388,
-             0.548048885401),
+             0.543689012692),
     "AACA": (1.0713747736, 1.146088, 0.2719329227, -0.7445839622,
-             0.469349736017),
+             0.464312613208),
 }
 
 
@@ -383,8 +386,7 @@ def test_asymptotic_constants(binu, b):
     assert a.psi == pytest.approx(psi, rel=1e-6)
     assert a.C1 == pytest.approx(c1, abs=2e-9)
     assert a.C2 == pytest.approx(c2, abs=2e-9)
-    # B is the decay rate of the residuals against the exact series' own
-    # two-point fit far past n = 200; a fit at 200 moves it by about 1e-4
+    # B is the spectral gap |lam2|/lam of the transfer matrix
     assert a.B == pytest.approx(decay, abs=1e-10)
     assert 0 < a.B < 1
 
@@ -401,6 +403,9 @@ def test_asymptotics_acc_closed_forms(binu):
     assert a.c1[("C", "A")] == 0.0
     assert a.c2[("C", "A")] == pytest.approx((s5 - 1) / 2, abs=1e-14)
     assert a.c1[("A", "C")] == pytest.approx(1 / s5, abs=1e-14)
+    # the root tau = 2 of 8 - 8 tau + tau^3 is lam2 = 1/2, so B = |lam2|/lam
+    # is (sqrt5 - 1)/2
+    assert a.B == pytest.approx((s5 - 1) / 2, abs=1e-14)
 
 
 @pytest.fixture(scope="module")
@@ -437,6 +442,22 @@ def test_asymptotics_zero_slopes_match_exact_series(request, b, model):
         assert (a.c1[ty] == 0.0) == (abs(slope) < F(1, 10 ** 30))
 
 
+@pytest.mark.parametrize("b, model", [(b, "binu") for b in TOYS]
+                         + [(b, "biased_swap") for b in TOYS if b != "ACC"])
+def test_asymptotics_decay_is_exact_spectral_gap(request, b, model):
+    """B is |lam2|/lam of the transfer matrix: the roots of its exact
+    characteristic polynomial give the same ratio."""
+    params = request.getfixturevalue(model)
+    tm = transfer_matrix(clump_automaton(b, params.alphabet), params.nu)
+    rows = [[F(row.get(j, 0), tm.scale) for j in range(tm.size)]
+            for row in tm.rows]
+    # det(I - zH) low degree first is det(xI - H) high degree first
+    roots = np.roots([float(c) for c in _det_one_minus_z(rows)])
+    mod = sorted(abs(roots))
+    assert asymptotics(b, params).B == pytest.approx(mod[-2] / mod[-1],
+                                                     abs=1e-12)
+
+
 def test_asymptotics_quasi_linear_spot(binu):
     a = asymptotics("ACAC", binu)
     eh = expected_hits("ACAC", 200, binu)
@@ -447,9 +468,10 @@ def test_asymptotics_quasi_linear_spot(binu):
 # of the transfer matrix under table1 (ACGTACGT has 810 states)
 DNA_SLOPES = {"ACGTA": 1.4232325921872e-10, "CCCCC": 1.1022818629622e-10,
               "ACGTACGT": 3.5892018986411e-12}
-# residual decay rates B, from the exact series' fit at n = 200 + K
-DNA_DECAY = {"ACGTA": 0.239862968944, "CCCCC": 0.251161315699,
-             "ACGTACGT": 0.262700487721}
+# residual decay rates B = |lam2|/lam, from a dense eigenvalue solve of
+# the transfer matrix under table1
+DNA_DECAY = {"ACGTA": 0.236423789791, "CCCCC": 0.248893135301,
+             "ACGTACGT": 0.260447840466}
 
 
 @pytest.mark.parametrize("b", sorted(DNA_SLOPES))
@@ -463,6 +485,30 @@ def test_asymptotics_dna_matches_walk(table1, b):
     for n in (2000, 4000, 10 ** 6, 10 ** 7):
         assert a.C1 * n + a.C2 == pytest.approx(
             clump_probability(b, n, table1), rel=1e-12, abs=0)
+
+
+def test_asymptotics_needs_no_exact_series(binu, table1, monkeypatch):
+    def no_series(*args):
+        raise AssertionError("the exact moment series ran")
+    monkeypatch.setattr(automata, "_exact_moments", no_series)
+    assert asymptotics("ACAC", binu).C1 == pytest.approx(FROZEN["ACAC"][2],
+                                                         abs=2e-9)
+    assert asymptotics("ACGTA", table1).C1 == pytest.approx(
+        DNA_SLOPES["ACGTA"], rel=1e-12, abs=0)
+
+
+def test_asymptotics_walk_certificate_rejects_bad_constants(binu,
+                                                            monkeypatch):
+    """A group inverse off by 1e-6 relative moves c2 past the 1e-8 bound
+    of the conditioned walk's certificate."""
+    group_apply = evolution._group_apply
+
+    def skewed(*args):
+        g, steps = group_apply(*args)
+        return g * (1 + 1e-6), steps
+    monkeypatch.setattr(evolution, "_group_apply", skewed)
+    with pytest.raises(ArithmeticError, match="disagree"):
+        asymptotics("ACAC", binu)
 
 
 def test_scan_ranks_and_determinism(table1):
@@ -495,7 +541,17 @@ def test_scan_bv_rows_match_single_words(table1):
                                      for r in rows]
 
 
-@pytest.mark.parametrize("method", ["BNN", "BV"])
+def test_scan_clump_rows_match_single_words(table1):
+    # the scan walks each reversal class once; every row is still the
+    # single-word value, and a word and its reversal share one float
+    rows = scan_kmers(3, 1000, table1, "CLUMP")
+    assert [r.p_n for r in rows] == [clump_probability(r.word, 1000, table1)
+                                     for r in rows]
+    assert clump_probability("ATGCA", 1000, table1) == \
+        clump_probability("ACGTA", 1000, table1)
+
+
+@pytest.mark.parametrize("method", ["BNN", "BV", "CLUMP"])
 def test_scan_reversals_tie_alphabetically(table1, method):
     rows = {r.word: r for r in scan_kmers(5, 1000, table1, method)}
     pairs = [(r, rows[w[::-1]]) for w, r in rows.items() if w < w[::-1]]
