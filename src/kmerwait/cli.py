@@ -64,12 +64,7 @@ def _cmd_wait(args, out):
 
 def _cmd_scan(args, out):
     params = load_params(args.params)
-    methods = args.method or ["bnn"]
-    seen = []
-    for m in methods:
-        if m not in seen:
-            seen.append(m)
-    methods = seen
+    methods = list(dict.fromkeys(args.method or ["bnn"]))
     if len(methods) > 2:
         raise ValueError("at most two methods can be compared side by side")
     tables = [scan_kmers(args.k, args.length, params, m) for m in methods]

@@ -85,6 +85,9 @@ class ModelParams:
         self.mutated = {c: sum((nuq[a] * rows[a][c] for a in alphabet), QZERO)
                         for c in alphabet}
         self.stay = {c: nuq[c] * rows[c][c] for c in alphabet}
+        # the substitution rates of the mutation types, in alphabet order
+        self.rates = {(a, c): float(rows[a][c])
+                      for a in alphabet for c in alphabet if a != c}
         # the letter weights of automata.bnn_scan in float64: nu(a), and
         # nu(a) p1(a, c) for a letter a that the mutant reads as c
         nu_f = np.array([float(nuq[a]) for a in alphabet])
@@ -93,11 +96,11 @@ class ModelParams:
 
     def mutation_types(self):
         """Ordered letter pairs (a, c) with a != c, in alphabet order."""
-        return [(a, c) for a in self.alphabet for c in self.alphabet if a != c]
+        return list(self.rates)
 
     def max_mutation(self):
         """Largest off-diagonal substitution probability, as a float."""
-        return max(float(self.p1[a][c]) for a, c in self.mutation_types())
+        return max(self.rates.values())
 
     def __repr__(self):
         return "ModelParams(%r, %d letters)" % (self.name, len(self.alphabet))
@@ -286,9 +289,8 @@ def clump_probability(b, n, params):
     """
     check_text_length(b, n)
     ca = clump_automaton(min(b, b[::-1]), params.alphabet)
-    weight = {(a, c): float(params.p1[a][c])
-              for a, c in params.mutation_types()}
-    return clump_conditioned_hits(ca, params.nu, n, weighted_marks(ca, weight))
+    return clump_conditioned_hits(ca, params.nu, n,
+                                  weighted_marks(ca, params.rates))
 
 
 def _per_class(one, key):
@@ -496,8 +498,7 @@ def asymptotics(b, params):
     if not decay < 1:
         raise ArithmeticError("the transfer matrix has a second eigenvalue "
                               "as large as its Perron root")
-    big = [sum(c[a, t] * float(params.p1[a][t]) for a, t in types)
-           for c in (c1, c2)]
+    big = [sum(c[ty] * params.rates[ty] for ty in types) for c in (c1, c2)]
     return AsymptoticConstants(
         1 / lam, psi,
         {ty: v * psi / lam for ty, v in c1.items()},

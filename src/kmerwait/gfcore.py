@@ -289,12 +289,6 @@ class RatFun:
         other = _as_rf(other)
         return RatFun(self.num * other.den - other.num * self.den, self.den * other.den)
 
-    def __rsub__(self, other):
-        return _as_rf(other).__sub__(self)
-
-    def __neg__(self):
-        return RatFun(-self.num, self.den)
-
     def __mul__(self, other):
         other = _as_rf(other)
         return RatFun(self.num * other.num, self.den * other.den)
@@ -322,27 +316,9 @@ class RatFun:
         return RatFun(nt * d1 - n1 * dt, d1 * d1)
 
     def taylor(self, at_t, n_max):
-        """Coefficients [z^0 .. z^n_max] of the series at a fixed t value.
-
-        Uses the linear recurrence induced by the denominator, so the cost
-        is O(n_max * degree).
-        """
-        num = self.num.subs_t(at_t)
-        den = self.den.subs_t(at_t)
-        if den.is_zero():
-            raise ZeroDivisionError("denominator vanishes at that t")
-        p = num.zcoeffs()
-        q = den.zcoeffs()
-        if not q or q[0] == 0:
-            raise ValueError("not expandable at z=0 (denominator vanishes there)")
-        q0 = q[0]
-        coeffs = []
-        for n in range(n_max + 1):
-            acc = p[n] if n < len(p) else QZERO
-            for i in range(1, min(n, len(q) - 1) + 1):
-                acc -= q[i] * coeffs[n - i]
-            coeffs.append(acc / q0)
-        return coeffs
+        """Coefficients [z^0 .. z^n_max] of the series at a fixed t value."""
+        return [row.get(0, QZERO)
+                for row in self.subs_t(at_t).taylor_tpolys(n_max)]
 
     def taylor_tpolys(self, n_max):
         """Coefficients [z^0 .. z^n_max] as polynomials in t (mappings

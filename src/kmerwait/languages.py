@@ -8,7 +8,15 @@ generating-function translation is solved here exactly.  On top of that
 sit the code matrices describing how occurrences chain into overlapping
 clumps, and the assembly of the bivariate function F(z, t) counting
 putative-hit positions (marked by t) in texts that avoid a given k-mer.
+
+This is the paper's language route.  It imports nothing from the
+automaton route, so the two certify each other.  A solve keeps R, U and
+M as polynomial numerators over one denominator; the clump assembly
+works on those numerators, and the RatFuns are built only when read.
 """
+
+from collections import namedtuple
+from functools import cached_property
 
 from .gfcore import (
     POLY_ONE,
@@ -45,24 +53,6 @@ def _row_det(mat, adj):
     return sum((mat[0][j] * adj[j][0] for j in range(len(mat))), POLY_ZERO)
 
 
-class _System:
-    """Raw polynomial data of a solved system, kept for reuse: R, U and M
-    of the solve as numerators over the common denominator delta."""
-
-    __slots__ = ("words", "vpolys", "C", "delta", "Rnum", "Unum", "Mnum",
-                 "nuq")
-
-    def __init__(self, words, vpolys, C, delta, Rnum, Unum, Mnum, nuq):
-        self.words = words
-        self.vpolys = vpolys
-        self.C = C
-        self.delta = delta
-        self.Rnum = Rnum
-        self.Unum = Unum
-        self.Mnum = Mnum
-        self.nuq = nuq
-
-
 class LanguageGFs:
     """Solved language system for a reduced word set.
 
@@ -70,17 +60,35 @@ class LanguageGFs:
     R[j] of texts ending with a first occurrence, which is of word j;
     M[i][j] of minimal continuations from an occurrence of word i to the
     next occurrence, of word j; U[i] of tails after an occurrence of word
-    i seeing no further occurrence.  All entries are exact RatFuns.
+    i seeing no further occurrence.  R, U and M share the denominator
+    delta and are kept as their numerators Rnum, Unum and Mnum; the exact
+    RatFuns are built on first read.  vpolys and C are the word weights
+    and correlation polynomials the solve started from, nuq the letter
+    distribution.
     """
 
-    def __init__(self, words, N, R, M, U, system):
+    def __init__(self, words, nuq, vpolys, C, delta, Rnum, Unum, Mnum, N):
         self.words = tuple(words)
+        self.nuq = nuq
+        self.vpolys = vpolys
+        self.C = C
+        self.delta = delta
+        self.Rnum = Rnum
+        self.Unum = Unum
+        self.Mnum = Mnum
         self.N = N
-        self.R = list(R)
-        self.M = [list(row) for row in M]
-        self.U = list(U)
-        self.system = system
-        self.extended = None
+
+    @cached_property
+    def R(self):
+        return [RatFun(num, self.delta) for num in self.Rnum]
+
+    @cached_property
+    def U(self):
+        return [RatFun(num, self.delta) for num in self.Unum]
+
+    @cached_property
+    def M(self):
+        return [[RatFun(num, self.delta) for num in row] for row in self.Mnum]
 
 
 def rs_solve(words, alphabet, nu):
@@ -110,27 +118,17 @@ def rs_solve(words, alphabet, nu):
     delta = _row_det(B, adjB)
     if delta.is_zero():
         raise ArithmeticError("degenerate language system")
-    Rnum = [sum((vpolys[i] * adjB[i][j] for i in range(r)), POLY_ZERO)
-            for j in range(r)]
+    [Rnum] = mat_mul_poly([vpolys], adjB)
     Unum = [sum(row, POLY_ZERO) for row in adjB]
     Mnum = [[(delta if i == j else POLY_ZERO) - one_minus_z * adjB[i][j]
              for j in range(r)] for i in range(r)]
-    R = [RatFun(num, delta) for num in Rnum]
-    U = [RatFun(num, delta) for num in Unum]
-    M = [[RatFun(num, delta) for num in row] for row in Mnum]
-    N = None
-    for j in range(r):
-        numj = POLY_ZERO
-        for i in range(r):
-            numj = numj + Rnum[i] * C[i][j]
-        Nj = RatFun(numj, delta * vpolys[j])
-        if N is None:
-            N = Nj
-        elif not (N == Nj):
+    # N v_j = sum_i R_i C_ij for every column j
+    [Nnum] = mat_mul_poly([Rnum], C)
+    N = RatFun(Nnum[0], delta * vpolys[0])
+    for j in range(1, r):
+        if not (N == RatFun(Nnum[j], delta * vpolys[j])):
             raise ArithmeticError("avoiding function differs across columns")
-
-    system = _System(words, vpolys, C, delta, Rnum, Unum, Mnum, nuq)
-    return LanguageGFs(words, N, R, M, U, system)
+    return LanguageGFs(words, nuq, vpolys, C, delta, Rnum, Unum, Mnum, N)
 
 
 def parse_identity_residual(lang):
@@ -158,9 +156,6 @@ def structure_identity_residuals(lang):
     followed by word j decompose through first occurrences and overlaps:
     N * v_j = sum_i R_i * C_ij.
     """
-    sys = lang.system
-    if sys.words != lang.words:
-        raise ValueError("identities apply to fully solved systems only")
     r = len(lang.words)
     z = RatFun(POLY_Z)
     out = []
@@ -170,36 +165,27 @@ def structure_identity_residuals(lang):
             rhs = rhs + lang.M[i][j]
         out.append(lang.U[i] * z - rhs)
     for j in range(r):
-        lhs = lang.N * RatFun(sys.vpolys[j])
+        lhs = lang.N * RatFun(lang.vpolys[j])
         rhs = RatFun.const(0)
         for i in range(r):
-            rhs = rhs + lang.R[i] * RatFun(sys.C[i][j])
+            rhs = rhs + lang.R[i] * RatFun(lang.C[i][j])
         out.append(lhs - rhs)
     return out
+
+
+ConstrainedLanguages = namedtuple("ConstrainedLanguages", "words extended")
 
 
 def constrained_languages(b, alphabet, nu):
     """Language system of the substitution neighbors of b within b-avoiding texts.
 
-    Solves the extended set (neighbors of b, then b itself) and keeps the
-    neighbor rows and columns; the avoiding function N of the extended
-    solve is the generating function of texts avoiding b and all its
-    neighbors.  The full extended solve stays available as .extended.
+    Returns (words, extended): the neighbors of b, and the solve of the
+    extended set, the neighbors followed by b itself.  Its rows and columns
+    0..len(words)-1 are the neighbors', and its avoiding function N is the
+    generating function of texts avoiding b and all its neighbors.
     """
     d = neighbors(b, alphabet)
-    ext_words = d + (b,)
-    full = rs_solve(ext_words, alphabet, nu)
-    r = len(d)
-    lang = LanguageGFs(
-        d,
-        full.N,
-        full.R[:r],
-        [row[:r] for row in full.M[:r]],
-        full.U[:r],
-        full.system,
-    )
-    lang.extended = full
-    return lang
+    return ConstrainedLanguages(d, rs_solve(d + (b,), alphabet, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +404,8 @@ def clump_gf_language(b, alphabet, nu, mark=None):
     occurrence-free tail.  Each factor is kept as an exact polynomial over
     a scalar denominator, so the result is a single exact RatFun.
     """
-    cons = constrained_languages(b, alphabet, nu)
-    full = cons.extended
-    sysx = full.system
-    nuq = sysx.nuq
-    d = cons.words
+    d, full = constrained_languages(b, alphabet, nu)
+    nuq = full.nuq
     r = len(d)
     k = len(b)
     mk = marked_code_gf(b, alphabet, nu, mark)
@@ -448,15 +431,15 @@ def clump_gf_language(b, alphabet, nu, mark=None):
             sums[state_words[q]] = sums[state_words[q]] + cof
         gnum.append([mk.v[i] * sums[j] for j in range(r)])
 
-    delta = sysx.delta
+    delta = full.delta
 
     # prefix ending just before the first neighbor occurrence: the
     # first-occurrence texts with the trailing occurrence letters removed
-    rrownum = [sysx.Rnum[i].shift_div_z(k).scale(QONE / word_prob(d[i], nuq))
+    rrownum = [full.Rnum[i].shift_div_z(k).scale(QONE / word_prob(d[i], nuq))
                for i in range(r)]
 
     # occurrence-free tails (over the full extended set)
-    unum = sysx.Unum[:r]
+    unum = full.Unum[:r]
 
     # inter-clump gaps: minimal continuations that leave the clump, with
     # the trailing neighbor occurrence removed (the next clump re-adds it)
@@ -464,7 +447,7 @@ def clump_gf_language(b, alphabet, nu, mark=None):
     for i in range(r):
         row = []
         for j in range(r):
-            gap = sysx.Mnum[i][j] - mk.K[i][j].subs_t(1) * delta
+            gap = full.Mnum[i][j] - mk.K[i][j].subs_t(1) * delta
             row.append(gap.shift_div_z(k).scale(QONE / word_prob(d[j], nuq)))
         wnum.append(row)
 
@@ -479,17 +462,7 @@ def clump_gf_language(b, alphabet, nu, mark=None):
     if det_m2.is_zero():
         raise ArithmeticError("degenerate gap-and-clump system")
 
-    row_a = []
-    for j in range(r):
-        acc = POLY_ZERO
-        for i in range(r):
-            acc = acc + rrownum[i] * gnum[i][j]
-        row_a.append(acc)
-    core = POLY_ZERO
-    for j in range(r):
-        acc = POLY_ZERO
-        for s in range(r):
-            acc = acc + row_a[s] * adj_m2[s][j]
-        core = core + acc * unum[j]
+    row_a = mat_mul_poly([rrownum], gnum)
+    [[core]] = mat_mul_poly(mat_mul_poly(row_a, adj_m2), [[u] for u in unum])
 
     return full.N + RatFun(core, delta * det_m2)

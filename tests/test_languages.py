@@ -7,6 +7,7 @@ import pytest
 from kmerwait.evolution import asymptotics
 from kmerwait.gfcore import Poly, RatFun, parse_poly
 from kmerwait.languages import (
+    LanguageGFs,
     clump_gf_language,
     code_matrix,
     constrained_code_matrix,
@@ -159,6 +160,35 @@ def test_constrained_languages_extended(ac):
         assert series[n] == avoid_weight(ext.words, n, ac, UNIFORM)
 
 
+@pytest.fixture(scope="module")
+def acac_gf(ac):
+    return clump_gf_language("ACAC", ac, UNIFORM)
+
+
+def test_clump_gf_reads_only_numerators(ac, acac_gf, monkeypatch):
+    """The clump assembly works on the solve's numerators over delta and
+    never builds the R, M or U RatFuns; the identity checks still do."""
+
+    def refuse(self):
+        raise AssertionError("clump assembly read a RatFun of the solve")
+
+    for name in ("R", "M", "U"):
+        monkeypatch.setattr(LanguageGFs, name, property(refuse))
+    got = clump_gf_language("ACAC", ac, UNIFORM)
+    assert (got.num, got.den) == (acac_gf.num, acac_gf.den)
+    monkeypatch.undo()
+    assert parse_identity_residual(rs_solve(("ACAC",), ac, UNIFORM)).is_zero()
+
+
+def test_clump_gf_taylor_off_one(ac):
+    """taylor at a fixed t is taylor_tpolys evaluated there."""
+    gf = clump_gf_language("AACC", ac, BIASED)
+    rows = gf.taylor_tpolys(10)
+    want = [sum((c * 2 ** m for m, c in row.items()), F(0)) for row in rows]
+    assert gf.taylor(2, 10) == want
+    assert any(len(row) > 1 for row in rows)
+
+
 def test_clump_gf_typed_marks(ac):
     """Counting only one substitution type changes the t exponents."""
     gf = clump_gf_language("AAA", ac, UNIFORM, mark=("C", "A"))
@@ -170,9 +200,8 @@ def test_clump_gf_typed_marks(ac):
         assert got == want
 
 
-def test_clump_gf_t1_is_plain_avoiding(ac, binu):
-    gf = clump_gf_language("ACAC", ac, UNIFORM)
-    avoid = gf.subs_t(1)
+def test_clump_gf_t1_is_plain_avoiding(ac, binu, acac_gf):
+    avoid = acac_gf.subs_t(1)
     plain = rs_solve(("ACAC",), ac, UNIFORM).N
     assert avoid == plain
     # the transfer matrix's Perron root is the pole of the avoiding GF

@@ -130,3 +130,7 @@ def test_oracle_imports_only_exact_core_and_words():
     # route, so sys.modules cannot tell which module imported what
     assert _package_imports("oracle") == {"gfcore", "words"}
     assert _package_imports("gfcore") == set()
+    # criterion 5 compares the language and automaton censuses, which
+    # certify each other only while neither route imports the other
+    assert _package_imports("languages") == {"gfcore", "words"}
+    assert "languages" not in _package_imports("automata")
