@@ -18,15 +18,7 @@ from operator import mul, sub
 
 import numpy as np
 
-from .gfcore import (
-    POLY_ONE,
-    POLY_T,
-    POLY_ZERO,
-    Poly,
-    QONE,
-    QZERO,
-    RatFun,
-)
+from .gfcore import Poly, RatFun
 from .words import check_text_length, check_type, letter_distribution, \
     neighbors
 
@@ -527,73 +519,59 @@ def _float_walk(ca, tm, n_max, marks):
     yield u, f, e, [(hi + lo, inc, tau) for hi, lo, inc, tau in state]
 
 
-def _det_one_minus_z(mat):
-    """Coefficients [z^0 .. z^n] of det(I - z A) for a square rational
-    matrix A, as the reversed characteristic polynomial of A.
+def _det_one_minus_y(rows):
+    """Coefficients [y^0 .. y^n] of det(I - y A) for a square integer
+    matrix A given as sparse rows (rows[i] maps j to A_ij), in ints.
 
-    A copy of A is brought to upper Hessenberg form by exact similarity
-    transforms, swapping in the first row with a nonzero entry when a
-    subdiagonal pivot is zero; det(x I - A) then follows from the
-    Hessenberg recurrence over leading blocks (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.2.9).  O(n^3) rational
-    operations in all.
+    Division-free Berkowitz over the leading principal blocks: write the
+    block of order m + 1 as [[M, C], [R, a]], M the block of order m.
+    The Schur complement gives its det(I - y .) = det(I - y M)
+    (1 - a y - sum_k R M^k C y^(k+2)), a polynomial of degree m + 1, so
+    the product is cut there and needs k <= m - 1 only (Berkowitz, IPL
+    1984).  R M^k is stepped as a row vector along the
+    rows of M: O(n) sparse vector-matrix products and O(n^2) products of
+    coefficients per block.
     """
-    n = len(mat)
-    h = [list(r) for r in mat]
-    for m in range(1, n - 1):
-        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if piv is None:
-            continue
-        if piv != m:
-            h[m], h[piv] = h[piv], h[m]
-            for row in h:
-                row[m], row[piv] = row[piv], row[m]
-        inv = QONE / h[m][m - 1]
-        rm = h[m]
-        for j in range(m + 1, n):
-            u = h[j][m - 1] * inv
-            if not u:
-                continue
-            rj = h[j]
-            for c in range(m - 1, n):
-                if rm[c]:
-                    rj[c] -= u * rm[c]
-            for row in h:
-                if row[j]:
-                    row[m] += u * row[j]
-    # char[m] = det(x I - H_m) of the leading m x m block, low degree first
-    char = [[QONE]]
-    for m in range(n):
-        cur = [QZERO] + char[m]
-        for d, c in enumerate(char[m]):
-            cur[d] -= h[m][m] * c
-        sub = QONE
-        for i in range(m - 1, -1, -1):
-            sub *= h[i + 1][i]
-            if not sub:
-                break
-            f = sub * h[i][m]
-            if f:
-                for d, c in enumerate(char[i]):
-                    cur[d] -= f * c
-        char.append(cur)
-    return char[n][::-1]
+    q = [1]
+    for m, row in enumerate(rows):
+        col = [(i, rows[i][m]) for i in range(m) if m in rows[i]]
+        g = [1, -row.get(m, 0)]
+        w = {j: v for j, v in row.items() if j < m}
+        while col and w and len(g) < m + 2:
+            g.append(-sum(w.get(i, 0) * c for i, c in col))
+            nxt = {}
+            for i, x in w.items():
+                for j, v in rows[i].items():
+                    if j < m:
+                        nxt[j] = nxt.get(j, 0) + x * v
+            w = {j: x for j, x in nxt.items() if x}
+        q = [sum(q[i] * g[d - i] for i in range(max(0, d - len(g) + 1),
+                                               min(d, m) + 1))
+             for d in range(m + 2)]
+    return q
 
 
-def _lagrange_t(points, values):
-    total = POLY_ZERO
-    for m, val in enumerate(values):
-        if val.is_zero():
-            continue
-        basis = POLY_ONE
-        scale = QONE
-        for j, pj in enumerate(points):
-            if j == m:
-                continue
-            basis = basis * (POLY_T - Poly.const(pj))
-            scale = scale / (points[m] - pj)
-        total = total + (basis * val).scale(scale)
-    return total
+def _pack_t(tpoly, bits):
+    """A t-polynomial (mapping t_degree -> int) at t = 2**bits."""
+    return sum(c << bits * d for d, c in tpoly.items())
+
+
+def _unpack_t(x, bits):
+    """The t-polynomial whose value at t = 2**bits is x, read off in
+    balanced base-2**bits digits: the inverse of _pack_t when every
+    coefficient lies in [-2**(bits-1), 2**(bits-1)).  Zero digits are
+    left out."""
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    out = {}
+    d = 0
+    while x:
+        c = ((x + half) & mask) - half
+        if c:
+            out[d] = c
+        x = (x - c) >> bits
+        d += 1
+    return out
 
 
 MAX_EXACT_STATES = 48
@@ -604,15 +582,21 @@ def gf_from_clump_automaton(ca, nu):
 
     Returns the initial-state component of y = (I - z H(t))^-1 1 as a
     RatFun whose numerator and denominator are the two Cramer
-    determinants.  The t dependence is recovered by interpolation on the
-    integer points 0..marked, so each t-slice is a matrix over the
-    rationals.  Per slice the denominator det(I - z H(t0)) is the reversed
-    characteristic polynomial of H(t0), one O(size^3) Hessenberg
-    reduction.  Cramer's replaced column is z-free, so the numerator has
-    z-degree below size and equals the denominator times the series
-    sum_n (H(t0)^n 1)[init] z^n truncated at z^size.  That series is the
-    census of clump_series evaluated at t0, and one census of size terms
-    serves every slice.
+    determinants, computed in Python ints.  With A(t) = D H(t), D the
+    transfer matrix's scale, the denominator is det(I - z H(t)) =
+    sum_i c_i(t) (z/D)^i, c_i the coefficients of det(I - y A(t)).
+    Cramer's replaced column is z-free, so the numerator has z-degree
+    below size and is the denominator times the census series
+    sum_n S_n(t) (z/D)^n of clump_series, cut at z^size:
+    num_n = sum_{i<=n} c_i S_{n-i}.
+
+    t is packed into one big int (Kronecker substitution, t = 2**bits):
+    an edge into state j carries coef << bits*mark[j], one division-free
+    Berkowitz pass over those rows (_det_one_minus_y) gives every c_i,
+    the census S_n is packed the same way, and the numerator is one
+    integer convolution.  The t-coefficients of c_i and num_n are read
+    back as balanced base-2**bits digits, coefficient (n, d) becoming
+    a / D**n.
     """
     tm = transfer_matrix(ca, nu)
     size = tm.size
@@ -620,26 +604,29 @@ def gf_from_clump_automaton(ca, nu):
         raise ValueError(
             "exact clump generating function capped at %d states" % MAX_EXACT_STATES
         )
-    census = _census(ca, tm, size - 1)
-    marked = sum(1 for m in ca.state_mark if m)
-    tpoints = list(range(marked + 1))
-    num_slices = []
-    den_slices = []
-    for t0 in tpoints:
-        rows = [{j: Fraction(coef * t0 ** ca.state_mark[j], tm.scale)
-                 for j, coef in row.items()} for row in tm.rows]
-        den = _det_one_minus_z([[row.get(j, QZERO) for j in range(size)]
-                                for row in rows])
-        series = [Fraction(sum(w * t0 ** m for m, w in counts.items()),
-                           tm.scale ** n)
-                  for n, counts in enumerate(census)]
-        num = [sum((den[i] * series[n - i] for i in range(n + 1)), QZERO)
-               for n in range(size)]
-        den_slices.append(Poly({(n, 0): c for n, c in enumerate(den)}))
-        num_slices.append(Poly({(n, 0): c for n, c in enumerate(num)}))
-    num = _lagrange_t(tpoints, num_slices)
-    den = _lagrange_t(tpoints, den_slices)
-    return RatFun(num, den)
+    scale = tm.scale
+    # With |p| the sum of the absolute t-coefficients of p, every c_i and
+    # num_n has |.| <= (2D)**size < 2**(bits-1), so its balanced digits
+    # are its coefficients.  A(t) has nonnegative entries and the rows of
+    # A(1) sum to at most D, so |c_i| is at most the y^i coefficient of
+    # per(I + y A(1)) <= (1 + yD)**size; at y = 1/D that gives
+    # sum_i |c_i| D**-i <= 2**size, so |c_i| <= 2**size D**i <= (2D)**size.
+    # The census S_n has nonnegative coefficients summing to at most D**n,
+    # so for n < size |num_n| <= sum_i |c_i| D**(n-i) <= 2**size D**n.
+    bits = size * (2 * scale).bit_length() + 1
+    rows = [{j: coef << bits * ca.state_mark[j] for j, coef in row.items()}
+            for row in tm.rows]
+    den = _det_one_minus_y(rows)
+    census = [_pack_t(c, bits) for c in _census(ca, tm, size - 1)]
+    num = [sum(den[i] * census[n - i] for i in range(n + 1))
+           for n in range(size)]
+
+    def unpack(coeffs):
+        return Poly({(n, d): Fraction(a, scale ** n)
+                     for n, c in enumerate(coeffs)
+                     for d, a in _unpack_t(c, bits).items()})
+
+    return RatFun(unpack(num), unpack(den))
 
 
 # A BNN stack holds at most this many matrix entries, its pair and

@@ -1,5 +1,6 @@
 """Automata: pattern recognizers, the BNN quotient, and the clump construction."""
 
+import math
 import re
 from fractions import Fraction as F
 from itertools import product
@@ -13,10 +14,12 @@ from kmerwait.automata import (
     Dfa,
     _bnn_matrices,
     _check_incoming_letters,
-    _det_one_minus_z,
+    _det_one_minus_y,
     _kmp_table,
+    _pack_t,
     _row0_powers,
     _stack_words,
+    _unpack_t,
     bnn_probability,
     bnn_scan,
     clump_automaton,
@@ -341,15 +344,44 @@ def test_gf_routes_agree_exactly(ac, autos):
         assert g1 == g2
 
 
-def test_gf_typed_biased_matches_census(ac):
+SKEWED = {"A": F(1, 100), "C": F(99, 100)}
+
+
+@pytest.mark.parametrize("mark", [None, ("A", "C"), ("C", "A")],
+                         ids=["all", "A:C", "C:A"])
+@pytest.mark.parametrize("nu", [UNIFORM, BIASED, SKEWED],
+                         ids=["uniform", "biased", "skewed"])
+@pytest.mark.parametrize("b", TOYS)
+def test_gf_matches_census(ac, b, nu, mark):
     # the numerator is built from the census's first size terms, so those
     # agree by construction; the terms up to 2*size + 2 certify the
-    # denominator.  test_gf_routes_agree_exactly checks the closed form
-    # against the independent language route.
-    ca = clump_automaton("AACC", ac, mark=("A", "C"))
+    # denominator.  The skewed nu has the widest packed digits.
+    # test_gf_routes_agree_exactly checks the closed form against the
+    # independent language route.
+    ca = clump_automaton(b, ac, mark=mark)
     n = 2 * ca.dfa.n_states + 2
-    f = gf_from_clump_automaton(ca, BIASED)
-    assert f.taylor_tpolys(n) == clump_series(ca, BIASED, n)
+    f = gf_from_clump_automaton(ca, nu)
+    assert f.taylor_tpolys(n) == clump_series(ca, nu, n)
+
+
+@pytest.mark.parametrize("bits", [2, 5, 64])
+def test_pack_t_round_trip(bits):
+    top = (1 << (bits - 1)) - 1
+    cases = [
+        {},
+        {0: top},
+        {0: -top},
+        {0: -top - 1},
+        {0: top, 1: -top, 2: top},
+        # zero digits between nonzero ones
+        {0: 1, 3: -1, 7: top},
+        {2: -top, 5: top},
+        # a negative top coefficient
+        {0: top, 1: 1, 4: -1},
+        {0: -1, 1: -top},
+    ]
+    for tpoly in cases:
+        assert _unpack_t(_pack_t(tpoly, bits), bits) == tpoly
 
 
 def _q_matrix(rows):
@@ -359,10 +391,9 @@ def _q_matrix(rows):
 CHARPOLY_CASES = {
     "1x1": _q_matrix([["3/2"]]),
     "2x2": _q_matrix([["1/2", "1/3"], ["-2", "5/7"]]),
-    # the first subdiagonal entry is zero, so the reduction swaps rows
+    # the first subdiagonal entry is zero
     "swap": _q_matrix([[1, 2, 3], [0, 4, 5], ["6/5", 7, 8]]),
-    # block upper triangular: column 1 is zero below the diagonal, so
-    # one reduction step finds no pivot
+    # block upper triangular: rows 2 to 4 are zero in columns 0 and 1
     "block": _q_matrix([[1, 2, 0, 1, 1], [3, "1/2", 1, 0, 2],
                         [0, 0, 2, 1, 0], [0, 0, "1/3", 0, 1],
                         [0, 0, 1, 1, "-1/4"]]),
@@ -375,13 +406,19 @@ CHARPOLY_CASES = {
 
 @pytest.mark.parametrize("name", sorted(CHARPOLY_CASES))
 def test_det_one_minus_z_matches_bareiss(name):
+    # scaled to ints by d, det(I - z A) = sum_i c_i (z/d)^i for the
+    # coefficients c_i of det(I - y dA)
     a = CHARPOLY_CASES[name]
     n = len(a)
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    rows = [{j: int(x * d) for j, x in enumerate(row) if x} for row in a]
     poly = [[(POLY_ONE if i == j else POLY_ZERO) - Poly.monomial(a[i][j], 1)
              for j in range(n)] for i in range(n)]
-    coeffs = _det_one_minus_z(a)
+    coeffs = _det_one_minus_y(rows)
     assert len(coeffs) == n + 1
-    assert Poly({(d, 0): c for d, c in enumerate(coeffs)}) == bareiss_det(poly)
+    assert all(type(c) is int for c in coeffs)
+    assert (Poly({(i, 0): F(c, d ** i) for i, c in enumerate(coeffs)})
+            == bareiss_det(poly))
 
 
 def test_bnn_exact_toy(binu):

@@ -9,7 +9,7 @@ import pytest
 
 from kmerwait import automata, evolution
 from kmerwait.automata import (
-    _det_one_minus_z,
+    _det_one_minus_y,
     bnn_probability,
     clump_automaton,
     clump_moment_series,
@@ -449,10 +449,9 @@ def test_asymptotics_decay_is_exact_spectral_gap(request, b, model):
     characteristic polynomial give the same ratio."""
     params = request.getfixturevalue(model)
     tm = transfer_matrix(clump_automaton(b, params.alphabet), params.nu)
-    rows = [[F(row.get(j, 0), tm.scale) for j in range(tm.size)]
-            for row in tm.rows]
-    # det(I - zH) low degree first is det(xI - H) high degree first
-    roots = np.roots([float(c) for c in _det_one_minus_z(rows)])
+    # det(I - yA) low degree first is det(xI - A) high degree first; the
+    # eigenvalues of A = D H are those of H times D, with the same ratios
+    roots = np.roots([float(c) for c in _det_one_minus_y(tm.rows)])
     mod = sorted(abs(roots))
     assert asymptotics(b, params).B == pytest.approx(mod[-2] / mod[-1],
                                                      abs=1e-12)
