@@ -67,12 +67,12 @@ def _cmd_scan(args, out):
     methods = list(dict.fromkeys(args.method or ["bnn"]))
     if len(methods) > 2:
         raise ValueError("at most two methods can be compared side by side")
+    if args.top is not None and args.top < 1:
+        raise ValueError("--top must be at least 1")
     tables = [scan_kmers(args.k, args.length, params, m) for m in methods]
     lead = tables[0]
     order = sorted(range(len(lead)), key=lambda i: lead[i].rank)
     if args.top is not None:
-        if args.top < 1:
-            raise ValueError("--top must be at least 1")
         order = order[-args.top:]
     w = _writer(out) if args.csv else None
     if len(methods) == 1:

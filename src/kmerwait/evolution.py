@@ -202,8 +202,6 @@ def bv_probability(b, n, params):
     """
     params.alphabet.check_word(b)
     k = len(b)
-    if k < 1:
-        raise ValueError("need a nonempty word")
     check_text_length(b, n)
     # both products as int numerators over int denominators, so that only
     # their difference is reduced to lowest terms

@@ -4,15 +4,14 @@ For a reduced set of words (no word a factor of another) and a memoryless
 letter distribution, the texts avoiding the set, the texts ending with a
 first occurrence, the minimal continuations between consecutive
 occurrences, and the occurrence-free tails satisfy a linear system whose
-generating-function translation is solved here exactly.  On top of that
-sit the code matrices describing how occurrences chain into overlapping
-clumps, and the assembly of the bivariate function F(z, t) counting
-putative-hit positions (marked by t) in texts that avoid a given k-mer.
+generating-function translation is solved here exactly, as numerators
+over one denominator delta.  On top of that sit the code matrices
+describing how occurrences chain into overlapping clumps, and F(z, t),
+counting putative-hit positions (marked by t) in texts that avoid a given
+k-mer: one linear system over the clump chain states, two determinants.
 
 This is the paper's language route.  It imports nothing from the
-automaton route, so the two certify each other.  A solve keeps R, U and
-M as polynomial numerators over one denominator; the clump assembly
-works on those numerators, and the RatFuns are built only when read.
+automaton route, so the two certify each other.
 """
 
 from collections import namedtuple
@@ -26,6 +25,7 @@ from .gfcore import (
     QONE,
     RatFun,
     adjugate_poly,
+    bareiss_det,
     mat_mul_poly,
     rfm_inverse,
 )
@@ -398,48 +398,27 @@ def clump_gf_language(b, alphabet, nu, mark=None):
 
     z tracks text length, t the number of putative-hit positions (of the
     selected mutation type when mark is given).  Texts with no neighbor
-    occurrence contribute the extended avoiding function; the rest split
-    into a prefix ending just before the first neighbor occurrence, a
-    clump, and alternating inter-clump gaps and further clumps, then an
-    occurrence-free tail.  Each factor is kept as an exact polynomial over
-    a scalar denominator, so the result is a single exact RatFun.
+    occurrence contribute the extended avoiding function N; the rest split
+    into a prefix, a clump, alternating gaps W and clumps, and a tail.
+    With V the marked neighbor weights, E each word's entry state and S
+    the sum over states per exit word, the clumps are G = V E (I-K)^-1 S,
+    and push-through gives G (I - W G)^-1 = V E (I - K - S W V E)^-1 S.
+    So F = N + x A^-1 y / delta, one system A over the chain states with
+    x, y the prefix and tail numerators.  W's denominator delta sits only
+    in the entry columns, where x lives too, so A has those columns scaled
+    by delta.  det A keeps a spurious factor delta^(r-1).
     """
     d, full = constrained_languages(b, alphabet, nu)
     nuq = full.nuq
     r = len(d)
     k = len(b)
     mk = marked_code_gf(b, alphabet, nu, mark)
-
-    # chains of overlapping extensions within one clump, with enough state
-    # to count each hit position once
-    entry_idx, state_words, kmat = _enriched_chain(b, mk.codes, nuq, mark)
-    nstates = len(state_words)
-    imk = [
-        [(POLY_ONE if i == j else POLY_ZERO) - kmat[i][j] for j in range(nstates)]
-        for i in range(nstates)
-    ]
-    adj_k = adjugate_poly(imk)
-    delta_k = _row_det(imk, adj_k)
-    if delta_k.is_zero():
-        raise ArithmeticError("degenerate clump chain system")
-    # row entry_idx[i] of the adjugate, summed per exit word: the chain may
-    # stop at any state, and only the word of the last link matters outside
-    gnum = []
-    for i in range(r):
-        sums = [POLY_ZERO] * r
-        for q, cof in enumerate(adj_k[entry_idx[i]]):
-            sums[state_words[q]] = sums[state_words[q]] + cof
-        gnum.append([mk.v[i] * sums[j] for j in range(r)])
-
     delta = full.delta
 
     # prefix ending just before the first neighbor occurrence: the
     # first-occurrence texts with the trailing occurrence letters removed
     rrownum = [full.Rnum[i].shift_div_z(k).scale(QONE / word_prob(d[i], nuq))
                for i in range(r)]
-
-    # occurrence-free tails (over the full extended set)
-    unum = full.Unum[:r]
 
     # inter-clump gaps: minimal continuations that leave the clump, with
     # the trailing neighbor occurrence removed (the next clump re-adds it)
@@ -451,18 +430,23 @@ def clump_gf_language(b, alphabet, nu, mark=None):
             row.append(gap.shift_div_z(k).scale(QONE / word_prob(d[j], nuq)))
         wnum.append(row)
 
-    pwg = mat_mul_poly(wnum, gnum)
-    d2 = delta * delta_k
-    m2 = [
-        [(d2 if i == j else POLY_ZERO) - pwg[i][j] for j in range(r)]
-        for i in range(r)
-    ]
-    adj_m2 = adjugate_poly(m2)
-    det_m2 = _row_det(m2, adj_m2)
-    if det_m2.is_zero():
+    # chains of overlapping extensions within one clump, with enough state
+    # to count each hit position once: prefixes and gaps enter at a word's
+    # entry state, and the chain may stop at any state
+    entry_idx, state_words, kmat = _enriched_chain(b, mk.codes, nuq, mark)
+    n = len(state_words)
+    a = [[(POLY_ONE if p == q else POLY_ZERO) - kmat[p][q] for q in range(n)]
+         for p in range(n)]
+    x = [POLY_ZERO] * n
+    for j, q in enumerate(entry_idx):
+        x[q] = rrownum[j] * mk.v[j]
+        for p, row in enumerate(a):
+            row[q] = row[q] * delta - wnum[state_words[p]][j] * mk.v[j]
+    det_a = bareiss_det(a)
+    if det_a.is_zero():
         raise ArithmeticError("degenerate gap-and-clump system")
 
-    row_a = mat_mul_poly([rrownum], gnum)
-    [[core]] = mat_mul_poly(mat_mul_poly(row_a, adj_m2), [[u] for u in unum])
-
-    return full.N + RatFun(core, delta * det_m2)
+    # occurrence-free tails (over the full extended set) leave any state
+    core = -bareiss_det([row + [full.Unum[w]] for row, w in zip(a, state_words)]
+                        + [x + [POLY_ZERO]])
+    return full.N + RatFun(core, delta * det_a)

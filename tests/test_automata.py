@@ -337,11 +337,17 @@ def test_float_kernel_matches_exact_series(autos, b, nu):
         assert abs(got - exact) <= 1e-12 * exact
 
 
-def test_gf_routes_agree_exactly(ac, autos):
-    for b in ("AAA", "ACC", "ACAC"):
-        g1 = clump_gf_language(b, ac, UNIFORM)
-        g2 = gf_from_clump_automaton(autos[b], UNIFORM)
-        assert g1 == g2
+# the untyped words, then every toy with each typed mark
+ROUTE_CASES = ([(b, None) for b in ("AAA", "ACC", "ACAC")]
+               + [(b, m) for b in TOYS for m in (("A", "C"), ("C", "A"))])
+
+
+@pytest.mark.parametrize("b,mark", ROUTE_CASES, ids=[
+    b + "-" + (":".join(m) if m else "all") for b, m in ROUTE_CASES])
+def test_gf_routes_agree_exactly(ac, b, mark):
+    g1 = clump_gf_language(b, ac, UNIFORM, mark)
+    g2 = gf_from_clump_automaton(clump_automaton(b, ac, mark=mark), UNIFORM)
+    assert g1 == g2
 
 
 SKEWED = {"A": F(1, 100), "C": F(99, 100)}

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from kmerwait import cli
 from kmerwait.cli import main
 from kmerwait.evolution import asymptotics, load_params
 
@@ -225,6 +226,9 @@ def test_asym_dna(capsys):
      "text length must be at least the pattern length"),
     (("oracle", "AAA", "--n", "2", "--pn", "--params", "binary-uniform"),
      "text length must be at least the pattern length"),
+    (("scan", "--k", "3", "--length", "100", "--method", "bnn", "--method",
+      "bv", "--method", "clump"),
+     "at most two methods can be compared side by side"),
 ])
 def test_error_paths(capsys, argv, needle):
     rc, out, err = run(capsys, *argv)
@@ -232,6 +236,17 @@ def test_error_paths(capsys, argv, needle):
     assert err.startswith("error: ")
     assert needle in err
     assert err.count("\n") == 1
+
+
+def test_scan_top_checked_before_scanning(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scanned before checking --top")
+
+    monkeypatch.setattr(cli, "scan_kmers", refuse)
+    rc, out, err = run(capsys, "scan", "--k", "6", "--length", "1000",
+                       "--method", "clump", "--top", "0")
+    assert rc == 1 and out == ""
+    assert err == "error: --top must be at least 1\n"
 
 
 def test_bad_method_rejected_by_parser(capsys):

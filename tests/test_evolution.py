@@ -361,6 +361,8 @@ def test_waiting_time_rejects_degenerate(table1):
         for n in (3, -1):
             with pytest.raises(ValueError, match="pattern length"):
                 waiting_time("AAAAA", n, table1, method=method)
+    with pytest.raises(ValueError, match="empty word"):
+        bv_probability("", 10, table1)
 
 
 FROZEN = {

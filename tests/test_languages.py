@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from kmerwait import languages
 from kmerwait.evolution import asymptotics
 from kmerwait.gfcore import Poly, RatFun, parse_poly
 from kmerwait.languages import (
@@ -51,7 +52,8 @@ def test_parse_identity_simple_sets(ac, dna):
         (("AAA",), ac, UNIFORM),
         (("AAC", "ACA", "CAA"), ac, BIASED),
         (("CATAT", "TATAT"), dna, quarter),
-        # seven words: rs_solve takes its adjugate through the inverse
+        # seven words, the largest system here; rs_solve takes its
+        # adjugate from cofactor minors at every size
         (neighbors("AC", dna) + ("AC",), dna, quarter),
     ):
         lang = rs_solve(words, alphabet, nu)
@@ -178,6 +180,22 @@ def test_clump_gf_reads_only_numerators(ac, acac_gf, monkeypatch):
     assert (got.num, got.den) == (acac_gf.num, acac_gf.den)
     monkeypatch.undo()
     assert parse_identity_residual(rs_solve(("ACAC",), ac, UNIFORM)).is_zero()
+
+
+def test_clump_gf_is_one_bordered_system(ac, monkeypatch):
+    """The clump assembly takes no adjugate of its own: the one adjugate
+    is rs_solve's, and the gap-and-clump system costs two determinants."""
+    calls = {"adjugate_poly": 0, "bareiss_det": 0}
+    for name in calls:
+        real = getattr(languages, name)
+
+        def counted(mat, name=name, real=real):
+            calls[name] += 1
+            return real(mat)
+
+        monkeypatch.setattr(languages, name, counted)
+    clump_gf_language("ACAC", ac, UNIFORM)
+    assert calls == {"adjugate_poly": 1, "bareiss_det": 2}
 
 
 def test_clump_gf_taylor_off_one(ac):
