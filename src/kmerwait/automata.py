@@ -1,7 +1,7 @@
 """Finite automata for avoidance and clump counting.
 
 Two constructions live here.  The pattern automaton of a single word,
-built as rows of letter indices by _kmp_table, drives the matrix route to
+built as rows of letter indices by _kmp_tables, drives the matrix route to
 the first-appearance probability, tracking the original text and its
 one-step mutant as a pair of pattern states.  The clump automaton walks
 the overlap structure of the mutation neighborhood d(b) and carries a t
@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import mul, sub
+from operator import sub
 
 import numpy as np
 
@@ -44,28 +44,6 @@ class Dfa:
 
     def step(self, state, symbol):
         return self.delta.get((state, symbol))
-
-
-def _kmp_table(b, alphabet):
-    """Transitions of the pattern automaton of b as rows of letter indices:
-    rows[q][i] is the state reached from q on the i-th letter of the
-    alphabet, state k = len(b) absorbing.
-
-    Built by the failure function in O(k |alphabet|): state q copies the
-    row of its failure state, the longest proper border of b[:q], and then
-    points its own letter b[q] on to q + 1.
-    """
-    code = [alphabet.index(c) for c in b]
-    k = len(b)
-    rows = [[0] * len(alphabet)]
-    back = 0
-    for q, c in enumerate(code):
-        if q:
-            rows.append(list(rows[back]))
-            back = rows[back][c]
-        rows[q][c] = q + 1
-    rows.append([k] * len(alphabet))
-    return rows
 
 
 def _fresh_hit(label, k, hit_of):
@@ -189,7 +167,7 @@ def clump_automaton(b, alphabet, mark=None):
     The breadth-first build reaches a label of length m at depth m, after
     its failure label, its longest proper suffix that is again a label.
     So a label's row is its failure label's row with its own extensions
-    written in, as in _kmp_table (Aho and Corasick, CACM 1975).  Ebar, the
+    written in, as in _kmp_tables (Aho and Corasick, CACM 1975).  Ebar, the
     states that the neighbors' proper prefixes reach, is the labels
     shorter than k.
     """
@@ -629,16 +607,29 @@ def gf_from_clump_automaton(ca, nu):
     return RatFun(unpack(num), unpack(den))
 
 
-# A BNN stack holds at most this many matrix entries, its pair and
-# avoidance matrices together: 35 words of length 5, 18 of length 6 and
-# one word at a time from length 11 on, so that the memory of a scan does
-# not grow with the number of words.
+# A BNN pair stack holds at most this many matrix entries: 36 words of
+# length 5, 18 of length 6 and one word at a time from length 11 on.  The
+# k x k avoidance matrices run in their own wide stacks under the same cap
+# (1310 words of length 5, 910 of length 6), and the pattern tables of a
+# wide stack feed its pair stacks, so that the memory of a scan does not
+# grow with the number of words.  Per full 6-mer bnn_scan under table1 at
+# n = 1000 (one BLAS thread, shared 2-core host, best of 9), a cap of
+# 1 << 13 took 0.11 s, 1 << 14 0.082 s, 1 << 15 0.071 s, 1 << 16 0.067 s,
+# 1 << 17 0.069 s and 1 << 18 0.11 s: twice the stack memory would buy
+# about 5%.  With the pair and avoidance matrices in one stack, rescaled
+# after every product, 1 << 13 took 0.25 s, 1 << 15 0.18 s, 1 << 17
+# 0.23 s and 1 << 18 0.26 s.
 _STACK_ENTRIES = 1 << 15
 
+# A power stack is rescaled only when the mass of one of its slices
+# leaves [2**-_DRIFT, 2**_DRIFT]; see _row0_powers.
+_DRIFT = 64
 
-def _stack_words(k):
-    """Number of words of length k that bnn_scan takes in one stack."""
-    return max(1, _STACK_ENTRIES // ((k * (k + 1)) ** 2 + k * k))
+
+def _stack_words(entries):
+    """Number of words that one stack takes, each word with entries matrix
+    entries."""
+    return max(1, _STACK_ENTRIES // entries)
 
 
 def bnn_probability(b, n, params):
@@ -658,15 +649,17 @@ def bnn_scan(words, n, params):
     independently per position, so reversing both texts shows that a word
     and its reversal have the same p_n: the kernel runs each reversal
     class once, as its smaller word min(w, w[::-1]), and hands every word
-    of the class that value.  Those words go in stacks of at most
-    _STACK_ENTRIES matrix entries (35 words of length 5, 18 of length 6):
-    the pair and avoidance matrices of a stack are built by index scatters
-    over the words' pattern tables, and one loop of stacked squarings
-    takes row 0 of both n-th powers for all of them.  In float64 every
-    product is rescaled per word, so neither mass underflows at any n; the
-    relative error grows like n times the machine epsilon, about 1e-9 at
-    n = 1e7.  A word's value does not depend on its stack mates.
-    oracle.bnn_decimal is the 40-digit shadow of this quotient.
+    of the class that value.  The classes go in wide stacks of k x k
+    avoidance matrices (910 words of length 6), whose pattern tables are
+    built at once and then cut into stacks of pair matrices (18 words of
+    length 6), each stack at most _STACK_ENTRIES matrix entries.  Each
+    stack is built by one index scatter, and one loop of stacked squarings
+    takes row 0 of its n-th powers (_row0_powers), rescaling a stack by
+    powers of two only when a mass drifts, so neither mass underflows at
+    any n.  In float64 the relative error grows like n times the machine
+    epsilon, about 1e-9 at n = 1e7.  A word's value does not depend on
+    its stack mates.  oracle.bnn_decimal is the 40-digit shadow of this
+    quotient.
     """
     words = list(words)
     if not words:
@@ -676,109 +669,149 @@ def bnn_scan(words, n, params):
         raise ValueError("bnn_scan needs words of one length")
     check_text_length(words[0], n)
     alphabet = params.alphabet
-    for w in words:
-        alphabet.check_word(w)
+    # the first symbol outside the alphabet is that of the first bad word
+    alphabet.check_word("".join(words))
     nu, wgt = params.bnn_weights
     classes = [min(w, w[::-1]) for w in words]
     runs = list(dict.fromkeys(classes))
-    step = _stack_words(k)
+    wide = _stack_words(k * k)
+    step = _stack_words((k * (k + 1)) ** 2)
     out = []
-    for start in range(0, len(runs), step):
-        pair, avoid = _bnn_matrices(runs[start:start + step], alphabet, nu,
-                                    wgt)
-        num, den, shift = _row0_powers(pair, avoid, n)
-        hit = num.reshape(-1, k, k + 1)[:, :, k].sum(axis=1)
-        out += map(math.ldexp, (hit / den.sum(axis=(1, 2))).tolist(), shift)
+    for start in range(0, len(runs), wide):
+        table = _kmp_tables(runs[start:start + wide], alphabet)
+        v, den_shift = _row0_powers(_avoid_matrices(table, nu), n)
+        mass = np.add.reduce(v, (1, 2))
+        for i in range(0, len(table), step):
+            u, shift = _row0_powers(_pair_matrices(table[i:i + step], wgt), n)
+            hit = u.reshape(-1, k, k + 1)[:, :, k].sum(axis=1)
+            out += map(math.ldexp, (hit / mass[i:i + step]).tolist(),
+                       map(sub, shift, den_shift[i:i + step]))
     value = dict(zip(runs, out))
     return [value[c] for c in classes]
 
 
-def _bnn_matrices(words, alphabet, nu, wgt):
-    """Pair and avoidance matrices of words of one length k, as stacks.
+def _kmp_tables(words, alphabet):
+    """Transitions of the pattern automata of words of one length k, as
+    one int array: table[w, q, i] is the state that the automaton of
+    words[w] reaches from q on the i-th letter of the alphabet, state k
+    absorbing.
 
-    With T[q, a] the pattern table of a word, the avoidance matrix steps
-    p < k to T[p, a] < k with weight nu[a].  Pair state (p, q), at index
-    p (k + 1) + q, has the original text in avoiding state p and the
-    mutant in state q; letters a and a' move it to (T[p, a], T[q, a'])
-    with weight wgt[a, a'] when T[p, a] < k.  np.bincount adds each
-    entry's weights in letter order; a step on which the original text
-    completes its word lands in a spare bin past the end.
+    Built by the failure function in k steps over all the words at once:
+    state q copies the row of its failure state, the longest proper border
+    of w[:q], and then points its own letter w[q] on to q + 1.
     """
     count, k = len(words), len(words[0])
-    s = k * (k + 1)
-    table = np.array([_kmp_table(w, alphabet) for w in words])
+    index = {ord(c): i for i, c in enumerate(alphabet.symbols)}
+    codes = np.frombuffer("".join(words).translate(index).encode("utf-32-le"),
+                          "<u4").reshape(count, k)
+    table = np.zeros((count, k + 1, len(alphabet)), np.intp)
+    table[:, k] = k
+    each = np.arange(count)
+    back = np.zeros(count, np.intp)
+    for q in range(k):
+        c = codes[:, q]
+        if q:
+            table[:, q] = table[each, back]
+            back = table[each, back, c]
+        table[each, q, c] = q + 1
+    return table
+
+
+def _avoid_matrices(table, nu):
+    """Avoidance matrices of words of one length k, as a stack, from their
+    pattern tables: p < k steps to T[p, a] < k with weight nu[a].
+
+    One np.bincount over indices laid out (word, p, a) adds each entry's
+    weights in letter order; a step that completes the word lands in a
+    spare bin past the end."""
+    count, k = table.shape[0], table.shape[1] - 1
+    size = count * k * k
     orig = table[:, :k]
-    stay = orig < k
-    # axes (word, p, a): entry (word, p, T[p, a]) of the avoidance stack
-    at = np.where(stay, np.arange(0, count * k * k, k).reshape(count, k, 1)
-                  + orig, count * k * k)
-    weight = np.empty(at.shape)
-    weight[...] = nu
-    avoid = np.bincount(at.ravel(), weight.ravel(), count * k * k + 1)
-    # axes (word, p, q, a, a'): row (word, p, q) and column (i, j) of the
-    # pair stack, as x[word, p, a] + y[word, q, a']
-    big = count * s * s
-    x = np.where(stay, (np.arange(0, count * k * s, s).reshape(count, k, 1)
-                        + orig) * (k + 1), big)
+    at = np.where(orig < k, np.arange(0, size, k).reshape(count, k, 1) + orig,
+                  size)
+    return np.bincount(at.ravel(), np.tile(nu, count * k),
+                       size)[:size].reshape(count, k, k)
+
+
+def _pair_matrices(table, wgt):
+    """Pair matrices of words of one length k, as a stack, from their
+    pattern tables.
+
+    Pair state (p, q), at index p (k + 1) + q, has the original text in
+    avoiding state p and the mutant in state q; letters a and a' move it
+    to (T[p, a], T[q, a']) with weight wgt[a, a'] when T[p, a] < k.  The
+    flat index of that entry is x[p, a] + y[q, a'], and one np.bincount
+    over indices laid out (word, p, a, q, a') adds each entry's weights
+    in (a, a') order; a step on which the original text completes its
+    word lands in a spare bin past the end."""
+    count, k = table.shape[0], table.shape[1] - 1
+    s = k * (k + 1)
+    size = count * s * s
+    orig = table[:, :k]
+    x = np.where(orig < k, np.arange(0, size, s * (k + 1)).reshape(count, k, 1)
+                 + orig * (k + 1), size)
     y = np.arange(0, (k + 1) * s, s).reshape(k + 1, 1) + table
-    at = x[:, :, None, :, None] + y[:, None, :, None, :]
-    weight = np.empty(at.shape)
-    weight[...] = wgt
-    pair = np.bincount(at.ravel(), weight.ravel(), big + (k + 1) * s)
-    return (pair[:big].reshape(count, s, s),
-            avoid[:-1].reshape(count, k, k))
+    at = x[:, :, :, None, None] + y[:, None, None]
+    weight = np.tile(np.broadcast_to(wgt[:, None], at.shape[2:]).ravel(),
+                     count * k)
+    return np.bincount(at.ravel(), weight, size)[:size].reshape(count, s, s)
 
 
-def _row0_powers(num, den, n):
-    """Row 0 of the n-th powers of the matrix stacks num and den, as
-    (u, v, shift): num[w]**n[0] / den[w]**n[0] = u[w] / v[w] * 2**shift[w].
+def _row0_powers(x, n):
+    """Row 0 of the n-th powers of the matrix stack x, as (u, shift):
+    x[w]**n[0] = u[w] * 2**shift[w].
 
-    Binary exponentiation whose products every word of a stack shares.
-    After every product each slice is divided by the power of two that
-    brings its mass into [1/2, 1), as _rescale does.  The difference of
-    the num and den exponents is kept with the weight it carries into the
-    shift: a squaring made while n >> j is left carries weight n >> j,
-    since every set bit above it multiplies the vector by a power of that
-    square.  Raises ArithmeticError when a word's mass vanishes: a slice
-    without mass stays 0, and so does every later vector of that word,
-    since the top bit of n always comes after the last squaring.
+    Binary exponentiation whose products every word of the stack shares.
+    A product is rescaled only when the mass of one of its slices leaves
+    [2**-_DRIFT, 2**_DRIFT]: then _rescale divides each slice by the power
+    of two that brings its mass to about [1/2, 1).  The exponents are kept
+    with the weight they carry into the shift: a squaring made while
+    n >> j is left carries weight n >> j, since every set bit above it
+    multiplies the vector by a power of that square.  Entries are
+    nonnegative, so an entry is at most its slice's mass and a product of
+    two slices in the window stays below 2**(2 _DRIFT), far from overflow.
+    Dividing by a power of two commutes with every float rounding while
+    the values stay normal, so u * 2**shift is bitwise what rescaling
+    after every product gives, as long as no nonzero entry or product
+    term of a slice falls below 2**(2 _DRIFT + 2 - 1022) times its mass.
+    Raises ArithmeticError when a word's mass vanishes: a slice without
+    mass stays 0, and so does every later vector of that word, since the
+    top bit of n always comes after the last squaring.
     """
-    u = np.zeros((len(num), 1, num.shape[2]))
-    v = np.zeros((len(den), 1, den.shape[2]))
-    u[:, 0, 0] = v[:, 0, 0] = 1.0
-    weights, diffs = [], []
+    count, size = len(x), x.shape[2]
+    one = np.ones(size * size)
+    u, shift = None, [0] * count
+
+    def drift(y, weight):
+        # rescale y when a mass has left the window, and add weight times
+        # the exponents taken out to shift (Python ints, so that no n
+        # overflows them); any power of two will do, so the masses come
+        # from one matrix-vector product
+        nonlocal shift
+        mass = y.reshape(count, -1) @ one[:y.shape[1] * size]
+        masses = mass.tolist()
+        low, high = min(masses), max(masses)
+        if not low > 0.0:
+            raise ArithmeticError("automaton mass vanished")
+        if low < 2.0 ** -_DRIFT or high > 2.0 ** _DRIFT:
+            shift = [a + weight * e for a, e in zip(shift, _rescale(y, mass))]
+
     while True:
         if n & 1:
-            u = u @ num
-            v = v @ den
-            weights.append(1)
-            diffs.append(list(map(sub, _rescale(u), _rescale(v))))
+            # row 0 of x is exactly what e_0 @ x sums to
+            u = x[:, :1].copy() if u is None else u @ x
+            drift(u, 1)
         n >>= 1
         if not n:
-            break
-        num = num @ num
-        den = den @ den
-        weights.append(n)
-        diffs.append(list(map(sub, _rescale(num), _rescale(den))))
-    if not (np.add.reduce(u, (1, 2)).min() > 0.0
-            and np.add.reduce(v, (1, 2)).min() > 0.0):
-        raise ArithmeticError("automaton mass vanished")
-    # Python ints, so that no n overflows the sum
-    shift = [sum(map(mul, weights, col)) for col in zip(*diffs)]
-    return u, v, shift
+            return u, shift
+        x = x @ x
+        drift(x, n)
 
 
-def _rescale(x):
+def _rescale(x, mass):
     """Divide every slice of the stack x in place by the power of two that
-    brings its mass into [1/2, 1) (a slice without mass stays 0), and
-    return the exponents as a list of ints.  That division is exact.  A
-    stack of one word is scaled by a scalar, which is cheaper than a
-    broadcast for the single-word calls of bnn_probability."""
-    mass = np.add.reduce(x, (1, 2))
-    if len(mass) == 1:
-        e = math.frexp(mass[0])[1]
-        np.ldexp(x, -e, out=x)
-        return [e]
+    brings its mass (given, to within rounding) near [1/2, 1), and return
+    the exponents as a list of ints.  That division is exact."""
     exps = np.frexp(mass)[1]
     np.ldexp(x, -exps[:, None, None], out=x)
     return exps.tolist()

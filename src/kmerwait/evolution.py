@@ -29,8 +29,7 @@ from .automata import PERRON_TOL, _float_walk, bnn_probability, \
     bnn_scan, clump_automaton, clump_conditioned_hits, clump_moment_series, \
     state_marks, transfer_matrix, weighted_marks
 from .gfcore import QONE, QZERO, as_q
-from .words import Alphabet, check_text_length, letter_distribution, \
-    minimal_period
+from .words import Alphabet, check_text_length, letter_distribution
 
 ROW_SUM_TOL = 1e-7
 REGIME_LIMIT = 1e-2
@@ -348,16 +347,21 @@ def scan_kmers(k, n, params, method="BNN"):
     reversal one float, and bv gives every word with the same letters one
     float, so such ties rank alphabetically.  Emits a warning when n times
     the largest mutation rate exceeds 1e-2, the regime where the
-    single-mutation picture starts to degrade.  clump and bnn run once per
+    single-mutation picture starts to degrade, and raises ArithmeticError
+    naming the method and the first word, in alphabet order, whose p_n is
+    not in (0, 1).  clump and bnn run once per
     reversal class (544 of 1024 5-mers, 2080 of 4096 6-mers).  The clump
     method builds an automaton of a few hundred states per class and
     takes about 30 to 40 sparse steps over it, whatever n.  bnn runs
     automata.bnn_scan: about 2 log2(n) stacked matrix products per stack
-    of 35 (k = 5) or 18 (k = 6) words, shared by the stack.  bv runs one
-    series per letter composition (56 for k = 5, 84 for k = 6).  Under
-    table1 at n = 1000 a full 5-mer scan takes about 2 s by clump,
-    0.025 s by bnn and 0.004 s by bv; a 6-mer scan takes about 0.17 s by
-    bnn and 0.015 s by bv (one BLAS thread on a shared 2-core host).
+    of 36 (k = 5) or 18 (k = 6) pair matrices, shared by the stack, and
+    as many over each wide stack of avoidance matrices.  bv runs one
+    series per letter composition (56 for k = 5, 84 for k = 6).  The ranks
+    come from one stable sort and the periods from one comparison per
+    shift over all the words.  Under table1 at n = 1000 a full 5-mer scan
+    takes about 2 s by clump, 0.015 s by bnn and 0.0024 s by bv; a
+    6-mer scan takes about 0.1 s by bnn and 0.007 s by bv (one BLAS
+    thread on a shared 2-core host).
     """
     if k < 2:
         raise ValueError("scan needs k >= 2")
@@ -366,16 +370,27 @@ def scan_kmers(k, n, params, method="BNN"):
         warnings.warn("n times the mutation rate is %.3g; the "
                       "single-mutation regime ends around 1e-2" % exposure,
                       stacklevel=2)
-    words = ["".join(t) for t in iproduct(params.alphabet.symbols, repeat=k)]
+    symbols = params.alphabet.symbols
+    words = ["".join(t) for t in iproduct(symbols, repeat=k)]
     name, _, scan = _route(method)
-    probs = [_in_range(p) for p in scan(words, n, params)]
-    order = sorted(range(len(words)), key=lambda i: (-probs[i], i))
-    rank = [0] * len(words)
-    for pos, i in enumerate(order, start=1):
-        rank[i] = pos
-    return [ScanRow(w, name, probs[i], 1.0 / probs[i], rank[i],
-                    minimal_period(w))
-            for i, w in enumerate(words)]
+    probs = np.array(scan(words, n, params))
+    bad = np.flatnonzero(~((probs > 0.0) & (probs < 1.0)))
+    if bad.size:
+        raise ArithmeticError("%s by %s: appearance probability %g is out "
+                              "of range" % (words[bad[0]], name,
+                                            probs[bad[0]]))
+    # a stable sort of -p_n ranks equal floats in alphabet order
+    rank = np.empty(len(words), int)
+    rank[np.argsort(-probs, kind="stable")] = np.arange(1, len(words) + 1)
+    # letter i of every word, in the order of iproduct; the minimal period
+    # is the smallest shift i at which a word matches itself
+    codes = np.indices((len(symbols),) * k).reshape(k, -1)
+    period = np.full(len(words), k)
+    for i in range(k - 1, 0, -1):
+        period[(codes[i:] == codes[:k - i]).all(axis=0)] = i
+    return [ScanRow(w, name, p, 1.0 / p, r, m)
+            for w, p, r, m in zip(words, probs.tolist(), rank.tolist(),
+                                  period.tolist())]
 
 
 def _perron(src, tgt, coef, size):

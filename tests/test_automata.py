@@ -12,11 +12,12 @@ from kmerwait import automata
 from kmerwait.automata import (
     ClumpAutomaton,
     Dfa,
-    _bnn_matrices,
+    _avoid_matrices,
     _check_incoming_letters,
     _det_one_minus_y,
-    _kmp_table,
+    _kmp_tables,
     _pack_t,
+    _pair_matrices,
     _row0_powers,
     _stack_words,
     _unpack_t,
@@ -34,9 +35,10 @@ from kmerwait.automata import (
     weighted_marks,
 )
 from kmerwait.cli import main
-from kmerwait.evolution import asymptotics, waiting_time
+from kmerwait.evolution import ModelParams, asymptotics, waiting_time
 from kmerwait.gfcore import POLY_ONE, POLY_ZERO, Poly, bareiss_det
 from kmerwait.languages import clump_gf_language
+from kmerwait.oracle import _kmp_table as oracle_kmp_table
 from kmerwait.oracle import avoid_weight, bnn_decimal, enumerate_census
 from kmerwait.words import Alphabet, correlation_set, neighbors, \
     putative_hit_count
@@ -50,7 +52,7 @@ def all_words(n):
 
 
 def test_kmp_automaton_tracks_borders(ac):
-    rows = _kmp_table("ACAC", ac)
+    rows = _kmp_tables(["ACAC"], ac)[0].tolist()
     assert len(rows) == 5
 
     def run(text):
@@ -77,9 +79,9 @@ def longest_border(s, b):
 def test_kmp_table_matches_border_definition(symbols, top):
     alphabet = Alphabet(symbols)
     for k in range(1, top + 1):
-        for letters in product(symbols, repeat=k):
-            b = "".join(letters)
-            assert _kmp_table(b, alphabet) == [
+        words = ["".join(t) for t in product(symbols, repeat=k)]
+        for b, rows in zip(words, _kmp_tables(words, alphabet).tolist()):
+            assert rows == [
                 [k if q == k else longest_border(b[:q] + a, b)
                  for a in symbols] for q in range(k + 1)]
 
@@ -486,7 +488,7 @@ def reference_bnn_matrices(b, params):
     """Pair and avoidance matrices of b by loops over states and letter
     pairs, each entry adding its weights in letter order."""
     k, letters = len(b), range(len(params.alphabet))
-    table = _kmp_table(b, params.alphabet)
+    table = oracle_kmp_table(b, params.alphabet)
     nu, wgt = params.bnn_weights
     pair = np.zeros((k * (k + 1), k * (k + 1)))
     avoid = np.zeros((k, k))
@@ -508,10 +510,101 @@ def reference_bnn_matrices(b, params):
 def test_bnn_matrices_match_loops(request, model, symbols, k):
     params = request.getfixturevalue(model)
     words = ["".join(t) for t in product(symbols, repeat=k)]
-    pair, avoid = _bnn_matrices(words, params.alphabet, *params.bnn_weights)
+    tables = _kmp_tables(words, params.alphabet)
+    nu, wgt = params.bnn_weights
+    pair, avoid = _pair_matrices(tables, wgt), _avoid_matrices(tables, nu)
     for w, p, a in zip(words, pair, avoid):
         ref_pair, ref_avoid = reference_bnn_matrices(w, params)
         assert (p == ref_pair).all() and (a == ref_avoid).all()
+
+
+def every_product_powers(num, den, n):
+    """Row 0 of the n-th powers of the stacks num and den, rescaling each
+    slice after every product by the power of two that brings its mass
+    into [1/2, 1): (u, v, shift) with num[w]**n[0] / den[w]**n[0] =
+    u[w] / v[w] * 2**shift[w].  The reference that rescaling on demand
+    must match bit for bit."""
+    def rescale(x):
+        exps = np.frexp(np.add.reduce(x, (1, 2)))[1]
+        np.ldexp(x, -exps[:, None, None], out=x)
+        return exps.tolist()
+    u = np.zeros((len(num), 1, num.shape[2]))
+    v = np.zeros((len(den), 1, den.shape[2]))
+    u[:, 0, 0] = v[:, 0, 0] = 1.0
+    weights, diffs = [], []
+    while True:
+        if n & 1:
+            u = u @ num
+            v = v @ den
+            weights.append(1)
+            diffs.append([a - b for a, b in zip(rescale(u), rescale(v))])
+        n >>= 1
+        if not n:
+            break
+        num = num @ num
+        den = den @ den
+        weights.append(n)
+        diffs.append([a - b for a, b in zip(rescale(num), rescale(den))])
+    shift = [sum(w * d for w, d in zip(weights, col)) for col in zip(*diffs)]
+    return u, v, shift
+
+
+def every_product_bnn(words, n, params):
+    """p_n of each word's reversal class from the loop-built matrices and
+    every_product_powers."""
+    runs = [min(w, w[::-1]) for w in words]
+    k = len(words[0])
+    pair, avoid = map(np.array, zip(*(reference_bnn_matrices(w, params)
+                                      for w in runs)))
+    u, v, shift = every_product_powers(pair, avoid, n)
+    hit = u.reshape(-1, k, k + 1)[:, :, k].sum(axis=1)
+    return list(map(math.ldexp, (hit / v.sum(axis=(1, 2))).tolist(), shift))
+
+
+@pytest.fixture(scope="module")
+def skewed(ac):
+    """Binary model with nu = 1/100 : 99/100."""
+    p1 = {"A": {"A": F(999, 1000), "C": F(1, 1000)},
+          "C": {"A": F(1, 500), "C": F(499, 500)}}
+    return ModelParams(ac, {"A": F(1, 100), "C": F(99, 100)}, p1,
+                       name="skewed")
+
+
+def table1_sample(k):
+    # every word up to k = 3, then every 37th word and the four letter runs
+    words = ["".join(t) for t in product("ACGT", repeat=k)]
+    return words if k <= 3 else words[::37] + [c * k for c in "ACGT"]
+
+
+@pytest.mark.parametrize("model,k,lengths", [
+    *(("table1", k, (k, 1000, 10 ** 6, 10 ** 8)) for k in range(2, 7)),
+    *((m, 6, (6, 30, 1000, 10 ** 8)) for m in ("binu", "toy_eps", "skewed"))])
+def test_bnn_on_demand_rescale_is_exact(request, monkeypatch, model, k,
+                                        lengths):
+    # rescaling only when a mass drifts out of its window gives bitwise the
+    # values of rescaling after every product
+    params = request.getfixturevalue(model)
+    if model == "table1":
+        words = table1_sample(k)
+    else:
+        words = ["".join(t) for t in product("AC", repeat=k)]
+    fired = []
+    rescale = automata._rescale
+
+    def counting(x, mass):
+        fired.append(len(x))
+        return rescale(x, mass)
+    monkeypatch.setattr(automata, "_rescale", counting)
+    for n in lengths:
+        fired.clear()
+        assert bnn_scan(words, n, params) == every_product_bnn(words, n,
+                                                               params)
+        # no mass leaves its window in k letters; by 1e8 letters every
+        # model's masses have, and the skewed model's already by 1000
+        if n == k:
+            assert not fired
+        if n == 10 ** 8 or model == "skewed" and n >= 1000:
+            assert fired
 
 
 @pytest.mark.parametrize("n", [1000, 10 ** 6])
@@ -525,10 +618,23 @@ def test_bnn_scan_matches_single_words(table1, n):
 def test_bnn_scan_spans_stacks(request, model):
     # three words past one full stack, so the last stack is short
     params = request.getfixturevalue(model)
-    words = ["".join(t) for t in product("AC", repeat=6)][:_stack_words(6) + 3]
+    words = ["".join(t) for t in product("AC", repeat=6)]
+    words = words[:_stack_words(42 * 42) + 3]
     for n in (6, 30, 1000):
         assert bnn_scan(words, n, params) == [bnn_probability(w, n, params)
                                               for w in words]
+
+
+def test_bnn_scan_spans_wide_stacks(toy_eps, monkeypatch):
+    # a cap of ten 6 x 6 avoidance matrices cuts the 36 reversal classes of
+    # the binary 6-mers into four wide stacks, the last one short, each
+    # feeding pair stacks of one word
+    words = ["".join(t) for t in product("AC", repeat=6)]
+    alone = {n: [bnn_probability(w, n, toy_eps) for w in words]
+             for n in (6, 1000)}
+    monkeypatch.setattr(automata, "_STACK_ENTRIES", 10 * 36)
+    for n, want in alone.items():
+        assert bnn_scan(words, n, toy_eps) == want
 
 
 @pytest.mark.parametrize("word,model,n", [("ACGTA", "table1", 1000),
@@ -555,11 +661,11 @@ def test_bnn_scan_runs_each_reversal_class_once(table1, monkeypatch, k,
                                                 runs):
     built = []
 
-    def counting(words, *args):
+    def counting(words, alphabet):
         built.extend(words)
-        return _bnn_matrices(words, *args)
+        return _kmp_tables(words, alphabet)
 
-    monkeypatch.setattr(automata, "_bnn_matrices", counting)
+    monkeypatch.setattr(automata, "_kmp_tables", counting)
     words = ["".join(t) for t in product("ACGT", repeat=k)]
     bnn_scan(words, 1000, table1)
     assert len(built) == len(set(built)) == runs
@@ -577,15 +683,34 @@ def test_bnn_scan_rejects_bad_word_lists(table1):
         bnn_scan(["ACG", "ACX"], 1000, table1)
 
 
+def test_bnn_powers_match_matrix_power():
+    # row 0 of the second slice starts far below the window, so a first
+    # vector taken from it is rescaled at once, and that rescale touches
+    # neither the caller's stack nor the squares still to come
+    x = np.array([[[0.5, 0.25], [0.25, 0.5]],
+                  [[2.0 ** -80, 2.0 ** -81], [1.0, 0.5]]])
+    before = x.copy()
+    for n in (1, 3, 6, 100):
+        u, shift = _row0_powers(x, n)
+        assert (x == before).all()
+        for w in range(2):
+            want = np.linalg.matrix_power(x[w], n)[0]
+            assert np.ldexp(u[w, 0], shift[w]) == pytest.approx(want,
+                                                                rel=1e-12,
+                                                                abs=0)
+
+
 def test_bnn_powers_raise_when_a_mass_vanishes():
     # the second slice is nilpotent, so its third power has no mass
     num = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.0, 1.0], [0.0, 0.0]]])
     den = np.array([[[0.5]], [[0.5]]])
     with pytest.raises(ArithmeticError, match="vanished"):
-        _row0_powers(num, den, 3)
+        _row0_powers(num, 3)
     # row 0 of num**3 is (1/2, 1/2) and den**3 is 1/8
-    u, v, shift = _row0_powers(num[:1], den[:1], 3)
-    assert np.ldexp(u[0, 0] / v[0, 0, 0], shift[0]).tolist() == [4.0, 4.0]
+    u, shift = _row0_powers(num[:1], 3)
+    v, den_shift = _row0_powers(den[:1], 3)
+    assert np.ldexp(u[0, 0] / v[0, 0, 0],
+                    shift[0] - den_shift[0]).tolist() == [4.0, 4.0]
 
 
 def test_to_dot_smoke(ac, autos):

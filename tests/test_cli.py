@@ -229,6 +229,9 @@ def test_asym_dna(capsys):
     (("scan", "--k", "3", "--length", "100", "--method", "bnn", "--method",
       "bv", "--method", "clump"),
      "at most two methods can be compared side by side"),
+    (("scan", "--k", "2", "--length", "100", "--method", "clump",
+      "--params", "binary-uniform"),
+     "AA by CLUMP: appearance probability 44.4158 is out of range"),
 ])
 def test_error_paths(capsys, argv, needle):
     rc, out, err = run(capsys, *argv)

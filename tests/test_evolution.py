@@ -30,7 +30,7 @@ from kmerwait.evolution import (
 )
 from kmerwait.languages import marked_code_gf, rs_solve
 from kmerwait.oracle import bnn_decimal, enumerate_census, exact_pn_tiny
-from kmerwait.words import Alphabet
+from kmerwait.words import Alphabet, minimal_period
 
 from conftest import BIASED, TOYS, UNIFORM
 
@@ -560,6 +560,33 @@ def test_scan_reversals_tie_alphabetically(table1, method):
     for r, back in pairs:
         assert r.p_n == back.p_n
         assert r.rank < back.rank
+
+
+@pytest.mark.parametrize("model,k", [(m, k) for m in ("table1", "toy_eps")
+                                     for k in range(2, 7)])
+@pytest.mark.parametrize("method", ["BNN", "BV"])
+def test_scan_rows_follow_per_word_rules(request, model, k, method):
+    # the bulk rank and period columns against the per-word rules they
+    # replace: a sort on (-p_n, index) and words.minimal_period
+    params = request.getfixturevalue(model)
+    rows = scan_kmers(k, 1000, params, method)
+    assert [r.minimal_period for r in rows] == [minimal_period(r.word)
+                                                for r in rows]
+    order = sorted(range(len(rows)), key=lambda i: (-rows[i].p_n, i))
+    assert [rows[i].rank for i in order] == list(range(1, len(rows) + 1))
+    assert all(type(r.rank) is int and type(r.minimal_period) is int
+               and type(r.p_n) is float for r in rows)
+    ranks = {r.word: r.rank for r in rows}
+    assert all(ranks[w] < ranks[w[::-1]] for w in ranks if w < w[::-1])
+
+
+def test_scan_out_of_range_names_the_word(binu):
+    # binary-uniform mutates every letter, far out of CLUMP's regime, and
+    # the first word whose p_n leaves (0, 1) is AA
+    with pytest.warns(UserWarning, match="single-mutation regime"), \
+            pytest.raises(ArithmeticError, match=r"^AA by CLUMP: appearance "
+                          r"probability 44.4158 is out of range$"):
+        scan_kmers(2, 100, binu, "CLUMP")
 
 
 def test_scan_warns_out_of_regime(table1):
