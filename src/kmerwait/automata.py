@@ -1,13 +1,16 @@
 """Finite automata for avoidance and clump counting.
 
 Two constructions live here.  The pattern automaton of a single word,
-built as rows of letter indices by _kmp_tables, drives the matrix route to
-the first-appearance probability, tracking the original text and its
-one-step mutant as a pair of pattern states.  The clump automaton walks
-the overlap structure of the mutation neighborhood d(b) and carries a t
-mark on transitions that reveal a fresh putative-hit position; its
-transfer matrix yields the same generating function as the word-language
-route, which is the point of building both.
+built as rows of letter indices by _kmp_tables, serves the two
+first-appearance numbers: bnn_scan tracks the original text and its
+one-step mutant as a pair of pattern states, and clump_scan walks the
+same pair states to the term of that quotient that is first order in the
+mutation rate, the CLUMP value.  The clump automaton walks the overlap
+structure of the mutation neighborhood d(b) and carries a t mark on
+transitions that reveal a fresh putative-hit position.  Its transfer
+matrix serves the exact census and moment series, the closed-form
+generating function (which the word-language route reproduces, the point
+of building both) and the growth constants of evolution.asymptotics.
 """
 
 import math
@@ -24,8 +27,8 @@ from .words import check_text_length, check_type, letter_distribution, \
 
 # Float64 walks over a transfer matrix stop once a step changes their
 # state by at most PERRON_TOL in l1 norm, relative to its size: the
-# Perron walks of evolution.asymptotics and the CLUMP walk of
-# clump_conditioned_hits share this tolerance.
+# Perron walks of evolution.asymptotics and the CLUMP walk of clump_scan
+# share this tolerance.
 PERRON_TOL = 1e-15
 
 
@@ -142,14 +145,6 @@ def state_marks(ca, mark):
     does not depend on the type, so one build serves all types."""
     check_type(ca.alphabet, mark)
     return _marks(ca.fresh_hits, mark)
-
-
-def weighted_marks(ca, weight):
-    """Per-state sum over mutation types ty of weight[ty] times
-    state_marks(ca, ty), as floats, from one scan of the labels.  A state
-    carries a fresh hit of at most one type; types missing from weight
-    count 0."""
-    return np.array([weight.get(typed, 0.0) for _, typed in ca.fresh_hits])
 
 
 def clump_automaton(b, alphabet, mark=None):
@@ -362,11 +357,11 @@ def clump_moment_series(ca, nu, n_max, mark_vectors=None, exact=True):
     the unconditioned expectation of the marks collected for vector v.
     Exact mode steps integer vectors over the transfer matrix's edges, so
     the masses at length n are those integers over D**n, returned as
-    rationals.  Float mode runs the walk of clump_conditioned_hits through
-    all n_max letters, without its stop rule, and returns each hit mass as
-    the conditioned expectation times the avoiding mass.  The masses are
-    returned unscaled, so they fall to subnormal floats and 0 once the
-    avoiding probability leaves the float range.
+    rationals.  Float mode runs _float_walk through all n_max letters and
+    returns each hit mass as the conditioned expectation times the
+    avoiding mass.  The masses are returned unscaled, so they fall to
+    subnormal floats and 0 once the avoiding probability leaves the float
+    range.
     """
     if n_max < 0:
         raise ValueError("text length %d is negative" % n_max)
@@ -412,39 +407,6 @@ def _exact_moments(ca, tm, n_max, mark_vectors):
         for hit, svec in zip(hits, svecs):
             hit.append(Fraction(sum(svec), denom))
     return fbar, hits
-
-
-def clump_conditioned_hits(ca, nu, n, marks):
-    """Expected weighted mark count of a length-n text conditioned on its
-    avoiding the pattern, in float64.
-
-    marks holds one weight per state, such as weighted_marks(ca, weight)
-    for the substitution-weighted sum over every mutation type.  The walk
-    of _float_walk steps the conditioned expectation E with its increment
-    delta and its centred hit vector tau.  Once the walk has mixed, every
-    further letter adds the same delta: E follows the quasi-linear law of
-    evolution.asymptotics up to a tail that decays geometrically.  So the
-    walk stops at the first step m < n at which the avoiding vector moves
-    at most PERRON_TOL in l1 norm, tau at most PERRON_TOL of its own l1
-    norm and delta at most PERRON_TOL relative, and returns
-    E_m + (n - m) delta_m; if the rule never fires the walk runs to n.  A
-    Perron root that is not simple never meets it (tau's steps then decay
-    like 1/m).  Cost: the automaton build plus m steps of O(edges), at
-    most one edge per state and letter; m is 27 to 38 on every DNA 5-mer
-    under table1, whatever n.
-    """
-    prev = None
-    for m, (u, _, _, ((cond, inc, tau),)) in enumerate(
-            _float_walk(ca, transfer_matrix(ca, nu), n, [marks])):
-        if prev is not None:
-            u0, inc0, tau0 = prev
-            if (np.abs(u - u0).sum() <= PERRON_TOL
-                    and abs(inc - inc0) <= PERRON_TOL * abs(inc)
-                    and np.abs(tau - tau0).sum()
-                    <= PERRON_TOL * np.abs(tau).sum()):
-                break
-        prev = u, inc, tau
-    return cond + (n - m) * inc
 
 
 def _float_walk(ca, tm, n_max, marks):
@@ -607,18 +569,22 @@ def gf_from_clump_automaton(ca, nu):
     return RatFun(unpack(num), unpack(den))
 
 
-# A BNN pair stack holds at most this many matrix entries: 36 words of
-# length 5, 18 of length 6 and one word at a time from length 11 on.  The
-# k x k avoidance matrices run in their own wide stacks under the same cap
-# (1310 words of length 5, 910 of length 6), and the pattern tables of a
-# wide stack feed its pair stacks, so that the memory of a scan does not
-# grow with the number of words.  Per full 6-mer bnn_scan under table1 at
-# n = 1000 (one BLAS thread, shared 2-core host, best of 9), a cap of
-# 1 << 13 took 0.11 s, 1 << 14 0.082 s, 1 << 15 0.071 s, 1 << 16 0.067 s,
-# 1 << 17 0.069 s and 1 << 18 0.11 s: twice the stack memory would buy
-# about 5%.  With the pair and avoidance matrices in one stack, rescaled
-# after every product, 1 << 13 took 0.25 s, 1 << 15 0.18 s, 1 << 17
-# 0.23 s and 1 << 18 0.26 s.
+# A BNN pair stack, and a stack of the CLUMP walk's step matrices, holds
+# at most this many matrix entries: 36 words of length 5, 18 of length 6
+# and one word at a time from length 11 on.  The k x k avoidance matrices
+# run in their own wide stacks under the same cap (1310 words of length
+# 5, 910 of length 6), and the pattern tables of a wide stack feed its
+# pair stacks, so that the memory of a scan does not grow with the number
+# of words.  Per full 6-mer bnn_scan under table1 at n = 1000 (one BLAS
+# thread, shared 2-core host, best of 9), a cap of 1 << 13 took 0.11 s,
+# 1 << 14 0.082 s, 1 << 15 0.071 s, 1 << 16 0.067 s, 1 << 17 0.069 s and
+# 1 << 18 0.11 s: twice the stack memory would buy about 5%.  With the
+# pair and avoidance matrices in one stack, rescaled after every product,
+# 1 << 13 took 0.25 s, 1 << 15 0.18 s, 1 << 17 0.23 s and 1 << 18
+# 0.26 s.  A full 6-mer clump_scan (best of 5, two runs) took 0.50-0.64 s
+# at 1 << 13, 0.17-0.20 s at 1 << 15, 0.09-0.16 s at 1 << 17 and
+# 0.18 s at 1 << 19: its walk is bound by numpy calls per step, so it
+# would take a wider stack, but one cap serves both kernels.
 _STACK_ENTRIES = 1 << 15
 
 # A power stack is rescaled only when the mass of one of its slices
@@ -638,6 +604,28 @@ def bnn_probability(b, n, params):
     return bnn_scan([b], n, params)[0]
 
 
+def _reversal_classes(words, n, alphabet, name):
+    """Check words for a scan by name and return (classes, runs): per word
+    its reversal class min(w, w[::-1]), and the distinct classes in order.
+
+    The words must have one length and fit a length-n text.  Letters are
+    i.i.d. and mutate independently per position, so reversing both texts
+    shows that a word and its reversal have the same p_n by either route:
+    a scan runs each class once and hands every word of it that value.
+    """
+    words = list(words)
+    if not words:
+        raise ValueError("no words to scan")
+    k = len(words[0])
+    if any(len(w) != k for w in words):
+        raise ValueError("%s needs words of one length" % name)
+    check_text_length(words[0], n)
+    # the first symbol outside the alphabet is that of the first bad word
+    alphabet.check_word("".join(words))
+    classes = [min(w, w[::-1]) for w in words]
+    return classes, list(dict.fromkeys(classes))
+
+
 def bnn_scan(words, n, params):
     """First-appearance probabilities p_n of words of one length, in order,
     through the paired product route.
@@ -645,11 +633,8 @@ def bnn_scan(words, n, params):
     The numerator runs the product of the avoidance automaton (on the
     original sequence) with the pattern automaton (on the mutant), each
     pair symbol weighted by nu(a) p(a, a'); the denominator runs the
-    avoidance automaton alone.  Letters are i.i.d. and mutate
-    independently per position, so reversing both texts shows that a word
-    and its reversal have the same p_n: the kernel runs each reversal
-    class once, as its smaller word min(w, w[::-1]), and hands every word
-    of the class that value.  The classes go in wide stacks of k x k
+    avoidance automaton alone.  Each reversal class runs once
+    (_reversal_classes).  The classes go in wide stacks of k x k
     avoidance matrices (910 words of length 6), whose pattern tables are
     built at once and then cut into stacks of pair matrices (18 words of
     length 6), each stack at most _STACK_ENTRIES matrix entries.  Each
@@ -661,19 +646,10 @@ def bnn_scan(words, n, params):
     its stack mates.  oracle.bnn_decimal is the 40-digit shadow of this
     quotient.
     """
-    words = list(words)
-    if not words:
-        raise ValueError("no words to scan")
-    k = len(words[0])
-    if any(len(w) != k for w in words):
-        raise ValueError("bnn_scan needs words of one length")
-    check_text_length(words[0], n)
     alphabet = params.alphabet
-    # the first symbol outside the alphabet is that of the first bad word
-    alphabet.check_word("".join(words))
+    classes, runs = _reversal_classes(words, n, alphabet, "bnn_scan")
     nu, wgt = params.bnn_weights
-    classes = [min(w, w[::-1]) for w in words]
-    runs = list(dict.fromkeys(classes))
+    k = len(runs[0])
     wide = _stack_words(k * k)
     step = _stack_words((k * (k + 1)) ** 2)
     out = []
@@ -688,6 +664,128 @@ def bnn_scan(words, n, params):
                        map(sub, shift, den_shift[i:i + step]))
     value = dict(zip(runs, out))
     return [value[c] for c in classes]
+
+
+def clump_scan(words, n, params):
+    """CLUMP values p_n of words of one length, in order: the term of the
+    BNN quotient that is first order in the mutation rate.
+
+    Split the BNN pair weights into W0 = diag(nu) and W1, the off-diagonal
+    nu(a) p1(a, c).  The part of the numerator that is linear in W1 is the
+    mass of the texts that avoid b and have one mutated position after
+    which the mutant contains b.  Over the avoiding mass, that is the
+    expected count of putative hits given that the text avoids b, each hit
+    weighted by its substitution probability: the clump census's value,
+    equal to it term by term (oracle.bnn_first_order checks the identity
+    in exact arithmetic).  _clump_walk runs it over the k (k + 1) pair
+    states of _pair_matrices, and stops once the walk has mixed.  Each
+    reversal class runs once (_reversal_classes), in stacks of at most
+    _STACK_ENTRIES matrix entries (36 words of length 5, 18 of length 6);
+    a word's value does not depend on its stack mates.
+    """
+    alphabet = params.alphabet
+    classes, runs = _reversal_classes(words, n, alphabet, "clump_scan")
+    nu, wgt = params.bnn_weights
+    k = len(runs[0])
+    step = _stack_words((k * (k + 1)) ** 2)
+    out = []
+    for start in range(0, len(runs), step):
+        table = _kmp_tables(runs[start:start + step], alphabet)
+        out += _clump_walk(_clump_matrices(table, nu, wgt), k, n)
+    value = dict(zip(runs, out))
+    return [value[c] for c in classes]
+
+
+def _clump_matrices(table, nu, wgt):
+    """Step matrices of the CLUMP walk of words of one length k, as a
+    stack, from their pattern tables.
+
+    The states are the pair states of _pair_matrices, reordered: the k
+    states (p, p) first, then the k hit states (p, k), then the rest.  A
+    row (p, p) holds the unmutated text, which W0 = diag(nu) keeps on the
+    diagonal and W1 (wgt off its diagonal) mutates once.  Every other row
+    holds a once-mutated pair and steps by W0 alone.  Once mutated, a pair
+    whose mutant state equals its original state can never hit, so the
+    columns (p, p) are zeroed in those rows, and so are W1's steps that
+    land on (0, 0).
+    """
+    k = table.shape[1] - 1
+    diag = [p * (k + 2) for p in range(k)]
+    hit = [p * (k + 1) + k for p in range(k)]
+    rest = [i for i in range(k * (k + 1)) if i not in diag and i not in hit]
+    c = _pair_matrices(table, np.diag(nu))
+    once = _pair_matrices(table, wgt * (1 - np.eye(len(nu))))[:, diag]
+    once[:, :, diag] = 0.0
+    c[:, diag] += once
+    order = diag + hit + rest
+    # C order: the layout of a stack picks numpy's BLAS kernel, so a stack
+    # laid out otherwise would round unlike a single word
+    c = np.ascontiguousarray(c[:, order][:, :, order])
+    c[:, k:, :k] = 0.0
+    return c
+
+
+def _clump_walk(c, k, n):
+    """CLUMP values of the stack of step matrices c (_clump_matrices) at
+    text length n, as a list, by a walk with a stop rule.
+
+    Per word the walk carries a row vector z over the pair states:
+    u = z[:k], the avoiding vector at mass 1, and tau = z[k:], the
+    once-mutated mass over the avoiding mass, centred on the hit states
+    by E u.  E is the expected weighted hit count conditioned on avoiding,
+    so the hit states of tau hold mass 0, and tau stays O(1) at every n.
+    One step takes y = z c: rho = |y[:k]| is the decay of the avoiding
+    mass and delta = |y[k:2k]|/rho the newly hit mass; E grows by delta,
+    with its rounding error kept by Knuth's two-sum, and the next z is
+    y/rho with delta u taken off its hit states.
+
+    Once the walk has mixed, every further letter adds the same delta, so
+    a word stops at the first step m at which u moves at most PERRON_TOL
+    in l1 norm, tau at most PERRON_TOL of its own l1 norm and delta at
+    most PERRON_TOL relative, and returns E_m + (n - m) delta_m; if the
+    rule never fires, it runs to n.  A Perron root that is not simple
+    never meets the rule (tau's steps then decay like 1/m).  A word that
+    stops leaves the stack.  Every operation acts on the rows of one word,
+    so a word's value does not depend on its stack mates.
+    """
+    count, size = c.shape[:2]
+    z = np.zeros((count, 1, size))
+    z[:, 0, 0] = 1.0
+    # E as hi + lo, and delta
+    hi, lo, inc = (np.zeros((count, 1, 1)) for _ in range(3))
+    live = np.arange(count)
+    out = np.empty(count)
+    for m in range(1, n + 1):
+        y = np.matmul(z, c)
+        sums = np.add.reduceat(y[..., :2 * k], (0, k), axis=2)
+        rho = sums[..., :1]
+        new = sums[..., 1:] / rho
+        y /= rho
+        y[..., k:2 * k] -= new * y[..., :k]
+        t = hi + new
+        d = t - hi
+        lo += (hi - (t - d)) + (new - d)
+        hi = t
+        # the delta rule is the cheapest, so the others wait for it
+        stop = np.abs(new - inc) <= PERRON_TOL * np.abs(new)
+        inc = new
+        if m == n:
+            stop[:] = True
+        elif stop.any():
+            moved = np.add.reduceat(np.abs(y - z), (0, k), axis=2)
+            stop &= (moved[..., :1] <= PERRON_TOL) & (
+                moved[..., 1:] <= PERRON_TOL * np.abs(y[..., k:]).sum(
+                    axis=2, keepdims=True))
+        stop = stop[:, 0, 0]
+        z = y
+        if stop.any():
+            out[live[stop]] = (hi + lo + (n - m) * inc)[stop, 0, 0]
+            keep = ~stop
+            live, c, z, hi, lo, inc = (x[keep] for x in
+                                       (live, c, z, hi, lo, inc))
+            if not live.size:
+                break
+    return out.tolist()
 
 
 def _kmp_tables(words, alphabet):

@@ -26,8 +26,8 @@ from itertools import product as iproduct
 import numpy as np
 
 from .automata import PERRON_TOL, _float_walk, bnn_probability, \
-    bnn_scan, clump_automaton, clump_conditioned_hits, clump_moment_series, \
-    state_marks, transfer_matrix, weighted_marks
+    bnn_scan, clump_automaton, clump_moment_series, clump_scan, state_marks, \
+    transfer_matrix
 from .gfcore import QONE, QZERO, as_q
 from .words import Alphabet, check_text_length, letter_distribution
 
@@ -273,52 +273,49 @@ def clump_probability(b, n, params):
     each weighted by its substitution probability.  This is the leading
     term of p_n when n times the mutation rate is small, since distinct
     putative hits then materialize essentially independently and at most
-    one does per generation.  Every alphabet takes the same route: one
-    substitution-weighted hit vector stepped with the avoiding vector in
-    normalised float64, which has no underflow at any n.  The walk stops
-    once it has mixed and extends the quasi-linear law C1 n + C2 to n (see
-    automata.clump_conditioned_hits), so a call costs the automaton build
-    plus 27 to 38 steps on a DNA 5-mer under table1, at n = 1e3 as at
-    1e7.  On binary toys it matches the exact rational series within
-    1e-12 relative.  Letters are i.i.d. and mutate position by position,
-    so a word and its reversal have one p_n; the walk runs on
-    min(b, b[::-1]), which gives both bitwise the same float.
+    one does per generation: it is the term of the BNN quotient that is
+    first order in the rates, and automata.clump_scan([b], n, params)
+    computes it that way, by a float64 walk over BNN's pair states.  The
+    walk stops once it has mixed and extends the quasi-linear law
+    C1 n + C2 to n, so a call costs 23 to 34 steps over k (k + 1) states
+    on every DNA 5-mer under table1, at n = 1e3 as at 1e7: about 0.6 ms
+    (one BLAS thread on a shared 2-core host).  On binary toys it
+    matches the exact rational series within 1e-12 relative.  A word and
+    its reversal get bitwise the same float.
     """
-    check_text_length(b, n)
-    ca = clump_automaton(min(b, b[::-1]), params.alphabet)
-    return clump_conditioned_hits(ca, params.nu, n,
-                                  weighted_marks(ca, params.rates))
+    return clump_scan([b], n, params)[0]
 
 
-def _per_class(one, key):
-    """Scan function that runs one(c, n, params) once per distinct class
-    c = key(w) of the words and gives every word of a class its value."""
-    def many(words, n, params):
-        keys = [key(w) for w in words]
-        value = {c: one(c, n, params) for c in dict.fromkeys(keys)}
-        return [value[c] for c in keys]
-    return many
+def _bv_scan(codes):
+    """Scan function of BV over the words whose letter codes are the
+    columns of codes (one row per position), as scan_kmers builds them.
+    It runs bv_probability once per letter composition, on the first word
+    of each, since bv_probability reads a word only through integer
+    products over its letters, which do not depend on their order: every
+    word with the same letters gets bitwise the same float."""
+    def scan(words, n, params):
+        comp = np.sort(codes, axis=0)
+        key = len(params.alphabet) ** np.arange(len(comp)) @ comp
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+        return np.array([bv_probability(words[i], n, params)
+                         for i in first.tolist()])[inverse]
+    return scan
 
 
-def _route(method):
+def _route(method, codes=None):
     """Canonical name, p_n function and scan function of a method, from
     the one method table that waiting_time and scan_kmers share.  The scan
     function maps a list of words to their p_n, computing each distinct
-    value once.  BNN and CLUMP run each reversal class once, as
-    min(w, w[::-1]) (automata.bnn_scan; clump_probability already reads
-    that word).  BV runs one series per letter composition: it reads a
-    word only through integer products over its letters, which do not
-    depend on their order, so every word with the same letters gets
-    bitwise the same float."""
+    value once: BNN and CLUMP once per reversal class (automata.bnn_scan
+    and automata.clump_scan), BV once per letter composition, read off
+    codes, the letter codes of the words (_bv_scan)."""
     name = str(method).upper()
     # built per call, so that a function rewrapped on this module (a
     # profiler, a test double) is the one that runs
-    table = {"BV": (bv_probability,
-                    _per_class(bv_probability, lambda w: "".join(sorted(w)))),
+    table = {"BV": (bv_probability, _bv_scan(codes)),
              "BNN": (bnn_probability, bnn_scan),
-             "CLUMP": (clump_probability,
-                       _per_class(clump_probability,
-                                  lambda w: min(w, w[::-1])))}
+             "CLUMP": (clump_probability, clump_scan)}
     if name not in table:
         raise ValueError("unknown method %r (expected BV, BNN or CLUMP)"
                          % (method,))
@@ -349,19 +346,20 @@ def scan_kmers(k, n, params, method="BNN"):
     the largest mutation rate exceeds 1e-2, the regime where the
     single-mutation picture starts to degrade, and raises ArithmeticError
     naming the method and the first word, in alphabet order, whose p_n is
-    not in (0, 1).  clump and bnn run once per
-    reversal class (544 of 1024 5-mers, 2080 of 4096 6-mers).  The clump
-    method builds an automaton of a few hundred states per class and
-    takes about 30 to 40 sparse steps over it, whatever n.  bnn runs
-    automata.bnn_scan: about 2 log2(n) stacked matrix products per stack
-    of 36 (k = 5) or 18 (k = 6) pair matrices, shared by the stack, and
-    as many over each wide stack of avoidance matrices.  bv runs one
-    series per letter composition (56 for k = 5, 84 for k = 6).  The ranks
-    come from one stable sort and the periods from one comparison per
-    shift over all the words.  Under table1 at n = 1000 a full 5-mer scan
-    takes about 2 s by clump, 0.015 s by bnn and 0.0024 s by bv; a
-    6-mer scan takes about 0.1 s by bnn and 0.007 s by bv (one BLAS
-    thread on a shared 2-core host).
+    not in (0, 1).  clump and bnn run once per reversal class (544 of
+    1024 5-mers, 2080 of 4096 6-mers), in stacks of 36 (k = 5) or 18
+    (k = 6) words.  clump runs automata.clump_scan: 23 to 34 stacked
+    matrix-vector steps over k (k + 1) pair states for k = 5, whatever n.
+    bnn runs automata.bnn_scan: about 2 log2(n) stacked matrix products
+    per stack of pair matrices, and as many over each wide stack of
+    avoidance matrices.  bv runs one series per letter composition (56
+    for k = 5, 84 for k = 6), keyed by the sorted letter codes that also
+    give the periods.  The ranks come from one stable sort and the
+    periods from one comparison per shift over all the words.  Under
+    table1 at n = 1000 a full 5-mer scan takes about 0.03 s by clump,
+    0.015 s by bnn and 0.0024 s by bv; a 6-mer scan takes about 0.2 s
+    by clump, 0.1 s by bnn and 0.007 s by bv (one BLAS thread on a shared
+    2-core host).
     """
     if k < 2:
         raise ValueError("scan needs k >= 2")
@@ -372,7 +370,9 @@ def scan_kmers(k, n, params, method="BNN"):
                       stacklevel=2)
     symbols = params.alphabet.symbols
     words = ["".join(t) for t in iproduct(symbols, repeat=k)]
-    name, _, scan = _route(method)
+    # letter i of every word, in the order of iproduct
+    codes = np.indices((len(symbols),) * k).reshape(k, -1)
+    name, _, scan = _route(method, codes)
     probs = np.array(scan(words, n, params))
     bad = np.flatnonzero(~((probs > 0.0) & (probs < 1.0)))
     if bad.size:
@@ -382,9 +382,8 @@ def scan_kmers(k, n, params, method="BNN"):
     # a stable sort of -p_n ranks equal floats in alphabet order
     rank = np.empty(len(words), int)
     rank[np.argsort(-probs, kind="stable")] = np.arange(1, len(words) + 1)
-    # letter i of every word, in the order of iproduct; the minimal period
-    # is the smallest shift i at which a word matches itself
-    codes = np.indices((len(symbols),) * k).reshape(k, -1)
+    # the minimal period is the smallest shift i at which a word matches
+    # itself
     period = np.full(len(words), k)
     for i in range(k - 1, 0, -1):
         period[(codes[i:] == codes[:k - i]).all(axis=0)] = i

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: full enumeration over texts, a
 plain dynamic program over pattern-matching states, straight Monte Carlo,
-and a decimal shadow of the BNN quotient that powers dense matrices over
-the same pattern states.  These are the independent answers that the
+a decimal shadow of the BNN quotient that powers dense matrices over the
+same pattern states, and an exact walk of that quotient's first-order
+term in the mutation rate.  These are the independent answers that the
 generating-function and automaton routes are tested against, so this
 module must not import from those.
 """
@@ -281,6 +282,44 @@ def bnn_decimal(b, n, params):
                                                 + nxt[q][j]] += dec(w)
         hit = sum(_decimal_row_power(pair, n)[k::width])
         return hit / sum(_decimal_row_power(avoid, n))
+
+
+def bnn_first_order(b, n, params):
+    """The term of the BNN quotient that is first order in the mutation
+    rate, exactly: the CLUMP value.
+
+    Each letter pair (x, y) of bnn_decimal's pair states is weighted by
+    nu(x) when y = x and by eps nu(x) p1(x, y) when y != x, and the walk
+    carries every pair state's mass as (eps**0, eps**1) coefficients in
+    Fractions, dropping higher powers of eps.  Returns the eps coefficient
+    of the mass whose mutant holds b over the avoiding mass.
+    """
+    alphabet = params.alphabet
+    alphabet.check_word(b)
+    check_text_length(b, n)
+    k = len(b)
+    syms = alphabet.symbols
+    nxt = _kmp_table(b, alphabet)
+    states = {(0, 0): (QONE, QZERO)}
+    for _ in range(n):
+        new = {}
+        for (p, q), (mass, first) in states.items():
+            for i, x in enumerate(syms):
+                if nxt[p][i] == k:
+                    continue
+                for j, y in enumerate(syms):
+                    key = (nxt[p][i], nxt[q][j])
+                    m0, m1 = new.get(key, (QZERO, QZERO))
+                    if x == y:
+                        new[key] = (m0 + mass * params.nu[x],
+                                    m1 + first * params.nu[x])
+                    else:
+                        new[key] = (m0, m1 + mass * params.nu[x]
+                                    * params.p1[x][y])
+        states = new
+    hit = sum((first for (_, q), (_, first) in states.items() if q == k),
+              QZERO)
+    return hit / sum((mass for mass, _ in states.values()), QZERO)
 
 
 def _decimal_row_power(mat, n):

@@ -1,10 +1,14 @@
-"""Shared fixtures: model parameters and cached automata for the binary toys."""
+"""Shared fixtures: model parameters and cached automata for the binary
+toys, and the clump automaton's stop-rule walk, the certificate of the
+CLUMP route."""
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from kmerwait.automata import clump_automaton
+from kmerwait.automata import PERRON_TOL, _float_walk, clump_automaton, \
+    transfer_matrix
 from kmerwait.evolution import ModelParams, load_params
 from kmerwait.words import Alphabet
 
@@ -71,3 +75,46 @@ def dna_eps(table1):
 def autos(ac):
     """One clump automaton per toy word, shared across the session."""
     return {b: clump_automaton(b, ac) for b in TOYS}
+
+
+def weighted_marks(ca, weight):
+    """Per-state sum over mutation types ty of weight[ty] times
+    state_marks(ca, ty), as floats, from one scan of the labels.  A state
+    carries a fresh hit of at most one type; types missing from weight
+    count 0."""
+    return np.array([weight.get(typed, 0.0) for _, typed in ca.fresh_hits])
+
+
+def clump_conditioned_hits(ca, nu, n, marks):
+    """Expected weighted mark count of a length-n text conditioned on its
+    avoiding the pattern, in float64, by the clump automaton's walk.
+
+    marks holds one weight per state, such as weighted_marks(ca, weight).
+    The walk of automata._float_walk steps the conditioned expectation E
+    with its increment delta and its centred hit vector tau.  It stops at
+    the first step m at which the avoiding vector moves at most PERRON_TOL
+    in l1 norm, tau at most PERRON_TOL of its own l1 norm and delta at
+    most PERRON_TOL relative, and returns E_m + (n - m) delta_m; if the
+    rule never fires the walk runs to n.  This is the stop rule of
+    automata.clump_scan over another state space: the clump automaton's
+    few hundred states in place of BNN's k (k + 1) pair states.
+    """
+    prev = None
+    for m, (u, _, _, ((cond, inc, tau),)) in enumerate(
+            _float_walk(ca, transfer_matrix(ca, nu), n, [marks])):
+        if prev is not None:
+            u0, inc0, tau0 = prev
+            if (np.abs(u - u0).sum() <= PERRON_TOL
+                    and abs(inc - inc0) <= PERRON_TOL * abs(inc)
+                    and np.abs(tau - tau0).sum()
+                    <= PERRON_TOL * np.abs(tau).sum()):
+                break
+        prev = u, inc, tau
+    return cond + (n - m) * inc
+
+
+def automaton_clump(ca, n, params):
+    """CLUMP p_n of the word of the clump automaton ca by its stop-rule
+    walk: the substitution-weighted conditioned hit count."""
+    return clump_conditioned_hits(ca, params.nu, n,
+                                  weighted_marks(ca, params.rates))

@@ -24,7 +24,6 @@ from kmerwait.automata import (
     bnn_probability,
     bnn_scan,
     clump_automaton,
-    clump_conditioned_hits,
     clump_moment_series,
     clump_series,
     gf_from_clump_automaton,
@@ -32,7 +31,6 @@ from kmerwait.automata import (
     state_marks,
     to_dot,
     transfer_matrix,
-    weighted_marks,
 )
 from kmerwait.cli import main
 from kmerwait.evolution import ModelParams, asymptotics, waiting_time
@@ -43,7 +41,8 @@ from kmerwait.oracle import avoid_weight, bnn_decimal, enumerate_census
 from kmerwait.words import Alphabet, correlation_set, neighbors, \
     putative_hit_count
 
-from conftest import BIASED, TOYS, UNIFORM
+from conftest import BIASED, TOYS, UNIFORM, clump_conditioned_hits, \
+    weighted_marks
 
 
 def all_words(n):

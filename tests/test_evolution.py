@@ -16,7 +16,6 @@ from kmerwait.automata import (
     clump_series,
     state_marks,
     transfer_matrix,
-    weighted_marks,
 )
 from kmerwait.evolution import (
     ModelParams,
@@ -29,10 +28,12 @@ from kmerwait.evolution import (
     waiting_time,
 )
 from kmerwait.languages import marked_code_gf, rs_solve
-from kmerwait.oracle import bnn_decimal, enumerate_census, exact_pn_tiny
+from kmerwait.oracle import bnn_decimal, bnn_first_order, enumerate_census, \
+    exact_pn_tiny
 from kmerwait.words import Alphabet, minimal_period
 
-from conftest import BIASED, TOYS, UNIFORM
+from conftest import BIASED, TOYS, UNIFORM, automaton_clump, \
+    weighted_marks
 
 
 def test_load_table1_values(table1):
@@ -324,9 +325,63 @@ def test_clump_walk_defective_root_runs_to_n(request, ac, b, model):
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
-def test_clump_scan_ranks_match_bnn(table1):
-    clump = scan_kmers(4, 1000, table1, "CLUMP")
-    bnn = scan_kmers(4, 1000, table1, "BNN")
+@pytest.mark.parametrize("b, model, n_max", [
+    (b, model, 40) for model in ("toy_eps", "binu", "biased_swap")
+    for b in TOYS] + [("ACG", "table1", 8), ("GATA", "table1", 8)])
+def test_clump_is_first_order_bnn_exactly(request, b, model, n_max):
+    """The eps coefficient of the BNN quotient with pair weights
+    nu(x) + eps nu(x) p1(x, y) (y != x), walked in Fractions by the
+    oracle, is the exact clump census's substitution-weighted conditioned
+    hit count: the identity that automata.clump_scan computes in floats."""
+    params = request.getfixturevalue(model)
+    types = params.mutation_types()
+    ca = clump_automaton(b, params.alphabet)
+    fbar, hits = clump_moment_series(ca, params.nu, n_max,
+                                     [state_marks(ca, ty) for ty in types])
+    for n in (len(b), 7, n_max):
+        want = sum(hits[i][n] * params.p1[a][c]
+                   for i, (a, c) in enumerate(types)) / fbar[n]
+        assert bnn_first_order(b, n, params) == want
+
+
+def test_clump_one_letter_word(table1, toy_eps):
+    # a one-letter word has no substitution neighborhood to build a clump
+    # automaton from, but the pair-state walk still gives its first-order
+    # term: every position of an avoiding text is a putative hit
+    for params, b in ((table1, "G"), (toy_eps, "A")):
+        for n in (1, 30):
+            assert clump_probability(b, n, params) == pytest.approx(
+                float(bnn_first_order(b, n, params)), rel=1e-15, abs=0)
+    assert clump_probability("A", 30, toy_eps) == pytest.approx(3e-5,
+                                                                rel=1e-15)
+
+
+DNA_5MER_CLASSES = sorted({min(w, w[::-1]) for w in
+                           map("".join, iproduct("ACGT", repeat=5))})
+
+
+def test_clump_matches_automaton_walk_every_5mer(table1):
+    """Every DNA 5-mer reversal class: the pair-state walk of
+    clump_probability against the clump automaton's stop-rule walk."""
+    assert len(DNA_5MER_CLASSES) == 544
+    for b in DNA_5MER_CLASSES:
+        ca = clump_automaton(b, table1.alphabet)
+        for n in (10 ** 3, 10 ** 5, 10 ** 7):
+            assert clump_probability(b, n, table1) == pytest.approx(
+                automaton_clump(ca, n, table1), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("b", ["AAAAAC", "ACGTTG", "GGCGGC", "TATATA",
+                               "ACCAGTA", "CGCGCGC", "GATTACA",
+                               "AAAAAAAA", "ACGTACGT", "CCTAGGTC"])
+def test_clump_matches_automaton_walk_longer_words(table1, b):
+    ca = clump_automaton(b, table1.alphabet)
+    for n in (10 ** 3, 10 ** 5, 10 ** 7):
+        assert clump_probability(b, n, table1) == pytest.approx(
+            automaton_clump(ca, n, table1), rel=1e-13, abs=0)
+
+
+def _assert_ranks_match(clump, bnn):
     assert [r.word for r in clump] == [r.word for r in bnn]
     for c, p in zip(clump, bnn):
         assert c.p_n == pytest.approx(p.p_n, rel=1e-4, abs=0)
@@ -338,8 +393,31 @@ def test_clump_scan_ranks_match_bnn(table1):
     def top(rows):
         return {r.word for r in rows if r.rank <= 10}
     assert top(clump) == top(bnn)
+
+
+def test_clump_builds_no_automaton(table1, monkeypatch):
+    """CLUMP runs on the pair states alone: no clump automaton, no
+    transfer matrix and no call of the BNN kernel."""
+    def refuse(*args):
+        raise AssertionError("CLUMP left the pair-state walk")
+    for module in (automata, evolution):
+        for name in ("clump_automaton", "transfer_matrix", "bnn_scan"):
+            monkeypatch.setattr(module, name, refuse)
+    assert waiting_time("ACGTA", 1000, table1, "CLUMP").p_n > 0
+    assert len(scan_kmers(3, 1000, table1, "CLUMP")) == 64
+
+
+def test_clump_scan_ranks_match_bnn(table1):
+    clump = scan_kmers(4, 1000, table1, "CLUMP")
+    _assert_ranks_match(clump, scan_kmers(4, 1000, table1, "BNN"))
+    count = len(clump)
     assert {r.word for r in clump if r.rank > count - 4} == \
         {"AAAA", "CCCC", "GGGG", "TTTT"}
+
+
+def test_clump_scan_5mer_ranks_match_bnn(table1):
+    _assert_ranks_match(scan_kmers(5, 1000, table1, "CLUMP"),
+                        scan_kmers(5, 1000, table1, "BNN"))
 
 
 def test_waiting_time_dispatch(table1):
@@ -550,6 +628,14 @@ def test_scan_clump_rows_match_single_words(table1):
                                      for r in rows]
     assert clump_probability("ATGCA", 1000, table1) == \
         clump_probability("ACGTA", 1000, table1)
+
+
+def test_scan_clump_6mer_rows_match_single_words(table1):
+    # the 6-mer scan walks stacks of 18 classes; a word's float does not
+    # depend on its stack mates
+    rows = scan_kmers(6, 1000, table1, "CLUMP")
+    for r in rows[::97]:
+        assert r.p_n == clump_probability(r.word, 1000, table1)
 
 
 @pytest.mark.parametrize("method", ["BNN", "BV", "CLUMP"])

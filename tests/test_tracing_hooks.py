@@ -47,7 +47,7 @@ def test_tracer_hooks(table1, binu):
     names = [s[tracing.NAME] for s in spans]
     build = "automata.transfer_matrix"
     builds = [s for s, name in zip(spans, names) if name == build]
-    assert len(builds) == 4
+    assert len(builds) == 3
     assert all(type(s[tracing.FACTS]["nnz"]) is int for s in builds)
     assert "automata.clump_moment_series.float" in names
     assert "gfcore.RatFun.dt_at_one" in names
