@@ -10,7 +10,8 @@ structure of the mutation neighborhood d(b) and carries a t mark on
 transitions that reveal a fresh putative-hit position.  Its transfer
 matrix serves the exact census and moment series, the closed-form
 generating function (which the word-language route reproduces, the point
-of building both) and the growth constants of evolution.asymptotics.
+of building both) and the conditioned walk that certifies the growth
+constants of evolution.asymptotics.
 """
 
 import math
@@ -25,10 +26,10 @@ from .gfcore import Poly, RatFun
 from .words import check_text_length, check_type, letter_distribution, \
     neighbors
 
-# Float64 walks over a transfer matrix stop once a step changes their
-# state by at most PERRON_TOL in l1 norm, relative to its size: the
-# Perron walks of evolution.asymptotics and the CLUMP walk of clump_scan
-# share this tolerance.
+# The CLUMP walk of clump_scan stops once a step changes its state by at
+# most PERRON_TOL in l1 norm, relative to its size, and the certificate
+# walk of evolution.asymptotics runs until the terms its linear law leaves
+# out fall below PERRON_TOL squared.
 PERRON_TOL = 1e-15
 
 
@@ -317,34 +318,38 @@ def clump_series(ca, nu, n_max):
     if n_max < 0:
         raise ValueError("text length %d is negative" % n_max)
     tm = transfer_matrix(ca, nu)
-    return [{m: Fraction(w, tm.scale ** n) for m, w in census.items()}
-            for n, census in enumerate(_census(ca, tm, n_max))]
+    # the census at length n <= n_max has nonnegative t-coefficients that
+    # sum to D**n <= 2**(bits - 2)
+    bits = n_max * tm.scale.bit_length() + 2
+    census = _census(_packed_rows(ca, tm, bits), ca.dfa.initial, n_max)
+    return [{m: Fraction(w, tm.scale ** n)
+             for m, w in _unpack_t(x, bits).items()}
+            for n, x in enumerate(census)]
 
 
-def _census(ca, tm, n_max):
-    """clump_series over the transfer matrix tm of ca, as the integer
-    weights over D**n: one dict per length n <= n_max, in increasing mark
-    count."""
-    u = [dict() for _ in range(tm.size)]
-    u[ca.dfa.initial][0] = 1
-    out = []
-    for _ in range(n_max + 1):
-        census = {}
-        for col in u:
-            for m, w in col.items():
-                census[m] = census.get(m, 0) + w
-        out.append(dict(sorted(census.items())))
-        nxt = [dict() for _ in range(tm.size)]
-        for i, row in enumerate(tm.rows):
-            if not u[i]:
-                continue
-            for j, coef in row.items():
-                dst = nxt[j]
-                texp = ca.state_mark[j]
-                for m, w in u[i].items():
-                    key = m + texp
-                    dst[key] = dst.get(key, 0) + w * coef
+def _packed_rows(ca, tm, bits):
+    """The rows of the transfer matrix tm of ca at t = 2**bits (Kronecker
+    substitution): an edge into state j carries D H_ij << bits*mark[j]."""
+    return [{j: coef << bits * ca.state_mark[j] for j, coef in row.items()}
+            for row in tm.rows]
+
+
+def _census(rows, initial, n_max):
+    """The census over packed rows (_packed_rows) from state initial: per
+    length n <= n_max the packed int whose t-coefficients are the integer
+    weights of clump_series over D**n.  One int per state carries every
+    mark count at once."""
+    u = [0] * len(rows)
+    u[initial] = 1
+    out = [1]
+    for _ in range(n_max):
+        nxt = [0] * len(rows)
+        for x, row in zip(u, rows):
+            if x:
+                for j, coef in row.items():
+                    nxt[j] += x * coef
         u = nxt
+        out.append(sum(u))
     return out
 
 
@@ -491,16 +496,11 @@ def _det_one_minus_y(rows):
     return q
 
 
-def _pack_t(tpoly, bits):
-    """A t-polynomial (mapping t_degree -> int) at t = 2**bits."""
-    return sum(c << bits * d for d, c in tpoly.items())
-
-
 def _unpack_t(x, bits):
     """The t-polynomial whose value at t = 2**bits is x, read off in
-    balanced base-2**bits digits: the inverse of _pack_t when every
-    coefficient lies in [-2**(bits-1), 2**(bits-1)).  Zero digits are
-    left out."""
+    balanced base-2**bits digits: the inverse of evaluating a
+    t-polynomial at t = 2**bits when every coefficient lies in
+    [-2**(bits-1), 2**(bits-1)).  Zero digits are left out."""
     half = 1 << (bits - 1)
     mask = (1 << bits) - 1
     out = {}
@@ -533,10 +533,10 @@ def gf_from_clump_automaton(ca, nu):
     t is packed into one big int (Kronecker substitution, t = 2**bits):
     an edge into state j carries coef << bits*mark[j], one division-free
     Berkowitz pass over those rows (_det_one_minus_y) gives every c_i,
-    the census S_n is packed the same way, and the numerator is one
-    integer convolution.  The t-coefficients of c_i and num_n are read
-    back as balanced base-2**bits digits, coefficient (n, d) becoming
-    a / D**n.
+    one walk over the same rows (_census) gives every packed S_n, and the
+    numerator is one integer convolution.  The t-coefficients of c_i and
+    num_n are read back as balanced base-2**bits digits, coefficient
+    (n, d) becoming a / D**n.
     """
     tm = transfer_matrix(ca, nu)
     size = tm.size
@@ -554,10 +554,9 @@ def gf_from_clump_automaton(ca, nu):
     # The census S_n has nonnegative coefficients summing to at most D**n,
     # so for n < size |num_n| <= sum_i |c_i| D**(n-i) <= 2**size D**n.
     bits = size * (2 * scale).bit_length() + 1
-    rows = [{j: coef << bits * ca.state_mark[j] for j, coef in row.items()}
-            for row in tm.rows]
+    rows = _packed_rows(ca, tm, bits)
     den = _det_one_minus_y(rows)
-    census = [_pack_t(c, bits) for c in _census(ca, tm, size - 1)]
+    census = _census(rows, ca.dfa.initial, size - 1)
     num = [sum(den[i] * census[n - i] for i in range(n + 1))
            for n in range(size)]
 

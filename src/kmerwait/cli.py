@@ -197,9 +197,6 @@ def _cmd_gf(args, out):
                                  for m, val in sorted(row.items()))
                 print("  n=%-3d %s" % (n, cells), file=out)
         return 0
-    if len(params.alphabet) != 2:
-        raise ValueError("the closed form is assembled exactly for binary "
-                         "alphabets; use --coeffs N for larger ones")
     ca = clump_automaton(args.word, params.alphabet, mark=mark)
     f = gf_from_clump_automaton(ca, params.nu)
     if args.csv:

@@ -8,11 +8,13 @@ time is 1/p_n.  Three estimates of p_n are provided: a truncated
 inclusion-exclusion sum (bv), the paired automaton quotient (bnn), and the
 clump census of putative-hit positions weighted by the mutation rates
 (clump).  The asymptotics routine takes the quasi-linear growth constants
-of the conditioned hit expectations, on any alphabet, from float64 Perron
-walks over the edge arrays of the clump automaton's transfer matrix, reads
-vanishing slopes off the graph, and certifies the constants against the
-conditioned float walk of clump; the decay B of the terms the linear law
-leaves out is the spectral gap |lam2|/lam of the transfer matrix.
+of the conditioned hit expectations, on any alphabet, as closed forms in
+the blocks of clump's step matrix over BNN's pair states, with dense
+linear algebra on k x k and (k^2 - k) x (k^2 - k) matrices, and
+certifies them against the conditioned float walk of the clump
+automaton; the decay B of the terms the linear law leaves out is the
+spectral gap |lam2|/lam of the k x k avoidance matrix, which is that of
+the clump automaton's transfer matrix.
 """
 
 import math
@@ -25,20 +27,17 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .automata import PERRON_TOL, _float_walk, bnn_probability, \
-    bnn_scan, clump_automaton, clump_moment_series, clump_scan, state_marks, \
-    transfer_matrix
+from .automata import PERRON_TOL, _clump_matrices, _float_walk, \
+    _kmp_tables, bnn_probability, bnn_scan, clump_automaton, \
+    clump_moment_series, clump_scan, state_marks, transfer_matrix
 from .gfcore import QONE, QZERO, as_q
 from .words import Alphabet, check_text_length, letter_distribution
 
 ROW_SUM_TOL = 1e-7
 REGIME_LIMIT = 1e-2
-# Float64 Perron walks stop once a step moves the vector (or adds to the
-# Neumann series) at most automata.PERRON_TOL in l1 norm, relative to its
-# start.  3000 steps allow |lam2|/lam up to about 0.99; a root that is not
-# simple converges like 1/steps and runs out.
+# The certificate walk of asymptotics runs 2 log(PERRON_TOL)/log(B)
+# letters; at most 3000 allow a gap |lam2|/lam up to about 0.977.
 PERRON_STEPS = 3000
-NOT_SIMPLE = "the Perron root of the transfer matrix is not simple: %s"
 
 
 class ModelParams:
@@ -392,109 +391,61 @@ def scan_kmers(k, n, params, method="BNN"):
                                   period.tolist())]
 
 
-def _perron(src, tgt, coef, size):
-    """Perron root lam of the matrix M listed as edges (src, tgt, M_ij) and
-    its left vector x (x M = lam x, sum 1), by power iteration; swapping
-    src and tgt gives the right vector."""
-    x = np.full(size, 1.0 / size)
-    for _ in range(PERRON_STEPS):
-        y = np.bincount(tgt, x[src] * coef, size)
-        lam = y.sum()
-        y /= lam
-        if np.abs(y - x).sum() <= PERRON_TOL:
-            return float(lam), y
-        x = y
-    raise ArithmeticError(NOT_SIMPLE % "power iteration did not converge")
 
 
-def _group_apply(src, tgt, coef, v, lam, x, y):
-    """v'G and its step count for the group inverse G of I - M/lam, with
-    x and y the left and right Perron vectors of M over the edges (src,
-    tgt, M_ij): the Neumann series sum_k (v - P v)' (M/lam)^k, where
-    P v = x (v.y)/(x.y) is the Perron part of the row vector v.  Every
-    term is deflated again, since the rounding of each step leaves a
-    Perron part that the series would otherwise sum."""
-    xy = x @ y
-    term = v - x * (v @ y) / xy
-    acc = np.zeros_like(v)
-    for steps in range(PERRON_STEPS):
-        acc += term
-        if np.abs(term).sum() <= PERRON_TOL * np.abs(v).sum():
-            return acc, steps
-        term = np.bincount(tgt, term[src] * coef, len(v)) / lam
-        term -= x * (term @ y) / xy
-    raise ArithmeticError(NOT_SIMPLE % "its Neumann series did not converge")
-
-
-def _strong_class(src, tgt, seed, size):
-    """States reached from seed and reaching it: its strongly connected
-    class in the graph of the edges (src, tgt)."""
-    def reach(a, b):
-        seen = np.eye(1, size, seed, dtype=bool)[0]
-        while not seen[b[seen[a]]].all():
-            seen[b[seen[a]]] = True
-        return seen
-    return reach(src, tgt) & reach(tgt, src)
+def _reached(a, seed):
+    """States that the graph of the nonzero entries of the square matrix a
+    reaches from seed, seed included."""
+    seen = np.eye(1, len(a), seed, dtype=bool)[0]
+    while not seen[nxt := (a[seen] != 0).any(axis=0)].all():
+        seen |= nxt
+    return seen
 
 
 def asymptotics(b, params):
     """Quasi-linear growth constants of the conditioned hit expectations.
 
-    Let H be the clump automaton's substochastic transfer matrix with
-    Perron root lam and right and left Perron vectors r, l (l.r = 1).  The
-    avoiding probability decays like psi * tau^(-(n-1)) with tau = 1/lam,
-    and the raw typed hit expectation grows like tau^(-n) (phi1 n + phi2),
-    so the conditioned expectation is asymptotically c1 n + c2 with
-    c = phi/(psi tau).  With D the diagonal of a type's state marks, e0 the
-    initial state and G the group inverse of I - H/lam,
-    c1 = l'D r and c2 = (e0'G D r - e0'D r)/r[e0] + c1 + l'D G 1/sum(l);
-    this is the Markov-additive view of Nicodeme, Salvy and Flajolet.
-    Aggregating over types with the substitution weights gives the
-    appearance probability slope C1 and intercept C2.  The terms the law
-    leaves out decay like B^n with B = |lam2|/lam, the ratio of the two
-    largest eigenvalue moduli of H, taken from a dense eigenvalue solve.
+    Per mutation type (a, c), the CLUMP step matrix over BNN's pair states
+    (automata._clump_matrices) with the unit rate nu(a) on its one entry
+    counts that type's hits.  In the state order diag (k) | hit (k) | rest
+    its blocks are the avoidance matrix A (diag to diag, and again hit to
+    hit), X_H and X_R (diag to hit and to rest, one mutation), the
+    nilpotent R (rest to rest) and F (rest to hit).  With
+    Phi(z) = z X_H + z^2 X_R (I - zR)^-1 F, the avoiding mass has the
+    generating function e0'(I - zA)^-1 1 and the hit mass
+    e0'(I - zA)^-1 Phi(z) (I - zA)^-1 1.  Let lam be A's Perron root, r
+    and l its right and left vectors, P = r l'/(l.r), z0 = 1/lam and
+    G = (I - A/lam + P)^-1 - P.  Then the avoiding probability decays like
+    psi tau^-(n-1) with tau = z0, psi = lam r[0] (l.1)/(l.r), and the
+    conditioned hit count grows like c1 n + c2 with c1 = l'Phi(z0) r/(l.r)
+    and c2 = c1 + (G Phi(z0) r)[0]/r[0] + l'Phi(z0) G 1/(l.1)
+    - z0 l'Phi'(z0) r/(l.r) (Nicodeme, Salvy and Flajolet's
+    Markov-additive view); phi = c psi/lam, and the substitution weights
+    aggregate c1 and c2 into C1 and C2.  The law's error decays like B^n,
+    B = |lam2|/lam over A's eigenvalues.  That is the gap of the clump
+    automaton's transfer matrix H too: a clump state's label fixes its
+    pattern state, so H lumps onto A, and H is nilpotent on the vectors
+    with no mass in any pattern state, since a clump state depends only
+    on the last L letters read (L its longest label).
 
-    r, l (power iteration) and G 1, e0'G (Neumann series) are float64
-    walks over the transfer matrix's edge arrays, stopped at PERRON_TOL.
-    l o r is positive exactly on the dominant strongly connected class, so
-    a type none of whose marked states lies in that class (its hits fit
-    only in a bounded prefix of the text) has c1 = 0 exactly, and its flat
-    limit as c2.  The other route to the same law, the conditioned walk of
-    automata._float_walk over 2K letters with K the longer Neumann series'
-    step count, certifies the constants at 1e-8: its last increment
-    against c1 and E_2K - 2K delta against c2, for every type.  A Perron
-    root that is not simple raises ArithmeticError, and so does B = 1.
-    Under table1 a call takes about 0.06 s on ACGTA (463 states) and
-    0.26 s on ACGTACGT (810 states) on one BLAS thread, most of it in the
-    eigenvalue solve.
+    Phi is summed as the polynomial it is, so its structural zeros are
+    exact; l is set to 0 outside the states that A's dominant class
+    reaches and r outside those that reach it, so a type whose hits fit
+    only in a bounded prefix of the text gets c1 = 0 exactly and its flat
+    limit as c2.  The clump automaton's conditioned walk
+    (automata._float_walk) certifies c1 and c2 at 1e-8 for every type,
+    after m = 2 log(PERRON_TOL)/log(B) letters plus the degree of Phi.  A
+    Perron root that is not simple, or a B that would make m pass
+    PERRON_STEPS, raises ArithmeticError.  Under table1 a call takes about
+    0.014 s on ACGTA (463 states) and 0.025 s on ACGTACGT (810 states),
+    one BLAS thread, most of it in the automaton build and the walk.
     """
     types = params.mutation_types()
     ca = clump_automaton(b, params.alphabet)
     vecs = [state_marks(ca, ty) for ty in types]
     tm = transfer_matrix(ca, params.nu)
-    src, tgt, coef = tm.edge_arrays()
-    size, e0 = tm.size, ca.dfa.initial
-    lam, l = _perron(src, tgt, coef, size)
-    _, r = _perron(tgt, src, coef, size)
-    lr = l @ r
-    if not lr > PERRON_TOL:
-        raise ArithmeticError(NOT_SIMPLE
-                              % "its left and right vectors are orthogonal")
-    # G 1 over the edges of the transpose, and e0'G
-    g_one, k_one = _group_apply(tgt, src, coef, np.ones(size), lam, r, l)
-    g_e0, k_e0 = _group_apply(src, tgt, coef, np.eye(1, size, e0)[0], lam,
-                              l, r)
-    psi = float(lam * r[e0] * l.sum() / lr)
-    if not psi > 0:
-        raise ArithmeticError("avoiding amplitude came out nonpositive")
-    dominant = _strong_class(src, tgt, int(np.argmax(l * r)), size)
-    c1, c2 = {}, {}
-    for ty, vec in zip(types, vecs):
-        on = np.array(vec, dtype=bool)
-        c1[ty] = float((l * r)[on & dominant].sum() / lr)
-        c2[ty] = float((g_e0[on] @ r[on] - vec[e0] * r[e0]) / r[e0] + c1[ty]
-                       + l[on] @ g_one[on] / l.sum())
-    last = 2 * max(k_one, k_e0)
+    lam, psi, decay, c1, c2, last = _pair_constants(b, params)
+    c1, c2 = (dict(zip(types, v.tolist())) for v in (c1, c2))
     for *_, moments in _float_walk(ca, tm, last, vecs):
         pass
     for ty, (cond, inc, _) in zip(types, moments):
@@ -503,16 +454,65 @@ def asymptotics(b, params):
                 abs(cond - last * inc - c2[ty]) > 1e-8 * ref:
             raise ArithmeticError("growth constants disagree with the "
                                   "conditioned walk's linear law")
-    h = np.zeros((size, size))
-    np.add.at(h, (src, tgt), coef)
-    top = np.sort(np.abs(np.linalg.eigvals(h)))[-2:]
-    decay = float(top[0] / top[1])
-    if not decay < 1:
-        raise ArithmeticError("the transfer matrix has a second eigenvalue "
-                              "as large as its Perron root")
     big = [sum(c[ty] * params.rates[ty] for ty in types) for c in (c1, c2)]
     return AsymptoticConstants(
         1 / lam, psi,
         {ty: v * psi / lam for ty, v in c1.items()},
         {ty: v * psi / lam for ty, v in c2.items()},
         c1, c2, *big, decay)
+
+
+def _pair_constants(b, params):
+    """(lam, psi, B, c1, c2, m) of asymptotics from the pair-state blocks:
+    c1 and c2 as arrays in the order of mutation_types, and m the number
+    of letters the certificate walk runs."""
+    nu = params.bnn_weights[0]
+    s, k = len(nu), len(b)
+    # one unit matrix per type, in the order of mutation_types
+    units = np.eye(s * s)[~np.eye(s, dtype=bool).ravel()].reshape(-1, s, s)
+    table = _kmp_tables([b], params.alphabet)
+    step = np.concatenate([_clump_matrices(table, nu, w * nu[:, None])
+                           for w in units])
+    a, nil = step[0, :k, :k], step[0, 2 * k:, 2 * k:]
+    f = step[0, 2 * k:, k:2 * k]
+    x_h, x_r = step[:, :k, k:2 * k], step[:, :k, 2 * k:]
+    vals, right = np.linalg.eig(a)
+    mod = np.sort(np.abs(vals))
+    decay = float(mod[-2] / mod[-1])
+    # the B^n terms fall below PERRON_TOL**2 after 2 log(PERRON_TOL)/log(B)
+    # letters; a root that is not simple gives B = 1, or 1 to rounding
+    if not decay <= PERRON_TOL ** (2 / PERRON_STEPS):
+        raise ArithmeticError("the Perron root is not simple: B = %.17g"
+                              % decay)
+    last = 2 * math.ceil(math.log(PERRON_TOL)
+                         / math.log(max(decay, PERRON_TOL)))
+    lam = float(mod[-1])
+    z = 1 / lam
+    r = right[:, np.argmax(vals.real)].real
+    vals, left = np.linalg.eig(a.T)
+    l = left[:, np.argmax(vals.real)].real
+    r, l = r / r.sum(), l / l.sum()
+    seed = int(np.argmax(l * r))
+    l = np.where(_reached(a, seed), l, 0.0)
+    r = np.where(_reached(a.T, seed), r, 0.0)
+    # eig's vectors are accurate in norm only; k steps of A, each a sum of
+    # nonnegative terms, make every entry accurate relative to itself
+    for _ in range(k):
+        r, l = a @ r / lam, l @ a / lam
+    lr = l @ r
+    p = np.outer(r, l) / lr
+    g = np.linalg.inv(np.eye(k) - a / lam + p) - p
+    # z^(j+2) R^j F, until R^j F is 0
+    terms = [z * z * f]
+    while terms[-1].any():
+        terms.append(z * nil @ terms[-1])
+    phi = z * x_h + x_r @ sum(terms)
+    zdphi = z * x_h + x_r @ sum((j + 2) * t for j, t in enumerate(terms))
+    psi = float(lam * r[0] * l.sum() / lr)
+    if not psi > 0:
+        raise ArithmeticError("avoiding amplitude came out nonpositive")
+    lphi = l @ phi
+    c1 = lphi @ r / lr
+    c2 = (c1 + g[0] @ phi @ r / r[0] + lphi @ g.sum(axis=1) / l.sum()
+          - l @ zdphi @ r / lr)
+    return lam, psi, decay, c1, c2, last + len(terms)

@@ -16,7 +16,6 @@ from kmerwait.automata import (
     _check_incoming_letters,
     _det_one_minus_y,
     _kmp_tables,
-    _pack_t,
     _pair_matrices,
     _row0_powers,
     _stack_words,
@@ -369,6 +368,20 @@ def test_gf_matches_census(ac, b, nu, mark):
     n = 2 * ca.dfa.n_states + 2
     f = gf_from_clump_automaton(ca, nu)
     assert f.taylor_tpolys(n) == clump_series(ca, nu, n)
+
+
+def test_gf_dna_matches_census(table1):
+    # the closed form has one limit, MAX_EXACT_STATES, on every alphabet:
+    # AC under table1 has 19 states
+    ca = clump_automaton("AC", table1.alphabet)
+    assert ca.dfa.n_states == 19
+    f = gf_from_clump_automaton(ca, table1.nu)
+    assert f.taylor_tpolys(12) == clump_series(ca, table1.nu, 12)
+
+
+def _pack_t(tpoly, bits):
+    """A t-polynomial (mapping t_degree -> int) at t = 2**bits."""
+    return sum(c << bits * d for d, c in tpoly.items())
 
 
 @pytest.mark.parametrize("bits", [2, 5, 64])

@@ -232,6 +232,8 @@ def test_asym_dna(capsys):
     (("scan", "--k", "2", "--length", "100", "--method", "clump",
       "--params", "binary-uniform"),
      "AA by CLUMP: appearance probability 44.4158 is out of range"),
+    (("gf", "ACGTA"), "exact clump generating function capped at 48 states"),
+    (("asym", "A"), "need |b| >= 2 to build a substitution neighborhood"),
 ])
 def test_error_paths(capsys, argv, needle):
     rc, out, err = run(capsys, *argv)

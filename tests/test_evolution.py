@@ -504,13 +504,16 @@ def test_asymptotics_double_perron_root_raises(biased_swap, binu):
 
 
 @pytest.mark.parametrize("b, model", [(b, "binu") for b in TOYS + ("ACCC",)]
-                         + [(b, "biased_swap") for b in TOYS if b != "ACC"]
+                         + [(b, "biased_swap") for b in TOYS + ("AC",)
+                            if b != "ACC"]
                          + [("CCCCC", "table1"), ("GGAGG", "table1")])
 def test_asymptotics_zero_slopes_match_exact_series(request, b, model):
     """c1 is exactly 0 for the types whose marked states all lie outside
     the dominant class (ACC's and ACCC's C->A hits fit only in the
-    opening run of C letters), and only for them: the exact series' own
-    slope at n = 200 vanishes for the same types."""
+    opening run of C letters; AC's A->C hits under A:1/3 only in the
+    closing run of A letters, past the dominant run of C letters), and
+    only for them: the exact series' own slope at n = 200 vanishes for
+    the same types."""
     params = request.getfixturevalue(model)
     types = params.mutation_types()
     ca = clump_automaton(b, params.alphabet)
@@ -523,10 +526,14 @@ def test_asymptotics_zero_slopes_match_exact_series(request, b, model):
 
 
 @pytest.mark.parametrize("b, model", [(b, "binu") for b in TOYS]
-                         + [(b, "biased_swap") for b in TOYS if b != "ACC"])
+                         + [(b, "biased_swap") for b in TOYS if b != "ACC"]
+                         + [("".join(w), "table1")
+                            for w in iproduct("ACGT", repeat=2)])
 def test_asymptotics_decay_is_exact_spectral_gap(request, b, model):
     """B is |lam2|/lam of the transfer matrix: the roots of its exact
-    characteristic polynomial give the same ratio."""
+    characteristic polynomial give the same ratio, although asymptotics
+    reads B off the k x k avoidance matrix, since the transfer matrix
+    lumps onto it and is nilpotent on the rest."""
     params = request.getfixturevalue(model)
     tm = transfer_matrix(clump_automaton(b, params.alphabet), params.nu)
     # det(I - yA) low degree first is det(xI - A) high degree first; the
@@ -535,6 +542,23 @@ def test_asymptotics_decay_is_exact_spectral_gap(request, b, model):
     mod = sorted(abs(roots))
     assert asymptotics(b, params).B == pytest.approx(mod[-2] / mod[-1],
                                                      abs=1e-12)
+
+
+@pytest.mark.parametrize("b", ["AAAAAAAA", "CAAAAAAA"])
+def test_asymptotics_skewed_letters_match_exact_series(ac, b):
+    """Under A:1/10 the entries of the Perron vectors span seven decades,
+    and each must be accurate relative to itself, or C1 and C2 move by
+    about 5e-12.  The exact series' slope and intercept at n = 300 are
+    the reference: B^300 is below 1e-290."""
+    swap = {"A": {"A": 0, "C": 1}, "C": {"A": 1, "C": 0}}
+    params = ModelParams(ac, {"A": F(1, 10), "C": F(9, 10)}, swap)
+    ca = clump_automaton(b, ac)
+    fbar, (hits,) = clump_moment_series(ca, params.nu, 300)
+    before, last = (hits[n] / fbar[n] for n in (299, 300))
+    a = asymptotics(b, params)
+    assert a.C1 == pytest.approx(float(last - before), rel=5e-13, abs=0)
+    assert a.C2 == pytest.approx(float(last - 300 * (last - before)),
+                                 rel=5e-13, abs=0)
 
 
 def test_asymptotics_quasi_linear_spot(binu):
@@ -566,6 +590,22 @@ def test_asymptotics_dna_matches_walk(table1, b):
             clump_probability(b, n, table1), rel=1e-12, abs=0)
 
 
+# one DNA 5-mer per autocorrelation class: borders (), (1,), (2,), (1, 3),
+# (1, 2) and the homopolymers
+BORDER_CLASSES = {"ACGTC": (), "GATTG": (1,), "TCATC": (2,),
+                  "CTCTC": (1, 3), "GGTGG": (1, 2), "TTTTT": (1, 2, 3, 4)}
+
+
+@pytest.mark.parametrize("b", sorted(BORDER_CLASSES))
+def test_asymptotics_law_matches_clump_every_border_class(table1, b):
+    assert tuple(i for i in range(1, 5)
+                 if b[:i] == b[-i:]) == BORDER_CLASSES[b]
+    a = asymptotics(b, table1)
+    for n in (10 ** 6, 10 ** 7):
+        assert a.C1 * n + a.C2 == pytest.approx(
+            clump_probability(b, n, table1), rel=1e-12, abs=0)
+
+
 def test_asymptotics_needs_no_exact_series(binu, table1, monkeypatch):
     def no_series(*args):
         raise AssertionError("the exact moment series ran")
@@ -578,14 +618,14 @@ def test_asymptotics_needs_no_exact_series(binu, table1, monkeypatch):
 
 def test_asymptotics_walk_certificate_rejects_bad_constants(binu,
                                                             monkeypatch):
-    """A group inverse off by 1e-6 relative moves c2 past the 1e-8 bound
-    of the conditioned walk's certificate."""
-    group_apply = evolution._group_apply
+    """A closed-form c2 off by 1e-6 relative moves past the 1e-8 bound of
+    the conditioned walk's certificate."""
+    pair_constants = evolution._pair_constants
 
     def skewed(*args):
-        g, steps = group_apply(*args)
-        return g * (1 + 1e-6), steps
-    monkeypatch.setattr(evolution, "_group_apply", skewed)
+        lam, psi, decay, c1, c2, walk = pair_constants(*args)
+        return lam, psi, decay, c1, c2 * (1 + 1e-6), walk
+    monkeypatch.setattr(evolution, "_pair_constants", skewed)
     with pytest.raises(ArithmeticError, match="disagree"):
         asymptotics("ACAC", binu)
 
