@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import sub
+from operator import index, sub
 
 import numpy as np
 
@@ -26,10 +26,12 @@ from .gfcore import Poly, RatFun
 from .words import check_text_length, check_type, letter_distribution, \
     neighbors
 
-# The CLUMP walk of clump_scan stops once a step changes its state by at
-# most PERRON_TOL in l1 norm, relative to its size, and the certificate
-# walk of evolution.asymptotics runs until the terms its linear law leaves
-# out fall below PERRON_TOL squared.
+# The CLUMP walk of clump_scan jumps to the first power of two at which
+# the terms its linear law leaves out have fallen to PERRON_TOL (_decay)
+# and stops once a step changes its state by at most PERRON_TOL in l1
+# norm, relative to its size; the certificate walk of
+# evolution.asymptotics runs until those terms fall below PERRON_TOL
+# squared.
 PERRON_TOL = 1e-15
 
 
@@ -146,6 +148,18 @@ def state_marks(ca, mark):
     does not depend on the type, so one build serves all types."""
     check_type(ca.alphabet, mark)
     return _marks(ca.fresh_hits, mark)
+
+
+def _type_marks(ca, types):
+    """state_marks(ca, ty) for each mutation type ty of types, as the rows
+    of one float array, from one pass over the fresh hits."""
+    row = {ty: i for i, ty in enumerate(types)}
+    size = ca.dfa.n_states
+    # a state with no fresh hit of these types marks a spare last row
+    marks = np.zeros((len(types) + 1, size))
+    marks[[row.get(typed, len(types)) for _, typed in ca.fresh_hits],
+          np.arange(size)] = 1.0
+    return marks[:-1]
 
 
 def clump_automaton(b, alphabet, mark=None):
@@ -427,8 +441,11 @@ def _float_walk(ca, tm, n_max, marks):
     of the unconditioned count and v the avoiding vector.  tau has mass 0
     and stays O(1), so nothing cancels or leaves the float range at any n.
 
-    One step sends u and every tau along the transfer matrix's edge list
-    with one scatter-add each (at most one edge per state and letter).
+    One step sends u and every tau, the rows of one array z, along the
+    transfer matrix's edge list with one scatter-add (at most one edge per
+    state and letter) over flat indices: the edges of row r read z at
+    r * size + source and land in bin r * size + target, in the order of
+    the edge list, so each row sums as it would alone.
     With rho = |u H|: u' = u H/rho, w = tau H/rho, delta = sum(w) + u'.marks,
     E' = E + delta and tau' = w + u' o marks - delta u'.  Each step is a
     fixed map of (u, tau) in floats, so once the walk has mixed its state
@@ -436,32 +453,45 @@ def _float_walk(ca, tm, n_max, marks):
     """
     size = tm.size
     src, tgt, coef = tm.edge_arrays()
-    marks = [np.asarray(m, dtype=float) for m in marks]
-    u = np.zeros(size)
-    u[ca.dfa.initial] = 1.0
+    marks = np.asarray(marks, dtype=float).reshape(-1, size)
+    rows = len(marks) + 1
+    # the flat sources and targets of every row's edges, in edge order
+    base = np.arange(0, rows * size, size)[:, None]
+    at, src = (base + tgt).ravel(), (base + src).ravel()
+    coef = np.tile(coef, rows)
+    z = np.zeros((rows, size))
+    z[0, ca.dfa.initial] = 1.0
+    # the edge weights of every row, in one buffer: fresh memory of that
+    # size for every letter would cost page faults
+    flow = np.empty(len(src))
     f, e = 1.0, 0
-    # per row of marks (E, its rounding error, delta, tau)
-    state = [(0.0, 0.0, 0.0, np.zeros(size)) for _ in marks]
+    # per row of marks (E, its rounding error, delta)
+    sums = [(0.0, 0.0, 0.0)] * len(marks)
     for _ in range(n_max):
-        yield u, f, e, [(hi + lo, inc, tau) for hi, lo, inc, tau in state]
-        u = np.bincount(tgt, u[src] * coef, size)
+        yield z[0], f, e, [(hi + lo, inc, tau)
+                           for (hi, lo, inc), tau in zip(sums, z[1:])]
+        np.take(z, src, out=flow)
+        flow *= coef
+        z = np.bincount(at, flow, rows * size).reshape(rows, size)
+        u, w = z[0], z[1:]
         rho = u.sum()
-        u /= rho
+        z /= rho
         f, shift = math.frexp(f * rho)
         e += shift
+        um = u * marks
+        inc = w.sum(axis=1) + um.sum(axis=1)
+        w += um
+        w -= inc[:, None] * u
+        # E grows by n nearly equal increments, so its sum keeps its
+        # rounding error (Knuth's two-sum)
         nxt = []
-        for (hi, lo, _, tau), m in zip(state, marks):
-            w = np.bincount(tgt, tau[src] * coef, size) / rho
-            um = u * m
-            inc = float(w.sum() + um.sum())
-            # E grows by n nearly equal increments, so its sum keeps its
-            # rounding error (Knuth's two-sum)
-            t = hi + inc
-            z = t - hi
-            nxt.append((t, lo + (hi - (t - z)) + (inc - z), inc,
-                        w + um - inc * u))
-        state = nxt
-    yield u, f, e, [(hi + lo, inc, tau) for hi, lo, inc, tau in state]
+        for (hi, lo, _), x in zip(sums, inc.tolist()):
+            t = hi + x
+            d = t - hi
+            nxt.append((t, lo + (hi - (t - d)) + (x - d), x))
+        sums = nxt
+    yield z[0], f, e, [(hi + lo, inc, tau)
+                       for (hi, lo, inc), tau in zip(sums, z[1:])]
 
 
 def _det_one_minus_y(rows):
@@ -580,10 +610,11 @@ def gf_from_clump_automaton(ca, nu):
 # 1 << 18 0.11 s: twice the stack memory would buy about 5%.  With the
 # pair and avoidance matrices in one stack, rescaled after every product,
 # 1 << 13 took 0.25 s, 1 << 15 0.18 s, 1 << 17 0.23 s and 1 << 18
-# 0.26 s.  A full 6-mer clump_scan (best of 5, two runs) took 0.50-0.64 s
-# at 1 << 13, 0.17-0.20 s at 1 << 15, 0.09-0.16 s at 1 << 17 and
-# 0.18 s at 1 << 19: its walk is bound by numpy calls per step, so it
-# would take a wider stack, but one cap serves both kernels.
+# 0.26 s.  A full 6-mer clump_scan (best of 5, two runs, with the jump
+# over the walk's transient) took 0.31-0.33 s at 1 << 13, 0.15 s at
+# 1 << 15, 0.12-0.13 s at 1 << 17 and 0.15 s at 1 << 19: its few walk
+# steps are bound by numpy calls, so it would take a wider stack, but one
+# cap serves both kernels.
 _STACK_ENTRIES = 1 << 15
 
 # A power stack is rescaled only when the mass of one of its slices
@@ -652,12 +683,14 @@ def bnn_scan(words, n, params):
     wide = _stack_words(k * k)
     step = _stack_words((k * (k + 1)) ** 2)
     out = []
+    squares = np.empty((2, min(step, len(runs)), k * (k + 1), k * (k + 1)))
     for start in range(0, len(runs), wide):
         table = _kmp_tables(runs[start:start + wide], alphabet)
         v, den_shift = _row0_powers(_avoid_matrices(table, nu), n)
         mass = np.add.reduce(v, (1, 2))
         for i in range(0, len(table), step):
-            u, shift = _row0_powers(_pair_matrices(table[i:i + step], wgt), n)
+            u, shift = _row0_powers(_pair_matrices(table[i:i + step], wgt), n,
+                                    squares)
             hit = u.reshape(-1, k, k + 1)[:, :, k].sum(axis=1)
             out += map(math.ldexp, (hit / mass[i:i + step]).tolist(),
                        map(sub, shift, den_shift[i:i + step]))
@@ -677,10 +710,12 @@ def clump_scan(words, n, params):
     weighted by its substitution probability: the clump census's value,
     equal to it term by term (oracle.bnn_first_order checks the identity
     in exact arithmetic).  _clump_walk runs it over the k (k + 1) pair
-    states of _pair_matrices, and stops once the walk has mixed.  Each
-    reversal class runs once (_reversal_classes), in stacks of at most
-    _STACK_ENTRIES matrix entries (36 words of length 5, 18 of length 6);
-    a word's value does not depend on its stack mates.
+    states of _pair_matrices: it jumps by squarings over the walk's
+    transient, to letter 32 on DNA 5-mers and 6-mers, and stops 2 to 5
+    steps later, once the walk has mixed.  Each reversal class runs once
+    (_reversal_classes), in stacks of at most _STACK_ENTRIES matrix
+    entries (36 words of length 5, 18 of length 6), whose squares share
+    one buffer; a word's value does not depend on its stack mates.
     """
     alphabet = params.alphabet
     classes, runs = _reversal_classes(words, n, alphabet, "clump_scan")
@@ -688,11 +723,27 @@ def clump_scan(words, n, params):
     k = len(runs[0])
     step = _stack_words((k * (k + 1)) ** 2)
     out = []
+    squares = np.empty((2, min(step, len(runs)), k * (k + 1), k * (k + 1)))
     for start in range(0, len(runs), step):
         table = _kmp_tables(runs[start:start + step], alphabet)
-        out += _clump_walk(_clump_matrices(table, nu, wgt), k, n)
+        out += _clump_walk(_clump_matrices(table, nu, wgt), k, n, squares)[0]
     value = dict(zip(runs, out))
     return [value[c] for c in classes]
+
+
+def _decay(vals):
+    """(B, m) of each k x k avoidance matrix of a stack, from its
+    eigenvalues, one row of vals per matrix, as lists: B = |lam2|/lam
+    (0 for k = 1), the rate at which the terms that a quasi-linear law
+    leaves out decay, and m the letters after which B**m falls to
+    PERRON_TOL (1 once B is at most PERRON_TOL, math.inf for a root that
+    is not simple, B = 1)."""
+    mod = np.sort(np.abs(vals), axis=1)
+    decay = (mod[:, -2] / mod[:, -1] if vals.shape[1] > 1
+             else np.zeros(len(vals))).tolist()
+    return decay, [math.ceil(math.log(PERRON_TOL)
+                             / math.log(max(b, PERRON_TOL)))
+                   if b < 1 else math.inf for b in decay]
 
 
 def _clump_matrices(table, nu, wgt):
@@ -724,9 +775,10 @@ def _clump_matrices(table, nu, wgt):
     return c
 
 
-def _clump_walk(c, k, n):
+def _clump_walk(c, k, n, squares=None):
     """CLUMP values of the stack of step matrices c (_clump_matrices) at
-    text length n, as a list, by a walk with a stop rule.
+    text length n, and the walk steps each word took after its jump, as
+    two lists, by a jump and then a walk with a stop rule.
 
     Per word the walk carries a row vector z over the pair states:
     u = z[:k], the avoiding vector at mass 1, and tau = z[k:], the
@@ -738,53 +790,83 @@ def _clump_walk(c, k, n):
     with its rounding error kept by Knuth's two-sum, and the next z is
     y/rho with delta u taken off its hit states.
 
-    Once the walk has mixed, every further letter adds the same delta, so
-    a word stops at the first step m at which u moves at most PERRON_TOL
-    in l1 norm, tau at most PERRON_TOL of its own l1 norm and delta at
-    most PERRON_TOL relative, and returns E_m + (n - m) delta_m; if the
-    rule never fires, it runs to n.  A Perron root that is not simple
-    never meets the rule (tau's steps then decay like 1/m).  A word that
-    stops leaves the stack.  Every operation acts on the rows of one word,
-    so a word's value does not depend on its stack mates.
+    The walk's transient decays like B**m, B = |lam2|/lam of the word's
+    avoidance matrix c[:k, :k] (_decay), so it starts at letter m0, the
+    least power of two with B**m0 <= PERRON_TOL (32 on every DNA 5-mer and
+    6-mer under table1, 64 or 128 on binary words under uniform letters),
+    capped at the largest power of two up to n; a root that is not simple
+    takes the cap.  Row 0 of
+    c**m0, by log2(m0) squarings (_row0_powers), is y after m0 letters
+    from the start, and E_m0 = |y[k:2k]|/|y[:k]| is the sum of the walk's
+    deltas in exact arithmetic.  The powers run only to m0, so their
+    rounding, which grows like m0 eps, stays small; m0 depends on the word
+    alone.
+
+    From m0 on, every further letter adds nearly the same delta, so a word
+    stops at the first step m at which u moves at most PERRON_TOL in l1
+    norm, tau at most PERRON_TOL of its own l1 norm and delta at most
+    PERRON_TOL relative, and returns E_m + (n - m) delta_m; if the rule
+    never fires, it runs to n.  On DNA 5-mers it fires 2 to 4 steps after
+    the jump.  The delta rule needs one step of its own first, except at
+    m0 = 1, where E_1 is delta_1.  A Perron root that is not simple never
+    meets the rule (tau's steps then decay like 1/m).  A word that stops
+    leaves the stack.  Every operation acts on the rows of one word, so a
+    word's value does not depend on its stack mates.
     """
     count, size = c.shape[:2]
-    z = np.zeros((count, 1, size))
-    z[:, 0, 0] = 1.0
-    # E as hi + lo, and delta
-    hi, lo, inc = (np.zeros((count, 1, 1)) for _ in range(3))
-    live = np.arange(count)
-    out = np.empty(count)
-    for m in range(1, n + 1):
-        y = np.matmul(z, c)
+    cap = 1 << (index(n).bit_length() - 1)
+    m0 = np.array([1 << (m - 1).bit_length() if m <= cap else cap
+                   for m in _decay(np.linalg.eigvals(c[:, :k, :k]))[1]])
+    z = np.empty((count, 1, size))
+    for j in set(m0.tolist()):
+        at = np.flatnonzero(m0 == j)
+        z[at] = _row0_powers(c[at], j, squares)[0]
+
+    def settle(y):
+        # y over the avoiding mass with the hit states centred: the new z;
+        # returns delta
         sums = np.add.reduceat(y[..., :2 * k], (0, k), axis=2)
         rho = sums[..., :1]
         new = sums[..., 1:] / rho
         y /= rho
         y[..., k:2 * k] -= new * y[..., :k]
+        return new
+
+    # E as hi + lo, and delta
+    hi = settle(z)
+    lo = np.zeros((count, 1, 1))
+    inc = np.where(m0[:, None, None] == 1, hi, 0.0)
+    m = m0[:, None, None]
+    out = hi[:, 0, 0].copy()
+    steps = np.zeros(count, int)
+    live = np.flatnonzero(m0 < n)
+    c, z, hi, lo, inc, m = (x[live] for x in (c, z, hi, lo, inc, m))
+    while live.size:
+        y = np.matmul(z, c)
+        new = settle(y)
         t = hi + new
         d = t - hi
         lo += (hi - (t - d)) + (new - d)
         hi = t
+        m = m + 1
         # the delta rule is the cheapest, so the others wait for it
         stop = np.abs(new - inc) <= PERRON_TOL * np.abs(new)
         inc = new
-        if m == n:
-            stop[:] = True
-        elif stop.any():
+        if stop.any():
             moved = np.add.reduceat(np.abs(y - z), (0, k), axis=2)
             stop &= (moved[..., :1] <= PERRON_TOL) & (
                 moved[..., 1:] <= PERRON_TOL * np.abs(y[..., k:]).sum(
                     axis=2, keepdims=True))
-        stop = stop[:, 0, 0]
+        stop = (stop | (m == n))[:, 0, 0]
         z = y
         if stop.any():
-            out[live[stop]] = (hi + lo + (n - m) * inc)[stop, 0, 0]
+            done = live[stop]
+            out[done] = (hi + lo + (n - m) * inc)[stop, 0, 0]
+            steps[done] = m[stop, 0, 0] - m0[done]
             keep = ~stop
-            live, c, z, hi, lo, inc = (x[keep] for x in
-                                       (live, c, z, hi, lo, inc))
-            if not live.size:
-                break
-    return out.tolist()
+            live, c, z, hi, lo, inc, m = (x[keep] for x in
+                                          (live, c, z, hi, lo, inc, m))
+    return out.tolist(), steps.tolist()
 
 
 def _kmp_tables(words, alphabet):
@@ -854,7 +936,7 @@ def _pair_matrices(table, wgt):
     return np.bincount(at.ravel(), weight, size)[:size].reshape(count, s, s)
 
 
-def _row0_powers(x, n):
+def _row0_powers(x, n, squares=None):
     """Row 0 of the n-th powers of the matrix stack x, as (u, shift):
     x[w]**n[0] = u[w] * 2**shift[w].
 
@@ -874,10 +956,22 @@ def _row0_powers(x, n):
     Raises ArithmeticError when a word's mass vanishes: a slice without
     mass stays 0, and so does every later vector of that word, since the
     top bit of n always comes after the last squaring.
+
+    The squares take turns in the two stacks of squares, an array of shape
+    (2, m, size, size) with m >= len(x), and the vectors in two buffers of
+    their own, so that no product takes fresh memory; the caller's x is
+    only read.  A scan passes one squares array for all its stacks, since
+    fresh memory for every stack costs a page fault per 4 KB (about
+    14,000 of them in a 6-mer bnn_scan).  Without it, the pair is made
+    here.
     """
     count, size = len(x), x.shape[2]
     one = np.ones(size * size)
     u, shift = None, [0] * count
+    if squares is None:
+        squares = np.empty((2, *x.shape))
+    squares = [squares[0, :count], squares[1, :count]]
+    rows = [np.empty((count, 1, size)) for _ in range(2)]
 
     def drift(y, weight):
         # rescale y when a mass has left the window, and add weight times
@@ -896,12 +990,16 @@ def _row0_powers(x, n):
     while True:
         if n & 1:
             # row 0 of x is exactly what e_0 @ x sums to
-            u = x[:, :1].copy() if u is None else u @ x
+            if u is None:
+                u = rows[0]
+                u[:] = x[:, :1]
+            else:
+                u = np.matmul(u, x, out=rows[rows[0] is u])
             drift(u, 1)
         n >>= 1
         if not n:
             return u, shift
-        x = x @ x
+        x = np.matmul(x, x, out=squares[squares[0] is x])
         drift(x, n)
 
 

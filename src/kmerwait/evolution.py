@@ -27,8 +27,8 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .automata import PERRON_TOL, _clump_matrices, _float_walk, \
-    _kmp_tables, bnn_probability, bnn_scan, clump_automaton, \
+from .automata import PERRON_TOL, _clump_matrices, _decay, _float_walk, \
+    _kmp_tables, _type_marks, bnn_probability, bnn_scan, clump_automaton, \
     clump_moment_series, clump_scan, state_marks, transfer_matrix
 from .gfcore import QONE, QZERO, as_q
 from .words import Alphabet, check_text_length, letter_distribution
@@ -275,12 +275,14 @@ def clump_probability(b, n, params):
     one does per generation: it is the term of the BNN quotient that is
     first order in the rates, and automata.clump_scan([b], n, params)
     computes it that way, by a float64 walk over BNN's pair states.  The
-    walk stops once it has mixed and extends the quasi-linear law
-    C1 n + C2 to n, so a call costs 23 to 34 steps over k (k + 1) states
-    on every DNA 5-mer under table1, at n = 1e3 as at 1e7: about 0.6 ms
-    (one BLAS thread on a shared 2-core host).  On binary toys it
-    matches the exact rational series within 1e-12 relative.  A word and
-    its reversal get bitwise the same float.
+    walk jumps over its transient by squarings, stops once it has mixed
+    and extends the quasi-linear law C1 n + C2 to n, so a call costs five
+    squarings and 2 to 4 steps over k (k + 1) states on every DNA 5-mer
+    under table1, at n = 1e3 as at 1e7, where walking from letter 0 took
+    23 to 34 steps: about 0.5-1.0 ms, against 0.9-1.8 ms for the walk
+    from letter 0 on the same host (one BLAS thread on a shared 2-core
+    host).  On binary toys it matches the exact rational series within
+    1e-12 relative.  A word and its reversal get bitwise the same float.
     """
     return clump_scan([b], n, params)[0]
 
@@ -347,16 +349,17 @@ def scan_kmers(k, n, params, method="BNN"):
     naming the method and the first word, in alphabet order, whose p_n is
     not in (0, 1).  clump and bnn run once per reversal class (544 of
     1024 5-mers, 2080 of 4096 6-mers), in stacks of 36 (k = 5) or 18
-    (k = 6) words.  clump runs automata.clump_scan: 23 to 34 stacked
-    matrix-vector steps over k (k + 1) pair states for k = 5, whatever n.
-    bnn runs automata.bnn_scan: about 2 log2(n) stacked matrix products
-    per stack of pair matrices, and as many over each wide stack of
-    avoidance matrices.  bv runs one series per letter composition (56
+    (k = 6) words.  clump runs automata.clump_scan: five stacked
+    squarings to letter 32, then 2 to 5 stacked matrix-vector steps over
+    k (k + 1) pair states for k = 5 and 6, whatever n.  bnn runs
+    automata.bnn_scan: about 2 log2(n) stacked matrix products per stack
+    of pair matrices, and as many over each wide stack of avoidance
+    matrices.  bv runs one series per letter composition (56
     for k = 5, 84 for k = 6), keyed by the sorted letter codes that also
     give the periods.  The ranks come from one stable sort and the
     periods from one comparison per shift over all the words.  Under
     table1 at n = 1000 a full 5-mer scan takes about 0.03 s by clump,
-    0.015 s by bnn and 0.0024 s by bv; a 6-mer scan takes about 0.2 s
+    0.015 s by bnn and 0.0024 s by bv; a 6-mer scan takes about 0.18 s
     by clump, 0.1 s by bnn and 0.007 s by bv (one BLAS thread on a shared
     2-core host).
     """
@@ -442,7 +445,7 @@ def asymptotics(b, params):
     """
     types = params.mutation_types()
     ca = clump_automaton(b, params.alphabet)
-    vecs = [state_marks(ca, ty) for ty in types]
+    vecs = _type_marks(ca, types)
     tm = transfer_matrix(ca, params.nu)
     lam, psi, decay, c1, c2, last = _pair_constants(b, params)
     c1, c2 = (dict(zip(types, v.tolist())) for v in (c1, c2))
@@ -477,16 +480,15 @@ def _pair_constants(b, params):
     f = step[0, 2 * k:, k:2 * k]
     x_h, x_r = step[:, :k, k:2 * k], step[:, :k, 2 * k:]
     vals, right = np.linalg.eig(a)
-    mod = np.sort(np.abs(vals))
-    decay = float(mod[-2] / mod[-1])
-    # the B^n terms fall below PERRON_TOL**2 after 2 log(PERRON_TOL)/log(B)
-    # letters; a root that is not simple gives B = 1, or 1 to rounding
+    (decay,), (letters,) = _decay(vals[None])
+    # the B^n terms fall below PERRON_TOL**2 after twice the letters that
+    # take them to PERRON_TOL; a root that is not simple gives B = 1, or 1
+    # to rounding
     if not decay <= PERRON_TOL ** (2 / PERRON_STEPS):
         raise ArithmeticError("the Perron root is not simple: B = %.17g"
                               % decay)
-    last = 2 * math.ceil(math.log(PERRON_TOL)
-                         / math.log(max(decay, PERRON_TOL)))
-    lam = float(mod[-1])
+    last = 2 * letters
+    lam = float(np.abs(vals).max())
     z = 1 / lam
     r = right[:, np.argmax(vals.real)].real
     vals, left = np.linalg.eig(a.T)

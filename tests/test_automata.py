@@ -14,16 +14,22 @@ from kmerwait.automata import (
     Dfa,
     _avoid_matrices,
     _check_incoming_letters,
+    _clump_matrices,
+    _clump_walk,
+    _decay,
     _det_one_minus_y,
+    _float_walk,
     _kmp_tables,
     _pair_matrices,
     _row0_powers,
     _stack_words,
+    _type_marks,
     _unpack_t,
     bnn_probability,
     bnn_scan,
     clump_automaton,
     clump_moment_series,
+    clump_scan,
     clump_series,
     gf_from_clump_automaton,
     markov_property_check,
@@ -337,6 +343,24 @@ def test_float_kernel_matches_exact_series(autos, b, nu):
         assert abs(got - exact) <= 1e-12 * exact
 
 
+@pytest.mark.parametrize("b,model", [("GGAGG", "table1"), ("AACA", "binu")])
+def test_float_walk_rows_match_single_row_walks(request, b, model):
+    # one scatter steps u and every typed tau at once; each row is bitwise
+    # what a walk with that row alone gives
+    params = request.getfixturevalue(model)
+    types = params.mutation_types()
+    ca = clump_automaton(b, params.alphabet)
+    tm = transfer_matrix(ca, params.nu)
+    marks = _type_marks(ca, types)
+    assert (marks == [state_marks(ca, ty) for ty in types]).all()
+    walks = [list(_float_walk(ca, tm, 60, [m])) for m in marks]
+    for n, (u, f, e, moments) in enumerate(_float_walk(ca, tm, 60, marks)):
+        for (cond, inc, tau), walk in zip(moments, walks):
+            u1, f1, e1, ((cond1, inc1, tau1),) = walk[n]
+            assert (u == u1).all() and (f, e) == (f1, e1)
+            assert (cond, inc) == (cond1, inc1) and (tau == tau1).all()
+
+
 # the untyped words, then every toy with each typed mark
 ROUTE_CASES = ([(b, None) for b in ("AAA", "ACC", "ACAC")]
                + [(b, m) for b in TOYS for m in (("A", "C"), ("C", "A"))])
@@ -619,6 +643,53 @@ def test_bnn_on_demand_rescale_is_exact(request, monkeypatch, model, k,
             assert fired
 
 
+@pytest.mark.parametrize("model,k,lengths", [
+    ("binu", 2, (2, 30, 1000, 2000)), ("binu", 3, (3, 1000, 10 ** 5)),
+    ("skewed", 6, (6, 30, 1000, 10 ** 5))])
+def test_clump_scan_mixes_jumps(request, model, k, lengths):
+    # the words of one stack jump to different letters: AC and CA under
+    # binu have a Perron root that is not simple and take the cap, the
+    # largest power of two up to n, beside AA and CC at 64; B spans 0.4 to
+    # 0.62 among the binary 3-mers under binu (m0 64 and 128) and 0.01 to
+    # 0.9 among the 6-mers under skewed (m0 8 to 512).  Every row is still
+    # the single-word value.
+    params = request.getfixturevalue(model)
+    words = ["".join(t) for t in product("AC", repeat=k)]
+    nu, wgt = params.bnn_weights
+    c = _clump_matrices(_kmp_tables(words, params.alphabet), nu, wgt)
+    letters = _decay(np.linalg.eigvals(c[:, :k, :k]))[1]
+    assert len({1 << (m - 1).bit_length() if m < math.inf else 0
+                for m in letters}) >= 2
+    for n in lengths:
+        assert clump_scan(words, n, params) == [clump_scan([w], n, params)[0]
+                                                for w in words]
+
+
+@pytest.mark.parametrize("n", [10 ** 3, 10 ** 7])
+def test_clump_walk_stops_soon_after_jump(table1, n):
+    # every DNA 5-mer reversal class: B is 0.18 to 0.29, so all of them
+    # jump to letter 32 and the stop rule fires within 4 steps after it;
+    # one stack of all 544 classes gives the scan's values
+    words = sorted({min(w, w[::-1])
+                    for w in map("".join, product("ACGT", repeat=5))})
+    c = _clump_matrices(_kmp_tables(words, table1.alphabet),
+                        *table1.bnn_weights)
+    letters = _decay(np.linalg.eigvals(c[:, :5, :5]))[1]
+    assert {1 << (m - 1).bit_length() for m in letters} == {32}
+    values, steps = _clump_walk(c, 5, n)
+    assert 1 <= min(steps) and max(steps) <= 4
+    assert values == clump_scan(words, n, table1)
+
+
+def test_clump_walk_one_letter_word_stops_at_once(table1):
+    # a one-letter word has B = 0 and m0 = 1: the jump is the walk's own
+    # first step, E_1 is delta_1, and every letter adds the same delta, so
+    # the stop rule fires on the next letter
+    c = _clump_matrices(_kmp_tables(["G"], table1.alphabet),
+                        *table1.bnn_weights)
+    assert _clump_walk(c, 1, 30)[1] == [1]
+
+
 @pytest.mark.parametrize("n", [1000, 10 ** 6])
 def test_bnn_scan_matches_single_words(table1, n):
     words = ["".join(t) for t in product("ACGT", repeat=5)]
@@ -704,6 +775,11 @@ def test_bnn_powers_match_matrix_power():
     before = x.copy()
     for n in (1, 3, 6, 100):
         u, shift = _row0_powers(x, n)
+        assert (x == before).all()
+        # squares handed in, with room for a third slice, give bitwise
+        # the same powers
+        u2, shift2 = _row0_powers(x, n, np.full((2, 3, 2, 2), np.nan))
+        assert (u2 == u).all() and shift2 == shift
         assert (x == before).all()
         for w in range(2):
             want = np.linalg.matrix_power(x[w], n)[0]

@@ -356,6 +356,15 @@ def test_clump_one_letter_word(table1, toy_eps):
                                                                 rel=1e-15)
 
 
+@pytest.mark.parametrize("b", ["ACG", "GATA"])
+def test_clump_short_texts_match_first_order(table1, b):
+    # texts shorter than the jump of 32 letters: the walk jumps to the
+    # largest power of two up to n and walks the rest
+    for n in (len(b), 7, 20):
+        assert clump_probability(b, n, table1) == pytest.approx(
+            float(bnn_first_order(b, n, table1)), rel=1e-14, abs=0)
+
+
 DNA_5MER_CLASSES = sorted({min(w, w[::-1]) for w in
                            map("".join, iproduct("ACGT", repeat=5))})
 
