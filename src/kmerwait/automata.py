@@ -8,10 +8,10 @@ same pair states to the term of that quotient that is first order in the
 mutation rate, the CLUMP value.  The clump automaton walks the overlap
 structure of the mutation neighborhood d(b) and carries a t mark on
 transitions that reveal a fresh putative-hit position.  Its transfer
-matrix serves the exact census and moment series, the closed-form
-generating function (which the word-language route reproduces, the point
-of building both) and the conditioned walk that certifies the growth
-constants of evolution.asymptotics.
+matrix serves the exact census and moment series, and the closed-form
+generating function, which the word-language route reproduces, the point
+of building both.  The growth constants of evolution.asymptotics read the
+blocks of clump_scan's step matrices and are certified by its walk.
 """
 
 import math
@@ -29,8 +29,8 @@ from .words import check_text_length, check_type, letter_distribution, \
 # The CLUMP walk of clump_scan jumps to the first power of two at which
 # the terms its linear law leaves out have fallen to PERRON_TOL (_decay)
 # and stops once a step changes its state by at most PERRON_TOL in l1
-# norm, relative to its size; the certificate walk of
-# evolution.asymptotics runs until those terms fall below PERRON_TOL
+# norm, relative to its size; the certificate of evolution.asymptotics
+# reads that walk at text lengths where those terms are below PERRON_TOL
 # squared.
 PERRON_TOL = 1e-15
 
@@ -148,18 +148,6 @@ def state_marks(ca, mark):
     does not depend on the type, so one build serves all types."""
     check_type(ca.alphabet, mark)
     return _marks(ca.fresh_hits, mark)
-
-
-def _type_marks(ca, types):
-    """state_marks(ca, ty) for each mutation type ty of types, as the rows
-    of one float array, from one pass over the fresh hits."""
-    row = {ty: i for i, ty in enumerate(types)}
-    size = ca.dfa.n_states
-    # a state with no fresh hit of these types marks a spare last row
-    marks = np.zeros((len(types) + 1, size))
-    marks[[row.get(typed, len(types)) for _, typed in ca.fresh_hits],
-          np.arange(size)] = 1.0
-    return marks[:-1]
 
 
 def clump_automaton(b, alphabet, mark=None):

@@ -11,8 +11,8 @@ clump census of putative-hit positions weighted by the mutation rates
 of the conditioned hit expectations, on any alphabet, as closed forms in
 the blocks of clump's step matrix over BNN's pair states, with dense
 linear algebra on k x k and (k^2 - k) x (k^2 - k) matrices, and
-certifies them against the conditioned float walk of the clump
-automaton; the decay B of the terms the linear law leaves out is the
+certifies them against clump's own conditioned walk over the same
+matrices; the decay B of the terms the linear law leaves out is the
 spectral gap |lam2|/lam of the k x k avoidance matrix, which is that of
 the clump automaton's transfer matrix.
 """
@@ -27,16 +27,18 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .automata import PERRON_TOL, _clump_matrices, _decay, _float_walk, \
-    _kmp_tables, _type_marks, bnn_probability, bnn_scan, clump_automaton, \
-    clump_moment_series, clump_scan, state_marks, transfer_matrix
+from .automata import PERRON_TOL, _clump_matrices, _clump_walk, _decay, \
+    _kmp_tables, bnn_probability, bnn_scan, clump_automaton, \
+    clump_moment_series, clump_scan, state_marks
 from .gfcore import QONE, QZERO, as_q
-from .words import Alphabet, check_text_length, letter_distribution
+from .words import Alphabet, check_text_length, letter_distribution, \
+    neighbors
 
 ROW_SUM_TOL = 1e-7
 REGIME_LIMIT = 1e-2
-# The certificate walk of asymptotics runs 2 log(PERRON_TOL)/log(B)
-# letters; at most 3000 allow a gap |lam2|/lam up to about 0.977.
+# The certificate of asymptotics reads CLUMP's walk at
+# m = 2 log(PERRON_TOL)/log(B) letters and at 2m; m at most 3000 allows a
+# gap |lam2|/lam up to about 0.977.
 PERRON_STEPS = 3000
 
 
@@ -394,8 +396,6 @@ def scan_kmers(k, n, params, method="BNN"):
                                   period.tolist())]
 
 
-
-
 def _reached(a, seed):
     """States that the graph of the nonzero entries of the square matrix a
     reaches from seed, seed included."""
@@ -435,28 +435,36 @@ def asymptotics(b, params):
     exact; l is set to 0 outside the states that A's dominant class
     reaches and r outside those that reach it, so a type whose hits fit
     only in a bounded prefix of the text gets c1 = 0 exactly and its flat
-    limit as c2.  The clump automaton's conditioned walk
-    (automata._float_walk) certifies c1 and c2 at 1e-8 for every type,
-    after m = 2 log(PERRON_TOL)/log(B) letters plus the degree of Phi.  A
-    Perron root that is not simple, or a B that would make m pass
-    PERRON_STEPS, raises ArithmeticError.  Under table1 a call takes about
-    0.014 s on ACGTA (463 states) and 0.025 s on ACGTACGT (810 states),
-    one BLAS thread, most of it in the automaton build and the walk.
+    limit as c2.  CLUMP's own walk over the same step matrices
+    (automata._clump_walk, its jump by squarings and its stop rule)
+    certifies c1 and c2 at 1e-8 for every type: its values v1 and v2 at m
+    and 2m letters, m = 2 log(PERRON_TOL)/log(B) plus the degree of Phi,
+    give the slope (v2 - v1)/m and the intercept 2 v1 - v2.  A Perron root
+    that is not simple, or a B that would make m pass PERRON_STEPS, raises
+    ArithmeticError.  Under table1 a call takes about 3-5 ms on ACGTA and
+    7-11 ms on ACGTACGT, one BLAS thread on a shared 2-core host; on
+    ACGTA about half of it builds the twelve step matrices, a third runs
+    the two walks and a tenth the closed forms.
     """
+    # the constants describe the clump census of the word's substitution
+    # neighborhood, which needs a word of the alphabet with k >= 2
+    neighbors(b, params.alphabet)
+    nu = params.bnn_weights[0]
+    s, k = len(nu), len(b)
+    # one unit matrix per type, in the order of mutation_types
+    units = np.eye(s * s)[~np.eye(s, dtype=bool).ravel()].reshape(-1, s, s)
+    table = _kmp_tables([b], params.alphabet)
+    step = np.concatenate([_clump_matrices(table, nu, w * nu[:, None])
+                           for w in units])
+    lam, psi, decay, c1, c2, last = _pair_constants(step, k)
+    v1, v2 = (np.array(_clump_walk(step, k, n)[0]) for n in (last, 2 * last))
+    bound = 1e-8 * np.maximum(1.0, np.abs(c1))
+    if not ((np.abs((v2 - v1) / last - c1) <= bound).all()
+            and (np.abs(2 * v1 - v2 - c2) <= bound).all()):
+        raise ArithmeticError("growth constants disagree with the "
+                              "conditioned walk's linear law")
     types = params.mutation_types()
-    ca = clump_automaton(b, params.alphabet)
-    vecs = _type_marks(ca, types)
-    tm = transfer_matrix(ca, params.nu)
-    lam, psi, decay, c1, c2, last = _pair_constants(b, params)
     c1, c2 = (dict(zip(types, v.tolist())) for v in (c1, c2))
-    for *_, moments in _float_walk(ca, tm, last, vecs):
-        pass
-    for ty, (cond, inc, _) in zip(types, moments):
-        ref = max(1.0, abs(c1[ty]))
-        if abs(inc - c1[ty]) > 1e-8 * ref or \
-                abs(cond - last * inc - c2[ty]) > 1e-8 * ref:
-            raise ArithmeticError("growth constants disagree with the "
-                                  "conditioned walk's linear law")
     big = [sum(c[ty] * params.rates[ty] for ty in types) for c in (c1, c2)]
     return AsymptoticConstants(
         1 / lam, psi,
@@ -465,17 +473,12 @@ def asymptotics(b, params):
         c1, c2, *big, decay)
 
 
-def _pair_constants(b, params):
-    """(lam, psi, B, c1, c2, m) of asymptotics from the pair-state blocks:
-    c1 and c2 as arrays in the order of mutation_types, and m the number
-    of letters the certificate walk runs."""
-    nu = params.bnn_weights[0]
-    s, k = len(nu), len(b)
-    # one unit matrix per type, in the order of mutation_types
-    units = np.eye(s * s)[~np.eye(s, dtype=bool).ravel()].reshape(-1, s, s)
-    table = _kmp_tables([b], params.alphabet)
-    step = np.concatenate([_clump_matrices(table, nu, w * nu[:, None])
-                           for w in units])
+def _pair_constants(step, k):
+    """(lam, psi, B, c1, c2, m) of asymptotics from the blocks of the stack
+    of unit-rate step matrices of a word of length k, one per mutation
+    type: c1 and c2 as arrays in the order of the stack, and m the first
+    of the two text lengths at which the certificate reads CLUMP's walk,
+    2 log(PERRON_TOL)/log(B) letters plus the degree of Phi."""
     a, nil = step[0, :k, :k], step[0, 2 * k:, 2 * k:]
     f = step[0, 2 * k:, k:2 * k]
     x_h, x_r = step[:, :k, k:2 * k], step[:, :k, 2 * k:]

@@ -1,14 +1,15 @@
 """Shared fixtures: model parameters and cached automata for the binary
-toys, and the clump automaton's stop-rule walk, the certificate of the
-CLUMP route."""
+toys, and the clump automaton's walks, the certificates of the CLUMP
+route (its stop-rule walk) and of the growth constants (its typed walk)."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from kmerwait.automata import PERRON_TOL, _float_walk, clump_automaton, \
-    transfer_matrix
+    state_marks, transfer_matrix
 from kmerwait.evolution import ModelParams, load_params
 from kmerwait.words import Alphabet
 
@@ -118,3 +119,26 @@ def automaton_clump(ca, n, params):
     walk: the substitution-weighted conditioned hit count."""
     return clump_conditioned_hits(ca, params.nu, n,
                                   weighted_marks(ca, params.rates))
+
+
+def automaton_growth(ca, params, decay):
+    """Slope and intercept of the conditioned hit count of each mutation
+    type, in the order of params.mutation_types(), by the clump
+    automaton's float walk with one row of marks per type,
+    state_marks(ca, ty): delta_n and E_n - n delta_n, as two arrays.
+
+    The walk runs n = 2 log(PERRON_TOL)/log(B) + 2k letters, B = decay the
+    spectral gap of the transfer matrix: the B^n terms that the linear law
+    leaves out are then below PERRON_TOL squared, and the 2k letters pass
+    the transfer matrix's nilpotent part, since a clump state depends only
+    on the last letters read, its label, at most 2k - 1 of them.
+    """
+    letters = math.ceil(math.log(PERRON_TOL) / math.log(max(decay,
+                                                            PERRON_TOL)))
+    n = 2 * letters + 2 * len(ca.b)
+    marks = [state_marks(ca, ty) for ty in params.mutation_types()]
+    for *_, moments in _float_walk(ca, transfer_matrix(ca, params.nu), n,
+                                   marks):
+        pass
+    cond, inc = np.array([m[:2] for m in moments]).T
+    return inc, cond - n * inc

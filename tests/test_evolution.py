@@ -33,7 +33,7 @@ from kmerwait.oracle import bnn_decimal, bnn_first_order, enumerate_census, \
 from kmerwait.words import Alphabet, minimal_period
 
 from conftest import BIASED, TOYS, UNIFORM, automaton_clump, \
-    weighted_marks
+    automaton_growth, weighted_marks
 
 
 def test_load_table1_values(table1):
@@ -369,12 +369,18 @@ DNA_5MER_CLASSES = sorted({min(w, w[::-1]) for w in
                            map("".join, iproduct("ACGT", repeat=5))})
 
 
-def test_clump_matches_automaton_walk_every_5mer(table1):
+@pytest.fixture(scope="module")
+def dna_5mer_automata(dna):
+    """The clump automaton of every DNA 5-mer reversal class, built once
+    for the CLUMP and the growth-constant certificates."""
+    assert len(DNA_5MER_CLASSES) == 544
+    return {b: clump_automaton(b, dna) for b in DNA_5MER_CLASSES}
+
+
+def test_clump_matches_automaton_walk_every_5mer(table1, dna_5mer_automata):
     """Every DNA 5-mer reversal class: the pair-state walk of
     clump_probability against the clump automaton's stop-rule walk."""
-    assert len(DNA_5MER_CLASSES) == 544
-    for b in DNA_5MER_CLASSES:
-        ca = clump_automaton(b, table1.alphabet)
+    for b, ca in dna_5mer_automata.items():
         for n in (10 ** 3, 10 ** 5, 10 ** 7):
             assert clump_probability(b, n, table1) == pytest.approx(
                 automaton_clump(ca, n, table1), rel=1e-13, abs=0)
@@ -404,16 +410,22 @@ def _assert_ranks_match(clump, bnn):
     assert top(clump) == top(bnn)
 
 
-def test_clump_builds_no_automaton(table1, monkeypatch):
-    """CLUMP runs on the pair states alone: no clump automaton, no
-    transfer matrix and no call of the BNN kernel."""
+def test_clump_builds_no_automaton(table1, binu, monkeypatch):
+    """CLUMP and the growth constants run on the pair states alone: no
+    clump automaton, no transfer matrix, no walk over it and no call of
+    the BNN kernel."""
     def refuse(*args):
         raise AssertionError("CLUMP left the pair-state walk")
-    for module in (automata, evolution):
-        for name in ("clump_automaton", "transfer_matrix", "bnn_scan"):
-            monkeypatch.setattr(module, name, refuse)
+    # every module that holds one of these names gets the refusal
+    for name in ("clump_automaton", "transfer_matrix", "_float_walk",
+                 "bnn_scan"):
+        monkeypatch.setattr(automata, name, refuse)
+        if hasattr(evolution, name):
+            monkeypatch.setattr(evolution, name, refuse)
     assert waiting_time("ACGTA", 1000, table1, "CLUMP").p_n > 0
     assert len(scan_kmers(3, 1000, table1, "CLUMP")) == 64
+    assert asymptotics("ACAC", binu).C1 > 0
+    assert asymptotics("ACGTA", table1).C1 > 0
 
 
 def test_clump_scan_ranks_match_bnn(table1):
@@ -497,10 +509,18 @@ def test_asymptotics_acc_closed_forms(binu):
     assert a.B == pytest.approx((s5 - 1) / 2, abs=1e-14)
 
 
+SWAP = {"A": {"A": 0, "C": 1}, "C": {"A": 1, "C": 0}}
+
+
 @pytest.fixture(scope="module")
 def biased_swap(ac):
-    swap = {"A": {"A": 0, "C": 1}, "C": {"A": 1, "C": 0}}
-    return ModelParams(ac, dict(BIASED), swap, name="biased-swap")
+    return ModelParams(ac, dict(BIASED), SWAP, name="biased-swap")
+
+
+@pytest.fixture(scope="module")
+def skewed_swap(ac):
+    return ModelParams(ac, {"A": F(1, 10), "C": F(9, 10)}, SWAP,
+                       name="skewed-swap")
 
 
 def test_asymptotics_double_perron_root_raises(biased_swap, binu):
@@ -554,17 +574,15 @@ def test_asymptotics_decay_is_exact_spectral_gap(request, b, model):
 
 
 @pytest.mark.parametrize("b", ["AAAAAAAA", "CAAAAAAA"])
-def test_asymptotics_skewed_letters_match_exact_series(ac, b):
+def test_asymptotics_skewed_letters_match_exact_series(skewed_swap, b):
     """Under A:1/10 the entries of the Perron vectors span seven decades,
     and each must be accurate relative to itself, or C1 and C2 move by
     about 5e-12.  The exact series' slope and intercept at n = 300 are
     the reference: B^300 is below 1e-290."""
-    swap = {"A": {"A": 0, "C": 1}, "C": {"A": 1, "C": 0}}
-    params = ModelParams(ac, {"A": F(1, 10), "C": F(9, 10)}, swap)
-    ca = clump_automaton(b, ac)
-    fbar, (hits,) = clump_moment_series(ca, params.nu, 300)
+    ca = clump_automaton(b, skewed_swap.alphabet)
+    fbar, (hits,) = clump_moment_series(ca, skewed_swap.nu, 300)
     before, last = (hits[n] / fbar[n] for n in (299, 300))
-    a = asymptotics(b, params)
+    a = asymptotics(b, skewed_swap)
     assert a.C1 == pytest.approx(float(last - before), rel=5e-13, abs=0)
     assert a.C2 == pytest.approx(float(last - 300 * (last - before)),
                                  rel=5e-13, abs=0)
@@ -615,6 +633,42 @@ def test_asymptotics_law_matches_clump_every_border_class(table1, b):
             clump_probability(b, n, table1), rel=1e-12, abs=0)
 
 
+def _assert_automaton_certifies(ca, params):
+    """c1 and c2 of every type within 1e-8 max(1, |c1|) of the slope and
+    intercept of the clump automaton's typed walk (automaton_growth): the
+    bound of the run-time certificate, over another state space."""
+    a = asymptotics(ca.b, params)
+    types = params.mutation_types()
+    c1, c2 = (np.array([c[ty] for ty in types]) for c in (a.c1, a.c2))
+    slope, intercept = automaton_growth(ca, params, a.B)
+    bound = 1e-8 * np.maximum(1.0, np.abs(c1))
+    assert (np.abs(slope - c1) <= bound).all()
+    assert (np.abs(intercept - c2) <= bound).all()
+
+
+# every word and model that a test of asymptotics calls (ACGT that of
+# the CLI), but the first words of the DNA 5-mer reversal classes, which
+# the next test takes
+CERTIFIED = ([(b, "binu") for b in TOYS + ("ACCC",)]
+             + [(b, "biased_swap") for b in TOYS + ("AC",) if b != "ACC"]
+             + [(b, "skewed_swap") for b in ("AAAAAAAA", "CAAAAAAA")]
+             + [(b, "table1") for b in ["ACGT"] + sorted(DNA_SLOPES)
+                + sorted(BORDER_CLASSES) if b not in DNA_5MER_CLASSES]
+             + [("".join(w), "table1") for w in iproduct("ACGT", repeat=2)])
+
+
+@pytest.mark.parametrize("b, model", CERTIFIED)
+def test_asymptotics_match_automaton_walk(request, b, model):
+    params = request.getfixturevalue(model)
+    _assert_automaton_certifies(clump_automaton(b, params.alphabet), params)
+
+
+def test_asymptotics_match_automaton_walk_every_5mer(table1,
+                                                     dna_5mer_automata):
+    for ca in dna_5mer_automata.values():
+        _assert_automaton_certifies(ca, table1)
+
+
 def test_asymptotics_needs_no_exact_series(binu, table1, monkeypatch):
     def no_series(*args):
         raise AssertionError("the exact moment series ran")
@@ -625,15 +679,19 @@ def test_asymptotics_needs_no_exact_series(binu, table1, monkeypatch):
         DNA_SLOPES["ACGTA"], rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("skew", [3, 4], ids=["c1", "c2"])
 def test_asymptotics_walk_certificate_rejects_bad_constants(binu,
-                                                            monkeypatch):
-    """A closed-form c2 off by 1e-6 relative moves past the 1e-8 bound of
-    the conditioned walk's certificate."""
+                                                            monkeypatch,
+                                                            skew):
+    """A closed-form c1 or c2 off by 1e-6 relative moves past the 1e-8
+    bound of the certificate by CLUMP's walk: its slope and its intercept
+    each reject."""
     pair_constants = evolution._pair_constants
 
     def skewed(*args):
-        lam, psi, decay, c1, c2, walk = pair_constants(*args)
-        return lam, psi, decay, c1, c2 * (1 + 1e-6), walk
+        out = list(pair_constants(*args))
+        out[skew] = out[skew] * (1 + 1e-6)
+        return tuple(out)
     monkeypatch.setattr(evolution, "_pair_constants", skewed)
     with pytest.raises(ArithmeticError, match="disagree"):
         asymptotics("ACAC", binu)
