@@ -29,9 +29,9 @@ from .words import check_text_length, check_type, letter_distribution, \
 # The CLUMP walk of clump_scan jumps to the first power of two at which
 # the terms its linear law leaves out have fallen to PERRON_TOL (_decay)
 # and stops once a step changes its state by at most PERRON_TOL in l1
-# norm, relative to its size; the certificate of evolution.asymptotics
-# reads that walk at text lengths where those terms are below PERRON_TOL
-# squared.
+# norm, relative to its size; evolution.asymptotics checks its constants
+# against the law on which that walk stops, within 1e-8 of their size
+# plus PERRON_TOL.
 PERRON_TOL = 1e-15
 
 
@@ -700,10 +700,10 @@ def clump_scan(words, n, params):
     in exact arithmetic).  _clump_walk runs it over the k (k + 1) pair
     states of _pair_matrices: it jumps by squarings over the walk's
     transient, to letter 32 on DNA 5-mers and 6-mers, and stops 2 to 5
-    steps later, once the walk has mixed.  Each reversal class runs once
-    (_reversal_classes), in stacks of at most _STACK_ENTRIES matrix
-    entries (36 words of length 5, 18 of length 6), whose squares share
-    one buffer; a word's value does not depend on its stack mates.
+    steps later on a linear law, extended here to n.  Each reversal class
+    runs once (_reversal_classes), in stacks of at most _STACK_ENTRIES
+    matrix entries (36 words of length 5, 18 of length 6), whose squares
+    share one buffer; a word's value does not depend on its stack mates.
     """
     alphabet = params.alphabet
     classes, runs = _reversal_classes(words, n, alphabet, "clump_scan")
@@ -714,7 +714,9 @@ def clump_scan(words, n, params):
     squares = np.empty((2, min(step, len(runs)), k * (k + 1), k * (k + 1)))
     for start in range(0, len(runs), step):
         table = _kmp_tables(runs[start:start + step], alphabet)
-        out += _clump_walk(_clump_matrices(table, nu, wgt), k, n, squares)[0]
+        e, delta, m = _clump_walk(_clump_matrices(table, nu, wgt), k, n,
+                                  squares)
+        out += (e + (n - m) * delta).tolist()
     value = dict(zip(runs, out))
     return [value[c] for c in classes]
 
@@ -764,9 +766,9 @@ def _clump_matrices(table, nu, wgt):
 
 
 def _clump_walk(c, k, n, squares=None):
-    """CLUMP values of the stack of step matrices c (_clump_matrices) at
-    text length n, and the walk steps each word took after its jump, as
-    two lists, by a jump and then a walk with a stop rule.
+    """Per word of the stack of step matrices c (_clump_matrices), the
+    law E_m + (n - m) delta_m of its CLUMP value at text length n, as the
+    arrays E_m, delta_m and m, the letter at which the walk stopped.
 
     Per word the walk carries a row vector z over the pair states:
     u = z[:k], the avoiding vector at mass 1, and tau = z[k:], the
@@ -779,27 +781,28 @@ def _clump_walk(c, k, n, squares=None):
     y/rho with delta u taken off its hit states.
 
     The walk's transient decays like B**m, B = |lam2|/lam of the word's
-    avoidance matrix c[:k, :k] (_decay), so it starts at letter m0, the
+    avoidance matrix c[:k, :k] (_decay), so it jumps to letter m0, the
     least power of two with B**m0 <= PERRON_TOL (32 on every DNA 5-mer and
     6-mer under table1, 64 or 128 on binary words under uniform letters),
     capped at the largest power of two up to n; a root that is not simple
-    takes the cap.  Row 0 of
-    c**m0, by log2(m0) squarings (_row0_powers), is y after m0 letters
-    from the start, and E_m0 = |y[k:2k]|/|y[:k]| is the sum of the walk's
-    deltas in exact arithmetic.  The powers run only to m0, so their
-    rounding, which grows like m0 eps, stays small; m0 depends on the word
-    alone.
+    takes the cap.  Row 0 of c**m0, by log2(m0) squarings (_row0_powers),
+    is y after m0 letters from the start, and E_m0 = |y[k:2k]|/|y[:k]| is
+    the sum of the walk's deltas in exact arithmetic.  The powers run only
+    to m0, so their rounding, which grows like m0 eps, stays small; m0
+    depends on the word alone.
 
     From m0 on, every further letter adds nearly the same delta, so a word
     stops at the first step m at which u moves at most PERRON_TOL in l1
     norm, tau at most PERRON_TOL of its own l1 norm and delta at most
-    PERRON_TOL relative, and returns E_m + (n - m) delta_m; if the rule
-    never fires, it runs to n.  On DNA 5-mers it fires 2 to 4 steps after
-    the jump.  The delta rule needs one step of its own first, except at
-    m0 = 1, where E_1 is delta_1.  A Perron root that is not simple never
-    meets the rule (tau's steps then decay like 1/m).  A word that stops
-    leaves the stack.  Every operation acts on the rows of one word, so a
-    word's value does not depend on its stack mates.
+    PERRON_TOL relative, but not before letter 2k: the first hits land at
+    letter k and a mutated pair resolves within k letters, so before that
+    deltas of 0 would pass the rule.  On DNA 5-mers it fires 2 to 4 steps
+    after the jump.  If it never fires, the walk runs to m = n (delta is
+    0 if the jump lands on n > 1).  The delta rule needs one step of its
+    own first, except at m0 = 1, where E_1 is delta_1.  A Perron root that
+    is not simple never meets the rule (tau's steps then decay like 1/m).
+    A word that stops leaves the stack.  Every operation acts on the rows
+    of one word, so a word's law does not depend on its stack mates.
     """
     count, size = c.shape[:2]
     cap = 1 << (index(n).bit_length() - 1)
@@ -825,8 +828,7 @@ def _clump_walk(c, k, n, squares=None):
     lo = np.zeros((count, 1, 1))
     inc = np.where(m0[:, None, None] == 1, hi, 0.0)
     m = m0[:, None, None]
-    out = hi[:, 0, 0].copy()
-    steps = np.zeros(count, int)
+    law = [hi[:, 0, 0].copy(), inc[:, 0, 0].copy(), m0]
     live = np.flatnonzero(m0 < n)
     c, z, hi, lo, inc, m = (x[live] for x in (c, z, hi, lo, inc, m))
     while live.size:
@@ -842,19 +844,18 @@ def _clump_walk(c, k, n, squares=None):
         inc = new
         if stop.any():
             moved = np.add.reduceat(np.abs(y - z), (0, k), axis=2)
-            stop &= (moved[..., :1] <= PERRON_TOL) & (
+            stop &= (m >= 2 * k) & (moved[..., :1] <= PERRON_TOL) & (
                 moved[..., 1:] <= PERRON_TOL * np.abs(y[..., k:]).sum(
                     axis=2, keepdims=True))
         stop = (stop | (m == n))[:, 0, 0]
         z = y
         if stop.any():
-            done = live[stop]
-            out[done] = (hi + lo + (n - m) * inc)[stop, 0, 0]
-            steps[done] = m[stop, 0, 0] - m0[done]
+            for out, x in zip(law, (hi + lo, inc, m)):
+                out[live[stop]] = x[stop, 0, 0]
             keep = ~stop
             live, c, z, hi, lo, inc, m = (x[keep] for x in
                                           (live, c, z, hi, lo, inc, m))
-    return out.tolist(), steps.tolist()
+    return law
 
 
 def _kmp_tables(words, alphabet):

@@ -36,9 +36,9 @@ from .words import Alphabet, check_text_length, letter_distribution, \
 
 ROW_SUM_TOL = 1e-7
 REGIME_LIMIT = 1e-2
-# The certificate of asymptotics reads CLUMP's walk at
-# m = 2 log(PERRON_TOL)/log(B) letters and at 2m; m at most 3000 allows a
-# gap |lam2|/lam up to about 0.977.
+# The certificate of asymptotics lets CLUMP's walk run to at most
+# 2 log(PERRON_TOL)/log(B) letters, plus the degree of Phi; 3000 letters
+# allow a gap |lam2|/lam up to about 0.977.
 PERRON_STEPS = 3000
 
 
@@ -437,14 +437,14 @@ def asymptotics(b, params):
     only in a bounded prefix of the text gets c1 = 0 exactly and its flat
     limit as c2.  CLUMP's own walk over the same step matrices
     (automata._clump_walk, its jump by squarings and its stop rule)
-    certifies c1 and c2 at 1e-8 for every type: its values v1 and v2 at m
-    and 2m letters, m = 2 log(PERRON_TOL)/log(B) plus the degree of Phi,
-    give the slope (v2 - v1)/m and the intercept 2 v1 - v2.  A Perron root
-    that is not simple, or a B that would make m pass PERRON_STEPS, raises
-    ArithmeticError.  Under table1 a call takes about 3-5 ms on ACGTA and
-    7-11 ms on ACGTACGT, one BLAS thread on a shared 2-core host; on
-    ACGTA about half of it builds the twelve step matrices, a third runs
-    the two walks and a tenth the closed forms.
+    certifies c1 and c2 for every type: the law E_m + (n - m) delta_m on
+    which it stops, by letter 2 log(PERRON_TOL)/log(B) + deg Phi at the
+    latest, has the slope delta_m and the intercept E_m - m delta_m, each
+    within 1e-8 of its constant's size plus PERRON_TOL.  A Perron root
+    that is not simple, or a B that would make that letter pass
+    PERRON_STEPS, raises ArithmeticError.  Under table1 a call takes 2-3
+    ms on ACGTA (one BLAS thread, shared 2-core host), half of it to
+    build the twelve step matrices and a quarter to walk.
     """
     # the constants describe the clump census of the word's substitution
     # neighborhood, which needs a word of the alphabet with k >= 2
@@ -457,10 +457,9 @@ def asymptotics(b, params):
     step = np.concatenate([_clump_matrices(table, nu, w * nu[:, None])
                            for w in units])
     lam, psi, decay, c1, c2, last = _pair_constants(step, k)
-    v1, v2 = (np.array(_clump_walk(step, k, n)[0]) for n in (last, 2 * last))
-    bound = 1e-8 * np.maximum(1.0, np.abs(c1))
-    if not ((np.abs((v2 - v1) / last - c1) <= bound).all()
-            and (np.abs(2 * v1 - v2 - c2) <= bound).all()):
+    e, delta, m = _clump_walk(step, k, last)
+    if not all((np.abs(v - c) <= 1e-8 * np.abs(c) + PERRON_TOL).all()
+               for v, c in ((delta, c1), (e - m * delta, c2))):
         raise ArithmeticError("growth constants disagree with the "
                               "conditioned walk's linear law")
     types = params.mutation_types()
@@ -476,8 +475,8 @@ def asymptotics(b, params):
 def _pair_constants(step, k):
     """(lam, psi, B, c1, c2, m) of asymptotics from the blocks of the stack
     of unit-rate step matrices of a word of length k, one per mutation
-    type: c1 and c2 as arrays in the order of the stack, and m the first
-    of the two text lengths at which the certificate reads CLUMP's walk,
+    type: c1 and c2 as arrays in the order of the stack, and m the text
+    length up to which the certificate lets CLUMP's walk run,
     2 log(PERRON_TOL)/log(B) letters plus the degree of Phi."""
     a, nil = step[0, :k, :k], step[0, 2 * k:, 2 * k:]
     f = step[0, 2 * k:, k:2 * k]

@@ -95,15 +95,16 @@ def clump_conditioned_hits(ca, nu, n, marks):
     with its increment delta and its centred hit vector tau.  It stops at
     the first step m at which the avoiding vector moves at most PERRON_TOL
     in l1 norm, tau at most PERRON_TOL of its own l1 norm and delta at
-    most PERRON_TOL relative, and returns E_m + (n - m) delta_m; if the
-    rule never fires the walk runs to n.  This is the stop rule of
-    automata.clump_scan over another state space: the clump automaton's
-    few hundred states in place of BNN's k (k + 1) pair states.
+    most PERRON_TOL relative, but not before letter 2k, and returns
+    E_m + (n - m) delta_m; if the rule never fires the walk runs to n.
+    This is the stop rule of automata.clump_scan over another state space:
+    the clump automaton's few hundred states in place of BNN's k (k + 1)
+    pair states.
     """
     prev = None
     for m, (u, _, _, ((cond, inc, tau),)) in enumerate(
             _float_walk(ca, transfer_matrix(ca, nu), n, [marks])):
-        if prev is not None:
+        if prev is not None and m >= 2 * len(ca.b):
             u0, inc0, tau0 = prev
             if (np.abs(u - u0).sum() <= PERRON_TOL
                     and abs(inc - inc0) <= PERRON_TOL * abs(inc)

@@ -667,25 +667,26 @@ def test_clump_scan_mixes_jumps(request, model, k, lengths):
 def test_clump_walk_stops_soon_after_jump(table1, n):
     # every DNA 5-mer reversal class: B is 0.18 to 0.29, so all of them
     # jump to letter 32 and the stop rule fires within 4 steps after it;
-    # one stack of all 544 classes gives the scan's values
+    # one stack of all 544 classes, its laws extended to n, gives the
+    # scan's values
     words = sorted({min(w, w[::-1])
                     for w in map("".join, product("ACGT", repeat=5))})
     c = _clump_matrices(_kmp_tables(words, table1.alphabet),
                         *table1.bnn_weights)
     letters = _decay(np.linalg.eigvals(c[:, :5, :5]))[1]
     assert {1 << (m - 1).bit_length() for m in letters} == {32}
-    values, steps = _clump_walk(c, 5, n)
-    assert 1 <= min(steps) and max(steps) <= 4
-    assert values == clump_scan(words, n, table1)
+    e, delta, m = _clump_walk(c, 5, n)
+    assert 33 <= m.min() and m.max() <= 36
+    assert (e + (n - m) * delta).tolist() == clump_scan(words, n, table1)
 
 
 def test_clump_walk_one_letter_word_stops_at_once(table1):
     # a one-letter word has B = 0 and m0 = 1: the jump is the walk's own
     # first step, E_1 is delta_1, and every letter adds the same delta, so
-    # the stop rule fires on the next letter
+    # the stop rule fires on the next letter, letter 2 = 2k
     c = _clump_matrices(_kmp_tables(["G"], table1.alphabet),
                         *table1.bnn_weights)
-    assert _clump_walk(c, 1, 30)[1] == [1]
+    assert _clump_walk(c, 1, 30)[2].tolist() == [2]
 
 
 @pytest.mark.parametrize("n", [1000, 10 ** 6])

@@ -276,6 +276,16 @@ def test_clump_long_texts_match_bnn(table1):
         expected_hits("AC", 20000, table1)
 
 
+@pytest.mark.parametrize("b", ["A" * 36, "ACGT" * 8])
+def test_clump_long_words_match_bnn(table1, b):
+    # the jump lands at letter 32, before the first hits at letter k = 36
+    # or 32; the stop rule waits for letter 2k, so the walk does not stop
+    # on its deltas of 0, and CLUMP lies table1's row surplus, 2.6e-5,
+    # below BNN
+    assert clump_probability(b, 1000, table1) == pytest.approx(
+        bnn_probability(b, 1000, table1), rel=1e-4, abs=0)
+
+
 @pytest.mark.parametrize("b", ["ACGTA", "CCCCC"])
 def test_bnn_matches_clump_with_renormalized_rows(table1_renorm, b):
     # with rows summing to 1 the 2.6e-8 n gap of the bundled table1 is
@@ -679,13 +689,17 @@ def test_asymptotics_needs_no_exact_series(binu, table1, monkeypatch):
         DNA_SLOPES["ACGTA"], rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("skew", [3, 4], ids=["c1", "c2"])
-def test_asymptotics_walk_certificate_rejects_bad_constants(binu,
+@pytest.mark.parametrize("skew, b, model", [
+    (3, "ACAC", "binu"), (4, "ACAC", "binu"),
+    (3, "ACGTA", "table1"), (4, "ACGTA", "table1")],
+    ids=["c1", "c2", "ACGTA-c1", "ACGTA-c2"])
+def test_asymptotics_walk_certificate_rejects_bad_constants(request,
                                                             monkeypatch,
-                                                            skew):
+                                                            skew, b, model):
     """A closed-form c1 or c2 off by 1e-6 relative moves past the 1e-8
-    bound of the certificate by CLUMP's walk: its slope and its intercept
-    each reject."""
+    relative bound of the certificate by CLUMP's walk: its slope and its
+    intercept each reject, also on DNA constants far below 1."""
+    params = request.getfixturevalue(model)
     pair_constants = evolution._pair_constants
 
     def skewed(*args):
@@ -694,7 +708,21 @@ def test_asymptotics_walk_certificate_rejects_bad_constants(binu,
         return tuple(out)
     monkeypatch.setattr(evolution, "_pair_constants", skewed)
     with pytest.raises(ArithmeticError, match="disagree"):
-        asymptotics("ACAC", binu)
+        asymptotics(b, params)
+
+
+@pytest.mark.parametrize("b, model", [("ACAC", "binu"), ("ACGTA", "table1")])
+def test_asymptotics_walks_once(request, monkeypatch, b, model):
+    """The certificate reads the slope and the intercept off the one law
+    on which CLUMP's walk stops."""
+    walk, calls = evolution._clump_walk, []
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+    monkeypatch.setattr(evolution, "_clump_walk", counted)
+    asymptotics(b, request.getfixturevalue(model))
+    assert len(calls) == 1
 
 
 def test_scan_ranks_and_determinism(table1):
