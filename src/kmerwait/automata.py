@@ -598,11 +598,11 @@ def gf_from_clump_automaton(ca, nu):
 # 1 << 18 0.11 s: twice the stack memory would buy about 5%.  With the
 # pair and avoidance matrices in one stack, rescaled after every product,
 # 1 << 13 took 0.25 s, 1 << 15 0.18 s, 1 << 17 0.23 s and 1 << 18
-# 0.26 s.  A full 6-mer clump_scan (best of 5, two runs, with the jump
-# over the walk's transient) took 0.31-0.33 s at 1 << 13, 0.15 s at
-# 1 << 15, 0.12-0.13 s at 1 << 17 and 0.15 s at 1 << 19: its few walk
-# steps are bound by numpy calls, so it would take a wider stack, but one
-# cap serves both kernels.
+# 0.26 s.  A full 6-mer clump_scan (best of 5, medians over six runs,
+# with the jump over the walk's transient and the one-scatter build of
+# _clump_matrices) took 0.33 s at 1 << 13, 0.16 s at 1 << 15, 0.13 s at
+# 1 << 17 and 0.17 s at 1 << 19: its few walk steps are bound by numpy
+# calls, so it would take a wider stack, but one cap serves both kernels.
 _STACK_ENTRIES = 1 << 15
 
 # A power stack is rescaled only when the mass of one of its slices
@@ -616,10 +616,16 @@ def _stack_words(entries):
     return max(1, _STACK_ENTRIES // entries)
 
 
+def _in_range(p):
+    if not 0.0 < p < 1.0:
+        raise ArithmeticError("appearance probability %g is out of range" % p)
+    return p
+
+
 def bnn_probability(b, n, params):
     """First-appearance probability p_n of one word: bnn_scan([b], n,
-    params)[0]."""
-    return bnn_scan([b], n, params)[0]
+    params)[0]; raises ArithmeticError if it is not in (0, 1)."""
+    return _in_range(bnn_scan([b], n, params)[0])
 
 
 def _reversal_classes(words, n, alphabet, name):
@@ -698,7 +704,7 @@ def clump_scan(words, n, params):
     weighted by its substitution probability: the clump census's value,
     equal to it term by term (oracle.bnn_first_order checks the identity
     in exact arithmetic).  _clump_walk runs it over the k (k + 1) pair
-    states of _pair_matrices: it jumps by squarings over the walk's
+    states of _clump_matrices: it jumps by squarings over the walk's
     transient, to letter 32 on DNA 5-mers and 6-mers, and stops 2 to 5
     steps later on a linear law, extended here to n.  Each reversal class
     runs once (_reversal_classes), in stacks of at most _STACK_ENTRIES
@@ -738,31 +744,37 @@ def _decay(vals):
 
 def _clump_matrices(table, nu, wgt):
     """Step matrices of the CLUMP walk of words of one length k, as a
-    stack, from their pattern tables.
-
-    The states are the pair states of _pair_matrices, reordered: the k
-    states (p, p) first, then the k hit states (p, k), then the rest.  A
-    row (p, p) holds the unmutated text, which W0 = diag(nu) keeps on the
-    diagonal and W1 (wgt off its diagonal) mutates once.  Every other row
-    holds a once-mutated pair and steps by W0 alone.  Once mutated, a pair
-    whose mutant state equals its original state can never hit, so the
-    columns (p, p) are zeroed in those rows, and so are W1's steps that
-    land on (0, 0).
+    stack, from their pattern tables and wgt, one letter-pair matrix for
+    the stack or one per word.  The states are the pair states of
+    _pair_matrices in walk order: the k states (p, p), the k hit states
+    (p, k), then the rest.  A row (p, p) holds the unmutated text, which
+    W0 = diag(nu) keeps on the diagonal and W1 (wgt off its diagonal)
+    mutates once; every other row holds a once-mutated pair and steps by
+    W0 alone.  One np.bincount adds the W0 steps of every row, laid out
+    (word, row, a), and the W1 steps of the rows (p, p), laid out (word,
+    p, a, a'), so each entry gets only W0 or only W1 weights, in letter
+    order.  It leaves out the steps that complete the word and the
+    mutated steps onto a state (P, P), whose pair can never hit.  The
+    stack is C-ordered, as it must be: the layout of a stack picks numpy's
+    BLAS kernel, so another layout would round unlike a single word.
     """
-    k = table.shape[1] - 1
-    diag = [p * (k + 2) for p in range(k)]
-    hit = [p * (k + 1) + k for p in range(k)]
-    rest = [i for i in range(k * (k + 1)) if i not in diag and i not in hit]
-    c = _pair_matrices(table, np.diag(nu))
-    once = _pair_matrices(table, wgt * (1 - np.eye(len(nu))))[:, diag]
-    once[:, :, diag] = 0.0
-    c[:, diag] += once
-    order = diag + hit + rest
-    # C order: the layout of a stack picks numpy's BLAS kernel, so a stack
-    # laid out otherwise would round unlike a single word
-    c = np.ascontiguousarray(c[:, order][:, :, order])
-    c[:, k:, :k] = 0.0
-    return c
+    count, k = table.shape[0], table.shape[1] - 1
+    s = k * (k + 1)
+    p, q = np.divmod(np.arange(s), k + 1)
+    walk = np.argsort(2 * (p != q) - (q == k), kind="stable")
+    # the walk index of pair state (p, q), at p (k + 1) + q
+    pos = np.zeros((k + 1) ** 2, np.intp)
+    pos[walk] = np.arange(s)
+    row = np.arange(0, count * s * s, s).reshape(count, s, 1)
+    orig, mut = table[:, p[walk]], table[:, q[walk]]
+    keep = (orig < k) & ((orig != mut) | (np.arange(s) < k)[:, None])
+    orig1, mut1 = orig[:, :k, :, None], orig[:, :k, None]
+    keep1 = (orig1 < k) & (orig1 != mut1)
+    at = np.concatenate(((row + pos[orig * (k + 1) + mut])[keep], (
+        row[:, :k, :, None] + pos[orig1 * (k + 1) + mut1])[keep1]))
+    weight = np.concatenate((np.broadcast_to(nu, keep.shape)[keep], (
+        np.broadcast_to(wgt[..., None, :, :], keep1.shape)[keep1])))
+    return np.bincount(at, weight, count * s * s).reshape(count, s, s)
 
 
 def _clump_walk(c, k, n, squares=None):

@@ -518,6 +518,13 @@ def test_bnn_shadow_at_1e8(table1_renorm):
     assert abs(p - pm) / pm < 1e-7
 
 
+def test_bnn_probability_out_of_range_raises(table1):
+    # table1's rows sum to just over 1, a surplus of staying mass that
+    # carries p_n past 1 at n = 1e8 (4.875 for AC)
+    with pytest.raises(ArithmeticError, match="out of range"):
+        bnn_probability("AC", 10 ** 8, table1)
+
+
 def reference_bnn_matrices(b, params):
     """Pair and avoidance matrices of b by loops over states and letter
     pairs, each entry adding its weights in letter order."""
@@ -550,6 +557,54 @@ def test_bnn_matrices_match_loops(request, model, symbols, k):
     for w, p, a in zip(words, pair, avoid):
         ref_pair, ref_avoid = reference_bnn_matrices(w, params)
         assert (p == ref_pair).all() and (a == ref_avoid).all()
+
+
+def reference_clump_matrix(b, alphabet, nu, wgt):
+    """CLUMP step matrix of b by loops over the pair states in walk order
+    and over letter pairs: W0 = diag(nu) from every row, W1 (wgt off its
+    diagonal) from the rows (p, p) only, each entry adding its weights in
+    letter order.  A step that completes b is dropped, and so is a
+    mutated step that lands on a state (P, P)."""
+    k, letters = len(b), range(len(alphabet))
+    table = oracle_kmp_table(b, alphabet)
+    states = ([(p, p) for p in range(k)] + [(p, k) for p in range(k)]
+              + [(p, q) for p in range(k) for q in range(k) if q != p])
+    at = {x: i for i, x in enumerate(states)}
+    c = np.zeros((len(states), len(states)))
+    for i, (p, q) in enumerate(states):
+        for x in letters:
+            for y in letters if p == q else [x]:
+                t, u = table[p][x], table[q][y]
+                if t == k or t == u and (p, x) != (q, y):
+                    continue
+                c[i, at[t, u]] += nu[x] if x == y else wgt[x, y]
+    return c
+
+
+@pytest.mark.parametrize("model,symbols,k", [("table1", "ACGT", 4),
+                                             ("toy_eps", "AC", 6),
+                                             ("binu", "AC", 5)])
+def test_clump_matrices_match_loops(request, model, symbols, k):
+    params = request.getfixturevalue(model)
+    words = ["".join(t) for t in product(symbols, repeat=k)]
+    nu, wgt = params.bnn_weights
+    c = _clump_matrices(_kmp_tables(words, params.alphabet), nu, wgt)
+    for w, got in zip(words, c):
+        assert (got == reference_clump_matrix(w, params.alphabet, nu,
+                                              wgt)).all()
+
+
+@pytest.mark.parametrize("b", ["ACGTA", "GATTACA"])
+def test_clump_matrices_stack_one_weight_per_word(table1, b):
+    # the unit-rate stack of asymptotics: one word, one weight matrix per
+    # mutation type, built in one call
+    nu = table1.bnn_weights[0]
+    units = np.eye(16)[~np.eye(4, dtype=bool).ravel()].reshape(-1, 4, 4)
+    wgt = units * nu[:, None]
+    c = _clump_matrices(_kmp_tables([b] * 12, table1.alphabet), nu, wgt)
+    for got, w in zip(c, wgt):
+        assert (got == reference_clump_matrix(b, table1.alphabet, nu,
+                                              w)).all()
 
 
 def every_product_powers(num, den, n):

@@ -725,6 +725,20 @@ def test_asymptotics_walks_once(request, monkeypatch, b, model):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("b, model", [("ACAC", "binu"), ("ACGTA", "table1")])
+def test_asymptotics_builds_once(request, monkeypatch, b, model):
+    """One _clump_matrices call builds the step matrices of every
+    mutation type."""
+    build, calls = evolution._clump_matrices, []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+    monkeypatch.setattr(evolution, "_clump_matrices", counted)
+    asymptotics(b, request.getfixturevalue(model))
+    assert len(calls) == 1
+
+
 def test_scan_ranks_and_determinism(table1):
     rows = scan_kmers(2, 1000, table1)
     assert rows == scan_kmers(2, 1000, table1)
