@@ -280,13 +280,11 @@ def clump_probability(b, n, params):
     walk jumps over its transient by squarings, stops once it has mixed
     and extends the quasi-linear law C1 n + C2 to n, so a call costs five
     squarings and 2 to 4 steps over k (k + 1) states on every DNA 5-mer
-    under table1, at n = 1e3 as at 1e7, where walking from letter 0 took
-    23 to 34 steps: about 0.5-1.0 ms, against 0.9-1.8 ms for the walk
-    from letter 0 on the same host (one BLAS thread on a shared 2-core
-    host).  On binary toys it matches the exact rational series within
-    1e-12 relative.  A word and its reversal get bitwise the same float.
+    under table1, at n = 1e3 as at 1e7.  A word and its reversal get
+    bitwise the same float.  A value outside (0, 1) raises
+    ArithmeticError: at n = 100 under binary-uniform AA's is 44.4.
     """
-    return clump_scan([b], n, params)[0]
+    return _in_range(clump_scan([b], n, params)[0])
 
 
 def _bv_scan(codes):

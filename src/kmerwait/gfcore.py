@@ -3,8 +3,8 @@
 Arbitrary-precision rationals, bivariate polynomials in (z, t), rational
 functions, matrices over those, and Taylor coefficient extraction.
 
-Everything here is exact.  Floating point lives in the evolution module
-only.  The one rational type is fractions.Fraction over Python ints.
+Everything here is exact (the float64 kernels live in automata and
+evolution).  The one rational type is fractions.Fraction over Python ints.
 """
 
 import math
@@ -373,23 +373,25 @@ def mat_mul_poly(a, b):
     return out
 
 
-def bareiss_det(mat):
-    """Determinant of a square matrix of Polys by fraction-free elimination.
-
-    Every division performed is exact, so the computation stays inside the
-    polynomial ring.
+def _bareiss_pivots(mat):
+    """(minor, det) of a square Poly matrix, the last two pivots of one
+    fraction-free elimination (Bareiss, Math. Comp. 1968): the leading
+    minor of order n - 1 and the determinant.  The pivot search runs top
+    down, so the last row is swapped into the leading block only when that
+    block is singular, and the minor is then 0.  Every division is exact.
     """
     n = len(mat)
     m = [row[:] for row in mat]
-    sign = 1
+    sign, lifted = 1, False
     prev = POLY_ONE
     for p in range(n - 1):
         if m[p][p].is_zero():
             swap = next((r for r in range(p + 1, n) if not m[r][p].is_zero()), None)
             if swap is None:
-                return POLY_ZERO
+                return POLY_ZERO, POLY_ZERO
             m[p], m[swap] = m[swap], m[p]
             sign = -sign
+            lifted |= swap == n - 1
         piv = m[p][p]
         for i in range(p + 1, n):
             for j in range(p + 1, n):
@@ -397,8 +399,14 @@ def bareiss_det(mat):
                 m[i][j] = num.divexact(prev)
             m[i][p] = POLY_ZERO
         prev = piv
+    minor = POLY_ZERO if lifted else prev
     det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return (minor, det) if sign == 1 else (-minor, -det)
+
+
+def bareiss_det(mat):
+    """Determinant of a square Poly matrix, _bareiss_pivots' last pivot."""
+    return _bareiss_pivots(mat)[1]
 
 
 def adjugate_poly(mat):

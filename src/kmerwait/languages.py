@@ -8,7 +8,7 @@ generating-function translation is solved here exactly, as numerators
 over one denominator delta.  On top of that sit the code matrices
 describing how occurrences chain into overlapping clumps, and F(z, t),
 counting putative-hit positions (marked by t) in texts that avoid a given
-k-mer: one linear system over the clump chain states, two determinants.
+k-mer: one linear system over the clump chain states, one elimination.
 
 This is the paper's language route.  It imports nothing from the
 automaton route, so the two certify each other.
@@ -24,8 +24,8 @@ from .gfcore import (
     Poly,
     QONE,
     RatFun,
+    _bareiss_pivots,
     adjugate_poly,
-    bareiss_det,
     mat_mul_poly,
     rfm_inverse,
 )
@@ -406,7 +406,8 @@ def clump_gf_language(b, alphabet, nu, mark=None):
     So F = N + x A^-1 y / delta, one system A over the chain states with
     x, y the prefix and tail numerators.  W's denominator delta sits only
     in the entry columns, where x lives too, so A has those columns scaled
-    by delta.  det A keeps a spurious factor delta^(r-1).
+    by delta.  One elimination of [[A, y], [x, 0]] gives -x A^-1 y det A and
+    det A (gfcore._bareiss_pivots), which keeps a spurious factor delta^(r-1).
     """
     d, full = constrained_languages(b, alphabet, nu)
     nuq = full.nuq
@@ -442,11 +443,10 @@ def clump_gf_language(b, alphabet, nu, mark=None):
         x[q] = rrownum[j] * mk.v[j]
         for p, row in enumerate(a):
             row[q] = row[q] * delta - wnum[state_words[p]][j] * mk.v[j]
-    det_a = bareiss_det(a)
+    # occurrence-free tails (over the full extended set) leave any state
+    det_a, det = _bareiss_pivots(
+        [row + [full.Unum[w]] for row, w in zip(a, state_words)]
+        + [x + [POLY_ZERO]])
     if det_a.is_zero():
         raise ArithmeticError("degenerate gap-and-clump system")
-
-    # occurrence-free tails (over the full extended set) leave any state
-    core = -bareiss_det([row + [full.Unum[w]] for row, w in zip(a, state_words)]
-                        + [x + [POLY_ZERO]])
-    return full.N + RatFun(core, delta * det_a)
+    return full.N + RatFun(-det, delta * det_a)

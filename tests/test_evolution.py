@@ -13,6 +13,7 @@ from kmerwait.automata import (
     bnn_probability,
     clump_automaton,
     clump_moment_series,
+    clump_scan,
     clump_series,
     state_marks,
     transfer_matrix,
@@ -249,7 +250,7 @@ def test_clump_walk_matches_exact_series(request, ac, b, model):
     for n in (14, 100, 1000):
         want = float(sum(hits[i][n] * params.p1[a][c]
                          for i, (a, c) in enumerate(types)) / fbar[n])
-        got = clump_probability(b, n, params)
+        got = clump_scan([b], n, params)[0]
         assert abs(got - want) <= 1e-12 * want
 
 
@@ -331,7 +332,7 @@ def test_clump_walk_defective_root_runs_to_n(request, ac, b, model):
         ca, params.nu, n, [state_marks(ca, ty) for ty in types])
     want = float(sum(hits[i][n] * params.p1[a][c]
                      for i, (a, c) in enumerate(types)) / fbar[n])
-    got = clump_probability(b, n, params)
+    got = clump_scan([b], n, params)[0]
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -822,6 +823,14 @@ def test_scan_out_of_range_names_the_word(binu):
             pytest.raises(ArithmeticError, match=r"^AA by CLUMP: appearance "
                           r"probability 44.4158 is out of range$"):
         scan_kmers(2, 100, binu, "CLUMP")
+
+
+def test_clump_probability_out_of_range_raises(binu):
+    # the public entry point checks its value as waiting_time does; the
+    # kernel, automata.clump_scan, returns the expected hit count 44.4
+    assert clump_scan(["AA"], 100, binu)[0] > 1
+    with pytest.raises(ArithmeticError, match="44.4158 is out of range"):
+        clump_probability("AA", 100, binu)
 
 
 def test_scan_warns_out_of_regime(table1):

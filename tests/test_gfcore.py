@@ -7,6 +7,7 @@ import pytest
 from kmerwait.gfcore import (
     Poly,
     RatFun,
+    _bareiss_pivots,
     adjugate_poly,
     as_q,
     bareiss_det,
@@ -133,6 +134,50 @@ def test_bareiss_det_integer():
 def test_bareiss_det_poly():
     m = [[ONE, Z], [Z, ONE]]
     assert bareiss_det(m) == ONE - Z * Z
+
+
+def _laplace(m):
+    """Determinant by expansion along row 0, the reference."""
+    if not m:
+        return ONE
+    return sum((m[0][j].scale((-1) ** j)
+                * _laplace([row[:j] + row[j + 1:] for row in m[1:]])
+                for j in range(len(m))), Poly())
+
+
+def _polys(rows):
+    return [[c if isinstance(c, Poly) else Poly.const(c) for c in row]
+            for row in rows]
+
+
+@pytest.mark.parametrize("rows, minor_zero, det_zero", [
+    # no swap, every pivot a different polynomial
+    ([[2, Z, 1, 0], [1, 3, Z, 1], [Z, 1, 4, Z * Z], [1, Z, 0, 2]],
+     False, False),
+    # a swap among the leading rows: both pivots change sign
+    ([[0, Z, 2], [1, 3, Z], [Z, 1, 4]], False, False),
+    # the last row lifted at step 0 and no swap after it: the pivot on the
+    # diagonal after step n - 2 is 1, the leading minor 0
+    ([[0, 1, 1], [0, 1, 2], [1, 1, 1]], True, False),
+    # the last row lifted at step 0, then a swap among the leading rows
+    ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 1], [1, 0, 0, Z]], True, False),
+    # a swap at the last step brings up the last row
+    ([[1, 0, 0], [0, 0, 1], [0, Z, 0]], True, False),
+    # singular with a nonzero leading minor, and with no pivot in column 0
+    ([[1, 2, 3], [2, 5, Z], [3, 7, Z + Poly.const(3)]], False, True),
+    ([[0, 1, Z], [0, 3, 4], [0, 5, 6]], True, True),
+], ids=["no-swap", "lead-swap", "lifted", "lifted-then-swap", "last-swap",
+        "singular", "no-pivot"])
+def test_bareiss_pivots_are_leading_minor_and_det(rows, minor_zero,
+                                                  det_zero):
+    """The last two pivots of one elimination are the leading minor of
+    order n - 1 and the determinant, as two separate eliminations give."""
+    m = _polys(rows)
+    lead = [row[:-1] for row in m[:-1]]
+    minor, det = _bareiss_pivots(m)
+    assert (minor, det) == (bareiss_det(lead), bareiss_det(m))
+    assert (minor, det) == (_laplace(lead), _laplace(m))
+    assert (minor.is_zero(), det.is_zero()) == (minor_zero, det_zero)
 
 
 def test_adjugate_identity():

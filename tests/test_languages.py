@@ -184,8 +184,10 @@ def test_clump_gf_reads_only_numerators(ac, acac_gf, monkeypatch):
 
 def test_clump_gf_is_one_bordered_system(ac, monkeypatch):
     """The clump assembly takes no adjugate of its own: the one adjugate
-    is rs_solve's, and the gap-and-clump system costs two determinants."""
-    calls = {"adjugate_poly": 0, "bareiss_det": 0}
+    is rs_solve's, and the gap-and-clump system costs one elimination of
+    the bordered matrix, which reads det A off its leading minor."""
+    assert not hasattr(languages, "bareiss_det")
+    calls = {"adjugate_poly": 0, "_bareiss_pivots": 0}
     for name in calls:
         real = getattr(languages, name)
 
@@ -195,7 +197,7 @@ def test_clump_gf_is_one_bordered_system(ac, monkeypatch):
 
         monkeypatch.setattr(languages, name, counted)
     clump_gf_language("ACAC", ac, UNIFORM)
-    assert calls == {"adjugate_poly": 1, "bareiss_det": 2}
+    assert calls == {"adjugate_poly": 1, "_bareiss_pivots": 1}
 
 
 def test_clump_gf_taylor_off_one(ac):
