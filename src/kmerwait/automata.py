@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import index, sub
+from operator import index
 
 import numpy as np
 
@@ -588,21 +588,17 @@ def gf_from_clump_automaton(ca, nu):
 
 # A BNN pair stack, and a stack of the CLUMP walk's step matrices, holds
 # at most this many matrix entries: 36 words of length 5, 18 of length 6
-# and one word at a time from length 11 on.  The k x k avoidance matrices
-# run in their own wide stacks under the same cap (1310 words of length
-# 5, 910 of length 6), and the pattern tables of a wide stack feed its
-# pair stacks, so that the memory of a scan does not grow with the number
-# of words.  Per full 6-mer bnn_scan under table1 at n = 1000 (one BLAS
-# thread, shared 2-core host, best of 9), a cap of 1 << 13 took 0.11 s,
-# 1 << 14 0.082 s, 1 << 15 0.071 s, 1 << 16 0.067 s, 1 << 17 0.069 s and
-# 1 << 18 0.11 s: twice the stack memory would buy about 5%.  With the
-# pair and avoidance matrices in one stack, rescaled after every product,
-# 1 << 13 took 0.25 s, 1 << 15 0.18 s, 1 << 17 0.23 s and 1 << 18
-# 0.26 s.  A full 6-mer clump_scan (best of 5, medians over six runs,
-# with the jump over the walk's transient and the one-scatter build of
-# _clump_matrices) took 0.33 s at 1 << 13, 0.16 s at 1 << 15, 0.13 s at
-# 1 << 17 and 0.17 s at 1 << 19: its few walk steps are bound by numpy
-# calls, so it would take a wider stack, but one cap serves both kernels.
+# and one word at a time from length 11 on, so that the memory of a scan
+# does not grow with the number of words.  Per full 6-mer bnn_scan under
+# table1 at n = 1000 (one BLAS thread, shared 2-core host, best of 9, two
+# runs), a cap of 1 << 13 took 0.15 s, 1 << 14 0.11 s, 1 << 15 0.093 s,
+# 1 << 16 0.088 s, 1 << 17 0.088 s and 1 << 18 0.10 s: four times the
+# stack memory would buy about 5%.  A full 6-mer clump_scan (best of 5,
+# medians over six runs, with the jump over the walk's transient and the
+# one-scatter build of _clump_matrices) took 0.33 s at 1 << 13, 0.16 s at
+# 1 << 15, 0.13 s at 1 << 17 and 0.17 s at 1 << 19: its few walk steps
+# are bound by numpy calls, so it would take a wider stack, but one cap
+# serves both kernels.
 _STACK_ENTRIES = 1 << 15
 
 # A power stack is rescaled only when the mass of one of its slices
@@ -654,40 +650,34 @@ def bnn_scan(words, n, params):
     """First-appearance probabilities p_n of words of one length, in order,
     through the paired product route.
 
-    The numerator runs the product of the avoidance automaton (on the
-    original sequence) with the pattern automaton (on the mutant), each
-    pair symbol weighted by nu(a) p(a, a'); the denominator runs the
-    avoidance automaton alone.  Each reversal class runs once
-    (_reversal_classes).  The classes go in wide stacks of k x k
-    avoidance matrices (910 words of length 6), whose pattern tables are
-    built at once and then cut into stacks of pair matrices (18 words of
-    length 6), each stack at most _STACK_ENTRIES matrix entries.  Each
-    stack is built by one index scatter, and one loop of stacked squarings
-    takes row 0 of its n-th powers (_row0_powers), rescaling a stack by
-    powers of two only when a mass drifts, so neither mass underflows at
-    any n.  In float64 the relative error grows like n times the machine
-    epsilon, about 1e-9 at n = 1e7.  A word's value does not depend on
-    its stack mates.  oracle.bnn_decimal is the 40-digit shadow of this
-    quotient.
+    The product of the avoidance automaton (on the original sequence) with
+    the pattern automaton (on the mutant) reads letter pairs, each weighted
+    by nu(a) p(a, a').  Every substitution row sums to 1 (ModelParams), so
+    the mass of row 0 of its n-th power is the avoiding mass of the
+    original, and p_n is the mass on the hit states (p, k) over that mass.
+    Each reversal class runs once (_reversal_classes), in stacks of pair
+    matrices of at most _STACK_ENTRIES entries (36 words of length 5, 18
+    of length 6).  Each stack is built by one index scatter, and one loop
+    of stacked squarings takes row 0 of its n-th powers (_row0_powers),
+    rescaling a stack by powers of two only when a mass drifts, so the
+    mass never underflows at any n.  In float64 the relative error grows
+    like n times the machine epsilon, about 1e-9 at n = 1e7.  A word's
+    value does not depend on its stack mates.  oracle.bnn_decimal, which
+    divides by a power of the avoidance matrix of its own, is the 40-digit
+    shadow of this quotient.
     """
     alphabet = params.alphabet
     classes, runs = _reversal_classes(words, n, alphabet, "bnn_scan")
-    nu, wgt = params.bnn_weights
+    wgt = params.bnn_weights[1]
     k = len(runs[0])
-    wide = _stack_words(k * k)
     step = _stack_words((k * (k + 1)) ** 2)
     out = []
     squares = np.empty((2, min(step, len(runs)), k * (k + 1), k * (k + 1)))
-    for start in range(0, len(runs), wide):
-        table = _kmp_tables(runs[start:start + wide], alphabet)
-        v, den_shift = _row0_powers(_avoid_matrices(table, nu), n)
-        mass = np.add.reduce(v, (1, 2))
-        for i in range(0, len(table), step):
-            u, shift = _row0_powers(_pair_matrices(table[i:i + step], wgt), n,
-                                    squares)
-            hit = u.reshape(-1, k, k + 1)[:, :, k].sum(axis=1)
-            out += map(math.ldexp, (hit / mass[i:i + step]).tolist(),
-                       map(sub, shift, den_shift[i:i + step]))
+    for start in range(0, len(runs), step):
+        table = _kmp_tables(runs[start:start + step], alphabet)
+        u = _row0_powers(_pair_matrices(table, wgt), n, squares)
+        hit = u.reshape(-1, k, k + 1)[:, :, k].sum(axis=1)
+        out += (hit / np.add.reduce(u, (1, 2))).tolist()
     value = dict(zip(runs, out))
     return [value[c] for c in classes]
 
@@ -798,10 +788,11 @@ def _clump_walk(c, k, n, squares=None):
     6-mer under table1, 64 or 128 on binary words under uniform letters),
     capped at the largest power of two up to n; a root that is not simple
     takes the cap.  Row 0 of c**m0, by log2(m0) squarings (_row0_powers),
-    is y after m0 letters from the start, and E_m0 = |y[k:2k]|/|y[:k]| is
-    the sum of the walk's deltas in exact arithmetic.  The powers run only
-    to m0, so their rounding, which grows like m0 eps, stays small; m0
-    depends on the word alone.
+    is y after m0 letters from the start, up to a power of two that the
+    division by rho takes out, and E_m0 = |y[k:2k]|/|y[:k]| is the sum of
+    the walk's deltas in exact arithmetic.  The powers run only to m0, so
+    their rounding, which grows like m0 eps, stays small; m0 depends on
+    the word alone.
 
     From m0 on, every further letter adds nearly the same delta, so a word
     stops at the first step m at which u moves at most PERRON_TOL in l1
@@ -823,7 +814,7 @@ def _clump_walk(c, k, n, squares=None):
     z = np.empty((count, 1, size))
     for j in set(m0.tolist()):
         at = np.flatnonzero(m0 == j)
-        z[at] = _row0_powers(c[at], j, squares)[0]
+        z[at] = _row0_powers(c[at], j, squares)
 
     def settle(y):
         # y over the avoiding mass with the hit states centred: the new z;
@@ -897,22 +888,6 @@ def _kmp_tables(words, alphabet):
     return table
 
 
-def _avoid_matrices(table, nu):
-    """Avoidance matrices of words of one length k, as a stack, from their
-    pattern tables: p < k steps to T[p, a] < k with weight nu[a].
-
-    One np.bincount over indices laid out (word, p, a) adds each entry's
-    weights in letter order; a step that completes the word lands in a
-    spare bin past the end."""
-    count, k = table.shape[0], table.shape[1] - 1
-    size = count * k * k
-    orig = table[:, :k]
-    at = np.where(orig < k, np.arange(0, size, k).reshape(count, k, 1) + orig,
-                  size)
-    return np.bincount(at.ravel(), np.tile(nu, count * k),
-                       size)[:size].reshape(count, k, k)
-
-
 def _pair_matrices(table, wgt):
     """Pair matrices of words of one length k, as a stack, from their
     pattern tables.
@@ -938,25 +913,23 @@ def _pair_matrices(table, wgt):
 
 
 def _row0_powers(x, n, squares=None):
-    """Row 0 of the n-th powers of the matrix stack x, as (u, shift):
-    x[w]**n[0] = u[w] * 2**shift[w].
+    """Row 0 of the n-th power of each slice of the matrix stack x, each
+    times a power of two of its own: callers read only ratios within a
+    slice.
 
     Binary exponentiation whose products every word of the stack shares.
     A product is rescaled only when the mass of one of its slices leaves
     [2**-_DRIFT, 2**_DRIFT]: then _rescale divides each slice by the power
-    of two that brings its mass to about [1/2, 1).  The exponents are kept
-    with the weight they carry into the shift: a squaring made while
-    n >> j is left carries weight n >> j, since every set bit above it
-    multiplies the vector by a power of that square.  Entries are
+    of two that brings its mass to about [1/2, 1).  Entries are
     nonnegative, so an entry is at most its slice's mass and a product of
     two slices in the window stays below 2**(2 _DRIFT), far from overflow.
     Dividing by a power of two commutes with every float rounding while
-    the values stay normal, so u * 2**shift is bitwise what rescaling
-    after every product gives, as long as no nonzero entry or product
-    term of a slice falls below 2**(2 _DRIFT + 2 - 1022) times its mass.
-    Raises ArithmeticError when a word's mass vanishes: a slice without
-    mass stays 0, and so does every later vector of that word, since the
-    top bit of n always comes after the last squaring.
+    the values stay normal, so each slice is bitwise, up to its power of
+    two, what rescaling after every product gives, as long as no nonzero
+    entry or product term of a slice falls below 2**(2 _DRIFT + 2 - 1022)
+    times its mass.  Raises ArithmeticError when a word's mass vanishes: a
+    slice without mass stays 0, and so does every later vector of that
+    word, since the top bit of n always comes after the last squaring.
 
     The squares take turns in the two stacks of squares, an array of shape
     (2, m, size, size) with m >= len(x), and the vectors in two buffers of
@@ -968,25 +941,22 @@ def _row0_powers(x, n, squares=None):
     """
     count, size = len(x), x.shape[2]
     one = np.ones(size * size)
-    u, shift = None, [0] * count
+    u = None
     if squares is None:
         squares = np.empty((2, *x.shape))
     squares = [squares[0, :count], squares[1, :count]]
     rows = [np.empty((count, 1, size)) for _ in range(2)]
 
-    def drift(y, weight):
-        # rescale y when a mass has left the window, and add weight times
-        # the exponents taken out to shift (Python ints, so that no n
-        # overflows them); any power of two will do, so the masses come
-        # from one matrix-vector product
-        nonlocal shift
+    def drift(y):
+        # rescale y when a mass has left the window; any power of two will
+        # do, so the masses come from one matrix-vector product
         mass = y.reshape(count, -1) @ one[:y.shape[1] * size]
         masses = mass.tolist()
         low, high = min(masses), max(masses)
         if not low > 0.0:
             raise ArithmeticError("automaton mass vanished")
         if low < 2.0 ** -_DRIFT or high > 2.0 ** _DRIFT:
-            shift = [a + weight * e for a, e in zip(shift, _rescale(y, mass))]
+            _rescale(y, mass)
 
     while True:
         if n & 1:
@@ -996,21 +966,19 @@ def _row0_powers(x, n, squares=None):
                 u[:] = x[:, :1]
             else:
                 u = np.matmul(u, x, out=rows[rows[0] is u])
-            drift(u, 1)
+            drift(u)
         n >>= 1
         if not n:
-            return u, shift
+            return u
         x = np.matmul(x, x, out=squares[squares[0] is x])
-        drift(x, n)
+        drift(x)
 
 
 def _rescale(x, mass):
     """Divide every slice of the stack x in place by the power of two that
-    brings its mass (given, to within rounding) near [1/2, 1), and return
-    the exponents as a list of ints.  That division is exact."""
-    exps = np.frexp(mass)[1]
-    np.ldexp(x, -exps[:, None, None], out=x)
-    return exps.tolist()
+    brings its mass (given, to within rounding) near [1/2, 1).  That
+    division is exact."""
+    np.ldexp(x, -np.frexp(mass)[1][:, None, None], out=x)
 
 
 def to_dot(obj):

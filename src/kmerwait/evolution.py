@@ -49,8 +49,12 @@ class ModelParams:
     probability that letter a is substituted by b in one generation.  The
     distribution must sum to 1 (a drift below 1e-12, as produced by rounded
     decimal files, is renormalized away).  Substitution rows must sum to 1
-    within ROW_SUM_TOL and every entry must be nonnegative; rows are kept
-    verbatim, without renormalization.
+    within ROW_SUM_TOL and every entry must be nonnegative.  Each diagonal
+    is then set to 1 minus its row's off-diagonal entries, exactly, so that
+    every row sums to 1: table1's rounded rows sum to 1 + 2e-8 to
+    1 + 3.1e-8, a surplus of staying mass that BNN would carry through
+    every position of the text.  A diagonal that this makes negative
+    raises.
     """
 
     def __init__(self, alphabet, nu, p1, name="custom"):
@@ -74,6 +78,10 @@ class ModelParams:
             s = sum(row.values(), QZERO)
             if abs(float(s - QONE)) > ROW_SUM_TOL:
                 raise ValueError("substitution row %r sums to %.12g" % (a, float(s)))
+            row[a] -= s - QONE
+            if row[a] < 0:
+                raise ValueError("substitution row %r leaves a negative "
+                                 "diagonal %.12g" % (a, float(row[a])))
             rows[a] = row
         # every row and entry of the alphabet is present, so a longer row
         # or matrix mentions another letter
@@ -198,8 +206,15 @@ def bv_probability(b, n, params):
     treated as independent, giving the alternating sum over the number of
     disjoint occurrences.  Terms below 1e-30 of the partial sum are
     dropped.  Overlapping occurrences are double counted by design; the
-    method is kept verbatim as a cross-check.
+    method is kept verbatim as a cross-check.  A value outside (0, 1)
+    raises ArithmeticError.
     """
+    return _in_range(_bv_series(b, n, params))
+
+
+def _bv_series(b, n, params):
+    """The value of bv_probability, unchecked: _bv_scan leaves the range
+    check to scan_kmers, whose error names the first bad word."""
     params.alphabet.check_word(b)
     k = len(b)
     check_text_length(b, n)
@@ -290,8 +305,8 @@ def clump_probability(b, n, params):
 def _bv_scan(codes):
     """Scan function of BV over the words whose letter codes are the
     columns of codes (one row per position), as scan_kmers builds them.
-    It runs bv_probability once per letter composition, on the first word
-    of each, since bv_probability reads a word only through integer
+    It runs bv_probability's series once per letter composition, on the
+    first word of each, since it reads a word only through integer
     products over its letters, which do not depend on their order: every
     word with the same letters gets bitwise the same float."""
     def scan(words, n, params):
@@ -299,7 +314,7 @@ def _bv_scan(codes):
         key = len(params.alphabet) ** np.arange(len(comp)) @ comp
         _, first, inverse = np.unique(key, return_index=True,
                                       return_inverse=True)
-        return np.array([bv_probability(words[i], n, params)
+        return np.array([_bv_series(words[i], n, params)
                          for i in first.tolist()])[inverse]
     return scan
 
@@ -324,9 +339,11 @@ def _route(method, codes=None):
 
 
 def waiting_time(b, n, params, method="BNN"):
-    """Appearance probability and expected waiting time by one method."""
+    """Appearance probability and expected waiting time by one method;
+    raises ArithmeticError, through the method's own check, when p_n is
+    not in (0, 1)."""
     name, route, _ = _route(method)
-    p = _in_range(route(b, n, params))
+    p = route(b, n, params)
     return WaitingTimeResult(b, n, p, 1.0 / p, name)
 
 
@@ -347,8 +364,7 @@ def scan_kmers(k, n, params, method="BNN"):
     squarings to letter 32, then 2 to 5 stacked matrix-vector steps over
     k (k + 1) pair states for k = 5 and 6, whatever n.  bnn runs
     automata.bnn_scan: about 2 log2(n) stacked matrix products per stack
-    of pair matrices, and as many over each wide stack of avoidance
-    matrices.  bv runs one series per letter composition (56
+    of pair matrices.  bv runs one series per letter composition (56
     for k = 5, 84 for k = 6), keyed by the sorted letter codes that also
     give the periods.  The ranks come from one stable sort and the
     periods from one comparison per shift over all the words.  Under

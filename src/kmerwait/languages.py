@@ -148,31 +148,6 @@ def parse_identity_residual(lang):
     return total - RatFun(POLY_ONE, POLY_ONE - POLY_Z)
 
 
-def structure_identity_residuals(lang):
-    """Residuals of the defining right-extension identities, all exactly zero.
-
-    For each word index i, extending the tail by one letter decomposes as
-    U_i * z = sum_j M_ij + U_i - 1.  For each column j, avoiding texts
-    followed by word j decompose through first occurrences and overlaps:
-    N * v_j = sum_i R_i * C_ij.
-    """
-    r = len(lang.words)
-    z = RatFun(POLY_Z)
-    out = []
-    for i in range(r):
-        rhs = lang.U[i] - RatFun.const(1)
-        for j in range(r):
-            rhs = rhs + lang.M[i][j]
-        out.append(lang.U[i] * z - rhs)
-    for j in range(r):
-        lhs = lang.N * RatFun(lang.vpolys[j])
-        rhs = RatFun.const(0)
-        for i in range(r):
-            rhs = rhs + lang.R[i] * RatFun(lang.C[i][j])
-        out.append(lhs - rhs)
-    return out
-
-
 ConstrainedLanguages = namedtuple("ConstrainedLanguages", "words extended")
 
 

@@ -35,19 +35,6 @@ def table1():
 
 
 @pytest.fixture(scope="session")
-def table1_renorm(table1):
-    """table1 with each diagonal set to 1 minus its row's off-diagonal
-    entries.  The bundled rows sum to 1 + 2e-8 to 3.1e-8, a surplus of
-    staying mass that BNN carries through every position of the text."""
-    p1 = {a: {c: table1.p1[a][c] for c in table1.alphabet if c != a}
-          for a in table1.alphabet}
-    for a, row in p1.items():
-        row[a] = 1 - sum(row.values())
-    return ModelParams(table1.alphabet, dict(table1.nu), p1,
-                       name="table1-renorm")
-
-
-@pytest.fixture(scope="session")
 def binu():
     return load_params("binary-uniform")
 

@@ -12,7 +12,6 @@ from kmerwait import automata
 from kmerwait.automata import (
     ClumpAutomaton,
     Dfa,
-    _avoid_matrices,
     _check_incoming_letters,
     _clump_matrices,
     _clump_walk,
@@ -494,7 +493,7 @@ def test_bnn_long_text_regression(table1):
     # and returned 1.0
     p = bnn_probability("AC", 20000, table1)
     pm = float(bnn_decimal("AC", 20000, table1))
-    assert pm == pytest.approx(8.76516815e-5, rel=1e-9, abs=0)
+    assert pm == pytest.approx(8.76057560e-5, rel=1e-9, abs=0)
     assert abs(p - pm) / pm < 1e-8
 
 
@@ -509,41 +508,42 @@ def test_bnn_long_texts_match_shadow(table1, word, n):
     assert abs(p - pm) / pm < 1e-8
 
 
-def test_bnn_shadow_at_1e8(table1_renorm):
+def test_bnn_shadow_at_1e8(table1):
     # the avoiding mass of AC is near 10**-2.8e6 here, below the default
     # exponent range of decimal arithmetic
-    p = bnn_probability("AC", 10 ** 8, table1_renorm)
-    pm = float(bnn_decimal("AC", 10 ** 8, table1_renorm))
+    p = bnn_probability("AC", 10 ** 8, table1)
+    pm = float(bnn_decimal("AC", 10 ** 8, table1))
     assert 0.0 < pm < 1.0
     assert abs(p - pm) / pm < 1e-7
 
 
 def test_bnn_probability_out_of_range_raises(table1):
-    # table1's rows sum to just over 1, a surplus of staying mass that
-    # carries p_n past 1 at n = 1e8 (4.875 for AC)
-    with pytest.raises(ArithmeticError, match="out of range"):
-        bnn_probability("AC", 10 ** 8, table1)
+    # without substitutions the mutant is the original, so p_n is 0
+    p1 = {a: {c: F(int(a == c)) for c in table1.alphabet}
+          for a in table1.alphabet}
+    frozen = ModelParams(table1.alphabet, dict(table1.nu), p1)
+    with pytest.raises(ArithmeticError, match="probability 0 is out of "
+                                              "range"):
+        bnn_probability("AC", 10 ** 8, frozen)
 
 
-def reference_bnn_matrices(b, params):
-    """Pair and avoidance matrices of b by loops over states and letter
-    pairs, each entry adding its weights in letter order."""
+def reference_bnn_matrix(b, params):
+    """Pair matrix of b by loops over states and letter pairs, each entry
+    adding its weights in letter order."""
     k, letters = len(b), range(len(params.alphabet))
     table = oracle_kmp_table(b, params.alphabet)
-    nu, wgt = params.bnn_weights
+    wgt = params.bnn_weights[1]
     pair = np.zeros((k * (k + 1), k * (k + 1)))
-    avoid = np.zeros((k, k))
     for p in range(k):
         for x in letters:
             i = table[p][x]
             if i == k:
                 continue
-            avoid[p, i] += nu[x]
             for q in range(k + 1):
                 for y in letters:
                     pair[p * (k + 1) + q, i * (k + 1) + table[q][y]] += \
                         wgt[x, y]
-    return pair, avoid
+    return pair
 
 
 @pytest.mark.parametrize("model,symbols,k", [("table1", "ACGT", 4),
@@ -551,12 +551,10 @@ def reference_bnn_matrices(b, params):
 def test_bnn_matrices_match_loops(request, model, symbols, k):
     params = request.getfixturevalue(model)
     words = ["".join(t) for t in product(symbols, repeat=k)]
-    tables = _kmp_tables(words, params.alphabet)
-    nu, wgt = params.bnn_weights
-    pair, avoid = _pair_matrices(tables, wgt), _avoid_matrices(tables, nu)
-    for w, p, a in zip(words, pair, avoid):
-        ref_pair, ref_avoid = reference_bnn_matrices(w, params)
-        assert (p == ref_pair).all() and (a == ref_avoid).all()
+    pair = _pair_matrices(_kmp_tables(words, params.alphabet),
+                          params.bnn_weights[1])
+    for w, p in zip(words, pair):
+        assert (p == reference_bnn_matrix(w, params)).all()
 
 
 def reference_clump_matrix(b, alphabet, nu, wgt):
@@ -607,47 +605,36 @@ def test_clump_matrices_stack_one_weight_per_word(table1, b):
                                               w)).all()
 
 
-def every_product_powers(num, den, n):
-    """Row 0 of the n-th powers of the stacks num and den, rescaling each
-    slice after every product by the power of two that brings its mass
-    into [1/2, 1): (u, v, shift) with num[w]**n[0] / den[w]**n[0] =
-    u[w] / v[w] * 2**shift[w].  The reference that rescaling on demand
-    must match bit for bit."""
-    def rescale(x):
-        exps = np.frexp(np.add.reduce(x, (1, 2)))[1]
-        np.ldexp(x, -exps[:, None, None], out=x)
-        return exps.tolist()
-    u = np.zeros((len(num), 1, num.shape[2]))
-    v = np.zeros((len(den), 1, den.shape[2]))
-    u[:, 0, 0] = v[:, 0, 0] = 1.0
-    weights, diffs = [], []
+def every_product_powers(x, n):
+    """Row 0 of the n-th power of each slice of the stack x, rescaling
+    each slice after every product by the power of two that brings its
+    mass into [1/2, 1), so that each slice is its row 0 times a power of
+    two.  The reference that rescaling on demand must match bit for bit."""
+    def rescale(y):
+        exps = np.frexp(np.add.reduce(y, (1, 2)))[1]
+        np.ldexp(y, -exps[:, None, None], out=y)
+    u = np.zeros((len(x), 1, x.shape[2]))
+    u[:, 0, 0] = 1.0
     while True:
         if n & 1:
-            u = u @ num
-            v = v @ den
-            weights.append(1)
-            diffs.append([a - b for a, b in zip(rescale(u), rescale(v))])
+            u = u @ x
+            rescale(u)
         n >>= 1
         if not n:
-            break
-        num = num @ num
-        den = den @ den
-        weights.append(n)
-        diffs.append([a - b for a, b in zip(rescale(num), rescale(den))])
-    shift = [sum(w * d for w, d in zip(weights, col)) for col in zip(*diffs)]
-    return u, v, shift
+            return u
+        x = x @ x
+        rescale(x)
 
 
 def every_product_bnn(words, n, params):
     """p_n of each word's reversal class from the loop-built matrices and
-    every_product_powers."""
+    every_product_powers: the hit mass over the total mass."""
     runs = [min(w, w[::-1]) for w in words]
     k = len(words[0])
-    pair, avoid = map(np.array, zip(*(reference_bnn_matrices(w, params)
-                                      for w in runs)))
-    u, v, shift = every_product_powers(pair, avoid, n)
+    u = every_product_powers(np.array([reference_bnn_matrix(w, params)
+                                       for w in runs]), n)
     hit = u.reshape(-1, k, k + 1)[:, :, k].sum(axis=1)
-    return list(map(math.ldexp, (hit / v.sum(axis=(1, 2))).tolist(), shift))
+    return (hit / u.sum(axis=(1, 2))).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -682,7 +669,7 @@ def test_bnn_on_demand_rescale_is_exact(request, monkeypatch, model, k,
 
     def counting(x, mass):
         fired.append(len(x))
-        return rescale(x, mass)
+        rescale(x, mass)
     monkeypatch.setattr(automata, "_rescale", counting)
     for n in lengths:
         fired.clear()
@@ -762,14 +749,13 @@ def test_bnn_scan_spans_stacks(request, model):
                                               for w in words]
 
 
-def test_bnn_scan_spans_wide_stacks(toy_eps, monkeypatch):
-    # a cap of ten 6 x 6 avoidance matrices cuts the 36 reversal classes of
-    # the binary 6-mers into four wide stacks, the last one short, each
-    # feeding pair stacks of one word
+def test_bnn_scan_spans_capped_stacks(toy_eps, monkeypatch):
+    # a cap of ten 42 x 42 pair matrices cuts the 36 reversal classes of
+    # the binary 6-mers into four stacks, the last one short
     words = ["".join(t) for t in product("AC", repeat=6)]
     alone = {n: [bnn_probability(w, n, toy_eps) for w in words]
              for n in (6, 1000)}
-    monkeypatch.setattr(automata, "_STACK_ENTRIES", 10 * 36)
+    monkeypatch.setattr(automata, "_STACK_ENTRIES", 10 * 42 * 42)
     for n, want in alone.items():
         assert bnn_scan(words, n, toy_eps) == want
 
@@ -828,31 +814,27 @@ def test_bnn_powers_match_matrix_power():
                   [[2.0 ** -80, 2.0 ** -81], [1.0, 0.5]]])
     before = x.copy()
     for n in (1, 3, 6, 100):
-        u, shift = _row0_powers(x, n)
+        u = _row0_powers(x, n)
         assert (x == before).all()
         # squares handed in, with room for a third slice, give bitwise
         # the same powers
-        u2, shift2 = _row0_powers(x, n, np.full((2, 3, 2, 2), np.nan))
-        assert (u2 == u).all() and shift2 == shift
+        u2 = _row0_powers(x, n, np.full((2, 3, 2, 2), np.nan))
+        assert (u2 == u).all()
         assert (x == before).all()
         for w in range(2):
+            # each slice is its row 0 times a power of two
             want = np.linalg.matrix_power(x[w], n)[0]
-            assert np.ldexp(u[w, 0], shift[w]) == pytest.approx(want,
-                                                                rel=1e-12,
-                                                                abs=0)
+            assert u[w, 0] / u[w, 0].sum() == pytest.approx(
+                want / want.sum(), rel=1e-12, abs=0)
 
 
 def test_bnn_powers_raise_when_a_mass_vanishes():
     # the second slice is nilpotent, so its third power has no mass
-    num = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.0, 1.0], [0.0, 0.0]]])
-    den = np.array([[[0.5]], [[0.5]]])
+    x = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.0, 1.0], [0.0, 0.0]]])
     with pytest.raises(ArithmeticError, match="vanished"):
-        _row0_powers(num, 3)
-    # row 0 of num**3 is (1/2, 1/2) and den**3 is 1/8
-    u, shift = _row0_powers(num[:1], 3)
-    v, den_shift = _row0_powers(den[:1], 3)
-    assert np.ldexp(u[0, 0] / v[0, 0, 0],
-                    shift[0] - den_shift[0]).tolist() == [4.0, 4.0]
+        _row0_powers(x, 3)
+    # row 0 of the first slice's third power is (1/2, 1/2)
+    assert _row0_powers(x[:1], 3).tolist() == [[[0.5, 0.5]]]
 
 
 def test_to_dot_smoke(ac, autos):

@@ -12,6 +12,7 @@ import pytest
 from kmerwait import cli
 from kmerwait.cli import main
 from kmerwait.evolution import asymptotics, load_params
+from kmerwait.oracle import bnn_decimal
 
 from test_acceptance import KBAR_ACAC
 
@@ -30,16 +31,16 @@ def test_wait_human(capsys):
     assert rc == 0 and err == ""
     assert out == (
         "word AAAAA, n = 1000, method BNN, params table1\n"
-        "p_n          = 9.38497222e-08\n"
-        "E(T_n)       = 10655332.55 generations\n"
-        "E(T_n)/10^6  = 10.65533255\n")
+        "p_n          = 9.384727625e-08\n"
+        "E(T_n)       = 10655610.26 generations\n"
+        "E(T_n)/10^6  = 10.65561026\n")
 
 
 def test_wait_csv(capsys):
     rc, out, err = run(capsys, "wait", "AAAAA", "--length", "1000", "--csv")
     assert rc == 0
     assert out == ("word,n,method,p_n,expected_T\n"
-                   "AAAAA,1000,BNN,9.38497222e-08,10655332.55\n")
+                   "AAAAA,1000,BNN,9.384727625e-08,10655610.26\n")
 
 
 def test_wait_clump_long_text(capsys):
@@ -53,6 +54,18 @@ def test_wait_clump_long_text(capsys):
     a = asymptotics("CCCCC", load_params("table1"))
     law = a.C1 * 1e7 + a.C2
     assert float(row[3]) == pytest.approx(law, rel=1e-9, abs=0)
+
+
+def test_wait_bnn_at_1e8(capsys):
+    # every substitution row sums to 1, so BNN stays a probability at
+    # 1e8 letters, where the avoiding mass of AC is near 10**-2.8e6
+    rc, out, err = run(capsys, "wait", "AC", "--length", "100000000",
+                       "--csv")
+    assert rc == 0 and err == ""
+    row = out.splitlines()[1].split(",")
+    assert row[:3] == ["AC", "100000000", "BNN"]
+    shadow = float(bnn_decimal("AC", 10 ** 8, load_params("table1")))
+    assert abs(float(row[3]) - shadow) / shadow < 1e-8
 
 
 def test_corr_two_words(capsys):
@@ -74,10 +87,10 @@ def test_scan_top_slowest_csv(capsys):
     assert rc == 0
     assert out == (
         "word,method,p_n,expected_T,rank,minimal_period\n"
-        "CCCCC,BNN,1.09837721e-07,9104340.396,1021,1\n"
-        "GGGGG,BNN,1.044934698e-07,9569976.013,1022,1\n"
-        "TTTTT,BNN,9.61502288e-08,10400391.27,1023,1\n"
-        "AAAAA,BNN,9.38497222e-08,10655332.55,1024,1\n")
+        "CCCCC,BNN,1.098348581e-07,9104577.701,1021,1\n"
+        "GGGGG,BNN,1.044907462e-07,9570225.468,1022,1\n"
+        "TTTTT,BNN,9.614772271e-08,10400662.35,1023,1\n"
+        "AAAAA,BNN,9.384727625e-08,10655610.26,1024,1\n")
 
 
 def test_scan_byte_deterministic(capsys):

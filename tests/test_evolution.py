@@ -43,7 +43,10 @@ def test_load_table1_values(table1):
     assert table1.nu["C"] == F(13121, 50000)
     assert sum(table1.nu.values()) == 1
     assert table1.p1["A"]["C"] == F(454999995, 10 ** 17)
-    assert float(table1.p1["A"]["A"]) == pytest.approx(0.999999996, abs=1e-12)
+    # the file's rounded 0.999999996 gives way to 1 minus the row's
+    # off-diagonal entries
+    assert table1.p1["A"]["A"] == (1 - F("4.54999995e-09")
+                                   - F("1.57499996e-08") - F("3.40000002e-09"))
     assert table1.max_mutation() == pytest.approx(2.17499994e-08, rel=1e-12,
                                                   abs=0)
 
@@ -87,6 +90,20 @@ def test_load_params_file_errors(tmp_path):
     assert "misses entry" in msg
 
 
+def test_substitution_rows_sum_to_one(table1, binu, tmp_path):
+    # each diagonal is set to 1 minus its row's off-diagonal entries, so
+    # every row sums to exactly 1, the file's rounded ones included
+    f = tmp_path / "rounded.params"
+    f.write_text("nu A 0.5\nnu C 0.5\n"
+                 "p A A 0.99999999\np A C 0.00000005\n"
+                 "p C A 0.00000003\np C C 0.99999996\n")
+    custom = load_params(str(f))
+    assert custom.p1["A"]["A"] == F("0.99999995")
+    for params in (table1, binu, custom):
+        for row in params.p1.values():
+            assert sum(row.values()) == F(1)
+
+
 def test_load_params_renormalizes_tiny_drift(tmp_path):
     f = tmp_path / "drift.params"
     f.write_text(
@@ -111,6 +128,12 @@ def test_model_params_validation(ac):
     with pytest.raises(ValueError, match="negative"):
         ModelParams(ac, dict(UNIFORM),
                     {"A": {"A": F(-1, 2), "C": F(3, 2)},
+                     "C": {"A": 0, "C": 1}})
+    # off-diagonal entries that pass ROW_SUM_TOL but exceed 1 leave no
+    # staying mass
+    with pytest.raises(ValueError, match="negative diagonal"):
+        ModelParams(ac, dict(UNIFORM),
+                    {"A": {"A": 0, "C": F("1.00000005")},
                      "C": {"A": 0, "C": 1}})
     # a column for a letter outside the alphabet
     with pytest.raises(ValueError, match="outside the alphabet"):
@@ -256,17 +279,16 @@ def test_clump_walk_matches_exact_series(request, ac, b, model):
 
 def test_clump_long_texts_match_bnn(table1):
     # at n = 20000 the avoiding mass of AC is subnormal (7.5e-322); the
-    # rescaled kernel never forms it.  CLUMP lies 2.6e-8 n relative below
-    # BNN under table1 because the bundled substitution rows sum to
-    # 1 + 2e-8 to 3.1e-8, a surplus BNN carries per position and CLUMP,
-    # which reads only the off-diagonal rates, never sees.
+    # rescaled kernel never forms it.  CLUMP is BNN's term that is first
+    # order in the mutation rates, so it lies above BNN by about n times
+    # a rate: 2.2e-9 n relative for AC, 7.2e-11 n for ACGTA and 5.5e-11 n
+    # for CCCCC.
     p10 = clump_probability("AC", 10000, table1)
     p20 = clump_probability("AC", 20000, table1)
     assert p20 / p10 == pytest.approx(2.0, rel=1e-3)
     for b, n, p in (("AC", 20000, p20),
                     ("ACGTA", 10 ** 5, clump_probability("ACGTA", 10 ** 5,
                                                          table1)),
-                    # the gap is 2.6e-8 n here
                     ("CCCCC", 10 ** 6, clump_probability("CCCCC", 10 ** 6,
                                                          table1))):
         bnn = bnn_probability(b, n, table1)
@@ -281,20 +303,19 @@ def test_clump_long_texts_match_bnn(table1):
 def test_clump_long_words_match_bnn(table1, b):
     # the jump lands at letter 32, before the first hits at letter k = 36
     # or 32; the stop rule waits for letter 2k, so the walk does not stop
-    # on its deltas of 0, and CLUMP lies table1's row surplus, 2.6e-5,
-    # below BNN
+    # on its deltas of 0, and CLUMP lies 2.4e-7 (A x 36) and 4.5e-7
+    # (ACGT x 8) relative above BNN
     assert clump_probability(b, 1000, table1) == pytest.approx(
         bnn_probability(b, 1000, table1), rel=1e-4, abs=0)
 
 
 @pytest.mark.parametrize("b", ["ACGTA", "CCCCC"])
-def test_bnn_matches_clump_with_renormalized_rows(table1_renorm, b):
-    # with rows summing to 1 the 2.6e-8 n gap of the bundled table1 is
-    # gone: what is left is first order in n times the mutation rate,
-    # 7.2e-11 n (ACGTA) and 5.6e-11 n (CCCCC) relative
+def test_bnn_matches_clump_with_renormalized_rows(table1, b):
+    # with rows summing to 1 the gap is first order in n times the
+    # mutation rate, 7.2e-11 n (ACGTA) and 5.6e-11 n (CCCCC) relative
     for n in (10 ** 5, 10 ** 6, 10 ** 7):
-        bnn = bnn_probability(b, n, table1_renorm)
-        assert clump_probability(b, n, table1_renorm) == pytest.approx(
+        bnn = bnn_probability(b, n, table1)
+        assert clump_probability(b, n, table1) == pytest.approx(
             bnn, rel=1e-9 * n, abs=0)
 
 
@@ -831,6 +852,24 @@ def test_clump_probability_out_of_range_raises(binu):
     assert clump_scan(["AA"], 100, binu)[0] > 1
     with pytest.raises(ArithmeticError, match="44.4158 is out of range"):
         clump_probability("AA", 100, binu)
+
+
+def test_bv_out_of_range_raises_once(ac):
+    # every letter swaps and nearly every letter is C, so the mutant reads
+    # AA at a position with chance 0.99**2 = 0.9801, and the series at
+    # n = 3 counts its two positions as 2 x 0.9801 = 1.9602
+    swap = {"A": {"A": 0, "C": 1}, "C": {"A": 1, "C": 0}}
+    params = ModelParams(ac, {"A": F(1, 100), "C": F(99, 100)}, swap)
+    with pytest.raises(ArithmeticError, match=r"^appearance probability "
+                       r"1.9602 is out of range$"):
+        bv_probability("AA", 3, params)
+    with pytest.raises(ArithmeticError, match="1.9602 is out of range"):
+        waiting_time("AA", 3, params, "BV")
+    # the scan's own error, naming the word and the method, comes first
+    with pytest.warns(UserWarning, match="single-mutation regime"), \
+            pytest.raises(ArithmeticError, match=r"^AA by BV: appearance "
+                          r"probability 1.9602 is out of range$"):
+        scan_kmers(2, 3, params, "BV")
 
 
 def test_scan_warns_out_of_regime(table1):

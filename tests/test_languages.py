@@ -6,7 +6,7 @@ import pytest
 
 from kmerwait import languages
 from kmerwait.evolution import asymptotics
-from kmerwait.gfcore import Poly, RatFun, parse_poly
+from kmerwait.gfcore import POLY_Z, Poly, RatFun, parse_poly
 from kmerwait.languages import (
     LanguageGFs,
     clump_gf_language,
@@ -16,7 +16,6 @@ from kmerwait.languages import (
     marked_code_gf,
     parse_identity_residual,
     rs_solve,
-    structure_identity_residuals,
 )
 from kmerwait.oracle import avoid_weight, enumerate_census
 from kmerwait.words import Alphabet, neighbors
@@ -44,6 +43,31 @@ def test_avoiding_series_vs_enumeration(ac):
 def test_rs_solve_rejects_unreduced(ac):
     with pytest.raises(ValueError):
         rs_solve(("AA", "AAC"), ac, UNIFORM)
+
+
+def structure_identity_residuals(lang):
+    """Residuals of the defining right-extension identities, all exactly zero.
+
+    For each word index i, extending the tail by one letter decomposes as
+    U_i * z = sum_j M_ij + U_i - 1.  For each column j, avoiding texts
+    followed by word j decompose through first occurrences and overlaps:
+    N * v_j = sum_i R_i * C_ij.
+    """
+    r = len(lang.words)
+    z = RatFun(POLY_Z)
+    out = []
+    for i in range(r):
+        rhs = lang.U[i] - RatFun.const(1)
+        for j in range(r):
+            rhs = rhs + lang.M[i][j]
+        out.append(lang.U[i] * z - rhs)
+    for j in range(r):
+        lhs = lang.N * RatFun(lang.vpolys[j])
+        rhs = RatFun.const(0)
+        for i in range(r):
+            rhs = rhs + lang.R[i] * RatFun(lang.C[i][j])
+        out.append(lhs - rhs)
+    return out
 
 
 def test_parse_identity_simple_sets(ac, dna):
