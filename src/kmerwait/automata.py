@@ -590,20 +590,32 @@ def gf_from_clump_automaton(ca, nu):
 # at most this many matrix entries: 36 words of length 5, 18 of length 6
 # and one word at a time from length 11 on, so that the memory of a scan
 # does not grow with the number of words.  Per full 6-mer bnn_scan under
-# table1 at n = 1000 (one BLAS thread, shared 2-core host, best of 9, two
-# runs), a cap of 1 << 13 took 0.15 s, 1 << 14 0.11 s, 1 << 15 0.093 s,
-# 1 << 16 0.088 s, 1 << 17 0.088 s and 1 << 18 0.10 s: four times the
-# stack memory would buy about 5%.  A full 6-mer clump_scan (best of 5,
-# medians over six runs, with the jump over the walk's transient and the
-# one-scatter build of _clump_matrices) took 0.33 s at 1 << 13, 0.16 s at
-# 1 << 15, 0.13 s at 1 << 17 and 0.17 s at 1 << 19: its few walk steps
-# are bound by numpy calls, so it would take a wider stack, but one cap
-# serves both kernels.
+# table1 at n = 1000, and the same at n = 1e7, as its laws certify at 2**7
+# letters (one BLAS thread, shared 2-core host, best of 9, two runs), a cap
+# of 1 << 13 took 0.14 s, 1 << 14 0.096 s, 1 << 15 0.081 s, 1 << 16
+# 0.075-0.078 s, 1 << 17 0.076-0.081 s and 1 << 18 0.085-0.093 s: four
+# times the stack memory would buy about 5%.  A full 6-mer clump_scan
+# (best of 5, medians over six runs, with the jump over the walk's
+# transient and the one-scatter build of _clump_matrices) took 0.33 s at
+# 1 << 13, 0.16 s at 1 << 15, 0.13 s at 1 << 17 and 0.17 s at 1 << 19:
+# its few walk steps are bound by numpy calls, so it would take a wider
+# stack, but one cap serves both kernels.
 _STACK_ENTRIES = 1 << 15
 
 # A power stack is rescaled only when the mass of one of its slices
 # leaves [2**-_DRIFT, 2**_DRIFT]; see _row0_powers.
 _DRIFT = 64
+
+# A word's readings of x = -log(1 - p) certify its line (_bnn_law) when
+# each lies within LAW_TOL of it, relative.  The readings carry rounding
+# of a few 1e-15 at 2**7 letters: at 3e-15 a quarter of the DNA 5-mer and
+# 6-mer classes under table1 fail there, and from 1e-14 on none does (at
+# 3e-13 five 5-mers certify at 2**6 already).  A transient that decays
+# like B'**m and passes the check at m / 4 leaves the line read at m / 2
+# and m off by about LAW_TOL B'**(m / 4) / 2 relative at any n, so what is
+# left is the readings' rounding: against oracle.bnn_decimal the law is
+# within 1.6e-14 on every DNA 5-mer class at n = 1e7.
+LAW_TOL = 1e-13
 
 
 def _stack_words(entries):
@@ -620,7 +632,9 @@ def _in_range(p):
 
 def bnn_probability(b, n, params):
     """First-appearance probability p_n of one word: bnn_scan([b], n,
-    params)[0]; raises ArithmeticError if it is not in (0, 1)."""
+    params)[0]; raises ArithmeticError if it is not in (0, 1).  A DNA
+    5-mer under table1 costs about 0.15 ms at every n from 1e3 to 1e8,
+    since its law certifies at 2**7 letters."""
     return _in_range(bnn_scan([b], n, params)[0])
 
 
@@ -653,18 +667,25 @@ def bnn_scan(words, n, params):
     The product of the avoidance automaton (on the original sequence) with
     the pattern automaton (on the mutant) reads letter pairs, each weighted
     by nu(a) p(a, a').  Every substitution row sums to 1 (ModelParams), so
-    the mass of row 0 of its n-th power is the avoiding mass of the
-    original, and p_n is the mass on the hit states (p, k) over that mass.
-    Each reversal class runs once (_reversal_classes), in stacks of pair
-    matrices of at most _STACK_ENTRIES entries (36 words of length 5, 18
-    of length 6).  Each stack is built by one index scatter, and one loop
-    of stacked squarings takes row 0 of its n-th powers (_row0_powers),
-    rescaling a stack by powers of two only when a mass drifts, so the
-    mass never underflows at any n.  In float64 the relative error grows
-    like n times the machine epsilon, about 1e-9 at n = 1e7.  A word's
-    value does not depend on its stack mates.  oracle.bnn_decimal, which
-    divides by a power of the avoidance matrix of its own, is the 40-digit
-    shadow of this quotient.
+    the mass of row 0 of its m-th power is the avoiding mass of the
+    original, and p_m is the mass on the hit states (p, k) over that mass
+    (_hit_share).  Each reversal class runs once (_reversal_classes), in
+    stacks of pair matrices of at most _STACK_ENTRIES entries (36 words of
+    length 5, 18 of length 6), each built by one index scatter.
+
+    x_m = -log(1 - p_m) is a m + b up to terms that decay geometrically in
+    m, so _bnn_law squares a stack only until each word's readings of x
+    certify that line, at 2**7 letters on every DNA 5-mer and 6-mer under
+    table1, and extends it to n: a scan costs the same at n = 1e3 as at
+    1e8, and against oracle.bnn_decimal its relative error stays near
+    1e-14 at every n.  A word that does not certify by letter n / 2,
+    every word at a shorter n among them, takes row 0 of its n-th power
+    by stacked binary exponentiation (_row0_powers), whose relative error
+    grows like n times the machine epsilon.  Both routes rescale a stack
+    by powers of two only when a mass drifts, so the mass never
+    underflows, and a word's value does not depend on its stack mates.
+    oracle.bnn_decimal, which divides by a power of the avoidance matrix
+    of its own, is the 40-digit shadow of this quotient.
     """
     alphabet = params.alphabet
     classes, runs = _reversal_classes(words, n, alphabet, "bnn_scan")
@@ -674,12 +695,95 @@ def bnn_scan(words, n, params):
     out = []
     squares = np.empty((2, min(step, len(runs)), k * (k + 1), k * (k + 1)))
     for start in range(0, len(runs), step):
-        table = _kmp_tables(runs[start:start + step], alphabet)
-        u = _row0_powers(_pair_matrices(table, wgt), n, squares)
-        hit = u.reshape(-1, k, k + 1)[:, :, k].sum(axis=1)
-        out += (hit / np.add.reduce(u, (1, 2))).tolist()
+        pair = _pair_matrices(_kmp_tables(runs[start:start + step], alphabet),
+                              wgt)
+        p = _bnn_law(pair, k, n, squares)
+        left = [i for i, v in enumerate(p) if v is None]
+        if left:
+            u = _row0_powers(pair[left], n, squares)
+            for i, v in zip(left, _hit_share(u, k).tolist()):
+                p[i] = v
+        out += p
     value = dict(zip(runs, out))
     return [value[c] for c in classes]
+
+
+def _hit_share(u, k):
+    """p of row 0 of each slice of the stack u, over the pair states: the
+    mass on the hit states (p, k) over the total mass."""
+    row = u[:, 0]
+    return np.add.reduce(row[:, k::k + 1], 1) / np.add.reduce(row, 1)
+
+
+def _bnn_law(pair, k, n, squares):
+    """Per word of the stack pair of pair matrices (_pair_matrices), as a
+    list, its BNN value at text length n by its certified linear law, or
+    None for a word that does not certify.
+
+    x_m = -log(1 - p_m) = a m + b up to terms that decay like B'**m, B'
+    the gap of the block where original and mutant both avoid.  The loop
+    squares the stack, rescaling it as _row0_powers does, and reads x at
+    each power of two m off row 0 of the square itself (_law_reading),
+    from the least one that is at least 2k: the first hits land at letter
+    k, so earlier readings only cost.  A word certifies at m when the line
+    through its readings at m / 2 and m passes its reading at m / 4, and
+    its x at m + 1 (row 0 of the square times pair once), each within
+    LAW_TOL of that reading; its value is then -expm1(-(a n + b)), and it
+    leaves the stack.  The probe reads the line off the powers of two: it
+    turns down a term whose period divides m / 4, which those readings
+    alone would miss, and readings near p = 1, whose rounding grows like
+    eps / (1 - p).  A reading of 0 never certifies, nor does one of p = 1,
+    which is x = inf.  Squaring stops before m passes n / 2, and does not
+    start when n is too short for a third reading.  Every operation acts
+    on the rows of one word, so a word's readings do not depend on its
+    stack mates.
+    """
+    count, size = len(pair), pair.shape[2]
+    law = [None] * count
+    first = 1 << (2 * k - 1).bit_length()
+    if 8 * first > n:
+        return law
+    live = list(range(count))
+    bufs = [squares[0, :count], squares[1, :count]]
+    one = np.ones(size * size)
+    y, m, reads = pair, 1, []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live and 4 * m <= n:
+            y = np.matmul(y, y, out=bufs[bufs[0] is y])
+            _drift(y, one)
+            m *= 2
+            if m < first:
+                continue
+            reads.append(_law_reading(y, k))
+            if len(reads) < 3:
+                continue
+            slope = [(last - half) / (m // 2)
+                     for half, last in zip(*reads[-2:])]
+            near = [abs(1.5 * half - 0.5 * last - quarter) < LAW_TOL * quarter
+                    for quarter, half, last in zip(*reads[-3:])]
+            if not any(near):
+                continue
+            probe = _law_reading(np.matmul(y[:, :1], pair), k)
+            done = {i for i, (ok, last, a, at) in enumerate(zip(
+                near, reads[-1], slope, probe))
+                if ok and abs(at - last - a) < LAW_TOL * at}
+            for i in done:
+                law[live[i]] = -math.expm1(-(reads[-1][i]
+                                             + slope[i] * (n - m)))
+            if done:
+                keep = [i for i in range(len(live)) if i not in done]
+                live = [live[i] for i in keep]
+                if not live:
+                    break
+                pair, y = pair[keep], y[keep]
+                reads = [[r[i] for i in keep] for r in reads[-2:]]
+                bufs = [squares[0, :len(keep)], squares[1, :len(keep)]]
+    return law
+
+
+def _law_reading(u, k):
+    """x = -log(1 - p) of row 0 of each slice of the stack u, as a list."""
+    return (-np.log1p(-_hit_share(u, k))).tolist()
 
 
 def clump_scan(words, n, params):
@@ -947,17 +1051,6 @@ def _row0_powers(x, n, squares=None):
     squares = [squares[0, :count], squares[1, :count]]
     rows = [np.empty((count, 1, size)) for _ in range(2)]
 
-    def drift(y):
-        # rescale y when a mass has left the window; any power of two will
-        # do, so the masses come from one matrix-vector product
-        mass = y.reshape(count, -1) @ one[:y.shape[1] * size]
-        masses = mass.tolist()
-        low, high = min(masses), max(masses)
-        if not low > 0.0:
-            raise ArithmeticError("automaton mass vanished")
-        if low < 2.0 ** -_DRIFT or high > 2.0 ** _DRIFT:
-            _rescale(y, mass)
-
     while True:
         if n & 1:
             # row 0 of x is exactly what e_0 @ x sums to
@@ -966,12 +1059,26 @@ def _row0_powers(x, n, squares=None):
                 u[:] = x[:, :1]
             else:
                 u = np.matmul(u, x, out=rows[rows[0] is u])
-            drift(u)
+            _drift(u, one)
         n >>= 1
         if not n:
             return u
         x = np.matmul(x, x, out=squares[squares[0] is x])
-        drift(x)
+        _drift(x, one)
+
+
+def _drift(y, one):
+    """Rescale the stack y when the mass of one of its slices has left
+    [2**-_DRIFT, 2**_DRIFT]; one holds at least a slice's count of ones.
+    Any power of two will do, so the masses come from one matrix-vector
+    product.  Raises ArithmeticError when a mass is 0."""
+    mass = y.reshape(len(y), -1) @ one[:y[0].size]
+    masses = mass.tolist()
+    low, high = min(masses), max(masses)
+    if not low > 0.0:
+        raise ArithmeticError("automaton mass vanished")
+    if low < 2.0 ** -_DRIFT or high > 2.0 ** _DRIFT:
+        _rescale(y, mass)
 
 
 def _rescale(x, mass):

@@ -338,11 +338,26 @@ def _route(method, codes=None):
     return (name, *table[name])
 
 
+def _check_regime(n, params):
+    """Warn when n times the largest mutation rate exceeds REGIME_LIMIT,
+    where the single-mutation picture that BV and CLUMP rest on starts to
+    degrade."""
+    exposure = n * params.max_mutation()
+    if exposure > REGIME_LIMIT:
+        warnings.warn("n times the mutation rate is %.3g; the "
+                      "single-mutation regime ends around 1e-2" % exposure,
+                      stacklevel=3)
+
+
 def waiting_time(b, n, params, method="BNN"):
     """Appearance probability and expected waiting time by one method;
     raises ArithmeticError, through the method's own check, when p_n is
-    not in (0, 1)."""
+    not in (0, 1).  BV and CLUMP warn past the single-mutation regime, as
+    scan_kmers does (_check_regime); BNN, exact in the model, does not:
+    at n = 1e8 under table1 CLUMP gives AC 0.438 and BNN 0.355."""
     name, route, _ = _route(method)
+    if name != "BNN":
+        _check_regime(n, params)
     p = route(b, n, params)
     return WaitingTimeResult(b, n, p, 1.0 / p, name)
 
@@ -363,23 +378,21 @@ def scan_kmers(k, n, params, method="BNN"):
     (k = 6) words.  clump runs automata.clump_scan: five stacked
     squarings to letter 32, then 2 to 5 stacked matrix-vector steps over
     k (k + 1) pair states for k = 5 and 6, whatever n.  bnn runs
-    automata.bnn_scan: about 2 log2(n) stacked matrix products per stack
-    of pair matrices.  bv runs one series per letter composition (56
-    for k = 5, 84 for k = 6), keyed by the sorted letter codes that also
-    give the periods.  The ranks come from one stable sort and the
-    periods from one comparison per shift over all the words.  Under
-    table1 at n = 1000 a full 5-mer scan takes about 0.03 s by clump,
-    0.015 s by bnn and 0.0024 s by bv; a 6-mer scan takes about 0.18 s
-    by clump, 0.1 s by bnn and 0.007 s by bv (one BLAS thread on a shared
-    2-core host).
+    automata.bnn_scan: seven stacked squarings per stack of pair matrices
+    and one matrix-vector product, after which every DNA 5-mer and 6-mer
+    under table1 certifies its linear law and extends it to n, whatever
+    n from 256 on; at shorter n, about 2 log2(n) stacked products.  bv
+    runs one series per letter composition (56 for k = 5, 84 for k = 6),
+    keyed by the sorted letter codes that also give the periods.  The
+    ranks come from one stable sort and the periods from one comparison
+    per shift over all the words.  Under table1 at n = 1000 a full 5-mer
+    scan takes about 0.03 s by clump, 0.012 s by bnn and 0.0024 s by bv;
+    a 6-mer scan takes about 0.18 s by clump, 0.085 s by bnn and 0.007 s
+    by bv (one BLAS thread on a shared 2-core host).
     """
     if k < 2:
         raise ValueError("scan needs k >= 2")
-    exposure = n * params.max_mutation()
-    if exposure > REGIME_LIMIT:
-        warnings.warn("n times the mutation rate is %.3g; the "
-                      "single-mutation regime ends around 1e-2" % exposure,
-                      stacklevel=2)
+    _check_regime(n, params)
     symbols = params.alphabet.symbols
     words = ["".join(t) for t in iproduct(symbols, repeat=k)]
     # letter i of every word, in the order of iproduct

@@ -18,6 +18,7 @@ from kmerwait.automata import (
     _decay,
     _det_one_minus_y,
     _float_walk,
+    _hit_share,
     _kmp_tables,
     _pair_matrices,
     _row0_powers,
@@ -497,15 +498,18 @@ def test_bnn_long_text_regression(table1):
     assert abs(p - pm) / pm < 1e-8
 
 
-@pytest.mark.parametrize("word,n", [("CCCCC", 10 ** 6), ("ACGTA", 10 ** 6),
-                                    ("CCCCC", 10 ** 7)])
+@pytest.mark.parametrize("word,n", [
+    ("CCCCC", 10 ** 6), ("ACGTA", 10 ** 6),
+    *((w, n) for w in ("ACGTA", "AAAAA", "CCCCC", "ACGTACGT")
+      for n in (10 ** 7, 10 ** 8))])
 def test_bnn_long_texts_match_shadow(table1, word, n):
-    # float64 error grows like n times the machine epsilon: ~1e-10 at 1e6,
-    # ~1e-9 at 1e7
+    # the linear law, certified at 128 letters, carries the rounding of its
+    # readings alone: within 1e-14 of the shadow on these words at every n,
+    # where powers run to n were off by about n eps (5e-9 on CCCCC at 1e8)
     p = bnn_probability(word, n, table1)
     pm = float(bnn_decimal(word, n, table1))
     assert 0.0 < p < 1.0
-    assert abs(p - pm) / pm < 1e-8
+    assert abs(p - pm) / pm < 1e-13
 
 
 def test_bnn_shadow_at_1e8(table1):
@@ -514,7 +518,7 @@ def test_bnn_shadow_at_1e8(table1):
     p = bnn_probability("AC", 10 ** 8, table1)
     pm = float(bnn_decimal("AC", 10 ** 8, table1))
     assert 0.0 < pm < 1.0
-    assert abs(p - pm) / pm < 1e-7
+    assert abs(p - pm) / pm < 1e-13
 
 
 def test_bnn_probability_out_of_range_raises(table1):
@@ -652,18 +656,29 @@ def table1_sample(k):
     return words if k <= 3 else words[::37] + [c * k for c in "ACGT"]
 
 
+def direct_bnn(words, n, params):
+    """p_n of each word by row 0 of the n-th power of its pair matrix
+    (_row0_powers), bnn_scan's fallback, over one stack of the words."""
+    k = len(words[0])
+    pair = _pair_matrices(_kmp_tables(words, params.alphabet),
+                          params.bnn_weights[1])
+    return _hit_share(_row0_powers(pair, n), k).tolist()
+
+
 @pytest.mark.parametrize("model,k,lengths", [
     *(("table1", k, (k, 1000, 10 ** 6, 10 ** 8)) for k in range(2, 7)),
     *((m, 6, (6, 30, 1000, 10 ** 8)) for m in ("binu", "toy_eps", "skewed"))])
 def test_bnn_on_demand_rescale_is_exact(request, monkeypatch, model, k,
                                         lengths):
     # rescaling only when a mass drifts out of its window gives bitwise the
-    # values of rescaling after every product
+    # values of rescaling after every product: the powers that bnn_scan
+    # falls back on, run to n on the pair stacks of its reversal classes
     params = request.getfixturevalue(model)
     if model == "table1":
         words = table1_sample(k)
     else:
         words = ["".join(t) for t in product("AC", repeat=k)]
+    runs = [min(w, w[::-1]) for w in words]
     fired = []
     rescale = automata._rescale
 
@@ -673,14 +688,83 @@ def test_bnn_on_demand_rescale_is_exact(request, monkeypatch, model, k,
     monkeypatch.setattr(automata, "_rescale", counting)
     for n in lengths:
         fired.clear()
-        assert bnn_scan(words, n, params) == every_product_bnn(words, n,
-                                                               params)
+        assert direct_bnn(runs, n, params) == every_product_bnn(words, n,
+                                                                params)
         # no mass leaves its window in k letters; by 1e8 letters every
         # model's masses have, and the skewed model's already by 1000
         if n == k:
             assert not fired
         if n == 10 ** 8 or model == "skewed" and n >= 1000:
             assert fired
+
+
+def dna_classes(k):
+    return sorted({min(w, w[::-1])
+                   for w in map("".join, product("ACGT", repeat=k))})
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The stack sizes that bnn_scan hands to _row0_powers, its fallback."""
+    sizes = []
+    powers = automata._row0_powers
+
+    def counting(x, n, squares=None):
+        sizes.append(len(x))
+        return powers(x, n, squares)
+    monkeypatch.setattr(automata, "_row0_powers", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [1000, 10 ** 4])
+def test_bnn_law_matches_direct_powers(table1, fallbacks, n):
+    # every DNA 5-mer class certifies its law and runs no powers to n;
+    # those powers carry their own rounding of about n eps, up to 7.6e-13
+    # at 1e4
+    words = dna_classes(5)
+    law = bnn_scan(words, n, table1)
+    assert not fallbacks
+    want = direct_bnn(words, n, table1)
+    assert max(abs(p - q) / q for p, q in zip(law, want)) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def lopsided(ac):
+    """Binary model with nu = 1/10 : 9/10, p(A -> C) = 1/2 and
+    p(C -> A) = 1/100."""
+    p1 = {"A": {"A": F(1, 2), "C": F(1, 2)},
+          "C": {"A": F(1, 100), "C": F(99, 100)}}
+    return ModelParams(ac, {"A": F(1, 10), "C": F(9, 10)}, p1,
+                       name="lopsided")
+
+
+@pytest.mark.parametrize("word,model", [("AA", "binu"), ("AAC", "binu"),
+                                        ("AACCC", "binu"),
+                                        ("CCCC", "lopsided"),
+                                        ("CCCCC", "lopsided")])
+def test_bnn_fallback_is_direct_powers(request, fallbacks, word, model):
+    # the gap B' of the block where both texts avoid is 1 for AA and AAC
+    # under binary-uniform, and 0.79 and 0.81 for CCCC and CCCCC under
+    # lopsided, whose p reaches 1 in float before a line certifies.  The
+    # rounding of a reading grows like eps / (1 - p), and AACCC under
+    # binary-uniform has 1 - p = 3e-4 at 256 letters: its readings pass
+    # the check at m / 4 there (1.7e-13 against 1.9e-13), and only the
+    # probe at m + 1 turns the line down (8.7e-13 against 8.1e-13).  Each
+    # word reads its line and fails, then takes the powers to n, bitwise
+    params = request.getfixturevalue(model)
+    for n in (128, 1000):
+        fallbacks.clear()
+        assert bnn_scan([word], n, params) == direct_bnn([word], n, params)
+        assert fallbacks == [1]
+
+
+@pytest.mark.parametrize("n", [5, 100, 255])
+def test_bnn_short_texts_take_direct_powers(table1, fallbacks, n):
+    # a DNA 5-mer certifies at 128 letters, and only at n >= 256, where the
+    # probe at 129 still fits in n / 2: every class takes the powers to n
+    words = dna_classes(5)
+    assert bnn_scan(words, n, table1) == direct_bnn(words, n, table1)
+    assert sum(fallbacks) == len(words)
 
 
 @pytest.mark.parametrize("model,k,lengths", [
@@ -731,7 +815,7 @@ def test_clump_walk_one_letter_word_stops_at_once(table1):
     assert _clump_walk(c, 1, 30)[2].tolist() == [2]
 
 
-@pytest.mark.parametrize("n", [1000, 10 ** 6])
+@pytest.mark.parametrize("n", [1000, 10 ** 6, 10 ** 7])
 def test_bnn_scan_matches_single_words(table1, n):
     words = ["".join(t) for t in product("ACGT", repeat=5)]
     assert bnn_scan(words, n, table1) == [bnn_probability(w, n, table1)
@@ -749,19 +833,38 @@ def test_bnn_scan_spans_stacks(request, model):
                                               for w in words]
 
 
-def test_bnn_scan_spans_capped_stacks(toy_eps, monkeypatch):
+def capped_scan_is_single_words(params, lengths, monkeypatch):
     # a cap of ten 42 x 42 pair matrices cuts the 36 reversal classes of
     # the binary 6-mers into four stacks, the last one short
     words = ["".join(t) for t in product("AC", repeat=6)]
-    alone = {n: [bnn_probability(w, n, toy_eps) for w in words]
-             for n in (6, 1000)}
+    alone = {n: [bnn_probability(w, n, params) for w in words]
+             for n in lengths}
     monkeypatch.setattr(automata, "_STACK_ENTRIES", 10 * 42 * 42)
     for n, want in alone.items():
-        assert bnn_scan(words, n, toy_eps) == want
+        assert bnn_scan(words, n, params) == want
+
+
+def test_bnn_scan_spans_capped_stacks(toy_eps, monkeypatch):
+    # every word certifies its law at 256 letters, or at 6 takes the
+    # powers to n
+    capped_scan_is_single_words(toy_eps, (6, 1000, 10 ** 7), monkeypatch)
+
+
+def test_bnn_scan_words_leave_capped_stacks_apart(skewed, fallbacks,
+                                                 monkeypatch):
+    # the words of a stack certify their laws at 64 to 2048 letters, so
+    # they leave it after different squarings, and at 1000 the last of
+    # them takes the powers to n.  By 2048 letters a mass has left its
+    # window, and only the rescale lets that word certify.
+    capped_scan_is_single_words(skewed, (6, 1000, 10 ** 4), monkeypatch)
+    fallbacks.clear()
+    bnn_scan(["".join(t) for t in product("AC", repeat=6)], 10 ** 4, skewed)
+    assert not fallbacks
 
 
 @pytest.mark.parametrize("word,model,n", [("ACGTA", "table1", 1000),
                                           ("CCCCT", "table1", 1000),
+                                          ("ACGTA", "table1", 10 ** 7),
                                           ("AACA", "binu", 30)])
 def test_bnn_reversal_symmetry(request, word, model, n):
     # letters are i.i.d. and mutate independently per position, so a word
@@ -773,10 +876,10 @@ def test_bnn_reversal_symmetry(request, word, model, n):
     pm, pr = bnn_decimal(word, n, params), bnn_decimal(back, n, params)
     assert abs(pm - pr) / pm < 1e-30
     assert bnn_probability(word, n, params) == bnn_probability(back, n, params)
-    # the larger word takes its reversal's value, still within the
-    # kernel's n eps rounding of its own shadow
+    # the larger word takes its reversal's value, still within 1e-13 of its
+    # own shadow
     assert abs(bnn_probability(max(word, back), n, params)
-               - float(pr if back > word else pm)) / float(pm) < 1e-12
+               - float(pr if back > word else pm)) / float(pm) < 1e-13
 
 
 @pytest.mark.parametrize("k,runs", [(4, 136), (5, 544)])
