@@ -760,8 +760,8 @@ def test_bnn_fallback_is_direct_powers(request, fallbacks, word, model):
 
 @pytest.mark.parametrize("n", [5, 100, 255])
 def test_bnn_short_texts_take_direct_powers(table1, fallbacks, n):
-    # a DNA 5-mer certifies at 128 letters, and only at n >= 256, where the
-    # probe at 129 still fits in n / 2: every class takes the powers to n
+    # a DNA 5-mer certifies at 128 letters, which the law reads only where
+    # 128 <= n / 2: below 256 letters every class takes the powers to n
     words = dna_classes(5)
     assert bnn_scan(words, n, table1) == direct_bnn(words, n, table1)
     assert sum(fallbacks) == len(words)
