@@ -633,7 +633,7 @@ def _in_range(p):
 def bnn_probability(b, n, params):
     """First-appearance probability p_n of one word: bnn_scan([b], n,
     params)[0]; raises ArithmeticError if it is not in (0, 1).  A DNA
-    5-mer under table1 costs about 0.15 ms at every n from 1e3 to 1e8,
+    5-mer under table1 costs about 0.16 ms at every n from 1e3 to 1e8,
     since its law certifies at 2**7 letters."""
     return _in_range(bnn_scan([b], n, params)[0])
 
@@ -679,11 +679,13 @@ def bnn_scan(words, n, params):
     table1, and extends it to n: a scan costs the same at n = 1e3 as at
     1e8, and against oracle.bnn_decimal its relative error stays near
     1e-14 at every n.  A word that does not certify by letter n / 2,
-    every word at a shorter n among them, takes row 0 of its n-th power
-    by stacked binary exponentiation (_row0_powers), whose relative error
-    grows like n times the machine epsilon.  Both routes rescale a stack
-    by powers of two only when a mass drifts, so the mass never
-    underflows, and a word's value does not depend on its stack mates.
+    every word at a shorter n among them, goes on from the squares already
+    made to row 0 of its n-th power by stacked binary exponentiation
+    (_row0_powers), whose relative error grows like n times the machine
+    epsilon; it pays for each squaring once, so its readings are all that
+    the law costs it.  The powers are rescaled by powers of two only when
+    a mass drifts, so the mass never underflows, and a word's value does
+    not depend on its stack mates.
     oracle.bnn_decimal, which divides by a power of the avoidance matrix
     of its own, is the 40-digit shadow of this quotient.
     """
@@ -697,13 +699,7 @@ def bnn_scan(words, n, params):
     for start in range(0, len(runs), step):
         pair = _pair_matrices(_kmp_tables(runs[start:start + step], alphabet),
                               wgt)
-        p = _bnn_law(pair, k, n, squares)
-        left = [i for i, v in enumerate(p) if v is None]
-        if left:
-            u = _row0_powers(pair[left], n, squares)
-            for i, v in zip(left, _hit_share(u, k).tolist()):
-                p[i] = v
-        out += p
+        out += _bnn_law(pair, k, n, squares)
     value = dict(zip(runs, out))
     return [value[c] for c in classes]
 
@@ -717,38 +713,46 @@ def _hit_share(u, k):
 
 def _bnn_law(pair, k, n, squares):
     """Per word of the stack pair of pair matrices (_pair_matrices), as a
-    list, its BNN value at text length n by its certified linear law, or
-    None for a word that does not certify.
+    list, its BNN value at text length n: by its certified linear law, or,
+    for a word that does not certify, by row 0 of the n-th power of its
+    pair matrix, bitwise what _row0_powers(pair, n) gives.
 
     x_m = -log(1 - p_m) = a m + b up to terms that decay like B'**m, B'
     the gap of the block where original and mutant both avoid.  The loop
-    squares the stack, rescaling it as _row0_powers does, and reads x at
-    each power of two m off row 0 of the square itself (_law_reading),
-    from the least one that is at least 2k: the first hits land at letter
-    k, so earlier readings only cost.  A word certifies at m when the line
-    through its readings at m / 2 and m passes its reading at m / 4, and
-    its x at m + 1 (row 0 of the square times pair once), each within
-    LAW_TOL of that reading; its value is then -expm1(-(a n + b)), and it
-    leaves the stack.  The probe reads the line off the powers of two: it
-    turns down a term whose period divides m / 4, which those readings
-    alone would miss, and readings near p = 1, whose rounding grows like
-    eps / (1 - p).  A reading of 0 never certifies, nor does one of p = 1,
-    which is x = inf.  Squaring stops before m passes n / 2, and does not
-    start when n is too short for a third reading.  Every operation acts
-    on the rows of one word, so a word's readings do not depend on its
-    stack mates.
+    takes the first steps of _row0_powers: it squares the stack with the
+    same rescale and multiplies the squares that the bits of n ask for
+    into u.  From the least power of two m that is at least 2k (the first
+    hits land at letter k, so earlier readings only cost) it reads x off
+    row 0 of each square itself (_law_reading).  A word certifies at m
+    when the line through its readings at m / 2 and m passes its reading
+    at m / 4, and its x at m + 1 (row 0 of the square times pair once),
+    each within LAW_TOL of that reading; its value is then
+    -expm1(-(a n + b)), and it leaves the stack.  The probe reads the line
+    off the powers of two: it turns down a term whose period divides
+    m / 4, which those readings alone would miss, and readings near p = 1,
+    whose rounding grows like eps / (1 - p).  A reading of 0 never
+    certifies, nor does one of p = 1, which is x = inf.
+
+    Reading stops before m passes n / 2, and does not start when n is too
+    short for a third reading.  The words still in the stack then go on
+    from their last square and their u through the rest of _row0_powers,
+    so no squaring is done twice: a word that does not certify costs its
+    readings and no more.  Every operation acts on the rows of one word,
+    so a word's value does not depend on its stack mates.
     """
     count, size = len(pair), pair.shape[2]
     law = [None] * count
     first = 1 << (2 * k - 1).bit_length()
-    if 8 * first > n:
-        return law
     live = list(range(count))
-    bufs = [squares[0, :count], squares[1, :count]]
     one = np.ones(size * size)
-    y, m, reads = pair, 1, []
+    bufs = [squares[0, :count], squares[1, :count]]
+    y, u, m, reads = pair, None, 1, []
     with np.errstate(divide="ignore", invalid="ignore"):
-        while live and 4 * m <= n:
+        while live and 8 * first <= n and 4 * m <= n:
+            if n & m:
+                # _row0_powers' step for this bit of n
+                u = y[:, :1].copy() if u is None else np.matmul(u, y)
+                _drift(u, one)
             y = np.matmul(y, y, out=bufs[bufs[0] is y])
             _drift(y, one)
             m *= 2
@@ -774,10 +778,15 @@ def _bnn_law(pair, k, n, squares):
                 keep = [i for i in range(len(live)) if i not in done]
                 live = [live[i] for i in keep]
                 if not live:
-                    break
+                    return law
                 pair, y = pair[keep], y[keep]
+                if u is not None:
+                    u = u[keep]
                 reads = [[r[i] for i in keep] for r in reads[-2:]]
                 bufs = [squares[0, :len(keep)], squares[1, :len(keep)]]
+    for i, v in zip(live, _hit_share(_row0_powers(y, n // m, squares, u),
+                                     k).tolist()):
+        law[i] = v
     return law
 
 
@@ -1016,10 +1025,12 @@ def _pair_matrices(table, wgt):
     return np.bincount(at.ravel(), weight, size)[:size].reshape(count, s, s)
 
 
-def _row0_powers(x, n, squares=None):
+def _row0_powers(x, n, squares=None, u=None):
     """Row 0 of the n-th power of each slice of the matrix stack x, each
     times a power of two of its own: callers read only ratios within a
-    slice.
+    slice.  Given u, a stack of row vectors, one per slice, it returns
+    u x**n instead, each slice up to its power of two: _bnn_law hands on
+    the squares it has made that way.
 
     Binary exponentiation whose products every word of the stack shares.
     A product is rescaled only when the mass of one of its slices leaves
@@ -1037,18 +1048,19 @@ def _row0_powers(x, n, squares=None):
 
     The squares take turns in the two stacks of squares, an array of shape
     (2, m, size, size) with m >= len(x), and the vectors in two buffers of
-    their own, so that no product takes fresh memory; the caller's x is
-    only read.  A scan passes one squares array for all its stacks, since
-    fresh memory for every stack costs a page fault per 4 KB (about
-    14,000 of them in a 6-mer bnn_scan).  Without it, the pair is made
-    here.
+    their own, so that no product takes fresh memory; the caller's x and u
+    are only read, and x may be one of the two stacks.  A scan passes one
+    squares array for all its stacks, since fresh memory for every stack
+    costs a page fault per 4 KB (about 14,000 of them in a 6-mer
+    bnn_scan).  Without it, the pair is made here.
     """
     count, size = len(x), x.shape[2]
     one = np.ones(size * size)
-    u = None
     if squares is None:
         squares = np.empty((2, *x.shape))
     squares = [squares[0, :count], squares[1, :count]]
+    if np.may_share_memory(squares[0], x):
+        squares.reverse()
     rows = [np.empty((count, 1, size)) for _ in range(2)]
 
     while True:

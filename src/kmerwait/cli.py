@@ -9,6 +9,7 @@ identical invocations produce identical bytes.
 import argparse
 import csv
 import sys
+import warnings
 
 from .automata import clump_automaton, clump_series, \
     gf_from_clump_automaton, to_dot
@@ -420,14 +421,23 @@ def build_parser():
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None):
+    # the message alone, as errors print, not the source line that raised
+    # it, which depends on where the package is installed
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args, sys.stdout) or 0
-    except (ValueError, ArithmeticError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args, sys.stdout) or 0
+        except (ValueError, ArithmeticError, OSError) as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

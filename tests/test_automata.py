@@ -709,21 +709,37 @@ def fallbacks(monkeypatch):
     sizes = []
     powers = automata._row0_powers
 
-    def counting(x, n, squares=None):
+    def counting(x, n, squares=None, u=None):
         sizes.append(len(x))
-        return powers(x, n, squares)
+        return powers(x, n, squares, u)
     monkeypatch.setattr(automata, "_row0_powers", counting)
     return sizes
 
 
+@pytest.fixture
+def squarings(monkeypatch):
+    """The stack sizes of the squares that BNN makes: _drift checks each
+    square, and each vector, once."""
+    sizes = []
+    drift = automata._drift
+
+    def counting(y, one):
+        if y.shape[1] > 1:
+            sizes.append(len(y))
+        drift(y, one)
+    monkeypatch.setattr(automata, "_drift", counting)
+    return sizes
+
+
 @pytest.mark.parametrize("n", [1000, 10 ** 4])
-def test_bnn_law_matches_direct_powers(table1, fallbacks, n):
-    # every DNA 5-mer class certifies its law and runs no powers to n;
-    # those powers carry their own rounding of about n eps, up to 7.6e-13
-    # at 1e4
+def test_bnn_law_matches_direct_powers(table1, fallbacks, squarings, n):
+    # every DNA 5-mer class certifies its law at 128 letters, after seven
+    # squarings, and runs no powers to n; those powers carry their own
+    # rounding of about n eps, up to 7.6e-13 at 1e4
     words = dna_classes(5)
     law = bnn_scan(words, n, table1)
     assert not fallbacks
+    assert sum(squarings) == 7 * len(words)
     want = direct_bnn(words, n, table1)
     assert max(abs(p - q) / q for p, q in zip(law, want)) < 1e-12
 
@@ -742,7 +758,8 @@ def lopsided(ac):
                                         ("AACCC", "binu"),
                                         ("CCCC", "lopsided"),
                                         ("CCCCC", "lopsided")])
-def test_bnn_fallback_is_direct_powers(request, fallbacks, word, model):
+def test_bnn_fallback_is_direct_powers(request, fallbacks, squarings, word,
+                                       model):
     # the gap B' of the block where both texts avoid is 1 for AA and AAC
     # under binary-uniform, and 0.79 and 0.81 for CCCC and CCCCC under
     # lopsided, whose p reaches 1 in float before a line certifies.  The
@@ -750,21 +767,31 @@ def test_bnn_fallback_is_direct_powers(request, fallbacks, word, model):
     # binary-uniform has 1 - p = 3e-4 at 256 letters: its readings pass
     # the check at m / 4 there (1.7e-13 against 1.9e-13), and only the
     # probe at m + 1 turns the line down (8.7e-13 against 8.1e-13).  Each
-    # word reads its line and fails, then takes the powers to n, bitwise
+    # word reads its line and fails, then goes on from the squares it has
+    # to the powers to n, bitwise, so that it squares n.bit_length() - 1
+    # times in all, as the powers alone do
     params = request.getfixturevalue(model)
-    for n in (128, 1000):
+    for n in (128, 1000, 10 ** 6):
         fallbacks.clear()
-        assert bnn_scan([word], n, params) == direct_bnn([word], n, params)
+        squarings.clear()
+        p = bnn_scan([word], n, params)
         assert fallbacks == [1]
+        assert squarings == [1] * (n.bit_length() - 1)
+        assert p == direct_bnn([word], n, params)
 
 
-@pytest.mark.parametrize("n", [5, 100, 255])
-def test_bnn_short_texts_take_direct_powers(table1, fallbacks, n):
+@pytest.mark.parametrize("n", [5, 100, 200, 255])
+def test_bnn_short_texts_take_direct_powers(table1, fallbacks, squarings,
+                                            n):
     # a DNA 5-mer certifies at 128 letters, which the law reads only where
-    # 128 <= n / 2: below 256 letters every class takes the powers to n
+    # 128 <= n / 2: below 256 letters every class takes the powers to n.
+    # From 128 letters on the law reads x at 16, 32 and 64 letters first,
+    # off the squares that the powers go on from
     words = dna_classes(5)
-    assert bnn_scan(words, n, table1) == direct_bnn(words, n, table1)
+    p = bnn_scan(words, n, table1)
     assert sum(fallbacks) == len(words)
+    assert sum(squarings) == len(words) * (n.bit_length() - 1)
+    assert p == direct_bnn(words, n, table1)
 
 
 @pytest.mark.parametrize("model,k,lengths", [

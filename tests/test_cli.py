@@ -47,11 +47,12 @@ def test_wait_clump_long_text(capsys):
     # the CLUMP walk stops once it has mixed, so 1e7 letters cost as
     # much as 1e3; the answer is the growth law C1 n + C2.  The exposure
     # n max rate is 0.217 here, past the single-mutation regime, and wait
-    # warns of it as scan does
-    with pytest.warns(UserWarning, match="single-mutation regime"):
-        rc, out, err = run(capsys, "wait", "CCCCC", "--length", "10000000",
-                           "--method", "clump", "--csv")
-    assert rc == 0 and err == ""
+    # warns of it as scan does, with the message alone
+    rc, out, err = run(capsys, "wait", "CCCCC", "--length", "10000000",
+                       "--method", "clump", "--csv")
+    assert rc == 0
+    assert err == ("warning: n times the mutation rate is 0.217; the "
+                   "single-mutation regime ends around 1e-2\n")
     row = out.splitlines()[1].split(",")
     assert row[:3] == ["CCCCC", "10000000", "CLUMP"]
     a = asymptotics("CCCCC", load_params("table1"))
@@ -256,9 +257,14 @@ def test_asym_dna(capsys):
 def test_error_paths(capsys, argv, needle):
     rc, out, err = run(capsys, *argv)
     assert rc == 1 and out == ""
-    assert err.startswith("error: ")
+    # binary-uniform mutates every letter at rate 1, so its CLUMP scan at
+    # n = 100 warns of the regime on the line before its error
+    warned = ("warning: n times the mutation rate is 100; the "
+              "single-mutation regime ends around 1e-2\n"
+              if argv[0] == "scan" and "binary-uniform" in argv else "")
+    assert err.startswith(warned + "error: ")
     assert needle in err
-    assert err.count("\n") == 1
+    assert err.count("\n") == 1 + warned.count("\n")
 
 
 def test_scan_top_checked_before_scanning(capsys, monkeypatch):
@@ -270,6 +276,24 @@ def test_scan_top_checked_before_scanning(capsys, monkeypatch):
                        "--method", "clump", "--top", "0")
     assert rc == 1 and out == ""
     assert err == "error: --top must be at least 1\n"
+
+
+def test_warnings_print_their_message_alone(capsys):
+    # past the single-mutation regime scan and wait by BV or CLUMP warn on
+    # stderr in the form of the errors, whatever the install path; BNN,
+    # exact in the model, stays quiet
+    regime = ("warning: n times the mutation rate is 2.17; the "
+              "single-mutation regime ends around 1e-2\n")
+    rc, out, err = run(capsys, "scan", "--k", "2", "--length", "100000000",
+                       "--method", "bv", "--csv")
+    assert rc == 0 and err == regime
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-m", "kmerwait.cli", "wait",
+                           "AC", "--length", "100000000", "--method",
+                           "clump"], capture_output=True, text=True,
+                          env=env, stdin=subprocess.DEVNULL)
+    assert done.returncode == 0
+    assert done.stderr == regime
 
 
 def test_bad_method_rejected_by_parser(capsys):
