@@ -733,12 +733,14 @@ def _bnn_law(pair, k, n, squares):
     whose rounding grows like eps / (1 - p).  A reading of 0 never
     certifies, nor does one of p = 1, which is x = inf.
 
-    Reading stops before m passes n / 2, and does not start when n is too
-    short for a third reading.  The words still in the stack then go on
-    from their last square and their u through the rest of _row0_powers,
-    so no squaring is done twice: a word that does not certify costs its
-    readings and no more.  Every operation acts on the rows of one word,
-    so a word's value does not depend on its stack mates.
+    Reading stops before m passes n / 2, or once no word's last reading
+    lies in (0, inf): at p = 1 in float a word's later readings are only
+    rounding.  It does not start when n is too short for a third reading.
+    The words still in the stack then go on from their last square and
+    their u through the rest of _row0_powers, so no squaring is done
+    twice: a word that does not certify costs its readings and no more.
+    Every operation acts on the rows of one word, so a word's value does
+    not depend on its stack mates.
     """
     count, size = len(pair), pair.shape[2]
     law = [None] * count
@@ -759,6 +761,8 @@ def _bnn_law(pair, k, n, squares):
             if m < first:
                 continue
             reads.append(_law_reading(y, k))
+            if not any(0.0 < x < math.inf for x in reads[-1]):
+                break
             if len(reads) < 3:
                 continue
             slope = [(last - half) / (m // 2)

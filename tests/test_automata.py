@@ -780,6 +780,27 @@ def test_bnn_fallback_is_direct_powers(request, fallbacks, squarings, word,
         assert p == direct_bnn([word], n, params)
 
 
+@pytest.mark.parametrize("word,model", [("AA", "binu"),
+                                        ("CCCC", "lopsided")])
+def test_bnn_spent_words_stop_reading(request, monkeypatch, word, model):
+    # AA reads x from 4 letters on and CCCC from 8, and they read p = 1 in
+    # float (x = inf) at 128 and 256 letters, after which their readings
+    # are rounding (36.04, nan, ...): a stack whose words all read inf
+    # reads no more and goes on to the powers
+    params = request.getfixturevalue(model)
+    seen = []
+    reading = automata._law_reading
+
+    def counting(u, k):
+        seen.append(reading(u, k))
+        return seen[-1]
+    monkeypatch.setattr(automata, "_law_reading", counting)
+    p = bnn_scan([word], 10 ** 6, params)
+    assert len(seen) == 6 and seen[-1] == [math.inf]
+    assert math.inf not in sum(seen[:-1], [])
+    assert p == direct_bnn([word], 10 ** 6, params)
+
+
 @pytest.mark.parametrize("n", [5, 100, 200, 255])
 def test_bnn_short_texts_take_direct_powers(table1, fallbacks, squarings,
                                             n):
