@@ -590,11 +590,12 @@ def gf_from_clump_automaton(ca, nu):
 # at most this many matrix entries: 36 words of length 5, 18 of length 6
 # and one word at a time from length 11 on, so that the memory of a scan
 # does not grow with the number of words.  Per full 6-mer bnn_scan under
-# table1 at n = 1000, and the same at n = 1e7, as its laws certify at 2**7
-# letters (one BLAS thread, shared 2-core host, best of 9, two runs), a cap
-# of 1 << 13 took 0.14 s, 1 << 14 0.096 s, 1 << 15 0.081 s, 1 << 16
-# 0.075-0.078 s, 1 << 17 0.076-0.081 s and 1 << 18 0.085-0.093 s: four
-# times the stack memory would buy about 5%.  A full 6-mer clump_scan
+# table1 at n = 1000 (one BLAS thread, shared 2-core host, best of 9, two
+# runs), a cap of 1 << 13 took 0.15 s, 1 << 14 0.10 s, 1 << 15 0.085 s,
+# 1 << 16 0.079-0.080 s, 1 << 17 0.080-0.081 s and 1 << 18 0.092 s: four
+# times the stack memory would buy about 5%.  At n = 1e7 each took about
+# 4% less, as its laws certify at 2**7 letters and 1e7 has no 1 bit below
+# 2**7 to multiply into the powers' vector first.  A full 6-mer clump_scan
 # (best of 5, medians over six runs, with the jump over the walk's
 # transient and the one-scatter build of _clump_matrices) took 0.33 s at
 # 1 << 13, 0.16 s at 1 << 15, 0.13 s at 1 << 17 and 0.17 s at 1 << 19:

@@ -379,18 +379,18 @@ def scan_kmers(k, n, params, method="BNN"):
     squarings to letter 32, then 2 to 5 stacked matrix-vector steps over
     k (k + 1) pair states for k = 5 and 6, whatever n.  bnn runs
     automata.bnn_scan: seven stacked squarings per stack of pair
-    matrices, a matrix-vector product for each bit of n below 2**7 and
-    one more, after which every DNA 5-mer and 6-mer under table1
+    matrices, a matrix-vector product for each 1 bit of n below 2**7 and
+    one for the probe, after which every DNA 5-mer and 6-mer under table1
     certifies its linear law and extends it to n, whatever n from 256 on;
     at shorter n the squarings go on to about 2 log2(n) stacked products
-    in all.  bv
-    runs one series per letter composition (56 for k = 5, 84 for k = 6),
-    keyed by the sorted letter codes that also give the periods.  The
-    ranks come from one stable sort and the periods from one comparison
-    per shift over all the words.  Under table1 at n = 1000 a full 5-mer
-    scan takes about 0.03 s by clump, 0.012 s by bnn and 0.0024 s by bv;
-    a 6-mer scan takes about 0.18 s by clump, 0.09 s by bnn and 0.007 s
-    by bv (one BLAS thread on a shared 2-core host).
+    in all.  bv runs one series per letter composition (56 for k = 5, 84
+    for k = 6), keyed by the sorted letter codes that also give the
+    periods.  The ranks come from one stable sort and the periods from
+    one comparison per shift over all the words.  Under table1 at
+    n = 1000 a full 5-mer scan takes about 0.03 s by clump, 0.012 s by
+    bnn and 0.0024 s by bv; a 6-mer scan takes about 0.18 s by clump,
+    0.09 s by bnn and 0.007 s by bv (one BLAS thread on a shared 2-core
+    host).
     """
     if k < 2:
         raise ValueError("scan needs k >= 2")
