@@ -1054,7 +1054,9 @@ def _row0_powers(x, n, squares=None, u=None):
     The squares take turns in the two stacks of squares, an array of shape
     (2, m, size, size) with m >= len(x), and the vectors in two buffers of
     their own, so that no product takes fresh memory; the caller's x and u
-    are only read, and x may be one of the two stacks.  A scan passes one
+    are only read, unless x is one of the two stacks, as _bnn_law hands it
+    on: the first square then goes to the other one, and the second
+    overwrites x.  A scan passes one
     squares array for all its stacks, since fresh memory for every stack
     costs a page fault per 4 KB (about 14,000 of them in a 6-mer
     bnn_scan).  Without it, the pair is made here.
