@@ -3,36 +3,31 @@
 Two constructions live here.  The pattern automaton of a single word,
 built as rows of letter indices by _kmp_tables, serves the two
 first-appearance numbers: bnn_scan tracks the original text and its
-one-step mutant as a pair of pattern states, and clump_scan walks the
-same pair states to the term of that quotient that is first order in the
-mutation rate, the CLUMP value.  The clump automaton walks the overlap
-structure of the mutation neighborhood d(b) and carries a t mark on
-transitions that reveal a fresh putative-hit position.  Its transfer
-matrix serves the exact census and moment series, and the closed-form
-generating function, which the word-language route reproduces, the point
-of building both.  The growth constants of evolution.asymptotics read the
-blocks of clump_scan's step matrices and are certified by its walk.
+one-step mutant as a pair of pattern states, and clump_scan takes over
+the same pair states the term of that quotient that is first order in
+the mutation rate, the CLUMP value.  Both run one law kernel (_law): it
+squares a stack of step matrices until a reading off row 0 of the
+squares certifies its linear law, and takes row 0 of the n-th power where
+none does.  The clump automaton walks the overlap structure of the
+mutation neighborhood d(b) and carries a t mark on transitions that
+reveal a fresh putative-hit position.  Its transfer matrix serves the
+exact census and moment series, and the closed-form generating function,
+which the word-language route reproduces, the point of building both.
+The growth constants of evolution.asymptotics read the blocks of
+clump_scan's step matrices and are certified by the kernel's lines over
+the same matrices.
 """
 
 import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import index
 
 import numpy as np
 
 from .gfcore import Poly, RatFun
 from .words import check_text_length, check_type, letter_distribution, \
     neighbors
-
-# The CLUMP walk of clump_scan jumps to the first power of two at which
-# the terms its linear law leaves out have fallen to PERRON_TOL (_decay)
-# and stops once a step changes its state by at most PERRON_TOL in l1
-# norm, relative to its size; evolution.asymptotics checks its constants
-# against the law on which that walk stops, within 1e-8 of their size
-# plus PERRON_TOL.
-PERRON_TOL = 1e-15
 
 
 class Dfa:
@@ -586,21 +581,19 @@ def gf_from_clump_automaton(ca, nu):
     return RatFun(unpack(num), unpack(den))
 
 
-# A BNN pair stack, and a stack of the CLUMP walk's step matrices, holds
-# at most this many matrix entries: 36 words of length 5, 18 of length 6
-# and one word at a time from length 11 on, so that the memory of a scan
-# does not grow with the number of words.  Per full 6-mer bnn_scan under
-# table1 at n = 1000 (one BLAS thread, shared 2-core host, best of 9, two
-# runs), a cap of 1 << 13 took 0.15 s, 1 << 14 0.10 s, 1 << 15 0.085 s,
-# 1 << 16 0.079-0.080 s, 1 << 17 0.080-0.081 s and 1 << 18 0.092 s: four
-# times the stack memory would buy about 5%.  At n = 1e7 each took about
-# 4% less, as its laws certify at 2**7 letters and 1e7 has no 1 bit below
-# 2**7 to multiply into the powers' vector first.  A full 6-mer clump_scan
-# (best of 5, medians over six runs, with the jump over the walk's
-# transient and the one-scatter build of _clump_matrices) took 0.33 s at
-# 1 << 13, 0.16 s at 1 << 15, 0.13 s at 1 << 17 and 0.17 s at 1 << 19:
-# its few walk steps are bound by numpy calls, so it would take a wider
-# stack, but one cap serves both kernels.
+# A stack of the law kernel (_law), of BNN's pair matrices or of CLUMP's
+# step matrices, holds at most this many matrix entries: 36 words of
+# length 5, 18 of length 6 and one word at a time from length 11 on, so
+# that the memory of a scan does not grow with the number of words.  Per
+# full 6-mer scan under table1 at n = 1000 (one BLAS thread, shared
+# 2-core host, best of 5, two runs), clump_scan / bnn_scan took
+# 0.18/0.15 s at a cap of 1 << 13, 0.12/0.10 s at 1 << 14, 0.096/0.084 s
+# at 1 << 15, 0.087/0.075 s at 1 << 16, 0.083/0.075 s at 1 << 17 and
+# 0.09/0.085 s at 1 << 19: four times the stack memory would buy about
+# 12%.  Both kernels square seven times per stack, so one cap serves
+# both.  At n = 1e7 a BNN scan takes about 4% less, as its laws certify
+# at 2**7 letters and 1e7 has no 1 bit below 2**7 to multiply into the
+# powers' vector first.
 _STACK_ENTRIES = 1 << 15
 
 # A power stack is rescaled only when the mass of one of its slices
@@ -625,9 +618,19 @@ def _stack_words(entries):
     return max(1, _STACK_ENTRIES // entries)
 
 
+def _range_message(p):
+    """The error text for an appearance probability p outside (0, 1): p by
+    %g, or by its repr where %g would print 0 or 1 and p is neither
+    (1.0000000000000002 reads "1" by %g)."""
+    text = "%g" % p
+    if float(text) in (0.0, 1.0) and float(text) != p:
+        text = repr(float(p))
+    return "appearance probability %s is out of range" % text
+
+
 def _in_range(p):
     if not 0.0 < p < 1.0:
-        raise ArithmeticError("appearance probability %g is out of range" % p)
+        raise ArithmeticError(_range_message(p))
     return p
 
 
@@ -667,72 +670,110 @@ def bnn_scan(words, n, params):
 
     The product of the avoidance automaton (on the original sequence) with
     the pattern automaton (on the mutant) reads letter pairs, each weighted
-    by nu(a) p(a, a').  Every substitution row sums to 1 (ModelParams), so
-    the mass of row 0 of its m-th power is the avoiding mass of the
-    original, and p_m is the mass on the hit states (p, k) over that mass
-    (_hit_share).  Each reversal class runs once (_reversal_classes), in
-    stacks of pair matrices of at most _STACK_ENTRIES entries (36 words of
-    length 5, 18 of length 6), each built by one index scatter.
+    by nu(a) p(a, a'), in the pair matrices of _pair_matrices.  Every
+    substitution row sums to 1 (ModelParams), so the mass of row 0 of the
+    m-th power is the avoiding mass of the original, and p_m is the mass
+    on the hit states (p, k) over that mass (_hit_share).
 
     x_m = -log(1 - p_m) is a m + b up to terms that decay geometrically in
-    m, so _bnn_law squares a stack only until each word's readings of x
-    certify that line, at 2**7 letters on every DNA 5-mer and 6-mer under
-    table1, and extends it to n: a scan costs the same at n = 1e3 as at
-    1e8, and against oracle.bnn_decimal its relative error stays near
-    1e-14 at every n.  A word that does not certify by letter n / 2,
-    every word at a shorter n among them, goes on from the squares already
-    made to row 0 of its n-th power by stacked binary exponentiation
-    (_row0_powers), whose relative error grows like n times the machine
-    epsilon; it pays for each squaring once, so its readings are all that
-    the law costs it.  The powers are rescaled by powers of two only when
-    a mass drifts, so the mass never underflows, and a word's value does
-    not depend on its stack mates.
-    oracle.bnn_decimal, which divides by a power of the avoidance matrix
-    of its own, is the 40-digit shadow of this quotient.
+    m, so the law kernel (_law) squares a stack only until each word's
+    readings of x (_law_reading) certify that line, at 2**7 letters on
+    every DNA 5-mer and 6-mer under table1, and extends it to n: a scan
+    costs the same at n = 1e3 as at 1e8, and against oracle.bnn_decimal
+    its relative error stays near 1e-14 at every n.  A word that does not
+    certify by letter n / 2, every word at a shorter n among them, takes
+    p_n off row 0 of its n-th power (_row0_powers), whose relative error
+    grows like n times the machine epsilon.  oracle.bnn_decimal, which
+    divides by a power of the avoidance matrix of its own, is the 40-digit
+    shadow of this quotient.  _scan runs the stacks, as for clump_scan.
     """
-    alphabet = params.alphabet
-    classes, runs = _reversal_classes(words, n, alphabet, "bnn_scan")
     wgt = params.bnn_weights[1]
+    return _scan(words, n, params, "bnn_scan",
+                 lambda table: _pair_matrices(table, wgt), _law_reading,
+                 lambda x: -math.expm1(-x), _hit_share)
+
+
+def clump_scan(words, n, params):
+    """CLUMP values p_n of words of one length, in order: the term of the
+    BNN quotient that is first order in the mutation rate.
+
+    Split the BNN pair weights into W0 = diag(nu) and W1, the off-diagonal
+    nu(a) p1(a, c).  The part of the numerator that is linear in W1 is the
+    mass of the texts that avoid b and have one mutated position after
+    which the mutant contains b.  Over the avoiding mass, that is the
+    expected count E of putative hits given that the text avoids b, each
+    hit weighted by its substitution probability: the clump census's
+    value, equal to it term by term (oracle.bnn_first_order checks the
+    identity in exact arithmetic).  Over the k (k + 1) pair states of
+    _clump_matrices, E_m is the hit mass over the avoiding mass of row 0
+    of the m-th power (_hit_count), and E_m = C1 m + C2 up to terms that
+    decay like B**m, B = |lam2|/lam of the word's avoidance matrix.  So
+    CLUMP runs on bnn_scan's law kernel (_law) with E as its reading:
+    every DNA 5-mer and 6-mer class under table1 certifies its line at
+    2**7 letters, after seven squarings, and a word that does not, such as
+    one whose Perron root is not simple (AC under binary-uniform), takes
+    E_n off row 0 of its n-th power.  _scan runs the stacks, as for
+    bnn_scan.
+    """
+    nu, wgt = params.bnn_weights
+    return _scan(words, n, params, "clump_scan",
+                 lambda table: _clump_matrices(table, nu, wgt), _hit_count,
+                 float, _hit_count)
+
+
+def _scan(words, n, params, name, build, read, line, last):
+    """The values at text length n of the words of bnn_scan or of
+    clump_scan, name, in order.  build makes a stack of step matrices from
+    the words' pattern tables (_kmp_tables), and each stack runs the law
+    kernel (_law) with the reading read.  A word whose law certifies gets
+    line(x + a (n - m)), its line extended to n; a word that does not gets
+    its entry of last(rows, k), read off row 0 of its n-th power.
+
+    Each reversal class runs once (_reversal_classes), in stacks of at
+    most _STACK_ENTRIES matrix entries (36 words of length 5, 18 of length
+    6), whose squares share one buffer; a word's value does not depend on
+    its stack mates.
+    """
+    classes, runs = _reversal_classes(words, n, params.alphabet, name)
     k = len(runs[0])
     step = _stack_words((k * (k + 1)) ** 2)
-    out = []
     squares = np.empty((2, min(step, len(runs)), k * (k + 1), k * (k + 1)))
+    out = []
     for start in range(0, len(runs), step):
-        pair = _pair_matrices(_kmp_tables(runs[start:start + step], alphabet),
-                              wgt)
-        out += _bnn_law(pair, k, n, squares)
+        table = _kmp_tables(runs[start:start + step], params.alphabet)
+        lines, rows = _law(build(table), k, n, read, squares)
+        rest = iter(() if rows is None else last(rows, k).tolist())
+        out += [next(rest) if law is None
+                else line(law[0] + law[1] * (n - law[2])) for law in lines]
     value = dict(zip(runs, out))
     return [value[c] for c in classes]
 
 
-def _hit_share(u, k):
-    """p of row 0 of each slice of the stack u, over the pair states: the
-    mass on the hit states (p, k) over the total mass."""
-    row = u[:, 0]
-    return np.add.reduce(row[:, k::k + 1], 1) / np.add.reduce(row, 1)
+def _law(stack, k, n, read, squares=None):
+    """The law kernel of bnn_scan, clump_scan and evolution.asymptotics.
+    Per word of the stack of step matrices over pair states (words of
+    length k), the linear law of read, a reading taken off row 0 of its
+    powers, or row 0 of its n-th power where that law does not certify.
+    Returns (lines, rows): per word, as a list, (x, a, m), the line of
+    slope a through its reading x at letter m, or None; and the stack of
+    row 0 of the n-th power of the words with None, in order, bitwise what
+    _row0_powers(stack, n) gives them, or None when every word certifies.
 
-
-def _bnn_law(pair, k, n, squares):
-    """Per word of the stack pair of pair matrices (_pair_matrices), as a
-    list, its BNN value at text length n: by its certified linear law, or,
-    for a word that does not certify, by row 0 of the n-th power of its
-    pair matrix, bitwise what _row0_powers(pair, n) gives.
-
-    x_m = -log(1 - p_m) = a m + b up to terms that decay like B'**m, B'
-    the gap of the block where original and mutant both avoid.  The loop
-    takes the first steps of _row0_powers: it squares the stack with the
-    same rescale and multiplies the squares that the bits of n ask for
-    into u.  From the least power of two m that is at least 2k (the first
-    hits land at letter k, so earlier readings only cost) it reads x off
-    row 0 of each square itself (_law_reading).  A word certifies at m
+    Both readings, x = -log(1 - p) of BNN (_law_reading) and CLUMP's
+    conditioned hit count (_hit_count), are a m + b up to terms that decay
+    geometrically in m.  The loop takes the first steps of _row0_powers:
+    it squares the stack with the same rescale and multiplies the squares
+    that the bits of n ask for into u.  From the least power of two m that
+    is at least 2k (the first hits land at letter k, so earlier readings
+    only cost) it reads off each square itself.  A word certifies at m
     when the line through its readings at m / 2 and m passes its reading
-    at m / 4, and its x at m + 1 (row 0 of the square times pair once),
-    each within LAW_TOL of that reading; its value is then
-    -expm1(-(a n + b)), and it leaves the stack.  The probe reads the line
-    off the powers of two: it turns down a term whose period divides
-    m / 4, which those readings alone would miss, and readings near p = 1,
-    whose rounding grows like eps / (1 - p).  A reading of 0 never
-    certifies, nor does one of p = 1, which is x = inf.
+    at m / 4, and its reading at m + 1 (row 0 of the square times the step
+    matrix once), each within LAW_TOL of that reading; it then leaves the
+    stack.  The probe reads the line off the powers of two: it turns down
+    a term whose period divides m / 4, which those readings alone would
+    miss, and BNN readings near p = 1, whose rounding grows like
+    eps / (1 - p).  A reading of 0 at all four letters certifies the line
+    0, the value the powers give too; one of inf (p = 1) never certifies.
 
     Reading stops before m passes n / 2, or once no word's last reading
     lies in (0, inf): at p = 1 in float a word's later readings are only
@@ -740,16 +781,18 @@ def _bnn_law(pair, k, n, squares):
     The words still in the stack then go on from their last square and
     their u through the rest of _row0_powers, so no squaring is done
     twice: a word that does not certify costs its readings and no more.
-    Every operation acts on the rows of one word, so a word's value does
-    not depend on its stack mates.
+    Every operation acts on the rows of one word, so a word's law does not
+    depend on its stack mates.
     """
-    count, size = len(pair), pair.shape[2]
-    law = [None] * count
+    count, size = len(stack), stack.shape[2]
+    lines = [None] * count
     first = 1 << (2 * k - 1).bit_length()
     live = list(range(count))
     one = np.ones(size * size)
+    if squares is None:
+        squares = np.empty((2, *stack.shape))
     bufs = [squares[0, :count], squares[1, :count]]
-    y, u, m, reads = pair, None, 1, []
+    y, u, m, reads = stack, None, 1, []
     with np.errstate(divide="ignore", invalid="ignore"):
         while live and 8 * first <= n and 4 * m <= n:
             if n & m:
@@ -761,100 +804,66 @@ def _bnn_law(pair, k, n, squares):
             m *= 2
             if m < first:
                 continue
-            reads.append(_law_reading(y, k))
+            # lists: a stack holds few words, and numpy calls cost more
+            reads.append(read(y, k).tolist())
             if not any(0.0 < x < math.inf for x in reads[-1]):
                 break
             if len(reads) < 3:
                 continue
             slope = [(last - half) / (m // 2)
                      for half, last in zip(*reads[-2:])]
-            near = [abs(1.5 * half - 0.5 * last - quarter) < LAW_TOL * quarter
+            near = [abs(1.5 * half - 0.5 * last - quarter)
+                    <= LAW_TOL * quarter
                     for quarter, half, last in zip(*reads[-3:])]
             if not any(near):
                 continue
-            probe = _law_reading(np.matmul(y[:, :1], pair), k)
+            probe = read(np.matmul(y[:, :1], stack), k).tolist()
             done = {i for i, (ok, last, a, at) in enumerate(zip(
                 near, reads[-1], slope, probe))
-                if ok and abs(at - last - a) < LAW_TOL * at}
+                if ok and abs(at - last - a) <= LAW_TOL * at}
+            if not done:
+                continue
             for i in done:
-                law[live[i]] = -math.expm1(-(reads[-1][i]
-                                             + slope[i] * (n - m)))
-            if done:
-                keep = [i for i in range(len(live)) if i not in done]
-                live = [live[i] for i in keep]
-                if not live:
-                    return law
-                pair, y = pair[keep], y[keep]
-                if u is not None:
-                    u = u[keep]
-                reads = [[r[i] for i in keep] for r in reads[-2:]]
-                bufs = [squares[0, :len(keep)], squares[1, :len(keep)]]
-    for i, v in zip(live, _hit_share(_row0_powers(y, n // m, squares, u),
-                                     k).tolist()):
-        law[i] = v
-    return law
+                lines[live[i]] = (reads[-1][i], slope[i], m)
+            keep = [i for i in range(len(live)) if i not in done]
+            live = [live[i] for i in keep]
+            if not live:
+                return lines, None
+            stack, y = stack[keep], y[keep]
+            if u is not None:
+                u = u[keep]
+            reads = [[r[i] for i in keep] for r in reads[-2:]]
+            bufs = [squares[0, :len(keep)], squares[1, :len(keep)]]
+    return lines, _row0_powers(y, n // m, squares, u)
+
+
+def _hit_share(u, k):
+    """p of row 0 of each slice of the stack u, over the pair states of
+    _pair_matrices: the mass on the hit states (p, k) over the total
+    mass."""
+    row = u[:, 0]
+    return np.add.reduce(row[:, k::k + 1], 1) / np.add.reduce(row, 1)
 
 
 def _law_reading(u, k):
-    """x = -log(1 - p) of row 0 of each slice of the stack u, as a list."""
-    return (-np.log1p(-_hit_share(u, k))).tolist()
+    """BNN's reading x = -log(1 - p) of row 0 of each slice of the stack
+    u (_hit_share)."""
+    return -np.log1p(-_hit_share(u, k))
 
 
-def clump_scan(words, n, params):
-    """CLUMP values p_n of words of one length, in order: the term of the
-    BNN quotient that is first order in the mutation rate.
-
-    Split the BNN pair weights into W0 = diag(nu) and W1, the off-diagonal
-    nu(a) p1(a, c).  The part of the numerator that is linear in W1 is the
-    mass of the texts that avoid b and have one mutated position after
-    which the mutant contains b.  Over the avoiding mass, that is the
-    expected count of putative hits given that the text avoids b, each hit
-    weighted by its substitution probability: the clump census's value,
-    equal to it term by term (oracle.bnn_first_order checks the identity
-    in exact arithmetic).  _clump_walk runs it over the k (k + 1) pair
-    states of _clump_matrices: it jumps by squarings over the walk's
-    transient, to letter 32 on DNA 5-mers and 6-mers, and stops 2 to 5
-    steps later on a linear law, extended here to n.  Each reversal class
-    runs once (_reversal_classes), in stacks of at most _STACK_ENTRIES
-    matrix entries (36 words of length 5, 18 of length 6), whose squares
-    share one buffer; a word's value does not depend on its stack mates.
-    """
-    alphabet = params.alphabet
-    classes, runs = _reversal_classes(words, n, alphabet, "clump_scan")
-    nu, wgt = params.bnn_weights
-    k = len(runs[0])
-    step = _stack_words((k * (k + 1)) ** 2)
-    out = []
-    squares = np.empty((2, min(step, len(runs)), k * (k + 1), k * (k + 1)))
-    for start in range(0, len(runs), step):
-        table = _kmp_tables(runs[start:start + step], alphabet)
-        e, delta, m = _clump_walk(_clump_matrices(table, nu, wgt), k, n,
-                                  squares)
-        out += (e + (n - m) * delta).tolist()
-    value = dict(zip(runs, out))
-    return [value[c] for c in classes]
-
-
-def _decay(vals):
-    """(B, m) of each k x k avoidance matrix of a stack, from its
-    eigenvalues, one row of vals per matrix, as lists: B = |lam2|/lam
-    (0 for k = 1), the rate at which the terms that a quasi-linear law
-    leaves out decay, and m the letters after which B**m falls to
-    PERRON_TOL (1 once B is at most PERRON_TOL, math.inf for a root that
-    is not simple, B = 1)."""
-    mod = np.sort(np.abs(vals), axis=1)
-    decay = (mod[:, -2] / mod[:, -1] if vals.shape[1] > 1
-             else np.zeros(len(vals))).tolist()
-    return decay, [math.ceil(math.log(PERRON_TOL)
-                             / math.log(max(b, PERRON_TOL)))
-                   if b < 1 else math.inf for b in decay]
+def _hit_count(u, k):
+    """CLUMP's reading E of row 0 of each slice of the stack u, over the
+    pair states of _clump_matrices: the mass on the k hit states over the
+    mass on the k states (p, p), which hold the avoiding texts."""
+    row = u[:, 0]
+    return np.add.reduce(row[:, k:2 * k], 1) / np.add.reduce(row[:, :k], 1)
 
 
 def _clump_matrices(table, nu, wgt):
-    """Step matrices of the CLUMP walk of words of one length k, as a
-    stack, from their pattern tables and wgt, one letter-pair matrix for
-    the stack or one per word.  The states are the pair states of
-    _pair_matrices in walk order: the k states (p, p), the k hit states
+    """Step matrices of CLUMP over the pair states of words of one length
+    k, as a stack, from their pattern tables and wgt, one letter-pair
+    matrix for the stack or one per word.  The states are the pair states
+    of _pair_matrices in the order the k states (p, p), the k hit states
     (p, k), then the rest.  A row (p, p) holds the unmutated text, which
     W0 = diag(nu) keeps on the diagonal and W1 (wgt off its diagonal)
     mutates once; every other row holds a once-mutated pair and steps by
@@ -869,12 +878,12 @@ def _clump_matrices(table, nu, wgt):
     count, k = table.shape[0], table.shape[1] - 1
     s = k * (k + 1)
     p, q = np.divmod(np.arange(s), k + 1)
-    walk = np.argsort(2 * (p != q) - (q == k), kind="stable")
-    # the walk index of pair state (p, q), at p (k + 1) + q
+    order = np.argsort(2 * (p != q) - (q == k), kind="stable")
+    # the index in that order of pair state (p, q), at p (k + 1) + q
     pos = np.zeros((k + 1) ** 2, np.intp)
-    pos[walk] = np.arange(s)
+    pos[order] = np.arange(s)
     row = np.arange(0, count * s * s, s).reshape(count, s, 1)
-    orig, mut = table[:, p[walk]], table[:, q[walk]]
+    orig, mut = table[:, p[order]], table[:, q[order]]
     keep = (orig < k) & ((orig != mut) | (np.arange(s) < k)[:, None])
     orig1, mut1 = orig[:, :k, :, None], orig[:, :k, None]
     keep1 = (orig1 < k) & (orig1 != mut1)
@@ -883,100 +892,6 @@ def _clump_matrices(table, nu, wgt):
     weight = np.concatenate((np.broadcast_to(nu, keep.shape)[keep], (
         np.broadcast_to(wgt[..., None, :, :], keep1.shape)[keep1])))
     return np.bincount(at, weight, count * s * s).reshape(count, s, s)
-
-
-def _clump_walk(c, k, n, squares=None):
-    """Per word of the stack of step matrices c (_clump_matrices), the
-    law E_m + (n - m) delta_m of its CLUMP value at text length n, as the
-    arrays E_m, delta_m and m, the letter at which the walk stopped.
-
-    Per word the walk carries a row vector z over the pair states:
-    u = z[:k], the avoiding vector at mass 1, and tau = z[k:], the
-    once-mutated mass over the avoiding mass, centred on the hit states
-    by E u.  E is the expected weighted hit count conditioned on avoiding,
-    so the hit states of tau hold mass 0, and tau stays O(1) at every n.
-    One step takes y = z c: rho = |y[:k]| is the decay of the avoiding
-    mass and delta = |y[k:2k]|/rho the newly hit mass; E grows by delta,
-    with its rounding error kept by Knuth's two-sum, and the next z is
-    y/rho with delta u taken off its hit states.
-
-    The walk's transient decays like B**m, B = |lam2|/lam of the word's
-    avoidance matrix c[:k, :k] (_decay), so it jumps to letter m0, the
-    least power of two with B**m0 <= PERRON_TOL (32 on every DNA 5-mer and
-    6-mer under table1, 64 or 128 on binary words under uniform letters),
-    capped at the largest power of two up to n; a root that is not simple
-    takes the cap.  Row 0 of c**m0, by log2(m0) squarings (_row0_powers),
-    is y after m0 letters from the start, up to a power of two that the
-    division by rho takes out, and E_m0 = |y[k:2k]|/|y[:k]| is the sum of
-    the walk's deltas in exact arithmetic.  The powers run only to m0, so
-    their rounding, which grows like m0 eps, stays small; m0 depends on
-    the word alone.
-
-    From m0 on, every further letter adds nearly the same delta, so a word
-    stops at the first step m at which u moves at most PERRON_TOL in l1
-    norm, tau at most PERRON_TOL of its own l1 norm and delta at most
-    PERRON_TOL relative, but not before letter 2k: the first hits land at
-    letter k and a mutated pair resolves within k letters, so before that
-    deltas of 0 would pass the rule.  On DNA 5-mers it fires 2 to 4 steps
-    after the jump.  If it never fires, the walk runs to m = n (delta is
-    0 if the jump lands on n > 1).  The delta rule needs one step of its
-    own first, except at m0 = 1, where E_1 is delta_1.  A Perron root that
-    is not simple never meets the rule (tau's steps then decay like 1/m).
-    A word that stops leaves the stack.  Every operation acts on the rows
-    of one word, so a word's law does not depend on its stack mates.
-    """
-    count, size = c.shape[:2]
-    cap = 1 << (index(n).bit_length() - 1)
-    m0 = np.array([1 << (m - 1).bit_length() if m <= cap else cap
-                   for m in _decay(np.linalg.eigvals(c[:, :k, :k]))[1]])
-    z = np.empty((count, 1, size))
-    for j in set(m0.tolist()):
-        at = np.flatnonzero(m0 == j)
-        z[at] = _row0_powers(c[at], j, squares)
-
-    def settle(y):
-        # y over the avoiding mass with the hit states centred: the new z;
-        # returns delta
-        sums = np.add.reduceat(y[..., :2 * k], (0, k), axis=2)
-        rho = sums[..., :1]
-        new = sums[..., 1:] / rho
-        y /= rho
-        y[..., k:2 * k] -= new * y[..., :k]
-        return new
-
-    # E as hi + lo, and delta
-    hi = settle(z)
-    lo = np.zeros((count, 1, 1))
-    inc = np.where(m0[:, None, None] == 1, hi, 0.0)
-    m = m0[:, None, None]
-    law = [hi[:, 0, 0].copy(), inc[:, 0, 0].copy(), m0]
-    live = np.flatnonzero(m0 < n)
-    c, z, hi, lo, inc, m = (x[live] for x in (c, z, hi, lo, inc, m))
-    while live.size:
-        y = np.matmul(z, c)
-        new = settle(y)
-        t = hi + new
-        d = t - hi
-        lo += (hi - (t - d)) + (new - d)
-        hi = t
-        m = m + 1
-        # the delta rule is the cheapest, so the others wait for it
-        stop = np.abs(new - inc) <= PERRON_TOL * np.abs(new)
-        inc = new
-        if stop.any():
-            moved = np.add.reduceat(np.abs(y - z), (0, k), axis=2)
-            stop &= (m >= 2 * k) & (moved[..., :1] <= PERRON_TOL) & (
-                moved[..., 1:] <= PERRON_TOL * np.abs(y[..., k:]).sum(
-                    axis=2, keepdims=True))
-        stop = (stop | (m == n))[:, 0, 0]
-        z = y
-        if stop.any():
-            for out, x in zip(law, (hi + lo, inc, m)):
-                out[live[stop]] = x[stop, 0, 0]
-            keep = ~stop
-            live, c, z, hi, lo, inc, m = (x[keep] for x in
-                                          (live, c, z, hi, lo, inc, m))
-    return law
 
 
 def _kmp_tables(words, alphabet):

@@ -7,14 +7,17 @@ appears is geometric with success probability p_n, so the expected waiting
 time is 1/p_n.  Three estimates of p_n are provided: a truncated
 inclusion-exclusion sum (bv), the paired automaton quotient (bnn), and the
 clump census of putative-hit positions weighted by the mutation rates
-(clump).  The asymptotics routine takes the quasi-linear growth constants
-of the conditioned hit expectations, on any alphabet, as closed forms in
-the blocks of clump's step matrix over BNN's pair states, with dense
-linear algebra on k x k and (k^2 - k) x (k^2 - k) matrices, and
-certifies them against clump's own conditioned walk over the same
-matrices; the decay B of the terms the linear law leaves out is the
-spectral gap |lam2|/lam of the k x k avoidance matrix, which is that of
-the clump automaton's transfer matrix.
+(clump).  BNN and CLUMP run one law kernel over BNN's pair states
+(automata._law), which reads each method's quantity off squared step
+matrices until its linear law in n certifies.  The asymptotics routine
+takes the quasi-linear growth constants of the conditioned hit
+expectations, on any alphabet, as closed forms in the blocks of clump's
+step matrix over those pair states, with dense linear algebra on k x k
+and (k^2 - k) x (k^2 - k) matrices, and certifies them against the lines
+that the same kernel reads off the same matrices; the decay B of the
+terms the linear law leaves out is the spectral gap |lam2|/lam of the
+k x k avoidance matrix, which is that of the clump automaton's transfer
+matrix.
 """
 
 import math
@@ -27,8 +30,8 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .automata import PERRON_TOL, _clump_matrices, _clump_walk, _decay, \
-    _in_range, _kmp_tables, bnn_probability, bnn_scan, clump_automaton, \
+from .automata import _clump_matrices, _hit_count, _in_range, _kmp_tables, \
+    _law, _range_message, bnn_probability, bnn_scan, clump_automaton, \
     clump_moment_series, clump_scan, state_marks
 from .gfcore import QONE, QZERO, as_q
 from .words import Alphabet, check_text_length, letter_distribution, \
@@ -36,9 +39,22 @@ from .words import Alphabet, check_text_length, letter_distribution, \
 
 ROW_SUM_TOL = 1e-7
 REGIME_LIMIT = 1e-2
-# The certificate of asymptotics lets CLUMP's walk run to at most
-# 2 log(PERRON_TOL)/log(B) letters, plus the degree of Phi; 3000 letters
-# allow a gap |lam2|/lam up to about 0.977.
+# A scan holds about 360 bytes per word at its peak: the word strings,
+# their letter codes and the rows (tracemalloc over a BV scan under
+# table1: 5.5 MB for the 16,384 7-mers, 22.6 MB for the 65,536 8-mers).
+# So the cap, every DNA 9-mer, takes about 94 MB, where the DNA 14-mers
+# would ask for about 97 GB before any check.
+MAX_SCAN_WORDS = 4 ** 9
+# The certificate of asymptotics checks its constants against the lines
+# of the law kernel (automata._law) within 1e-8 of their size plus
+# PERRON_TOL.  Past L = 2 log(PERRON_TOL)/log(B) letters plus the degree
+# of Phi, the terms the law leaves out are below PERRON_TOL squared.  The
+# kernel may read up to 4 P letters, P the least power of two at least L
+# (and 2k), so that the first of its three readings at the last lies
+# past L.  A B that makes L pass PERRON_STEPS raises: 3000 letters allow
+# a gap |lam2|/lam up to about 0.977, and the kernel then squares to at
+# most 2**14 letters.
+PERRON_TOL = 1e-15
 PERRON_STEPS = 3000
 
 
@@ -291,13 +307,16 @@ def clump_probability(b, n, params):
     putative hits then materialize essentially independently and at most
     one does per generation: it is the term of the BNN quotient that is
     first order in the rates, and automata.clump_scan([b], n, params)
-    computes it that way, by a float64 walk over BNN's pair states.  The
-    walk jumps over its transient by squarings, stops once it has mixed
-    and extends the quasi-linear law C1 n + C2 to n, so a call costs five
-    squarings and 2 to 4 steps over k (k + 1) states on every DNA 5-mer
-    under table1, at n = 1e3 as at 1e7.  A word and its reversal get
-    bitwise the same float.  A value outside (0, 1) raises
-    ArithmeticError: at n = 100 under binary-uniform AA's is 44.4.
+    computes it that way, in float64 over BNN's pair states.  It squares
+    the step matrix until the conditioned hit count read off the squares
+    certifies its quasi-linear law C1 n + C2, and extends that law to n:
+    seven squarings of a 30 x 30 matrix on every DNA 5-mer under table1,
+    about 0.19 ms at any n from 256 on (one BLAS thread, shared 2-core
+    host).  A word that does not certify, every word at a shorter n among
+    them, takes its value off row 0 of the n-th power, by about log2(n)
+    squarings.  A word and its reversal get bitwise the same float.  A
+    value outside (0, 1) raises ArithmeticError: at n = 100 under
+    binary-uniform AA's is 44.4.
     """
     return _in_range(clump_scan([b], n, params)[0])
 
@@ -373,29 +392,33 @@ def scan_kmers(k, n, params, method="BNN"):
     the largest mutation rate exceeds 1e-2, the regime where the
     single-mutation picture starts to degrade, and raises ArithmeticError
     naming the method and the first word, in alphabet order, whose p_n is
-    not in (0, 1).  clump and bnn run once per reversal class (544 of
-    1024 5-mers, 2080 of 4096 6-mers), in stacks of 36 (k = 5) or 18
-    (k = 6) words.  clump runs automata.clump_scan: five stacked
-    squarings to letter 32, then 2 to 5 stacked matrix-vector steps over
-    k (k + 1) pair states for k = 5 and 6, whatever n.  bnn runs
-    automata.bnn_scan: seven stacked squarings per stack of pair
-    matrices, a matrix-vector product for each 1 bit of n below 2**7 and
-    one for the probe, after which every DNA 5-mer and 6-mer under table1
-    certifies its linear law and extends it to n, whatever n from 256 on;
-    at shorter n the squarings go on to about 2 log2(n) stacked products
-    in all.  bv runs one series per letter composition (56 for k = 5, 84
-    for k = 6), keyed by the sorted letter codes that also give the
-    periods.  The ranks come from one stable sort and the periods from
-    one comparison per shift over all the words.  Under table1 at
-    n = 1000 a full 5-mer scan takes about 0.03 s by clump, 0.012 s by
-    bnn and 0.0024 s by bv; a 6-mer scan takes about 0.18 s by clump,
-    0.09 s by bnn and 0.007 s by bv (one BLAS thread on a shared 2-core
-    host).
+    not in (0, 1).  A scan of more than MAX_SCAN_WORDS words raises
+    ValueError before it builds any.  clump and bnn run once per reversal
+    class (544 of 1024 5-mers, 2080 of 4096 6-mers), in stacks of 36
+    (k = 5) or 18 (k = 6) words, through one law kernel
+    (automata.clump_scan and automata.bnn_scan): seven stacked squarings
+    per stack of k (k + 1) x k (k + 1) step matrices, a matrix-vector
+    product for each 1 bit of n below 2**7 and one for the probe, after
+    which every DNA 5-mer and 6-mer under table1 certifies its linear law
+    and extends it to n, whatever n from 256 on; at shorter n the
+    squarings go on to about 2 log2(n) stacked products in all.  bv runs
+    one series per letter composition (56 for k = 5, 84 for k = 6), keyed
+    by the sorted letter codes that also give the periods.  The ranks
+    come from one stable sort and the periods from one comparison per
+    shift over all the words.  Under table1 at n = 1000 a full 5-mer scan
+    takes about 0.016 s by clump, 0.013 s by bnn and 0.0024 s by bv; a
+    6-mer scan takes about 0.10 s by clump, 0.09 s by bnn and 0.007 s by
+    bv (one BLAS thread on a shared 2-core host).
     """
     if k < 2:
         raise ValueError("scan needs k >= 2")
-    _check_regime(n, params)
     symbols = params.alphabet.symbols
+    if len(symbols) ** k > MAX_SCAN_WORDS:
+        raise ValueError("a scan of the %d-mers over %d letters has %d "
+                         "words, past the cap of %d"
+                         % (k, len(symbols), len(symbols) ** k,
+                            MAX_SCAN_WORDS))
+    _check_regime(n, params)
     words = ["".join(t) for t in iproduct(symbols, repeat=k)]
     # letter i of every word, in the order of iproduct
     codes = np.indices((len(symbols),) * k).reshape(k, -1)
@@ -403,9 +426,8 @@ def scan_kmers(k, n, params, method="BNN"):
     probs = np.array(scan(words, n, params))
     bad = np.flatnonzero(~((probs > 0.0) & (probs < 1.0)))
     if bad.size:
-        raise ArithmeticError("%s by %s: appearance probability %g is out "
-                              "of range" % (words[bad[0]], name,
-                                            probs[bad[0]]))
+        raise ArithmeticError("%s by %s: %s" % (words[bad[0]], name,
+                                                _range_message(probs[bad[0]])))
     # a stable sort of -p_n ranks equal floats in alphabet order
     rank = np.empty(len(words), int)
     rank[np.argsort(-probs, kind="stable")] = np.arange(1, len(words) + 1)
@@ -458,16 +480,20 @@ def asymptotics(b, params):
     exact; l is set to 0 outside the states that A's dominant class
     reaches and r outside those that reach it, so a type whose hits fit
     only in a bounded prefix of the text gets c1 = 0 exactly and its flat
-    limit as c2.  CLUMP's own walk over the same step matrices
-    (automata._clump_walk, its jump by squarings and its stop rule)
-    certifies c1 and c2 for every type: the law E_m + (n - m) delta_m on
-    which it stops, by letter 2 log(PERRON_TOL)/log(B) + deg Phi at the
-    latest, has the slope delta_m and the intercept E_m - m delta_m, each
-    within 1e-8 of its constant's size plus PERRON_TOL.  A Perron root
-    that is not simple, or a B that would make that letter pass
-    PERRON_STEPS, raises ArithmeticError.  Under table1 an ACGTA call takes
-    1.1 ms (one BLAS thread, shared 2-core host): 0.14 ms for the one
-    build of all twelve step matrices, 0.22 for the closed forms, 0.45 to walk.
+    limit as c2.  The law kernel of clump_scan (automata._law), run once
+    over the same step matrices with the conditioned hit count as its
+    reading, certifies c1 and c2 for every type: the line x + (n - m) a on
+    which it certifies a type at letter m has the slope a and the
+    intercept x - m a, each within 1e-8 of its constant's size plus
+    PERRON_TOL.  The kernel may read up to four times the least power of
+    two at least 2 log(PERRON_TOL)/log(B) + deg Phi; a type that does not
+    certify by then raises ArithmeticError, as do a Perron root that is
+    not simple and a B that would make that letter pass PERRON_STEPS.  A
+    type whose E is flat or 0 certifies its line too.  Under table1 an
+    ACGTA call takes 0.8 ms (one BLAS thread, shared 2-core host): 0.14 ms
+    for the one build of all twelve step matrices, 0.21 for the closed
+    forms and 0.21 for the kernel, which certifies every type at 2**7
+    letters.
     """
     # the constants describe the clump census of the word's substitution
     # neighborhood, which needs a word of the alphabet with k >= 2
@@ -478,12 +504,16 @@ def asymptotics(b, params):
     units = np.eye(s * s)[~np.eye(s, dtype=bool).ravel()].reshape(-1, s, s)
     step = _clump_matrices(_kmp_tables([b] * len(units), params.alphabet),
                            nu, units * nu[:, None])
-    lam, psi, decay, c1, c2, last = _pair_constants(step, k)
-    e, delta, m = _clump_walk(step, k, last)
+    lam, psi, decay, c1, c2, n = _pair_constants(step, k)
+    lines, rows = _law(step, k, n, _hit_count)
+    if rows is not None:
+        raise ArithmeticError("a conditioned hit count reaches no linear "
+                              "law by letter %d" % (n // 2))
+    e, slope, m = np.array(lines).T
     if not all((np.abs(v - c) <= 1e-8 * np.abs(c) + PERRON_TOL).all()
-               for v, c in ((delta, c1), (e - m * delta, c2))):
+               for v, c in ((slope, c1), (e - m * slope, c2))):
         raise ArithmeticError("growth constants disagree with the "
-                              "conditioned walk's linear law")
+                              "conditioned hit count's linear law")
     types = params.mutation_types()
     c1, c2 = (dict(zip(types, v.tolist())) for v in (c1, c2))
     big = [sum(c[ty] * params.rates[ty] for ty in types) for c in (c1, c2)]
@@ -495,23 +525,25 @@ def asymptotics(b, params):
 
 
 def _pair_constants(step, k):
-    """(lam, psi, B, c1, c2, m) of asymptotics from the blocks of the stack
+    """(lam, psi, B, c1, c2, n) of asymptotics from the blocks of the stack
     of unit-rate step matrices of a word of length k, one per mutation
-    type: c1 and c2 as arrays in the order of the stack, and m the text
-    length up to which the certificate lets CLUMP's walk run,
-    2 log(PERRON_TOL)/log(B) letters plus the degree of Phi."""
+    type: c1 and c2 as arrays in the order of the stack, and n the text
+    length that the certificate hands the law kernel (see PERRON_STEPS).
+    B = |lam2|/lam over the eigenvalues of the avoidance matrix."""
     a, nil = step[0, :k, :k], step[0, 2 * k:, 2 * k:]
     f = step[0, 2 * k:, k:2 * k]
     x_h, x_r = step[:, :k, k:2 * k], step[:, :k, 2 * k:]
     vals, right = np.linalg.eig(a)
-    (decay,), (letters,) = _decay(vals[None])
+    mod = np.sort(np.abs(vals))
+    decay = float(mod[-2] / mod[-1])
     # the B^n terms fall below PERRON_TOL**2 after twice the letters that
     # take them to PERRON_TOL; a root that is not simple gives B = 1, or 1
     # to rounding
     if not decay <= PERRON_TOL ** (2 / PERRON_STEPS):
         raise ArithmeticError("the Perron root is not simple: B = %.17g"
                               % decay)
-    last = 2 * letters
+    letters = math.ceil(math.log(PERRON_TOL)
+                        / math.log(max(decay, PERRON_TOL)))
     lam = float(np.abs(vals).max())
     z = 1 / lam
     r = right[:, np.argmax(vals.real)].real
@@ -541,4 +573,7 @@ def _pair_constants(step, k):
     c1 = lphi @ r / lr
     c2 = (c1 + g[0] @ phi @ r / r[0] + lphi @ g.sum(axis=1) / l.sum()
           - l @ zdphi @ r / lr)
-    return lam, psi, decay, c1, c2, last + len(terms)
+    # the kernel's first of three readings lands at the least power of two
+    # at least L = 2 letters + deg Phi (and 2k), its last at four times that
+    return lam, psi, decay, c1, c2, 8 << (max(2 * letters + len(terms),
+                                              2 * k) - 1).bit_length()

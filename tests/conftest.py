@@ -1,6 +1,7 @@
 """Shared fixtures: model parameters and cached automata for the binary
-toys, and the clump automaton's walks, the certificates of the CLUMP
-route (its stop-rule walk) and of the growth constants (its typed walk)."""
+toys, and the clump automaton's walks, independent oracles of the CLUMP
+route (a stop-rule walk) and of the growth constants (a typed walk) over
+another state space than the law kernel's."""
 
 import math
 from fractions import Fraction as F
@@ -8,9 +9,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from kmerwait.automata import PERRON_TOL, _float_walk, clump_automaton, \
-    state_marks, transfer_matrix
-from kmerwait.evolution import ModelParams, load_params
+from kmerwait.automata import _float_walk, clump_automaton, state_marks, \
+    transfer_matrix
+from kmerwait.evolution import PERRON_TOL, ModelParams, load_params
 from kmerwait.words import Alphabet
 
 TOYS = ("AAA", "ACC", "ACAC", "AACC", "AACA")
@@ -84,9 +85,10 @@ def clump_conditioned_hits(ca, nu, n, marks):
     in l1 norm, tau at most PERRON_TOL of its own l1 norm and delta at
     most PERRON_TOL relative, but not before letter 2k, and returns
     E_m + (n - m) delta_m; if the rule never fires the walk runs to n.
-    This is the stop rule of automata.clump_scan over another state space:
-    the clump automaton's few hundred states in place of BNN's k (k + 1)
-    pair states.
+    This is an oracle, not the library's rule: automata.clump_scan reads
+    E off the squares of its k (k + 1) pair states and certifies a line
+    through three readings and a probe (automata._law), where this walk
+    steps the clump automaton's few hundred states letter by letter.
     """
     prev = None
     for m, (u, _, _, ((cond, inc, tau),)) in enumerate(

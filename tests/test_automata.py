@@ -14,10 +14,9 @@ from kmerwait.automata import (
     Dfa,
     _check_incoming_letters,
     _clump_matrices,
-    _clump_walk,
-    _decay,
     _det_one_minus_y,
     _float_walk,
+    _hit_count,
     _hit_share,
     _kmp_tables,
     _pair_matrices,
@@ -37,7 +36,8 @@ from kmerwait.automata import (
     transfer_matrix,
 )
 from kmerwait.cli import main
-from kmerwait.evolution import ModelParams, asymptotics, waiting_time
+from kmerwait.evolution import ModelParams, asymptotics, scan_kmers, \
+    waiting_time
 from kmerwait.gfcore import POLY_ONE, POLY_ZERO, Poly, bareiss_det
 from kmerwait.languages import clump_gf_language
 from kmerwait.oracle import _kmp_table as oracle_kmp_table
@@ -705,7 +705,8 @@ def dna_classes(k):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """The stack sizes that bnn_scan hands to _row0_powers, its fallback."""
+    """The stack sizes that the law kernel hands to _row0_powers, its
+    fallback."""
     sizes = []
     powers = automata._row0_powers
 
@@ -718,8 +719,8 @@ def fallbacks(monkeypatch):
 
 @pytest.fixture
 def squarings(monkeypatch):
-    """The stack sizes of the squares that BNN makes: _drift checks each
-    square, and each vector, once."""
+    """The stack sizes of the squares that the law kernel and its fallback
+    make: _drift checks each square, and each vector, once."""
     sizes = []
     drift = automata._drift
 
@@ -780,6 +781,21 @@ def test_bnn_fallback_is_direct_powers(request, fallbacks, squarings, word,
         assert p == direct_bnn([word], n, params)
 
 
+def test_out_of_range_messages_print_past_one(lopsided):
+    # CCCC under lopsided reads p = 1 in float by 200 letters, and its
+    # powers round one ulp past it, which %g prints as 1: both errors
+    # print the value's repr
+    assert bnn_scan(["CCCC"], 200, lopsided) == [1.0000000000000002]
+    with pytest.raises(ArithmeticError, match=r"^appearance probability "
+                       r"1\.0000000000000002 is out of range$"):
+        bnn_probability("CCCC", 200, lopsided)
+    with pytest.warns(UserWarning, match="mutation rate is 100"), \
+            pytest.raises(ArithmeticError, match=r"^CCCC by BNN: appearance "
+                          r"probability 1\.0000000000000002 is out of "
+                          r"range$"):
+        scan_kmers(4, 200, lopsided)
+
+
 @pytest.mark.parametrize("word,model", [("AA", "binu"),
                                         ("CCCC", "lopsided")])
 def test_bnn_spent_words_stop_reading(request, monkeypatch, word, model):
@@ -796,8 +812,8 @@ def test_bnn_spent_words_stop_reading(request, monkeypatch, word, model):
         return seen[-1]
     monkeypatch.setattr(automata, "_law_reading", counting)
     p = bnn_scan([word], 10 ** 6, params)
-    assert len(seen) == 6 and seen[-1] == [math.inf]
-    assert math.inf not in sum(seen[:-1], [])
+    assert len(seen) == 6 and seen[-1].tolist() == [math.inf]
+    assert math.inf not in np.concatenate(seen[:-1])
     assert p == direct_bnn([word], 10 ** 6, params)
 
 
@@ -815,52 +831,98 @@ def test_bnn_short_texts_take_direct_powers(table1, fallbacks, squarings,
     assert p == direct_bnn(words, n, table1)
 
 
+@pytest.fixture
+def certified(monkeypatch):
+    """Per word that the law kernel runs, the letter at which its line
+    certifies, or None for a word that takes the powers to n."""
+    letters = []
+    law = automata._law
+
+    def recording(*args):
+        lines, rows = law(*args)
+        letters.extend(None if line is None else line[2] for line in lines)
+        return lines, rows
+    monkeypatch.setattr(automata, "_law", recording)
+    return letters
+
+
+# the letters at which the words of test_clump_scan_mixes_jumps certify
+# their lines at the largest n, None for a word that never does
+MIXED_LETTERS = {("binu", 2): {128, None}, ("binu", 3): {256},
+                 ("skewed", 6): {64, 128, 256, 2048}}
+
+
 @pytest.mark.parametrize("model,k,lengths", [
     ("binu", 2, (2, 30, 1000, 2000)), ("binu", 3, (3, 1000, 10 ** 5)),
     ("skewed", 6, (6, 30, 1000, 10 ** 5))])
-def test_clump_scan_mixes_jumps(request, model, k, lengths):
-    # the words of one stack jump to different letters: AC and CA under
-    # binu have a Perron root that is not simple and take the cap, the
-    # largest power of two up to n, beside AA and CC at 64; B spans 0.4 to
-    # 0.62 among the binary 3-mers under binu (m0 64 and 128) and 0.01 to
-    # 0.9 among the 6-mers under skewed (m0 8 to 512).  Every row is still
-    # the single-word value.
+def test_clump_scan_mixes_jumps(request, certified, model, k, lengths):
+    # the words of one stack leave the law kernel at different letters:
+    # AC and CA under binu have a Perron root that is not simple, so their
+    # E never certifies a line and they take the powers to n, beside AA
+    # and CC at 128 letters; the binary 3-mers under binu all certify at
+    # 256, and the 6-mers under skewed at 64 to 2048 letters, in two
+    # stacks.  At n = k no word reads a line.  Every row is still the
+    # single-word value.
     params = request.getfixturevalue(model)
     words = ["".join(t) for t in product("AC", repeat=k)]
-    nu, wgt = params.bnn_weights
-    c = _clump_matrices(_kmp_tables(words, params.alphabet), nu, wgt)
-    letters = _decay(np.linalg.eigvals(c[:, :k, :k]))[1]
-    assert len({1 << (m - 1).bit_length() if m < math.inf else 0
-                for m in letters}) >= 2
     for n in lengths:
-        assert clump_scan(words, n, params) == [clump_scan([w], n, params)[0]
-                                                for w in words]
+        certified.clear()
+        scan = clump_scan(words, n, params)
+        letters = set(certified)
+        assert scan == [clump_scan([w], n, params)[0] for w in words]
+        if n == k:
+            assert letters == {None}
+    assert letters == MIXED_LETTERS[model, k]
+
+
+def direct_clump(words, n, params):
+    """CLUMP p_n of each word by row 0 of the n-th power of its step
+    matrix (_row0_powers), clump_scan's fallback, over one stack."""
+    c = _clump_matrices(_kmp_tables(words, params.alphabet),
+                        *params.bnn_weights)
+    return _hit_count(_row0_powers(c, n), len(words[0])).tolist()
 
 
 @pytest.mark.parametrize("n", [10 ** 3, 10 ** 7])
-def test_clump_walk_stops_soon_after_jump(table1, n):
-    # every DNA 5-mer reversal class: B is 0.18 to 0.29, so all of them
-    # jump to letter 32 and the stop rule fires within 4 steps after it;
-    # one stack of all 544 classes, its laws extended to n, gives the
-    # scan's values
-    words = sorted({min(w, w[::-1])
-                    for w in map("".join, product("ACGT", repeat=5))})
-    c = _clump_matrices(_kmp_tables(words, table1.alphabet),
-                        *table1.bnn_weights)
-    letters = _decay(np.linalg.eigvals(c[:, :5, :5]))[1]
-    assert {1 << (m - 1).bit_length() for m in letters} == {32}
-    e, delta, m = _clump_walk(c, 5, n)
-    assert 33 <= m.min() and m.max() <= 36
-    assert (e + (n - m) * delta).tolist() == clump_scan(words, n, table1)
+def test_clump_walk_stops_soon_after_jump(table1, fallbacks, squarings,
+                                          certified, n):
+    # every DNA 5-mer reversal class certifies its line of E at 128
+    # letters, after seven squarings, and takes no powers to n; at 1e3
+    # those powers agree within their own rounding
+    words = dna_classes(5)
+    want = direct_clump(words, 1000, table1)
+    squarings.clear()
+    p = clump_scan(words, n, table1)
+    assert not fallbacks
+    assert sum(squarings) == 7 * len(words)
+    assert certified == [128] * len(words)
+    if n == 1000:
+        assert max(abs(x - y) / y for x, y in zip(p, want)) < 1e-13
 
 
-def test_clump_walk_one_letter_word_stops_at_once(table1):
-    # a one-letter word has B = 0 and m0 = 1: the jump is the walk's own
-    # first step, E_1 is delta_1, and every letter adds the same delta, so
-    # the stop rule fires on the next letter, letter 2 = 2k
-    c = _clump_matrices(_kmp_tables(["G"], table1.alphabet),
-                        *table1.bnn_weights)
-    assert _clump_walk(c, 1, 30)[2].tolist() == [2]
+def test_clump_walk_one_letter_word_stops_at_once(table1, squarings,
+                                                  certified):
+    # a one-letter word has B = 0, so E is linear from the first letter
+    # on: its first three readings, at 2k = 2, 4 and 8 letters, certify
+    # its line after three squarings
+    clump_scan(["G"], 30, table1)
+    assert certified == [8]
+    assert squarings == [1, 1, 1]
+
+
+def test_clump_defective_root_takes_direct_powers(binu, fallbacks,
+                                                  squarings):
+    # AC's avoidance matrix under binary-uniform has a Perron root that is
+    # not simple, so its E reaches no line at a geometric rate and never
+    # certifies: it goes on from the kernel's squares to the powers to n,
+    # bitwise, squaring n.bit_length() - 1 times in all, as the powers
+    # alone do
+    n = 10 ** 6
+    want = direct_clump(["AC"], n, binu)
+    squarings.clear()
+    assert clump_scan(["AC"], n, binu) == want
+    assert fallbacks == [1]
+    assert squarings == [1] * (n.bit_length() - 1)
 
 
 @pytest.mark.parametrize("n", [1000, 10 ** 6, 10 ** 7])

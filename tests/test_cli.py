@@ -253,6 +253,9 @@ def test_asym_dna(capsys):
      "AA by CLUMP: appearance probability 44.4158 is out of range"),
     (("gf", "ACGTA"), "exact clump generating function capped at 48 states"),
     (("asym", "A"), "need |b| >= 2 to build a substitution neighborhood"),
+    (("scan", "--k", "40", "--length", "1000"),
+     "a scan of the 40-mers over 4 letters has %d words, past the cap of "
+     "262144" % 4 ** 40),
 ])
 def test_error_paths(capsys, argv, needle):
     rc, out, err = run(capsys, *argv)

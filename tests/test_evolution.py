@@ -263,8 +263,8 @@ def test_clump_route_against_bnn(toy_eps):
 @pytest.mark.parametrize("model", ["toy_eps", "binu"])
 @pytest.mark.parametrize("b", TOYS + ("AC",))
 def test_clump_walk_matches_exact_series(request, ac, b, model):
-    """CLUMP's one route, the rescaled float walk, against the exact
-    rational moment series on binary alphabets."""
+    """CLUMP's one route, the law kernel over the pair states, against the
+    exact rational moment series on binary alphabets."""
     params = request.getfixturevalue(model)
     types = params.mutation_types()
     ca = clump_automaton(b, ac)
@@ -301,10 +301,10 @@ def test_clump_long_texts_match_bnn(table1):
 
 @pytest.mark.parametrize("b", ["A" * 36, "ACGT" * 8])
 def test_clump_long_words_match_bnn(table1, b):
-    # the jump lands at letter 32, before the first hits at letter k = 36
-    # or 32; the stop rule waits for letter 2k, so the walk does not stop
-    # on its deltas of 0, and CLUMP lies 2.4e-7 (A x 36) and 4.5e-7
-    # (ACGT x 8) relative above BNN
+    # the kernel reads E only from letter 2k on, after the first hits at
+    # letter k = 36 or 32, so it reads no line through the zeros before
+    # them (A x 36 reads none at n = 1000 and takes the powers to n), and
+    # CLUMP lies 2.4e-7 (A x 36) and 4.5e-7 (ACGT x 8) relative above BNN
     assert clump_probability(b, 1000, table1) == pytest.approx(
         bnn_probability(b, 1000, table1), rel=1e-4, abs=0)
 
@@ -320,7 +320,7 @@ def test_bnn_matches_clump_with_renormalized_rows(table1, b):
 
 
 def _full_walk(b, n, params):
-    """CLUMP without the stop rule: the float moment series run to n."""
+    """CLUMP without its law: the float moment series run to n."""
     ca = clump_automaton(b, params.alphabet)
     weight = {(a, c): float(params.p1[a][c])
               for a, c in params.mutation_types()}
@@ -331,8 +331,9 @@ def _full_walk(b, n, params):
 
 @pytest.mark.parametrize("b", ["ACGTA", "CCCCC", "AAAAAAAA"])
 def test_clump_stop_rule_matches_full_walk(table1, b):
-    """The walk stops after a few dozen steps and extends the law to n;
-    the float series stepped through all n letters agrees."""
+    """The kernel certifies the law at a few hundred letters at most and
+    extends it to n; the float series stepped through all n letters
+    agrees."""
     n = 10 ** 5
     got = clump_probability(b, n, table1)
     assert got == pytest.approx(_full_walk(b, n, table1), rel=1e-12, abs=0)
@@ -342,9 +343,9 @@ def test_clump_stop_rule_matches_full_walk(table1, b):
 def test_clump_walk_defective_root_runs_to_n(request, ac, b, model):
     """The Perron roots of these transfer matrices are not simple, so the
     conditioned count reaches no linear law at a geometric rate and the
-    steps of the centred hit vector decay only like 1/n.  The stop rule
-    must not fire there: the walk runs to n and matches the exact
-    series."""
+    steps of the centred hit vector decay only like 1/n.  The law kernel
+    must not certify a line there: it takes row 0 of the n-th power,
+    which matches the exact series."""
     params = request.getfixturevalue(model)
     types = params.mutation_types()
     ca = clump_automaton(b, ac)
@@ -378,7 +379,7 @@ def test_clump_is_first_order_bnn_exactly(request, b, model, n_max):
 
 def test_clump_one_letter_word(table1, toy_eps):
     # a one-letter word has no substitution neighborhood to build a clump
-    # automaton from, but the pair-state walk still gives its first-order
+    # automaton from, but the pair-state kernel still gives its first-order
     # term: every position of an avoiding text is a putative hit
     for params, b in ((table1, "G"), (toy_eps, "A")):
         for n in (1, 30):
@@ -390,8 +391,8 @@ def test_clump_one_letter_word(table1, toy_eps):
 
 @pytest.mark.parametrize("b", ["ACG", "GATA"])
 def test_clump_short_texts_match_first_order(table1, b):
-    # texts shorter than the jump of 32 letters: the walk jumps to the
-    # largest power of two up to n and walks the rest
+    # texts too short for the kernel's three readings, from letter 2k on:
+    # it reads no line and takes row 0 of the n-th power
     for n in (len(b), 7, 20):
         assert clump_probability(b, n, table1) == pytest.approx(
             float(bnn_first_order(b, n, table1)), rel=1e-14, abs=0)
@@ -410,7 +411,7 @@ def dna_5mer_automata(dna):
 
 
 def test_clump_matches_automaton_walk_every_5mer(table1, dna_5mer_automata):
-    """Every DNA 5-mer reversal class: the pair-state walk of
+    """Every DNA 5-mer reversal class: the pair-state kernel of
     clump_probability against the clump automaton's stop-rule walk."""
     for b, ca in dna_5mer_automata.items():
         for n in (10 ** 3, 10 ** 5, 10 ** 7):
@@ -445,7 +446,7 @@ def _assert_ranks_match(clump, bnn):
 def test_clump_builds_no_automaton(table1, binu, monkeypatch):
     """CLUMP and the growth constants run on the pair states alone: no
     clump automaton, no transfer matrix, no walk over it and no call of
-    the BNN kernel."""
+    bnn_scan."""
     def refuse(*args):
         raise AssertionError("CLUMP left the pair-state walk")
     # every module that holds one of these names gets the refusal
@@ -643,7 +644,7 @@ def test_asymptotics_dna_matches_walk(table1, b):
     assert a.C1 == pytest.approx(DNA_SLOPES[b], rel=1e-12, abs=0)
     assert a.B == pytest.approx(DNA_DECAY[b], abs=1e-10)
     assert 0 < a.B < 1
-    # the walk stops after a few dozen steps and extends the law to n
+    # the kernel certifies the law at 128 letters and extends it to n
     for n in (2000, 4000, 10 ** 6, 10 ** 7):
         assert a.C1 * n + a.C2 == pytest.approx(
             clump_probability(b, n, table1), rel=1e-12, abs=0)
@@ -719,7 +720,7 @@ def test_asymptotics_walk_certificate_rejects_bad_constants(request,
                                                             monkeypatch,
                                                             skew, b, model):
     """A closed-form c1 or c2 off by 1e-6 relative moves past the 1e-8
-    relative bound of the certificate by CLUMP's walk: its slope and its
+    relative bound of the certificate by CLUMP's law kernel: its slope and its
     intercept each reject, also on DNA constants far below 1."""
     params = request.getfixturevalue(model)
     pair_constants = evolution._pair_constants
@@ -733,16 +734,27 @@ def test_asymptotics_walk_certificate_rejects_bad_constants(request,
         asymptotics(b, params)
 
 
+def test_asymptotics_raises_without_a_certified_line(binu, monkeypatch):
+    """A type whose conditioned hit count certifies no line by the
+    kernel's last reading leaves no constant to check: asymptotics
+    raises.  A negative LAW_TOL lets no reading certify; ACAC's kernel
+    reads up to 512 letters (B = 0.53, 2 log(PERRON_TOL)/log(B) = 110)."""
+    monkeypatch.setattr(automata, "LAW_TOL", -1.0)
+    with pytest.raises(ArithmeticError, match="no linear law by letter "
+                                              "512$"):
+        asymptotics("ACAC", binu)
+
+
 @pytest.mark.parametrize("b, model", [("ACAC", "binu"), ("ACGTA", "table1")])
 def test_asymptotics_walks_once(request, monkeypatch, b, model):
-    """The certificate reads the slope and the intercept off the one law
-    on which CLUMP's walk stops."""
-    walk, calls = evolution._clump_walk, []
+    """The certificate reads the slope and the intercept of every type
+    off the lines of one call of CLUMP's law kernel."""
+    law, calls = evolution._law, []
 
     def counted(*args):
         calls.append(args)
-        return walk(*args)
-    monkeypatch.setattr(evolution, "_clump_walk", counted)
+        return law(*args)
+    monkeypatch.setattr(evolution, "_law", counted)
     asymptotics(b, request.getfixturevalue(model))
     assert len(calls) == 1
 
@@ -791,8 +803,22 @@ def test_scan_bv_rows_match_single_words(table1):
                                      for r in rows]
 
 
+def test_scan_caps_its_words_before_building(table1, binu, monkeypatch):
+    # the DNA 40-mers would take more memory than any machine has: the
+    # cap raises before a word or a letter code is built
+    def refuse(*args):
+        raise AssertionError("the scan built its words")
+    monkeypatch.setattr(evolution, "iproduct", refuse)
+    monkeypatch.setattr(evolution.np, "indices", refuse)
+    for k, params, words in ((40, table1, 4 ** 40), (10, table1, 4 ** 10),
+                             (19, binu, 2 ** 19)):
+        with pytest.raises(ValueError, match="has %d words, past the cap "
+                                             "of 262144$" % words):
+            scan_kmers(k, 1000, params)
+
+
 def test_scan_clump_rows_match_single_words(table1):
-    # the scan walks each reversal class once; every row is still the
+    # the scan runs each reversal class once; every row is still the
     # single-word value, and a word and its reversal share one float
     rows = scan_kmers(3, 1000, table1, "CLUMP")
     assert [r.p_n for r in rows] == [clump_probability(r.word, 1000, table1)
@@ -802,7 +828,7 @@ def test_scan_clump_rows_match_single_words(table1):
 
 
 def test_scan_clump_6mer_rows_match_single_words(table1):
-    # the 6-mer scan walks stacks of 18 classes; a word's float does not
+    # the 6-mer scan runs stacks of 18 classes; a word's float does not
     # depend on its stack mates
     rows = scan_kmers(6, 1000, table1, "CLUMP")
     for r in rows[::97]:
