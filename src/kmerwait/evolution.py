@@ -311,7 +311,7 @@ def clump_probability(b, n, params):
     the step matrix until the conditioned hit count read off the squares
     certifies its quasi-linear law C1 n + C2, and extends that law to n:
     seven squarings of a 30 x 30 matrix on every DNA 5-mer under table1,
-    about 0.19 ms at any n from 256 on (one BLAS thread, shared 2-core
+    about 0.17 ms at any n from 256 on (one BLAS thread, shared 2-core
     host).  A word that does not certify, every word at a shorter n among
     them, takes its value off row 0 of the n-th power, by about log2(n)
     squarings.  A word and its reversal get bitwise the same float.  A

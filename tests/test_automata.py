@@ -890,13 +890,12 @@ def test_clump_walk_stops_soon_after_jump(table1, fallbacks, squarings,
     # letters, after seven squarings, and takes no powers to n; at 1e3
     # those powers agree within their own rounding
     words = dna_classes(5)
-    want = direct_clump(words, 1000, table1)
-    squarings.clear()
     p = clump_scan(words, n, table1)
     assert not fallbacks
     assert sum(squarings) == 7 * len(words)
     assert certified == [128] * len(words)
     if n == 1000:
+        want = direct_clump(words, n, table1)
         assert max(abs(x - y) / y for x, y in zip(p, want)) < 1e-13
 
 

@@ -806,7 +806,7 @@ def test_scan_bv_rows_match_single_words(table1):
 def test_scan_caps_its_words_before_building(table1, binu, monkeypatch):
     # the DNA 40-mers would take more memory than any machine has: the
     # cap raises before a word or a letter code is built
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("the scan built its words")
     monkeypatch.setattr(evolution, "iproduct", refuse)
     monkeypatch.setattr(evolution.np, "indices", refuse)
