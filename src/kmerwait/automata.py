@@ -597,18 +597,19 @@ def gf_from_clump_automaton(ca, nu):
 _STACK_ENTRIES = 1 << 15
 
 # A power stack is rescaled only when the mass of one of its slices
-# leaves [2**-_DRIFT, 2**_DRIFT]; see _row0_powers.
+# leaves [2**-_DRIFT, 2**_DRIFT]; see _law.
 _DRIFT = 64
 
-# A word's readings of x = -log(1 - p) certify its line (_bnn_law) when
-# each lies within LAW_TOL of it, relative.  The readings carry rounding
-# of a few 1e-15 at 2**7 letters: at 3e-15 a quarter of the DNA 5-mer and
-# 6-mer classes under table1 fail there, and from 1e-14 on none does (at
-# 3e-13 five 5-mers certify at 2**6 already).  A transient that decays
-# like B'**m and passes the check at m / 4 leaves the line read at m / 2
-# and m off by about LAW_TOL B'**(m / 4) / 2 relative at any n, so what is
-# left is the readings' rounding: against oracle.bnn_decimal the law is
-# within 1.6e-14 on every DNA 5-mer class at n = 1e7.
+# A word's readings, BNN's x = -log(1 - p) or CLUMP's E, certify its
+# line (_law) when each lies within LAW_TOL of it, relative.  Measured on
+# BNN: the readings of x carry rounding of a few 1e-15 at 2**7 letters:
+# at 3e-15 a quarter of the DNA 5-mer and 6-mer classes under table1 fail
+# there, and from 1e-14 on none does (at 3e-13 five 5-mers certify at
+# 2**6 already).  A transient that decays like B'**m and passes the check
+# at m / 4 leaves the line read at m / 2 and m off by about
+# LAW_TOL B'**(m / 4) / 2 relative at any n, so what is left is the
+# readings' rounding: against oracle.bnn_decimal the law is within
+# 1.6e-14 on every DNA 5-mer class at n = 1e7.
 LAW_TOL = 1e-13
 
 
@@ -682,10 +683,11 @@ def bnn_scan(words, n, params):
     costs the same at n = 1e3 as at 1e8, and against oracle.bnn_decimal
     its relative error stays near 1e-14 at every n.  A word that does not
     certify by letter n / 2, every word at a shorter n among them, takes
-    p_n off row 0 of its n-th power (_row0_powers), whose relative error
-    grows like n times the machine epsilon.  oracle.bnn_decimal, which
-    divides by a power of the avoidance matrix of its own, is the 40-digit
-    shadow of this quotient.  _scan runs the stacks, as for clump_scan.
+    p_n off row 0 of its n-th power, which the kernel goes on to make, and
+    whose relative error grows like n times the machine epsilon.
+    oracle.bnn_decimal, which divides by a power of the avoidance matrix
+    of its own, is the 40-digit shadow of this quotient.  _scan runs the
+    stacks, as for clump_scan.
     """
     wgt = params.bnn_weights[1]
     return _scan(words, n, params, "bnn_scan",
@@ -756,85 +758,111 @@ def _law(stack, k, n, read, squares=None):
     powers, or row 0 of its n-th power where that law does not certify.
     Returns (lines, rows): per word, as a list, (x, a, m), the line of
     slope a through its reading x at letter m, or None; and the stack of
-    row 0 of the n-th power of the words with None, in order, bitwise what
-    _row0_powers(stack, n) gives them, or None when every word certifies.
+    row 0 of the n-th power of the words with None, in order, each times a
+    power of two of its own (callers read only ratios within a slice), or
+    None when every word certifies.
 
-    Both readings, x = -log(1 - p) of BNN (_law_reading) and CLUMP's
-    conditioned hit count (_hit_count), are a m + b up to terms that decay
-    geometrically in m.  The loop takes the first steps of _row0_powers:
-    it squares the stack with the same rescale and multiplies the squares
-    that the bits of n ask for into u.  From the least power of two m that
-    is at least 2k (the first hits land at letter k, so earlier readings
-    only cost) it reads off each square itself.  A word certifies at m
-    when the line through its readings at m / 2 and m passes its reading
-    at m / 4, and its reading at m + 1 (row 0 of the square times the step
-    matrix once), each within LAW_TOL of that reading; it then leaves the
-    stack.  The probe reads the line off the powers of two: it turns down
-    a term whose period divides m / 4, which those readings alone would
-    miss, and BNN readings near p = 1, whose rounding grows like
-    eps / (1 - p).  A reading of 0 at all four letters certifies the line
-    0, the value the powers give too; one of inf (p = 1) never certifies.
+    One binary exponentiation, whose products every word of the stack
+    shares, runs the whole kernel.  At each power of two m it multiplies
+    the square y = stack**m into u, the row vectors, when n has the bit m,
+    returns after the top bit of n, and squares y.  Both readings,
+    x = -log(1 - p) of BNN (_law_reading) and CLUMP's conditioned hit
+    count (_hit_count), are a m + b up to terms that decay geometrically
+    in m.  From the least power of two m that is at least 2k (the first
+    hits land at letter k, so earlier readings only cost) up to n / 2, the
+    loop reads off each square itself.  A word certifies at m when the
+    line through its readings at m / 2 and m passes its reading at m / 4,
+    and its reading at m + 1 (row 0 of the square times the step matrix
+    once), each within LAW_TOL of that reading; it then leaves the stack.
+    The probe reads the line off the powers of two: it turns down a term
+    whose period divides m / 4, which those readings alone would miss,
+    and BNN readings near p = 1, whose rounding grows like eps / (1 - p).
+    A reading of 0 at all four letters certifies the line 0, the value
+    the powers give too; one of inf (p = 1) never certifies.
 
-    Reading stops before m passes n / 2, or once no word's last reading
-    lies in (0, inf): at p = 1 in float a word's later readings are only
-    rounding.  It does not start when n is too short for a third reading.
-    The words still in the stack then go on from their last square and
-    their u through the rest of _row0_powers, so no squaring is done
-    twice: a word that does not certify costs its readings and no more.
-    Every operation acts on the rows of one word, so a word's law does not
-    depend on its stack mates.
+    Reading stops once no word's last reading lies in (0, inf): at p = 1
+    in float a word's later readings are only rounding.  It does not
+    start when n is less than 8 times the first m, too short for a third
+    reading.  The words that do not certify stay in the loop until n, so
+    no squaring is done twice: a word that does not certify costs its
+    readings and no more.  Every operation acts on the rows of one word,
+    so a word's law does not depend on its stack mates.
+
+    A product is rescaled only when the mass of one of its slices leaves
+    [2**-_DRIFT, 2**_DRIFT]: then _rescale divides each slice by the power
+    of two that brings its mass to about [1/2, 1).  Entries are
+    nonnegative, so an entry is at most its slice's mass and a product of
+    two slices in the window stays below 2**(2 _DRIFT), far from overflow.
+    Dividing by a power of two commutes with every float rounding while
+    the values stay normal, so each slice is bitwise, up to its power of
+    two, what rescaling after every product gives, as long as no nonzero
+    entry or product term of a slice falls below 2**(2 _DRIFT + 2 - 1022)
+    times its mass.  Raises ArithmeticError when a word's mass vanishes: a
+    slice without mass stays 0, and so does every later vector of that
+    word, since the top bit of n always comes after the last squaring.
+
+    The squares take turns in the two stacks of squares, an array of shape
+    (2, c, size, size) with c >= len(stack), so that no squaring takes
+    fresh memory, and the caller's stack is only read.  A scan passes one
+    squares array for all its stacks, since fresh memory for every stack
+    costs a page fault per 4 KB (about 14,000 of them in a 6-mer
+    bnn_scan).  Without it, the pair is made here.
     """
     count, size = len(stack), stack.shape[2]
     lines = [None] * count
     first = 1 << (2 * k - 1).bit_length()
+    # the last letter to read at, 0 once reading stops
+    top = n // 2 if 8 * first <= n else 0
     live = list(range(count))
     one = np.ones(size * size)
     if squares is None:
         squares = np.empty((2, *stack.shape))
     bufs = [squares[0, :count], squares[1, :count]]
     y, u, m, reads = stack, None, 1, []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while live and 8 * first <= n and 4 * m <= n:
-            if n & m:
-                # _row0_powers' step for this bit of n
-                u = y[:, :1].copy() if u is None else np.matmul(u, y)
-                _drift(u, one)
-            y = np.matmul(y, y, out=bufs[bufs[0] is y])
-            _drift(y, one)
-            m *= 2
-            if m < first:
-                continue
-            # lists: a stack holds few words, and numpy calls cost more
+    while True:
+        if n & m:
+            # row 0 of y is exactly what e_0 @ y sums to
+            u = y[:, :1].copy() if u is None else np.matmul(u, y)
+            _drift(u, one)
+        if 2 * m > n:
+            return lines, u
+        y = np.matmul(y, y, out=bufs[bufs[0] is y])
+        _drift(y, one)
+        m *= 2
+        if not first <= m <= top:
+            continue
+        # lists: a stack holds few words, and numpy calls cost more
+        with np.errstate(divide="ignore", invalid="ignore"):
             reads.append(read(y, k).tolist())
-            if not any(0.0 < x < math.inf for x in reads[-1]):
-                break
-            if len(reads) < 3:
-                continue
-            slope = [(last - half) / (m // 2)
-                     for half, last in zip(*reads[-2:])]
-            near = [abs(1.5 * half - 0.5 * last - quarter)
-                    <= LAW_TOL * quarter
-                    for quarter, half, last in zip(*reads[-3:])]
-            if not any(near):
-                continue
+        if not any(0.0 < x < math.inf for x in reads[-1]):
+            top = 0
+            continue
+        if len(reads) < 3:
+            continue
+        slope = [(last - half) / (m // 2)
+                 for half, last in zip(*reads[-2:])]
+        near = [abs(1.5 * half - 0.5 * last - quarter) <= LAW_TOL * quarter
+                for quarter, half, last in zip(*reads[-3:])]
+        if not any(near):
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
             probe = read(np.matmul(y[:, :1], stack), k).tolist()
-            done = {i for i, (ok, last, a, at) in enumerate(zip(
-                near, reads[-1], slope, probe))
-                if ok and abs(at - last - a) <= LAW_TOL * at}
-            if not done:
-                continue
-            for i in done:
-                lines[live[i]] = (reads[-1][i], slope[i], m)
-            keep = [i for i in range(len(live)) if i not in done]
-            live = [live[i] for i in keep]
-            if not live:
-                return lines, None
-            stack, y = stack[keep], y[keep]
-            if u is not None:
-                u = u[keep]
-            reads = [[r[i] for i in keep] for r in reads[-2:]]
-            bufs = [squares[0, :len(keep)], squares[1, :len(keep)]]
-    return lines, _row0_powers(y, n // m, squares, u)
+        done = {i for i, (ok, last, a, at) in enumerate(zip(
+            near, reads[-1], slope, probe))
+            if ok and abs(at - last - a) <= LAW_TOL * at}
+        if not done:
+            continue
+        for i in done:
+            lines[live[i]] = (reads[-1][i], slope[i], m)
+        keep = [i for i in range(len(live)) if i not in done]
+        live = [live[i] for i in keep]
+        if not live:
+            return lines, None
+        stack, y = stack[keep], y[keep]
+        if u is not None:
+            u = u[keep]
+        reads = [[r[i] for i in keep] for r in reads[-2:]]
+        bufs = [squares[0, :len(keep)], squares[1, :len(keep)]]
 
 
 def _hit_share(u, k):
@@ -943,62 +971,6 @@ def _pair_matrices(table, wgt):
     weight = np.tile(np.broadcast_to(wgt[:, None], at.shape[2:]).ravel(),
                      count * k)
     return np.bincount(at.ravel(), weight, size)[:size].reshape(count, s, s)
-
-
-def _row0_powers(x, n, squares=None, u=None):
-    """Row 0 of the n-th power of each slice of the matrix stack x, each
-    times a power of two of its own: callers read only ratios within a
-    slice.  Given u, a stack of row vectors, one per slice, it returns
-    u x**n instead, each slice up to its power of two: _bnn_law hands on
-    the squares it has made that way.
-
-    Binary exponentiation whose products every word of the stack shares.
-    A product is rescaled only when the mass of one of its slices leaves
-    [2**-_DRIFT, 2**_DRIFT]: then _rescale divides each slice by the power
-    of two that brings its mass to about [1/2, 1).  Entries are
-    nonnegative, so an entry is at most its slice's mass and a product of
-    two slices in the window stays below 2**(2 _DRIFT), far from overflow.
-    Dividing by a power of two commutes with every float rounding while
-    the values stay normal, so each slice is bitwise, up to its power of
-    two, what rescaling after every product gives, as long as no nonzero
-    entry or product term of a slice falls below 2**(2 _DRIFT + 2 - 1022)
-    times its mass.  Raises ArithmeticError when a word's mass vanishes: a
-    slice without mass stays 0, and so does every later vector of that
-    word, since the top bit of n always comes after the last squaring.
-
-    The squares take turns in the two stacks of squares, an array of shape
-    (2, m, size, size) with m >= len(x), and the vectors in two buffers of
-    their own, so that no product takes fresh memory; the caller's x and u
-    are only read, unless x is one of the two stacks, as _bnn_law hands it
-    on: the first square then goes to the other one, and the second
-    overwrites x.  A scan passes one
-    squares array for all its stacks, since fresh memory for every stack
-    costs a page fault per 4 KB (about 14,000 of them in a 6-mer
-    bnn_scan).  Without it, the pair is made here.
-    """
-    count, size = len(x), x.shape[2]
-    one = np.ones(size * size)
-    if squares is None:
-        squares = np.empty((2, *x.shape))
-    squares = [squares[0, :count], squares[1, :count]]
-    if np.may_share_memory(squares[0], x):
-        squares.reverse()
-    rows = [np.empty((count, 1, size)) for _ in range(2)]
-
-    while True:
-        if n & 1:
-            # row 0 of x is exactly what e_0 @ x sums to
-            if u is None:
-                u = rows[0]
-                u[:] = x[:, :1]
-            else:
-                u = np.matmul(u, x, out=rows[rows[0] is u])
-            _drift(u, one)
-        n >>= 1
-        if not n:
-            return u
-        x = np.matmul(x, x, out=squares[squares[0] is x])
-        _drift(x, one)
 
 
 def _drift(y, one):

@@ -18,7 +18,7 @@ from .evolution import asymptotics, hit_series, load_params, scan_kmers, \
 from .gfcore import render_poly, render_ratfun
 from .languages import marked_code_gf
 from .oracle import enumerate_census, exact_pn_tiny, monte_carlo_pn
-from .words import correlation_set
+from .words import Alphabet, correlation_set
 
 MILLION = 1e6
 
@@ -181,8 +181,8 @@ def _cmd_codes(args, out):
 def _cmd_gf(args, out):
     params = load_params(args.params)
     mark = _parse_type(args.type)
+    ca = clump_automaton(args.word, params.alphabet, mark=mark)
     if args.coeffs is not None:
-        ca = clump_automaton(args.word, params.alphabet, mark=mark)
         table = clump_series(ca, params.nu, args.coeffs)
         if args.csv:
             w = _writer(out)
@@ -198,7 +198,6 @@ def _cmd_gf(args, out):
                                  for m, val in sorted(row.items()))
                 print("  n=%-3d %s" % (n, cells), file=out)
         return 0
-    ca = clump_automaton(args.word, params.alphabet, mark=mark)
     f = gf_from_clump_automaton(ca, params.nu)
     if args.csv:
         w = _writer(out)
@@ -242,7 +241,6 @@ def _cmd_asym(args, out):
 
 def _cmd_automaton(args, out):
     if args.alphabet:
-        from .words import Alphabet
         alphabet = Alphabet(args.alphabet)
     else:
         alphabet = load_params(args.params).alphabet

@@ -192,7 +192,6 @@ class Poly:
 POLY_ZERO = Poly()
 POLY_ONE = Poly.const(1)
 POLY_Z = Poly.monomial(1, 1, 0)
-POLY_T = Poly.monomial(1, 0, 1)
 
 
 def gcd_univariate(a, b):

@@ -19,8 +19,8 @@ from kmerwait.automata import (
     _hit_count,
     _hit_share,
     _kmp_tables,
+    _law,
     _pair_matrices,
-    _row0_powers,
     _stack_words,
     _unpack_t,
     bnn_probability,
@@ -656,13 +656,26 @@ def table1_sample(k):
     return words if k <= 3 else words[::37] + [c * k for c in "ACGT"]
 
 
+def never(u, k):
+    """A reading that never certifies a line."""
+    return np.full(len(u), np.nan)
+
+
+def direct_powers(stack, k, n, squares=None):
+    """Row 0 of the n-th power of each slice of the stack, each times a
+    power of two of its own: the law kernel (_law) with a reading that
+    never certifies, so that it goes on to the powers to n, the fallback
+    of bnn_scan and clump_scan."""
+    return _law(stack, k, n, never, squares)[1]
+
+
 def direct_bnn(words, n, params):
     """p_n of each word by row 0 of the n-th power of its pair matrix
-    (_row0_powers), bnn_scan's fallback, over one stack of the words."""
+    (direct_powers), bnn_scan's fallback, over one stack of the words."""
     k = len(words[0])
     pair = _pair_matrices(_kmp_tables(words, params.alphabet),
                           params.bnn_weights[1])
-    return _hit_share(_row0_powers(pair, n), k).tolist()
+    return _hit_share(direct_powers(pair, k, n), k).tolist()
 
 
 @pytest.mark.parametrize("model,k,lengths", [
@@ -705,22 +718,24 @@ def dna_classes(k):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """The stack sizes that the law kernel hands to _row0_powers, its
-    fallback."""
+    """The sizes of the stacks of rows that the law kernel of a scan
+    returns, one per stack with a word that takes the powers to n."""
     sizes = []
-    powers = automata._row0_powers
+    law = automata._law
 
-    def counting(x, n, squares=None, u=None):
-        sizes.append(len(x))
-        return powers(x, n, squares, u)
-    monkeypatch.setattr(automata, "_row0_powers", counting)
+    def counting(*args):
+        lines, rows = law(*args)
+        if rows is not None:
+            sizes.append(len(rows))
+        return lines, rows
+    monkeypatch.setattr(automata, "_law", counting)
     return sizes
 
 
 @pytest.fixture
 def squarings(monkeypatch):
-    """The stack sizes of the squares that the law kernel and its fallback
-    make: _drift checks each square, and each vector, once."""
+    """The stack sizes of the squares that the law kernel makes: _drift
+    checks each square, and each vector, once."""
     sizes = []
     drift = automata._drift
 
@@ -877,10 +892,11 @@ def test_clump_scan_mixes_jumps(request, certified, model, k, lengths):
 
 def direct_clump(words, n, params):
     """CLUMP p_n of each word by row 0 of the n-th power of its step
-    matrix (_row0_powers), clump_scan's fallback, over one stack."""
+    matrix (direct_powers), clump_scan's fallback, over one stack."""
+    k = len(words[0])
     c = _clump_matrices(_kmp_tables(words, params.alphabet),
                         *params.bnn_weights)
-    return _hit_count(_row0_powers(c, n), len(words[0])).tolist()
+    return _hit_count(direct_powers(c, k, n), k).tolist()
 
 
 @pytest.mark.parametrize("n", [10 ** 3, 10 ** 7])
@@ -1026,11 +1042,11 @@ def test_bnn_powers_match_matrix_power():
                   [[2.0 ** -80, 2.0 ** -81], [1.0, 0.5]]])
     before = x.copy()
     for n in (1, 3, 6, 100):
-        u = _row0_powers(x, n)
+        u = direct_powers(x, 1, n)
         assert (x == before).all()
         # squares handed in, with room for a third slice, give bitwise
         # the same powers
-        u2 = _row0_powers(x, n, np.full((2, 3, 2, 2), np.nan))
+        u2 = direct_powers(x, 1, n, np.full((2, 3, 2, 2), np.nan))
         assert (u2 == u).all()
         assert (x == before).all()
         for w in range(2):
@@ -1044,9 +1060,9 @@ def test_bnn_powers_raise_when_a_mass_vanishes():
     # the second slice is nilpotent, so its third power has no mass
     x = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.0, 1.0], [0.0, 0.0]]])
     with pytest.raises(ArithmeticError, match="vanished"):
-        _row0_powers(x, 3)
+        direct_powers(x, 1, 3)
     # row 0 of the first slice's third power is (1/2, 1/2)
-    assert _row0_powers(x[:1], 3).tolist() == [[[0.5, 0.5]]]
+    assert direct_powers(x[:1], 1, 3).tolist() == [[[0.5, 0.5]]]
 
 
 def test_to_dot_smoke(ac, autos):

@@ -3,13 +3,16 @@
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from kmerwait import cli
+from kmerwait.automata import clump_automaton, clump_series
 from kmerwait.cli import main
 from kmerwait.evolution import asymptotics, load_params
 from kmerwait.oracle import bnn_decimal
@@ -164,6 +167,36 @@ def test_gf_closed_form(capsys):
         "F(z,t) = (64 + 32*z + 32*z^2 - 16*z^2*t - 8*z^3 + 8*z^3*t - 2*z^5"
         " + 4*z^5*t - 2*z^5*t^2) / (64 - 32*z - 16*z^2*t - 8*z^3 + 4*z^4*t"
         " - 4*z^4*t^2 + z^6*t - 2*z^6*t^2 + z^6*t^3)\n")
+
+
+@pytest.mark.parametrize("extra,mark", [((), None), (("--csv",), None),
+                                        (("--type", "A:C"), ("A", "C"))])
+def test_gf_coeffs_match_clump_series(capsys, extra, mark):
+    # the census table, as text or CSV, reads back as clump_series'
+    # Fractions; AAA holds no C, so its A->C census has only t^0
+    params = load_params("binary-uniform")
+    want = clump_series(clump_automaton("AAA", params.alphabet, mark=mark),
+                        params.nu, 6)
+    rc, out, err = run(capsys, "gf", "AAA", "--coeffs", "6", "--params",
+                       "binary-uniform", *extra)
+    assert rc == 0 and err == ""
+    got = [{} for _ in want]
+    if "--csv" in extra:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["n", "m", "coeff"]
+        for n, m, coeff in rows[1:]:
+            got[int(n)][int(m)] = Fraction(coeff)
+    else:
+        head, *lines = out.splitlines()
+        assert head == ("census coefficients [z^n t^m] F_AAA "
+                        "(params binary-uniform)")
+        assert len(lines) == len(want)
+        for n, line in enumerate(lines):
+            assert line.startswith("  n=%-3d " % n)
+            for m, coeff in re.findall(r"t\^(\d+): (\S+)", line):
+                got[n][int(m)] = Fraction(coeff)
+    assert got == want
+    assert (mark is None) == any(len(row) > 1 for row in want)
 
 
 def test_automaton_summary(capsys):
