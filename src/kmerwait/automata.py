@@ -27,7 +27,7 @@ import numpy as np
 
 from .gfcore import Poly, RatFun
 from .words import check_text_length, check_type, letter_distribution, \
-    neighbors
+    neighbor_mismatch, neighbors
 
 
 class Dfa:
@@ -167,10 +167,7 @@ def clump_automaton(b, alphabet, mark=None):
     alphabet.check_word(b)
     d = neighbors(b, alphabet)
     k = len(b)
-    hit_of = {}  # see _fresh_hit
-    for v in d:
-        m = next(i for i in range(k) if v[i] != b[i])
-        hit_of[v] = (m, b[m], v[m])
+    hit_of = {v: neighbor_mismatch(b, v) for v in d}  # see _fresh_hit
     xwords = set(d)
     for m in range(1, k):
         tails = {}

@@ -100,15 +100,6 @@ class Poly:
     def is_t_free(self):
         return all(m[1] == 0 for m in self.terms)
 
-    def shift_div_z(self, k):
-        """Exact division by z**k; raises if any term has z-degree < k."""
-        out = {}
-        for (dz, dt), c in self.terms.items():
-            if dz < k:
-                raise ValueError("polynomial not divisible by z^%d" % k)
-            out[(dz - k, dt)] = c
-        return Poly(out)
-
     def subs_t(self, val):
         """Substitute a rational value for t (result is a poly in z only)."""
         val = as_q(val)

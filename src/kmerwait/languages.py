@@ -4,25 +4,29 @@ For a reduced set of words (no word a factor of another) and a memoryless
 letter distribution, the texts avoiding the set, the texts ending with a
 first occurrence, the minimal continuations between consecutive
 occurrences, and the occurrence-free tails satisfy a linear system whose
-generating-function translation is solved here exactly, as numerators
-over one denominator delta.  On top of that sit the code matrices
-describing how occurrences chain into overlapping clumps, and F(z, t),
-counting putative-hit positions (marked by t) in texts that avoid a given
-k-mer: one linear system over the clump chain states, one elimination.
+generating-function translation, B_ij = (1-z) C_ij + v_j over the word
+weights v and correlation polynomials C, is solved here exactly, as
+numerators over one denominator delta = det B.  On top of that sit the
+code matrices describing how occurrences chain into overlapping clumps,
+and F(z, t), counting putative-hit positions (marked by t) in texts that
+avoid a given k-mer.  F takes no adjugate of B: the clump chain and the
+word system of the neighbors and the k-mer form one block matrix Q, whose
+Schur complement on B is the gap-and-clump system, so det Q carries no
+spurious power delta^(r-1).  With the parse identity
+N + (sum_j R_j) / (1-z) = 1/(1-z) (criterion 6), F is read off one
+fraction-free elimination of Q bordered by the word weights.
 
 This is the paper's language route.  It imports nothing from the
 automaton route, so the two certify each other.
 """
 
 from collections import namedtuple
-from functools import cached_property
 
 from .gfcore import (
     POLY_ONE,
     POLY_Z,
     POLY_ZERO,
     Poly,
-    QONE,
     RatFun,
     _bareiss_pivots,
     adjugate_poly,
@@ -34,6 +38,7 @@ from .words import (
     correlation_set,
     is_reduced,
     letter_distribution,
+    neighbor_mismatch,
     neighbors,
     occurrence_starts,
     putative_hit_count,
@@ -46,6 +51,16 @@ def _set_gf(ws, nuq):
     for w in ws:
         p = p + Poly.monomial(word_prob(w, nuq), len(w), 0)
     return p
+
+
+def _word_system(words, nuq):
+    """(v, C, B) of a word set: the word weights v_j, the correlation
+    polynomials C_ij of (v_i, v_j), and B_ij = (1-z) C_ij + v_j."""
+    v = [Poly.monomial(word_prob(w, nuq), len(w), 0) for w in words]
+    C = [[_set_gf(correlation_set(vi, vj), nuq) for vj in words] for vi in words]
+    one_minus_z = POLY_ONE - POLY_Z
+    B = [[one_minus_z * cij + vj for cij, vj in zip(row, v)] for row in C]
+    return v, C, B
 
 
 def _row_det(mat, adj):
@@ -61,34 +76,20 @@ class LanguageGFs:
     M[i][j] of minimal continuations from an occurrence of word i to the
     next occurrence, of word j; U[i] of tails after an occurrence of word
     i seeing no further occurrence.  R, U and M share the denominator
-    delta and are kept as their numerators Rnum, Unum and Mnum; the exact
-    RatFuns are built on first read.  vpolys and C are the word weights
-    and correlation polynomials the solve started from, nuq the letter
-    distribution.
+    delta = det B.  vpolys and C are the word weights and correlation
+    polynomials the solve started from, nuq the letter distribution.
     """
 
-    def __init__(self, words, nuq, vpolys, C, delta, Rnum, Unum, Mnum, N):
+    def __init__(self, words, nuq, vpolys, C, delta, R, U, M, N):
         self.words = tuple(words)
         self.nuq = nuq
         self.vpolys = vpolys
         self.C = C
         self.delta = delta
-        self.Rnum = Rnum
-        self.Unum = Unum
-        self.Mnum = Mnum
+        self.R = R
+        self.U = U
+        self.M = M
         self.N = N
-
-    @cached_property
-    def R(self):
-        return [RatFun(num, self.delta) for num in self.Rnum]
-
-    @cached_property
-    def U(self):
-        return [RatFun(num, self.delta) for num in self.Unum]
-
-    @cached_property
-    def M(self):
-        return [[RatFun(num, self.delta) for num in row] for row in self.Mnum]
 
 
 def rs_solve(words, alphabet, nu):
@@ -110,25 +111,24 @@ def rs_solve(words, alphabet, nu):
         raise ValueError("word set is not reduced (some word is a factor of another)")
     nuq = letter_distribution(alphabet, nu)
     r = len(words)
-    vpolys = [Poly.monomial(word_prob(w, nuq), len(w), 0) for w in words]
-    C = [[_set_gf(correlation_set(vi, vj), nuq) for vj in words] for vi in words]
+    vpolys, C, B = _word_system(words, nuq)
     one_minus_z = POLY_ONE - POLY_Z
-    B = [[one_minus_z * C[i][j] + vpolys[j] for j in range(r)] for i in range(r)]
     adjB = adjugate_poly(B)
     delta = _row_det(B, adjB)
     if delta.is_zero():
         raise ArithmeticError("degenerate language system")
     [Rnum] = mat_mul_poly([vpolys], adjB)
-    Unum = [sum(row, POLY_ZERO) for row in adjB]
-    Mnum = [[(delta if i == j else POLY_ZERO) - one_minus_z * adjB[i][j]
-             for j in range(r)] for i in range(r)]
     # N v_j = sum_i R_i C_ij for every column j
     [Nnum] = mat_mul_poly([Rnum], C)
     N = RatFun(Nnum[0], delta * vpolys[0])
     for j in range(1, r):
         if not (N == RatFun(Nnum[j], delta * vpolys[j])):
             raise ArithmeticError("avoiding function differs across columns")
-    return LanguageGFs(words, nuq, vpolys, C, delta, Rnum, Unum, Mnum, N)
+    R = [RatFun(num, delta) for num in Rnum]
+    U = [RatFun(sum(row, POLY_ZERO), delta) for row in adjB]
+    M = [[RatFun((delta if i == j else POLY_ZERO) - one_minus_z * adjB[i][j],
+                 delta) for j in range(r)] for i in range(r)]
+    return LanguageGFs(words, nuq, vpolys, C, delta, R, U, M, N)
 
 
 def parse_identity_residual(lang):
@@ -281,15 +281,6 @@ def marked_code_gf(b, alphabet, nu, mark=None):
     return MarkedCodes(codes, vmark, kmat, mark)
 
 
-def _mismatch_data(b, words):
-    """(index, target letter, text letter) of each neighbor's single mismatch."""
-    out = []
-    for v in words:
-        m = next(i for i in range(len(b)) if v[i] != b[i])
-        out.append((m, b[m], v[m]))
-    return out
-
-
 def _enriched_chain(b, codes, nuq, mark):
     """Within-clump chain transfer matrix with positional hit memory.
 
@@ -307,7 +298,7 @@ def _enriched_chain(b, codes, nuq, mark):
     d = codes.words
     k = len(b)
     r = len(d)
-    mis = _mismatch_data(b, d)
+    mis = [neighbor_mismatch(b, v) for v in d]
 
     def type_matches(widx):
         m, target, source = mis[widx]
@@ -372,56 +363,58 @@ def clump_gf_language(b, alphabet, nu, mark=None):
     """Bivariate generating function F(z, t) over texts avoiding b.
 
     z tracks text length, t the number of putative-hit positions (of the
-    selected mutation type when mark is given).  Texts with no neighbor
-    occurrence contribute the extended avoiding function N; the rest split
-    into a prefix, a clump, alternating gaps W and clumps, and a tail.
-    With V the marked neighbor weights, E each word's entry state and S
-    the sum over states per exit word, the clumps are G = V E (I-K)^-1 S,
-    and push-through gives G (I - W G)^-1 = V E (I - K - S W V E)^-1 S.
-    So F = N + x A^-1 y / delta, one system A over the chain states with
-    x, y the prefix and tail numerators.  W's denominator delta sits only
-    in the entry columns, where x lives too, so A has those columns scaled
-    by delta.  One elimination of [[A, y], [x, 0]] gives -x A^-1 y det A and
-    det A (gfcore._bareiss_pivots), which keeps a spurious factor delta^(r-1).
+    selected mutation type when mark is given).  Let B and v be the word
+    system and the word weights of the neighbors and b, and N, R, M and U
+    the avoiding, first-occurrence, minimal-continuation and tail
+    functions that solve it (rs_solve's; none is built here).  Texts with
+    no neighbor occurrence contribute N; the rest split into a prefix R,
+    a clump, alternating gaps M - K1 and clumps, and a tail U, with K1
+    the marked code matrix at t = 1.  With K the chain matrix, S each
+    chain state's word, E each neighbor's entry state and T = diag(t^h0)
+    the neighbors' own marks, F = N + R T E G^-1 S U, where
+    G = I - K - S (M - K1) T E.  Since (1-z) B^-1 = I - M, G is the
+    Schur complement on B of the block matrix
+
+        Q = [[I - K - S (I - K1) T E, (1-z) S], [-T E, B]],
+
+    so no adjugate of B is taken, and det Q = det B det G is F's common
+    denominator with no spurious power of det B.  The parse identity
+    N + (sum_j R_j) / (1-z) = 1/(1-z) (criterion 6) then gives
+    F = (det Q + det Q') / ((1-z) det Q), with Q' the matrix Q bordered by
+    the column [0; 1] and the row [0, v].  One fraction-free elimination
+    of Q' (gfcore._bareiss_pivots) yields det Q, its leading minor, and
+    det Q'.
     """
-    d, full = constrained_languages(b, alphabet, nu)
-    nuq = full.nuq
-    r = len(d)
-    k = len(b)
     mk = marked_code_gf(b, alphabet, nu, mark)
-    delta = full.delta
-
-    # prefix ending just before the first neighbor occurrence: the
-    # first-occurrence texts with the trailing occurrence letters removed
-    rrownum = [full.Rnum[i].shift_div_z(k).scale(QONE / word_prob(d[i], nuq))
-               for i in range(r)]
-
-    # inter-clump gaps: minimal continuations that leave the clump, with
-    # the trailing neighbor occurrence removed (the next clump re-adds it)
-    wnum = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            gap = full.Mnum[i][j] - mk.K[i][j].subs_t(1) * delta
-            row.append(gap.shift_div_z(k).scale(QONE / word_prob(d[j], nuq)))
-        wnum.append(row)
-
-    # chains of overlapping extensions within one clump, with enough state
-    # to count each hit position once: prefixes and gaps enter at a word's
-    # entry state, and the chain may stop at any state
+    nuq = letter_distribution(alphabet, nu)
+    d = mk.words
+    r = len(d)
+    v, _, B = _word_system(d + (b,), nuq)
     entry_idx, state_words, kmat = _enriched_chain(b, mk.codes, nuq, mark)
     n = len(state_words)
-    a = [[(POLY_ONE if p == q else POLY_ZERO) - kmat[p][q] for q in range(n)]
-         for p in range(n)]
-    x = [POLY_ZERO] * n
-    for j, q in enumerate(entry_idx):
-        x[q] = rrownum[j] * mk.v[j]
-        for p, row in enumerate(a):
-            row[q] = row[q] * delta - wnum[state_words[p]][j] * mk.v[j]
-    # occurrence-free tails (over the full extended set) leave any state
-    det_a, det = _bareiss_pivots(
-        [row + [full.Unum[w]] for row, w in zip(a, state_words)]
-        + [x + [POLY_ZERO]])
-    if det_a.is_zero():
-        raise ArithmeticError("degenerate gap-and-clump system")
-    return full.N + RatFun(-det, delta * det_a)
+    one_minus_z = POLY_ONE - POLY_Z
+    # T: t^h0_j, the t part of the marked neighbor weight
+    tpow = [Poly.monomial(1, 0, vm.valuation_t()) for vm in mk.v]
+
+    # chain state rows: within-clump extensions, the gap from the state's
+    # word to each entry state, and the exit to that word's column of B
+    rows = []
+    for p, i in enumerate(state_words):
+        row = [(POLY_ONE if p == q else POLY_ZERO) - kmat[p][q] for q in range(n)]
+        for j, q in enumerate(entry_idx):
+            gap = (POLY_ONE if i == j else POLY_ZERO) - mk.K[i][j].subs_t(1)
+            row[q] = row[q] - gap * tpow[j]
+        rows.append(row + [one_minus_z if w == i else POLY_ZERO
+                           for w in range(r + 2)])
+    # word rows: each neighbor enters the chain at its entry state, and
+    # the border column holds 1; the border row holds the word weights
+    for i, brow in enumerate(B):
+        row = [POLY_ZERO] * n
+        if i < r:
+            row[entry_idx[i]] = -tpow[i]
+        rows.append(row + brow + [POLY_ONE])
+    rows.append([POLY_ZERO] * n + v + [POLY_ZERO])
+    det_q, det_bordered = _bareiss_pivots(rows)
+    if det_q.is_zero():
+        raise ArithmeticError("degenerate clump system")
+    return RatFun(det_q + det_bordered, one_minus_z * det_q)

@@ -139,6 +139,14 @@ def neighbors(b, alphabet):
     return tuple(out)
 
 
+def neighbor_mismatch(b, v):
+    """(offset, target letter, text letter) of the one position where the
+    neighbor v of b differs from b: substituting b[offset] for v[offset]
+    turns v into b."""
+    m = next(i for i in range(len(b)) if v[i] != b[i])
+    return m, b[m], v[m]
+
+
 def minimal_period(b):
     """Smallest i >= 1 such that b is a prefix of (b[:i]) repeated."""
     if not b:

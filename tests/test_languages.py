@@ -5,10 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from kmerwait import languages
+from kmerwait.automata import clump_automaton, gf_from_clump_automaton
 from kmerwait.evolution import asymptotics
 from kmerwait.gfcore import POLY_Z, Poly, RatFun, parse_poly
 from kmerwait.languages import (
-    LanguageGFs,
     clump_gf_language,
     code_matrix,
     constrained_code_matrix,
@@ -18,7 +18,7 @@ from kmerwait.languages import (
     rs_solve,
 )
 from kmerwait.oracle import avoid_weight, enumerate_census
-from kmerwait.words import Alphabet, neighbors
+from kmerwait.words import Alphabet, letter_distribution, neighbors
 
 from conftest import BIASED, TOYS, UNIFORM
 
@@ -191,37 +191,52 @@ def acac_gf(ac):
     return clump_gf_language("ACAC", ac, UNIFORM)
 
 
-def test_clump_gf_reads_only_numerators(ac, acac_gf, monkeypatch):
-    """The clump assembly works on the solve's numerators over delta and
-    never builds the R, M or U RatFuns; the identity checks still do."""
+def test_clump_gf_solves_no_language_system(ac, acac_gf, monkeypatch):
+    """The clump gf builds its word system itself and never runs rs_solve;
+    the parse identity it relies on is still certified through rs_solve."""
 
-    def refuse(self):
-        raise AssertionError("clump assembly read a RatFun of the solve")
+    def refuse(*args):
+        raise AssertionError("clump assembly ran rs_solve")
 
-    for name in ("R", "M", "U"):
-        monkeypatch.setattr(LanguageGFs, name, property(refuse))
+    monkeypatch.setattr(languages, "rs_solve", refuse)
     got = clump_gf_language("ACAC", ac, UNIFORM)
     assert (got.num, got.den) == (acac_gf.num, acac_gf.den)
     monkeypatch.undo()
-    assert parse_identity_residual(rs_solve(("ACAC",), ac, UNIFORM)).is_zero()
+    assert parse_identity_residual(
+        constrained_languages("ACAC", ac, UNIFORM).extended).is_zero()
 
 
 def test_clump_gf_is_one_bordered_system(ac, monkeypatch):
-    """The clump assembly takes no adjugate of its own: the one adjugate
-    is rs_solve's, and the gap-and-clump system costs one elimination of
-    the bordered matrix, which reads det A off its leading minor."""
+    """The clump assembly takes no adjugate and solves no language system:
+    the block matrix Q over chain states and words, bordered by the word
+    weights, costs one elimination, which reads det Q off its leading
+    minor."""
     assert not hasattr(languages, "bareiss_det")
-    calls = {"adjugate_poly": 0, "_bareiss_pivots": 0}
+    calls = {"adjugate_poly": 0, "_bareiss_pivots": 0, "rs_solve": 0}
     for name in calls:
         real = getattr(languages, name)
 
-        def counted(mat, name=name, real=real):
+        def counted(*args, name=name, real=real):
             calls[name] += 1
-            return real(mat)
+            return real(*args)
 
         monkeypatch.setattr(languages, name, counted)
     clump_gf_language("ACAC", ac, UNIFORM)
-    assert calls == {"adjugate_poly": 1, "_bareiss_pivots": 1}
+    assert calls == {"adjugate_poly": 0, "_bareiss_pivots": 1, "rs_solve": 0}
+
+
+@pytest.mark.parametrize("b", TOYS)
+def test_clump_gf_denominator_has_no_spurious_factor(ac, b):
+    """The denominator is (1-z) det Q.  A chain row of Q has z-degree at
+    most k-1 and a word row at most k, so det Q is bounded by their sum.
+    A power of the word system's determinant in the denominator (z-degree
+    56 for ACAC, against a bound of 33) breaks the bound."""
+    nuq = letter_distribution(ac, UNIFORM)
+    mk = marked_code_gf(b, ac, UNIFORM)
+    n = len(languages._enriched_chain(b, mk.codes, nuq, None)[1])
+    k, r = len(b), len(mk.words)
+    bound = 1 + n * (k - 1) + (r + 1) * k
+    assert clump_gf_language(b, ac, UNIFORM).den.degree_z() <= bound
 
 
 def test_clump_gf_taylor_off_one(ac):
@@ -242,6 +257,28 @@ def test_clump_gf_typed_marks(ac):
                                      mark=("C", "A")).census)
         got = {m: c for m, c in rows[n].items() if c}
         assert got == want
+
+
+THREE = {"A": F(1, 2), "B": F(1, 3), "C": F(1, 6)}
+
+
+@pytest.mark.parametrize("b", ["AB", "AAB"])
+def test_clump_gf_three_letters(b):
+    """Over three letters the gf is the automaton route's, and its Taylor
+    rows are the exhaustive census."""
+    abc = Alphabet("ABC")
+    gf = clump_gf_language(b, abc, THREE)
+    assert gf == gf_from_clump_automaton(clump_automaton(b, abc), THREE)
+    rows = gf.taylor_tpolys(7)
+    for n in range(8):
+        want = dict(enumerate_census(b, n, abc, THREE).census)
+        assert {m: c for m, c in rows[n].items() if c} == want
+
+
+def test_clump_gf_dna(table1):
+    gf = clump_gf_language("AC", table1.alphabet, table1.nu)
+    ca = clump_automaton("AC", table1.alphabet)
+    assert gf == gf_from_clump_automaton(ca, table1.nu)
 
 
 def test_clump_gf_t1_is_plain_avoiding(ac, binu, acac_gf):

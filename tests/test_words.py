@@ -11,6 +11,7 @@ from kmerwait.words import (
     count_occurrences,
     is_reduced,
     minimal_period,
+    neighbor_mismatch,
     neighbors,
     occurrence_starts,
     putative_hit_count,
@@ -79,6 +80,14 @@ def test_neighbors_dna_count():
     assert len(d) == 9
     assert len(set(d)) == 9
     assert "ACG" not in d
+
+
+def test_neighbor_mismatch_undoes_the_substitution():
+    ab = Alphabet("ACGT")
+    assert neighbor_mismatch("ACG", "AGG") == (1, "C", "G")
+    for v in neighbors("ACGTA", ab):
+        m, target, source = neighbor_mismatch("ACGTA", v)
+        assert v[m] == source and v[:m] + target + v[m + 1:] == "ACGTA"
 
 
 def test_neighbors_reject_single_letter():
