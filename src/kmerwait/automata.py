@@ -6,11 +6,12 @@ first-appearance numbers: bnn_scan tracks the original text and its
 one-step mutant as a pair of pattern states, and clump_scan takes over
 the same pair states the term of that quotient that is first order in
 the mutation rate, the CLUMP value.  Both run one law kernel (_law): it
-squares a stack of step matrices until a reading off row 0 of the
-squares certifies its linear law, and takes row 0 of the n-th power where
-none does.  The clump automaton walks the overlap structure of the
-mutation neighborhood d(b) and carries a t mark on transitions that
-reveal a fresh putative-hit position.  Its transfer matrix serves the
+squares a stack of step matrices a few times, walks row 0 of its powers
+by vector steps until a reading off that row certifies its linear law,
+and takes row 0 of the n-th power where none does.  The clump automaton
+walks the overlap structure of the mutation neighborhood d(b) and
+carries a t mark on transitions that reveal a fresh putative-hit
+position.  Its transfer matrix serves the
 exact census and moment series, and the closed-form generating function,
 which the word-language route reproduces, the point of building both.
 The growth constants of evolution.asymptotics read the blocks of
@@ -579,19 +580,33 @@ def gf_from_clump_automaton(ca, nu):
 
 
 # A stack of the law kernel (_law), of BNN's pair matrices or of CLUMP's
-# step matrices, holds at most this many matrix entries: 36 words of
-# length 5, 18 of length 6 and one word at a time from length 11 on, so
-# that the memory of a scan does not grow with the number of words.  Per
-# full 6-mer scan under table1 at n = 1000 (one BLAS thread, shared
-# 2-core host, best of 5, two runs), clump_scan / bnn_scan took
-# 0.18/0.15 s at a cap of 1 << 13, 0.12/0.10 s at 1 << 14, 0.096/0.084 s
-# at 1 << 15, 0.087/0.075 s at 1 << 16, 0.083/0.075 s at 1 << 17 and
-# 0.09/0.085 s at 1 << 19: four times the stack memory would buy about
-# 12%.  Both kernels square seven times per stack, so one cap serves
-# both.  At n = 1e7 a BNN scan takes about 4% less, as its laws certify
-# at 2**7 letters and 1e7 has no 1 bit below 2**7 to multiply into the
-# powers' vector first.
-_STACK_ENTRIES = 1 << 15
+# step matrices, holds at most this many matrix entries, 1 MiB of float64:
+# 145 words of length 5, 74 of length 6 and one word at a time from
+# length 16 on, so that the memory of a scan does not grow with the
+# number of words.  Per full 6-mer scan under table1 at n = 1000 (one
+# BLAS thread, shared 2-core host, best of 5), bnn_scan / clump_scan took
+# 0.139/0.164 s at a cap of 1 << 13, 0.087/0.104 s at 1 << 14,
+# 0.068/0.079 s at 1 << 15, 0.059/0.072 s at 1 << 16, 0.056/0.066 s at
+# 1 << 17, 0.061/0.067 s at 1 << 18 and 0.066/0.072 s at 1 << 19, and
+# the peak of the memory numpy took for a bnn_scan (tracemalloc) was 0.46,
+# 0.71, 1.2, 2.1, 4.0, 7.8 and 15.5 MB.  A vector step costs little per
+# word but a numpy call per stack, so a cap four times the last one's
+# buys 17% here for 2.8 MB more; perfbench's dna_scan peak RSS rose by
+# 0.7 MB (1.9%).
+_STACK_ENTRIES = 1 << 17
+
+# The cost rule of the law kernel (_law).  Per entry, a squaring of s x s
+# matrices costs about _SQUARE_PER_STEP s times what a vector step does,
+# and each numpy call costs about what _CALL_ENTRIES entries of a step do.
+# Measured with one BLAS thread on a shared 2-core host: a stacked
+# squaring of 74 matrices of 42 x 42 took 218 us and a stacked step
+# 24 us, 0.21 s steps per squaring; single matrices of 272 x 272 and
+# 420 x 420 gave 0.22 s and 0.24 s, and of 600 x 600, where a step runs
+# out of cache, 0.13 s.  A step call costs about 1 us on top of 0.15-0.19
+# ns per entry, what 5000 to 7000 entries cost; 8192 rounds that up for
+# the Python around each step.
+_SQUARE_PER_STEP = 0.2
+_CALL_ENTRIES = 8192
 
 # A power stack is rescaled only when the mass of one of its slices
 # leaves [2**-_DRIFT, 2**_DRIFT]; see _law.
@@ -634,9 +649,11 @@ def _in_range(p):
 
 def bnn_probability(b, n, params):
     """First-appearance probability p_n of one word: bnn_scan([b], n,
-    params)[0]; raises ArithmeticError if it is not in (0, 1).  A DNA
-    5-mer under table1 costs about 0.16 ms at every n from 1e3 to 1e8,
-    since its law certifies at 2**7 letters."""
+    params)[0]; raises ArithmeticError if it is not in (0, 1).  Under
+    table1 (one BLAS thread, shared 2-core host) a DNA 5-mer costs about
+    0.14 ms at every n from 1e3 to 1e8, since its law certifies at 2**7
+    letters, a 12-mer about 0.7 ms and a 24-mer about 22 ms, its line
+    certifying at 2**8 letters after one squaring and 127 vector steps."""
     return _in_range(bnn_scan([b], n, params)[0])
 
 
@@ -674,9 +691,10 @@ def bnn_scan(words, n, params):
     on the hit states (p, k) over that mass (_hit_share).
 
     x_m = -log(1 - p_m) is a m + b up to terms that decay geometrically in
-    m, so the law kernel (_law) squares a stack only until each word's
-    readings of x (_law_reading) certify that line, at 2**7 letters on
-    every DNA 5-mer and 6-mer under table1, and extends it to n: a scan
+    m, so the law kernel (_law) walks row 0 of a stack's powers only until
+    each word's readings of x (_law_reading) certify that line, at 2**7
+    letters on every DNA 5-mer, 6-mer and 7-mer under table1, after four
+    squarings and seven vector steps, and extends it to n: a scan
     costs the same at n = 1e3 as at 1e8, and against oracle.bnn_decimal
     its relative error stays near 1e-14 at every n.  A word that does not
     certify by letter n / 2, every word at a shorter n among them, takes
@@ -708,11 +726,11 @@ def clump_scan(words, n, params):
     of the m-th power (_hit_count), and E_m = C1 m + C2 up to terms that
     decay like B**m, B = |lam2|/lam of the word's avoidance matrix.  So
     CLUMP runs on bnn_scan's law kernel (_law) with E as its reading:
-    every DNA 5-mer and 6-mer class under table1 certifies its line at
-    2**7 letters, after seven squarings, and a word that does not, such as
-    one whose Perron root is not simple (AC under binary-uniform), takes
-    E_n off row 0 of its n-th power.  _scan runs the stacks, as for
-    bnn_scan.
+    every DNA 5-mer, 6-mer and 7-mer class under table1 certifies its
+    line at 2**7 letters, after four squarings and seven vector steps,
+    and a word that does not, such as one whose Perron root is not simple
+    (AC under binary-uniform), takes E_n off row 0 of its n-th power.
+    _scan runs the stacks, as for bnn_scan.
     """
     nu, wgt = params.bnn_weights
     return _scan(words, n, params, "clump_scan",
@@ -729,9 +747,9 @@ def _scan(words, n, params, name, build, read, line, last):
     its entry of last(rows, k), read off row 0 of its n-th power.
 
     Each reversal class runs once (_reversal_classes), in stacks of at
-    most _STACK_ENTRIES matrix entries (36 words of length 5, 18 of length
-    6), whose squares share one buffer; a word's value does not depend on
-    its stack mates.
+    most _STACK_ENTRIES matrix entries (145 words of length 5, 74 of
+    length 6), whose squares share one buffer; a word's value does not
+    depend on its stack mates.
     """
     classes, runs = _reversal_classes(words, n, params.alphabet, name)
     k = len(runs[0])
@@ -760,36 +778,58 @@ def _law(stack, k, n, read, squares=None):
     power of two of its own (callers read only ratios within a slice), or
     None when every word certifies.
 
-    One binary exponentiation, whose products every word of the stack
-    shares, runs the whole kernel.  At each power of two m it multiplies
-    the square y = stack**m into u, the row vectors, when n has the bit m,
-    returns after the top bit of n, and squares y.  Both readings,
-    x = -log(1 - p) of BNN (_law_reading) and CLUMP's conditioned hit
-    count (_hit_count), are a m + b up to terms that decay geometrically
-    in m.  From the least power of two m that is at least 2k (the first
-    hits land at letter k, so earlier readings only cost) up to n / 2, the
-    loop reads off each square itself.  A word certifies at m when the
-    line through its readings at m / 2 and m passes its reading at m / 4,
-    and its reading at m + 1 (row 0 of the square times the step matrix
-    once), each within LAW_TOL of that reading; it then leaves the stack.
-    The probe reads the line off the powers of two: it turns down a term
-    whose period divides m / 4, which those readings alone would miss,
-    and BNN readings near p = 1, whose rounding grows like eps / (1 - p).
-    A reading of 0 at all four letters certifies the line 0, the value
-    the powers give too; one of inf (p = 1) never certifies.  BNN reads
-    inf at p = 1 by a division by zero, and nan past it, so numpy's divide
-    and invalid warnings are off for the whole call: turning them off
-    around each reading instead cost about 7 us a call, 4% of a DNA
-    5-mer's.  The products, of finite nonnegative entries, raise neither,
-    and an overflow still warns.
-
+    Both readings, x = -log(1 - p) of BNN (_law_reading) and CLUMP's
+    conditioned hit count (_hit_count), are a m + b up to terms that decay
+    geometrically in m.  They are taken at each power of two m from first,
+    the least one that is at least 2k (the first hits land at letter k, so
+    earlier readings only cost), up to n / 2, off r, row 0 of the m-th
+    power.  A word certifies at m when the line through its readings at
+    m / 2 and m passes its reading at m / 4, and its reading at m + 1
+    (r times the step matrix once), each within LAW_TOL of that reading;
+    it then leaves the stack.  The probe reads the line off the powers of
+    two: it turns down a term whose period divides m / 4, which those
+    readings alone would miss, and BNN readings near p = 1, whose rounding
+    grows like eps / (1 - p).  A reading of 0 at all four letters
+    certifies the line 0, the value the powers give too; one of inf
+    (p = 1) never certifies.  BNN reads inf at p = 1 by a division by
+    zero, and nan past it, so numpy's divide and invalid warnings are off
+    for the whole call: turning them off around each reading instead cost
+    about 7 us a call, 4% of a DNA 5-mer's.  The products, of finite
+    nonnegative entries, raise neither, and an overflow still warns.
     Reading stops once no word's last reading lies in (0, inf): at p = 1
-    in float a word's later readings are only rounding.  It does not
-    start when n is less than 8 times the first m, too short for a third
-    reading.  The words that do not certify stay in the loop until n, so
-    no squaring is done twice: a word that does not certify costs its
-    readings and no more.  Every operation acts on the rows of one word,
-    so a word's law does not depend on its stack mates.
+    in float a word's later readings are only rounding.  It does not start
+    when n is less than 8 first, too short for a third reading.
+
+    Only row 0 of each power is read, so the kernel squares the stack only
+    as far as pays and walks r from power to power by vector steps
+    r <- r y, y = stack**e the last square made, e at most first.  One
+    cost rule sets the schedule: a squaring of s x s matrices costs about
+    (_SQUARE_PER_STEP s**3 + _CALL_ENTRIES) / (s**2 + _CALL_ENTRIES)
+    steps, and halves the steps still to walk.
+    Before the walk the kernel squares while a squaring costs less than
+    the steps it saves up to the plan letter max(4 first, 128).  4 first
+    is the first letter at which a line can certify, and the DNA words
+    under table1 certify there, or at 128 letters where that is later
+    (from k = 5 to 14).  That gives four squarings, to letter 16, at every
+    k <= 8, three at k = 10, two at k = 12 and one from k = 16 to 24:
+    in single-word CLUMP calls (one BLAS thread) no other count took more
+    than 12% less time at any k from 6 to 24.  Past the plan letter, before
+    the doubling from m to 2 m, the walk squares once more while a
+    squaring costs less than the m / (2 e) steps it saves on it.  The
+    rule reads only s, k and n, never how many words share the stack, so
+    a scan gives each word the value it gets alone.  Against seven
+    squarings to letter 128, a 6-mer scan under table1 at n = 1000 went
+    from 0.083 to 0.057 s (bnn_scan) and CLUMP on a random 24-mer from
+    67-71 to 22-23 ms.
+
+    The words that do not certify go on from the squares made to the
+    binary powers of n: where n has the bit e, y = stack**e is multiplied
+    into u, their row vectors, before y is squared, so no squaring is done
+    twice, and the powers do not depend on where the walk went.  Only the
+    bits of n below the walk's square (below 16 at k <= 8) are multiplied
+    in before a word's line is read.  A word that does not certify costs
+    its walk and readings and no more.  Every operation acts on the rows
+    of one word, so a word's law does not depend on its stack mates.
 
     A product is rescaled only when the mass of one of its slices leaves
     [2**-_DRIFT, 2**_DRIFT]: then _rescale divides each slice by the power
@@ -800,9 +840,16 @@ def _law(stack, k, n, read, squares=None):
     the values stay normal, so each slice is bitwise, up to its power of
     two, what rescaling after every product gives, as long as no nonzero
     entry or product term of a slice falls below 2**(2 _DRIFT + 2 - 1022)
-    times its mass.  Raises ArithmeticError when a word's mass vanishes: a
-    slice without mass stays 0, and so does every later vector of that
-    word, since the top bit of n always comes after the last squaring.
+    times its mass.  _drift checks every square and every product into u.
+    The walk checks once per doubling (_walk): the masses of y's slices
+    bound its row sums, so they bound how far a step can move r's mass,
+    and where those bounds keep every step of a doubling in the window,
+    no step would have been rescaled; where they do not, the doubling is
+    walked again with every step checked.  Either way the walk is bitwise
+    the one that checks every step.  Raises ArithmeticError when a word's
+    mass vanishes: a slice without mass stays 0, and so does every later
+    vector of that word, since the top bit of n always comes after the
+    last squaring.
 
     The squares take turns in the two stacks of squares, an array of shape
     (2, c, size, size) with c >= len(stack), so that no squaring takes
@@ -816,26 +863,50 @@ def _law(stack, k, n, read, squares=None):
     first = 1 << (2 * k - 1).bit_length()
     # the last letter to read at, 0 once reading stops
     top = n // 2 if 8 * first <= n else 0
+    # the letter that the squarings before the walk are planned for, and
+    # what a squaring costs in vector steps
+    plan = max(4 * first, 128)
+    cost = ((_SQUARE_PER_STEP * size ** 3 + _CALL_ENTRIES)
+            / (size * size + _CALL_ENTRIES))
     live = list(range(count))
     one = np.ones(size * size)
     if squares is None:
         squares = np.empty((2, *stack.shape))
     bufs = [squares[0, :count], squares[1, :count]]
-    y, u, m, reads = stack, None, 1, []
+    # y = stack**e, whose slices' masses, and so their row sums, are at
+    # most grow; r, once the walk starts, is row 0 of stack**m, whose
+    # slices' masses are at most high
+    y, u, e, r, m, reads = stack, None, 1, None, 0, []
+    grow = high = math.inf
     while True:
-        if n & m:
-            # row 0 of y is exactly what e_0 @ y sums to
-            u = y[:, :1].copy() if u is None else np.matmul(u, y)
-            _drift(u, one)
-        if 2 * m > n:
-            return lines, u
-        y = np.matmul(y, y, out=bufs[bufs[0] is y])
-        _drift(y, one)
-        m *= 2
-        if not first <= m <= top:
+        if not top:
+            more = True
+        elif r is None:
+            more = 2 * e <= first and cost < plan / (2 * e)
+        else:
+            more = 2 * e <= m and 2 * m > plan and cost < m / (2 * e)
+        if more:
+            if n & e:
+                # row 0 of y is exactly what e_0 @ y sums to
+                u = y[:, :1].copy() if u is None else np.matmul(u, y)
+                _drift(u, one)
+            if 2 * e > n:
+                return lines, u
+            y = np.matmul(y, y, out=bufs[bufs[0] is y])
+            grow = max(1.0, _drift(y, one))
+            e *= 2
             continue
+        if r is None:
+            r, high = _walk(y[:, :1].copy(), y, first // e - 1, one, grow,
+                            grow)
+            m = first
+        else:
+            r, high = _walk(r, y, m // e, one, grow, high)
+            m *= 2
+        if 2 * m > top:
+            top = 0
         # lists: a stack holds few words, and numpy calls cost more
-        reads.append(read(y, k).tolist())
+        reads.append(read(r, k).tolist())
         if not any(0.0 < x < math.inf for x in reads[-1]):
             top = 0
             continue
@@ -847,7 +918,7 @@ def _law(stack, k, n, read, squares=None):
                 for quarter, half, last in zip(*reads[-3:])]
         if not any(near):
             continue
-        probe = read(np.matmul(y[:, :1], stack), k).tolist()
+        probe = read(np.matmul(r, stack), k).tolist()
         done = {i for i, (ok, last, a, at) in enumerate(zip(
             near, reads[-1], slope, probe))
             if ok and abs(at - last - a) <= LAW_TOL * at}
@@ -859,11 +930,38 @@ def _law(stack, k, n, read, squares=None):
         live = [live[i] for i in keep]
         if not live:
             return lines, None
-        stack, y = stack[keep], y[keep]
+        stack, y, r = stack[keep], y[keep], r[keep]
         if u is not None:
             u = u[keep]
-        reads = [[r[i] for i in keep] for r in reads[-2:]]
+        reads = [[x[i] for i in keep] for x in reads[-2:]]
         bufs = [squares[0, :len(keep)], squares[1, :len(keep)]]
+
+
+def _walk(r, y, steps, one, grow, high):
+    """The stack of row vectors r times the stack y, steps times, and the
+    largest mass of a slice of the result (_law's walk).
+
+    high bounds the masses of r's slices and grow, at least 1, the row
+    sums of y's, so the masses of the j-th product lie between those of
+    the last over grow**(steps - j) and high grow**j.  Where that range
+    stays in [2**-_DRIFT, 2**_DRIFT], _drift would have left every product
+    as it is, and one check of the last stands for all.  Else the walk is
+    taken again with each product checked by _drift.
+    """
+    if not steps:
+        return r, high
+    bound = grow ** steps
+    if high * bound <= 2.0 ** _DRIFT:
+        v = r
+        for _ in range(steps):
+            v = np.matmul(v, y)
+        masses = (v.reshape(len(v), -1) @ one[:v[0].size]).tolist()
+        if min(masses) >= bound * 2.0 ** -_DRIFT:
+            return v, max(masses)
+    for _ in range(steps):
+        r = np.matmul(r, y)
+        high = _drift(r, one)
+    return r, high
 
 
 def _hit_share(u, k):
@@ -978,7 +1076,8 @@ def _drift(y, one):
     """Rescale the stack y when the mass of one of its slices has left
     [2**-_DRIFT, 2**_DRIFT]; one holds at least a slice's count of ones.
     Any power of two will do, so the masses come from one matrix-vector
-    product.  Raises ArithmeticError when a mass is 0."""
+    product.  Returns the largest mass of a slice, to within rounding.
+    Raises ArithmeticError when a mass is 0."""
     mass = y.reshape(len(y), -1) @ one[:y[0].size]
     masses = mass.tolist()
     low, high = min(masses), max(masses)
@@ -986,6 +1085,8 @@ def _drift(y, one):
         raise ArithmeticError("automaton mass vanished")
     if low < 2.0 ** -_DRIFT or high > 2.0 ** _DRIFT:
         _rescale(y, mass)
+        return 1.0
+    return high
 
 
 def _rescale(x, mass):

@@ -8,16 +8,16 @@ time is 1/p_n.  Three estimates of p_n are provided: a truncated
 inclusion-exclusion sum (bv), the paired automaton quotient (bnn), and the
 clump census of putative-hit positions weighted by the mutation rates
 (clump).  BNN and CLUMP run one law kernel over BNN's pair states
-(automata._law), which reads each method's quantity off squared step
-matrices until its linear law in n certifies.  The asymptotics routine
-takes the quasi-linear growth constants of the conditioned hit
-expectations, on any alphabet, as closed forms in the blocks of clump's
-step matrix over those pair states, with dense linear algebra on k x k
-and (k^2 - k) x (k^2 - k) matrices, and certifies them against the lines
-that the same kernel reads off the same matrices; the decay B of the
-terms the linear law leaves out is the spectral gap |lam2|/lam of the
-k x k avoidance matrix, which is that of the clump automaton's transfer
-matrix.
+(automata._law), which reads each method's quantity off row 0 of the
+powers of their step matrices until its linear law in n certifies.  The
+asymptotics routine takes the quasi-linear growth constants of the
+conditioned hit expectations, on any alphabet, as closed forms in the
+blocks of clump's step matrix over those pair states, with dense linear
+algebra on k x k and (k^2 - k) x (k^2 - k) matrices, and certifies them
+against the lines that the same kernel reads off the same matrices; the
+decay B of the terms the linear law leaves out is the spectral gap
+|lam2|/lam of the k x k avoidance matrix, which is that of the clump
+automaton's transfer matrix.
 """
 
 import math
@@ -52,8 +52,8 @@ MAX_SCAN_WORDS = 4 ** 9
 # kernel may read up to 4 P letters, P the least power of two at least L
 # (and 2k), so that the first of its three readings at the last lies
 # past L.  A B that makes L pass PERRON_STEPS raises: 3000 letters allow
-# a gap |lam2|/lam up to about 0.977, and the kernel then squares to at
-# most 2**14 letters.
+# a gap |lam2|/lam up to about 0.977, and the kernel then reads at most
+# 2**14 letters.
 PERRON_TOL = 1e-15
 PERRON_STEPS = 3000
 
@@ -307,16 +307,17 @@ def clump_probability(b, n, params):
     putative hits then materialize essentially independently and at most
     one does per generation: it is the term of the BNN quotient that is
     first order in the rates, and automata.clump_scan([b], n, params)
-    computes it that way, in float64 over BNN's pair states.  It squares
-    the step matrix until the conditioned hit count read off the squares
-    certifies its quasi-linear law C1 n + C2, and extends that law to n:
-    seven squarings of a 30 x 30 matrix on every DNA 5-mer under table1,
-    about 0.17 ms at any n from 256 on (one BLAS thread, shared 2-core
-    host).  A word that does not certify, every word at a shorter n among
-    them, takes its value off row 0 of the n-th power, by about log2(n)
-    squarings.  A word and its reversal get bitwise the same float.  A
-    value outside (0, 1) raises ArithmeticError: at n = 100 under
-    binary-uniform AA's is 44.4.
+    computes it that way, in float64 over BNN's pair states.  It walks
+    row 0 of the step matrix's powers until the conditioned hit count read
+    off that row certifies its quasi-linear law C1 n + C2, and extends
+    that law to n: four squarings of a 30 x 30 matrix and seven vector
+    steps on every DNA 5-mer under table1, about 0.17 ms at any n from 256
+    on, and one squaring and 127 steps on a 24-mer, about 22 ms (one BLAS
+    thread, shared 2-core host).  A word that does not certify, every
+    word at a shorter n among them, takes its value off row 0 of the n-th
+    power, by about log2(n) squarings.  A word and its reversal get
+    bitwise the same float.  A value outside (0, 1) raises
+    ArithmeticError: at n = 100 under binary-uniform AA's is 44.4.
     """
     return _in_range(clump_scan([b], n, params)[0])
 
@@ -394,21 +395,22 @@ def scan_kmers(k, n, params, method="BNN"):
     naming the method and the first word, in alphabet order, whose p_n is
     not in (0, 1).  A scan of more than MAX_SCAN_WORDS words raises
     ValueError before it builds any.  clump and bnn run once per reversal
-    class (544 of 1024 5-mers, 2080 of 4096 6-mers), in stacks of 36
-    (k = 5) or 18 (k = 6) words, through one law kernel
-    (automata.clump_scan and automata.bnn_scan): seven stacked squarings
-    per stack of k (k + 1) x k (k + 1) step matrices, a matrix-vector
-    product for each 1 bit of n below 2**7 and one for the probe, after
-    which every DNA 5-mer and 6-mer under table1 certifies its linear law
-    and extends it to n, whatever n from 256 on; at shorter n the
-    squarings go on to about 2 log2(n) stacked products in all.  bv runs
+    class (544 of 1024 5-mers, 2080 of 4096 6-mers), in stacks of 145
+    (k = 5) or 74 (k = 6) words, through one law kernel
+    (automata.clump_scan and automata.bnn_scan): four stacked squarings
+    per stack of k (k + 1) x k (k + 1) step matrices, seven stacked
+    vector steps, a matrix-vector product for each 1 bit of n below 2**4
+    and one per probe, after which every DNA 5-mer and 6-mer under table1
+    certifies its linear law at 2**7 letters and extends it to n,
+    whatever n from 256 on; at shorter n the squarings go on to about
+    2 log2(n) stacked products in all.  bv runs
     one series per letter composition (56 for k = 5, 84 for k = 6), keyed
     by the sorted letter codes that also give the periods.  The ranks
     come from one stable sort and the periods from one comparison per
     shift over all the words.  Under table1 at n = 1000 a full 5-mer scan
-    takes about 0.016 s by clump, 0.013 s by bnn and 0.0024 s by bv; a
-    6-mer scan takes about 0.10 s by clump, 0.09 s by bnn and 0.007 s by
-    bv (one BLAS thread on a shared 2-core host).
+    takes about 0.010 s by clump, 0.010 s by bnn and 0.0024 s by bv; a
+    6-mer scan takes about 0.066 s by clump, 0.057 s by bnn and 0.007 s
+    by bv (one BLAS thread on a shared 2-core host).
     """
     if k < 2:
         raise ValueError("scan needs k >= 2")
@@ -493,7 +495,8 @@ def asymptotics(b, params):
     ACGTA call takes 0.8 ms (one BLAS thread, shared 2-core host): 0.14 ms
     for the one build of all twelve step matrices, 0.21 for the closed
     forms and 0.21 for the kernel, which certifies every type at 2**7
-    letters.
+    letters.  A random 20-mer takes about 0.13 s, its kernel squaring once
+    and walking to 2**8 letters (0.35 s when it squared eight times).
     """
     # the constants describe the clump census of the word's substitution
     # neighborhood, which needs a word of the alphabet with k >= 2

@@ -1,6 +1,7 @@
 """Automata: pattern recognizers, the BNN quotient, and the clump construction."""
 
 import math
+import random
 import re
 from fractions import Fraction as F
 from itertools import product
@@ -734,28 +735,46 @@ def fallbacks(monkeypatch):
 
 @pytest.fixture
 def squarings(monkeypatch):
-    """The stack sizes of the squares that the law kernel makes: _drift
-    checks each square, and each vector, once."""
+    """The stack sizes of the squares that the law kernel makes, one entry
+    per squaring: _drift checks each square once, and the vectors, which
+    have one row, apart from them."""
     sizes = []
     drift = automata._drift
 
     def counting(y, one):
         if y.shape[1] > 1:
             sizes.append(len(y))
-        drift(y, one)
+        return drift(y, one)
     monkeypatch.setattr(automata, "_drift", counting)
     return sizes
 
 
+@pytest.fixture
+def steps(monkeypatch):
+    """The stack sizes of the vector steps r <- r y that the law kernel's
+    walk (_walk) takes, one entry per step."""
+    sizes = []
+    walk = automata._walk
+
+    def counting(r, y, count, *rest):
+        sizes.extend([len(r)] * count)
+        return walk(r, y, count, *rest)
+    monkeypatch.setattr(automata, "_walk", counting)
+    return sizes
+
+
 @pytest.mark.parametrize("n", [1000, 10 ** 4])
-def test_bnn_law_matches_direct_powers(table1, fallbacks, squarings, n):
-    # every DNA 5-mer class certifies its law at 128 letters, after seven
-    # squarings, and runs no powers to n; those powers carry their own
-    # rounding of about n eps, up to 7.6e-13 at 1e4
+def test_bnn_law_matches_direct_powers(table1, fallbacks, squarings, steps,
+                                       n):
+    # every DNA 5-mer class certifies its law at 128 letters, after four
+    # squarings, to letter 16, and 1 + 2 + 4 steps of the walk, and runs
+    # no powers to n; those powers carry their own rounding of about
+    # n eps, up to 7.6e-13 at 1e4
     words = dna_classes(5)
     law = bnn_scan(words, n, table1)
     assert not fallbacks
-    assert sum(squarings) == 7 * len(words)
+    assert sum(squarings) == 4 * len(words)
+    assert sum(steps) == 7 * len(words)
     want = direct_bnn(words, n, table1)
     assert max(abs(p - q) / q for p, q in zip(law, want)) < 1e-12
 
@@ -771,18 +790,13 @@ def lopsided(ac):
 
 
 @pytest.mark.parametrize("word,model", [("AA", "binu"), ("AAC", "binu"),
-                                        ("AACCC", "binu"),
                                         ("CCCC", "lopsided"),
                                         ("CCCCC", "lopsided")])
 def test_bnn_fallback_is_direct_powers(request, fallbacks, squarings, word,
                                        model):
     # the gap B' of the block where both texts avoid is 1 for AA and AAC
     # under binary-uniform, and 0.79 and 0.81 for CCCC and CCCCC under
-    # lopsided, whose p reaches 1 in float before a line certifies.  The
-    # rounding of a reading grows like eps / (1 - p), and AACCC under
-    # binary-uniform has 1 - p = 3e-4 at 256 letters: its readings pass
-    # the check at m / 4 there (1.7e-13 against 1.9e-13), and only the
-    # probe at m + 1 turns the line down (8.7e-13 against 8.1e-13).  Each
+    # lopsided, whose p reaches 1 in float before a line certifies.  Each
     # word reads its line and fails, then goes on from the squares it has
     # to the powers to n, bitwise, so that it squares n.bit_length() - 1
     # times in all, as the powers alone do
@@ -794,6 +808,105 @@ def test_bnn_fallback_is_direct_powers(request, fallbacks, squarings, word,
         assert fallbacks == [1]
         assert squarings == [1] * (n.bit_length() - 1)
         assert p == direct_bnn([word], n, params)
+
+
+def test_bnn_walk_certifies_aaccc(binu, fallbacks, certified):
+    # AACCC under binary-uniform has 1 - p = 3e-4 at 256 letters, and the
+    # rounding of a reading grows like eps / (1 - p): off the squares its
+    # probe turned the line down there, off the walk it passes, and the
+    # line's value at 1e3 is the 40-digit one rounded.  At 128 letters no
+    # line is read, and the word takes the powers to n
+    n = 1000
+    assert bnn_scan(["AACCC"], n, binu) == [0.9999999999999866] == [
+        float(bnn_decimal("AACCC", n, binu))]
+    assert not fallbacks and certified == [256]
+    assert bnn_scan(["AACCC"], 128, binu) == direct_bnn(["AACCC"], 128, binu)
+    assert fallbacks == [1]
+
+
+def test_law_probe_turns_down_a_periodic_term():
+    # over row 0 of the powers of this step matrix a counter state gains
+    # b per letter and a pair of states that swap at every letter gains c
+    # every other one: x_m = (b m + c ceil(m / 2)) / a is 0.75 m at every
+    # power of two, exactly, and 0.75 m + 0.25 one letter past it.  Every
+    # line through the readings at m / 4, m / 2 and m passes the check,
+    # the probe at m + 1 alone turns each down, and the word takes the
+    # powers to n; without the pair its line certifies at once
+    def step(c):
+        return np.array([[[0.5, 0.25, c, 0.0], [0.0, 0.5, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.5, 0.0]]])
+
+    def read(u, k):
+        row = u[:, 0]
+        seen.append(((row[:, 1] + row[:, 2]) / row[:, 0]).tolist())
+        return np.array(seen[-1])
+    seen, n = [], 1000
+    lines, rows = _law(step(0.25), 1, n, read)
+    assert lines == [None]
+    assert (rows == direct_powers(step(0.25), 1, n)).all()
+    letters = [2 ** i for i in range(3, 9)]
+    assert seen == [[1.5], [3.0]] + [[x] for m in letters
+                                     for x in (0.75 * m, 0.75 * m + 1)]
+    seen.clear()
+    assert _law(step(0.0), 1, n, read) == ([(4.0, 0.5, 8)], None)
+    assert seen == [[1.0], [2.0], [4.0], [4.5]]
+
+
+def test_law_schedule_follows_its_cost_rule(table1, skewed, squarings,
+                                            steps, certified):
+    # a full stack of DNA 6-mer classes squares four times, to letter 16,
+    # and walks 1 + 2 + 4 steps to its lines at 128 letters; a seeded
+    # 24-mer squares once, to stack**2, and walks 31 + 32 + 64 steps to
+    # its line at 256 letters, squaring no more on the way.  CCCCCC under
+    # skewed walks on past the plan letter 128 to its line at 2048, and
+    # squares once more before each of those four doublings, which then
+    # take four steps each
+    words = dna_classes(6)[:_stack_words(42 * 42)]
+    bnn_scan(words, 1000, table1)
+    assert squarings == [len(words)] * 4
+    assert steps == [len(words)] * 7
+    assert set(certified) == {128}
+    rng = random.Random(24)
+    word = "".join(rng.choice("ACGT") for _ in range(24))
+    for scan in (bnn_scan, clump_scan):
+        squarings.clear()
+        steps.clear()
+        certified.clear()
+        scan([word], 1000, table1)
+        assert squarings == [1]
+        assert steps == [1] * 127
+        assert certified == [256]
+        squarings.clear()
+        steps.clear()
+        certified.clear()
+        scan(["CCCCCC"], 10 ** 4, skewed)
+        assert squarings == [1] * 8
+        assert steps == [1] * (7 + 4 * 4)
+        assert certified == [2048]
+
+
+@pytest.mark.parametrize("model,k", [("table1", 5), ("binu", 2),
+                                     ("binu", 6), ("skewed", 6)])
+def test_walk_checks_once_per_doubling_exactly(request, monkeypatch, model,
+                                               k):
+    # one mass check per doubling of the walk (_walk) gives bitwise the
+    # values of a check after every step; the binary 2-mers' masses fall
+    # out of the window within a doubling, so their walks are taken again
+    # step by step
+    params = request.getfixturevalue(model)
+    words = ["".join(t) for t in product(params.alphabet.symbols, repeat=k)]
+    lengths = (1000, 10 ** 4)
+    want = [scan(words, n, params) for n in lengths
+            for scan in (bnn_scan, clump_scan)]
+
+    def every_step(r, y, steps, one, grow, high):
+        for _ in range(steps):
+            r = np.matmul(r, y)
+            high = automata._drift(r, one)
+        return r, high
+    monkeypatch.setattr(automata, "_walk", every_step)
+    assert want == [scan(words, n, params) for n in lengths
+                    for scan in (bnn_scan, clump_scan)]
 
 
 def test_out_of_range_messages_print_past_one(lopsided):
@@ -901,28 +1014,31 @@ def direct_clump(words, n, params):
 
 @pytest.mark.parametrize("n", [10 ** 3, 10 ** 7])
 def test_clump_walk_stops_soon_after_jump(table1, fallbacks, squarings,
-                                          certified, n):
+                                          steps, certified, n):
     # every DNA 5-mer reversal class certifies its line of E at 128
-    # letters, after seven squarings, and takes no powers to n; at 1e3
-    # those powers agree within their own rounding
+    # letters, after four squarings and seven steps of the walk, and takes
+    # no powers to n; at 1e3 those powers agree within their own rounding
     words = dna_classes(5)
     p = clump_scan(words, n, table1)
     assert not fallbacks
-    assert sum(squarings) == 7 * len(words)
+    assert sum(squarings) == 4 * len(words)
+    assert sum(steps) == 7 * len(words)
     assert certified == [128] * len(words)
     if n == 1000:
         want = direct_clump(words, n, table1)
         assert max(abs(x - y) / y for x, y in zip(p, want)) < 1e-13
 
 
-def test_clump_walk_one_letter_word_stops_at_once(table1, squarings,
+def test_clump_walk_one_letter_word_stops_at_once(table1, squarings, steps,
                                                   certified):
     # a one-letter word has B = 0, so E is linear from the first letter
     # on: its first three readings, at 2k = 2, 4 and 8 letters, certify
-    # its line after three squarings
+    # its line after one squaring, to letter 2, and three steps of the
+    # walk, to 4 and on to 8
     clump_scan(["G"], 30, table1)
     assert certified == [8]
-    assert squarings == [1, 1, 1]
+    assert squarings == [1]
+    assert steps == [1, 1, 1]
 
 
 def test_clump_defective_root_takes_direct_powers(binu, fallbacks,
@@ -945,6 +1061,40 @@ def test_bnn_scan_matches_single_words(table1, n):
     words = ["".join(t) for t in product("ACGT", repeat=5)]
     assert bnn_scan(words, n, table1) == [bnn_probability(w, n, table1)
                                           for w in words]
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_scans_over_full_stacks_match_single_words(table1, k):
+    # one stack holds 145 5-mer or 74 6-mer pair matrices, so the classes
+    # here fill one stack and start another; the walk's schedule depends
+    # on k and n alone, so every word gets the value it gets alone
+    s = k * (k + 1)
+    words = dna_classes(k)[:_stack_words(s * s) + 3]
+    for n in (1000, 10 ** 7):
+        for scan in (bnn_scan, clump_scan):
+            assert scan(words, n, table1) == [scan([w], n, table1)[0]
+                                              for w in words]
+
+
+@pytest.mark.parametrize("k", [16, 20, 24])
+def test_clump_long_random_words_match_bnn(table1, k):
+    # three seeded random DNA words per length, whose lines certify at 128
+    # or 256 letters after a walk of 31 to 63 steps: CLUMP, the term of
+    # BNN first order in the rates, lies 1.4e-7 to 3.5e-7 relative above
+    # BNN at 1e3 and at 1e6 alike; at 1e3 both agree with the powers to n
+    # within 1e-12 relative, those powers' own rounding
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        word = "".join(rng.choice("ACGT") for _ in range(k))
+        for n in (1000, 10 ** 6):
+            bnn = bnn_scan([word], n, table1)[0]
+            clump = clump_scan([word], n, table1)[0]
+            assert 0 < clump / bnn - 1 < 1e-6
+            if n == 1000:
+                assert bnn == pytest.approx(direct_bnn([word], n, table1)[0],
+                                            rel=1e-12, abs=0)
+                assert clump == pytest.approx(
+                    direct_clump([word], n, table1)[0], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("model", ["binu", "toy_eps"])
