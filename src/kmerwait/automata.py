@@ -8,10 +8,11 @@ the same pair states the term of that quotient that is first order in
 the mutation rate, the CLUMP value.  Both run one law kernel (_law): it
 squares a stack of step matrices a few times, walks row 0 of its powers
 by vector steps until a reading off that row certifies its linear law,
-and takes row 0 of the n-th power where none does.  The clump automaton
-walks the overlap structure of the mutation neighborhood d(b) and
-carries a t mark on transitions that reveal a fresh putative-hit
-position.  Its transfer matrix serves the
+and takes row 0 of the n-th power where none does.  Single-word calls
+keep the lines that they certify, so a repeat at another n reads its line
+(_one_word).  The clump automaton walks the overlap structure of the
+mutation neighborhood d(b) and carries a t mark on transitions that
+reveal a fresh putative-hit position.  Its transfer matrix serves the
 exact census and moment series, and the closed-form generating function,
 which the word-language route reproduces, the point of building both.
 The growth constants of evolution.asymptotics read the blocks of
@@ -20,6 +21,7 @@ the same matrices.
 """
 
 import math
+import threading
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -650,11 +652,15 @@ def _in_range(p):
 def bnn_probability(b, n, params):
     """First-appearance probability p_n of one word: bnn_scan([b], n,
     params)[0]; raises ArithmeticError if it is not in (0, 1).  Under
-    table1 (one BLAS thread, shared 2-core host) a DNA 5-mer costs about
-    0.14 ms at every n from 1e3 to 1e8, since its law certifies at 2**7
-    letters, a 12-mer about 0.7 ms and a 24-mer about 22 ms, its line
-    certifying at 2**8 letters after one squaring and 127 vector steps."""
-    return _in_range(bnn_scan([b], n, params)[0])
+    table1 (one BLAS thread, shared 2-core host) a first call on a DNA
+    5-mer costs about 0.14 ms at every n from 1e3 to 1e8, since its law
+    certifies at m = 2**7 letters, a 12-mer about 0.7 ms and a 24-mer
+    about 22 ms, its line certifying at 2**8 letters after one squaring
+    and 127 vector steps.  The line (x, a, m) that a call certifies is
+    kept (_one_word), and a later call on the word or its reversal at any
+    n with 2 m <= n reads p_n off it, bitwise what the kernel gives, in
+    about 3 us at any k; at n < 2 m the kernel runs again."""
+    return _in_range(_one_word(b, n, params, _bnn_route(params)))
 
 
 def _reversal_classes(words, n, alphabet, name):
@@ -701,13 +707,10 @@ def bnn_scan(words, n, params):
     p_n off row 0 of its n-th power, which the kernel goes on to make, and
     whose relative error grows like n times the machine epsilon.
     oracle.bnn_decimal, which divides by a power of the avoidance matrix
-    of its own, is the 40-digit shadow of this quotient.  _scan runs the
+    of its own, is the 40-digit shadow of this quotient.  _run runs the
     stacks, as for clump_scan.
     """
-    wgt = params.bnn_weights[1]
-    return _scan(words, n, params, "bnn_scan",
-                 lambda table: _pair_matrices(table, wgt), _law_reading,
-                 lambda x: -math.expm1(-x), _hit_share)
+    return _scan(words, n, params, _bnn_route(params))
 
 
 def clump_scan(words, n, params):
@@ -730,40 +733,119 @@ def clump_scan(words, n, params):
     line at 2**7 letters, after four squarings and seven vector steps,
     and a word that does not, such as one whose Perron root is not simple
     (AC under binary-uniform), takes E_n off row 0 of its n-th power.
-    _scan runs the stacks, as for bnn_scan.
+    _run runs the stacks, as for bnn_scan.
     """
+    return _scan(words, n, params, _clump_route(params))
+
+
+def _bnn_route(params):
+    """bnn_scan's route under params for _scan: (name, build, read, line,
+    last).  build makes a stack of step matrices from the words' pattern
+    tables (_kmp_tables), read is the reading of the law kernel (_law),
+    line maps a point of a word's line to its value and last(rows, k)
+    reads the values of the words that take the powers to n."""
+    wgt = params.bnn_weights[1]
+    return ("bnn_scan", lambda table: _pair_matrices(table, wgt),
+            _law_reading, lambda x: -math.expm1(-x), _hit_share)
+
+
+def _clump_route(params):
+    """clump_scan's route under params for _scan, as _bnn_route."""
     nu, wgt = params.bnn_weights
-    return _scan(words, n, params, "clump_scan",
-                 lambda table: _clump_matrices(table, nu, wgt), _hit_count,
-                 float, _hit_count)
+    return ("clump_scan", lambda table: _clump_matrices(table, nu, wgt),
+            _hit_count, float, _hit_count)
 
 
-def _scan(words, n, params, name, build, read, line, last):
+def _scan(words, n, params, route):
     """The values at text length n of the words of bnn_scan or of
-    clump_scan, name, in order.  build makes a stack of step matrices from
-    the words' pattern tables (_kmp_tables), and each stack runs the law
-    kernel (_law) with the reading read.  A word whose law certifies gets
-    line(x + a (n - m)), its line extended to n; a word that does not gets
-    its entry of last(rows, k), read off row 0 of its n-th power.
-
-    Each reversal class runs once (_reversal_classes), in stacks of at
-    most _STACK_ENTRIES matrix entries (145 words of length 5, 74 of
-    length 6), whose squares share one buffer; a word's value does not
-    depend on its stack mates.
+    clump_scan, by route (_bnn_route or _clump_route), in order.  Each
+    reversal class runs once (_reversal_classes) through _run.
     """
-    classes, runs = _reversal_classes(words, n, params.alphabet, name)
+    classes, runs = _reversal_classes(words, n, params.alphabet, route[0])
+    value = dict(zip(runs, _run(runs, n, params, route)[0]))
+    return [value[c] for c in classes]
+
+
+def _run(runs, n, params, route):
+    """The values at text length n of the distinct words runs, checked by
+    _reversal_classes, by route, in order, and their lines (x, a, m), or
+    None for a word that took the powers.  Each stack of step matrices
+    runs the law kernel (_law) with the route's reading.  A word whose law
+    certifies gets line(x + a (n - m)), its line extended to n (_on_line);
+    a word that does not gets its entry of last(rows, k), read off row 0
+    of its n-th power.
+
+    The stacks hold at most _STACK_ENTRIES matrix entries (145 words of
+    length 5, 74 of length 6), and their squares share one buffer; a
+    word's value does not depend on its stack mates.
+    """
+    _, build, read, line, last = route
     k = len(runs[0])
     step = _stack_words((k * (k + 1)) ** 2)
     squares = np.empty((2, min(step, len(runs)), k * (k + 1), k * (k + 1)))
-    out = []
+    out, laws = [], []
     for start in range(0, len(runs), step):
         table = _kmp_tables(runs[start:start + step], params.alphabet)
         lines, rows = _law(build(table), k, n, read, squares)
         rest = iter(() if rows is None else last(rows, k).tolist())
-        out += [next(rest) if law is None
-                else line(law[0] + law[1] * (n - law[2])) for law in lines]
-    value = dict(zip(runs, out))
-    return [value[c] for c in classes]
+        out += [next(rest) if law is None else _on_line(law, n, line)
+                for law in lines]
+        laws += lines
+    return out, laws
+
+
+def _on_line(law, n, line):
+    """The value at text length n of the line law = (x, a, m) of _law."""
+    x, a, m = law
+    return line(x + a * (n - m))
+
+
+# Single-word calls of bnn_probability and clump_probability (_one_word)
+# keep the lines that they certify, at most this many, and drop the
+# oldest first.  A first call on a DNA 5-mer costs about 0.15 ms, a
+# repeat at another n about 3 us.  An entry takes about 480 bytes, the
+# key's two weight strings most of it (tracemalloc over a full memo of
+# DNA 6-mer classes under table1, 2080 by BNN and 2016 by CLUMP:
+# 1.96 MB), so a full memo stays under 2 MB and holds every DNA 6-mer
+# class by one route, or every 5-mer class by both under three models.
+# Stores and evictions take _LINES_LOCK, so that threads sharing the memo
+# never evict one key twice; a read is one dict lookup.
+LINE_MEMO_WORDS = 4096
+_LINES = {}
+_LINES_LOCK = threading.Lock()
+
+
+def _one_word(b, n, params, route):
+    """p_n of the one word b by route (_bnn_route or _clump_route), before
+    the range check, through the memo _LINES of the lines (x, a, m) that
+    earlier single-word calls certified.
+
+    The kernel's squarings, walk and readings up to letter m do not depend
+    on n, which only decides whether the reading at m is taken (2 m <= n).
+    So where 2 m <= n the stored line gives bitwise the kernel's value,
+    and elsewhere the kernel runs as in a scan of the one word (_run),
+    whose line, if it certifies, is stored.  The key is the route, the
+    alphabet, the bytes of both arrays of params.bnn_weights, so that
+    weights changed in place never read a stale line, and the reversal
+    class, whose value is the word's.  The word and length checks come
+    first, so a line never answers what the kernel refuses.  Scans
+    neither read nor fill the memo, so a scan does the same work at every
+    call and gives each word what a first single-word call gives.
+    """
+    name, line = route[0], route[3]
+    _, (run,) = _reversal_classes([b], n, params.alphabet, name)
+    nu, wgt = params.bnn_weights
+    key = (name, params.alphabet.symbols, nu.tobytes(), wgt.tobytes(), run)
+    law = _LINES.get(key)
+    if law is not None and 2 * law[2] <= n:
+        return _on_line(law, n, line)
+    (value,), (law,) = _run([run], n, params, route)
+    if law is not None:
+        with _LINES_LOCK:
+            while len(_LINES) >= LINE_MEMO_WORDS:
+                del _LINES[next(iter(_LINES))]
+            _LINES[key] = law
+    return value
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -874,10 +956,11 @@ def _law(stack, k, n, read, squares=None):
         squares = np.empty((2, *stack.shape))
     bufs = [squares[0, :count], squares[1, :count]]
     # y = stack**e, whose slices' masses, and so their row sums, are at
-    # most grow; r, once the walk starts, is row 0 of stack**m, whose
-    # slices' masses are at most high
+    # most grow[0] (grow, _walk's list of bounds on them); r, once the
+    # walk starts, is row 0 of stack**m, whose slices' masses are at most
+    # high
     y, u, e, r, m, reads = stack, None, 1, None, 0, []
-    grow = high = math.inf
+    grow, high = [math.inf], math.inf
     while True:
         if not top:
             more = True
@@ -893,12 +976,12 @@ def _law(stack, k, n, read, squares=None):
             if 2 * e > n:
                 return lines, u
             y = np.matmul(y, y, out=bufs[bufs[0] is y])
-            grow = max(1.0, _drift(y, one))
+            grow = [max(1.0, _drift(y, one))]
             e *= 2
             continue
         if r is None:
             r, high = _walk(y[:, :1].copy(), y, first // e - 1, one, grow,
-                            grow)
+                            grow[0])
             m = first
         else:
             r, high = _walk(r, y, m // e, one, grow, high)
@@ -941,16 +1024,23 @@ def _walk(r, y, steps, one, grow, high):
     """The stack of row vectors r times the stack y, steps times, and the
     largest mass of a slice of the result (_law's walk).
 
-    high bounds the masses of r's slices and grow, at least 1, the row
-    sums of y's, so the masses of the j-th product lie between those of
-    the last over grow**(steps - j) and high grow**j.  Where that range
-    stays in [2**-_DRIFT, 2**_DRIFT], _drift would have left every product
-    as it is, and one check of the last stands for all.  Else the walk is
-    taken again with each product checked by _drift.
+    high bounds the masses of r's slices and grow holds bounds, each at
+    least 1, on the row sums of y's slices, so the masses of the j-th
+    product lie between those of the last over b**(steps - j) and
+    high b**j, b the last bound of grow.  Where that range stays in
+    [2**-_DRIFT, 2**_DRIFT], _drift would have left every product as it
+    is, and one check of the last stands for all.  Else the walk is taken
+    again with each product checked by _drift.  grow starts as the
+    largest slice mass of y, which _drift returned; where high b**steps
+    passes 2**_DRIFT with that bound, the largest row sum of y, tighter
+    by up to y's order and one pass over y, is added to grow for every
+    later walk on the same square.
     """
     if not steps:
         return r, high
-    bound = grow ** steps
+    if len(grow) == 1 and high * grow[0] ** steps > 2.0 ** _DRIFT:
+        grow.append(max(1.0, float(np.add.reduce(y, 2).max())))
+    bound = grow[-1] ** steps
     if high * bound <= 2.0 ** _DRIFT:
         v = r
         for _ in range(steps):

@@ -30,12 +30,13 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .automata import _clump_matrices, _hit_count, _in_range, _kmp_tables, \
-    _law, _range_message, bnn_probability, bnn_scan, clump_automaton, \
-    clump_moment_series, clump_scan, state_marks
+from .automata import _clump_matrices, _clump_route, _hit_count, \
+    _in_range, _kmp_tables, _law, _one_word, _range_message, \
+    bnn_probability, bnn_scan, clump_automaton, clump_moment_series, \
+    clump_scan, state_marks
 from .gfcore import QONE, QZERO, as_q
 from .words import Alphabet, check_text_length, letter_distribution, \
-    neighbors
+    neighbors, text_length
 
 ROW_SUM_TOL = 1e-7
 REGIME_LIMIT = 1e-2
@@ -310,16 +311,20 @@ def clump_probability(b, n, params):
     computes it that way, in float64 over BNN's pair states.  It walks
     row 0 of the step matrix's powers until the conditioned hit count read
     off that row certifies its quasi-linear law C1 n + C2, and extends
-    that law to n: four squarings of a 30 x 30 matrix and seven vector
-    steps on every DNA 5-mer under table1, about 0.17 ms at any n from 256
-    on, and one squaring and 127 steps on a 24-mer, about 22 ms (one BLAS
-    thread, shared 2-core host).  A word that does not certify, every
-    word at a shorter n among them, takes its value off row 0 of the n-th
-    power, by about log2(n) squarings.  A word and its reversal get
-    bitwise the same float.  A value outside (0, 1) raises
-    ArithmeticError: at n = 100 under binary-uniform AA's is 44.4.
+    that law to n: on a first call, four squarings of a 30 x 30 matrix
+    and seven vector steps on every DNA 5-mer under table1, about 0.17 ms
+    at any n from 256 on, and one squaring and 127 steps on a 24-mer,
+    about 22 ms (one BLAS thread, shared 2-core host).  The line
+    (C1 n + C2 read at letter m) is kept, as for
+    automata.bnn_probability, and a later call on the word or its
+    reversal at any n with 2 m <= n reads its value off it, bitwise the
+    kernel's, in about 3 us.  A word that does not certify, every word at
+    a shorter n among them, takes its value off row 0 of the n-th power,
+    by about log2(n) squarings.  A word and its reversal get bitwise the
+    same float.  A value outside (0, 1) raises ArithmeticError: at n = 100
+    under binary-uniform AA's is 44.4.
     """
-    return _in_range(clump_scan([b], n, params)[0])
+    return _in_range(_one_word(b, n, params, _clump_route(params)))
 
 
 def _bv_scan(codes):
@@ -361,8 +366,9 @@ def _route(method, codes=None):
 def _check_regime(n, params):
     """Warn when n times the largest mutation rate exceeds REGIME_LIMIT,
     where the single-mutation picture that BV and CLUMP rest on starts to
-    degrade."""
-    exposure = n * params.max_mutation()
+    degrade.  A length that is no integer raises TypeError first
+    (words.text_length)."""
+    exposure = text_length(n) * params.max_mutation()
     if exposure > REGIME_LIMIT:
         warnings.warn("n times the mutation rate is %.3g; the "
                       "single-mutation regime ends around 1e-2" % exposure,
@@ -374,7 +380,11 @@ def waiting_time(b, n, params, method="BNN"):
     raises ArithmeticError, through the method's own check, when p_n is
     not in (0, 1).  BV and CLUMP warn past the single-mutation regime, as
     scan_kmers does (_check_regime); BNN, exact in the model, does not:
-    at n = 1e8 under table1 CLUMP gives AC 0.438 and BNN 0.355."""
+    at n = 1e8 under table1 CLUMP gives AC 0.438 and BNN 0.355.  BNN and
+    CLUMP keep the line that a first call on a word certifies at letter m
+    (automata._one_word), so later calls on it at any n with 2 m <= n,
+    from 256 on for a DNA 5-mer under table1, cost about 3 us against
+    0.14-0.17 ms for the first; BV has no such memo."""
     name, route, _ = _route(method)
     if name != "BNN":
         _check_regime(n, params)

@@ -9,6 +9,7 @@ Positions are 1-indexed throughout, matching the usual sequence notation
 S_1 ... S_n.
 """
 
+import operator
 from collections import namedtuple
 
 from .gfcore import QONE, QZERO, as_q
@@ -223,9 +224,19 @@ def word_prob(w, nu):
     return p
 
 
+def text_length(n):
+    """n as an int, where it is an integer (numpy ints among them); else
+    TypeError naming it, for a float such as 1e5 or a string."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise TypeError("text length %r is not an integer" % (n,)) from None
+
+
 def check_text_length(b, n):
-    """Raise unless a text of length n is long enough to hold b."""
-    if n < len(b):
+    """Raise unless n is an integer text length (text_length) long enough
+    to hold b."""
+    if text_length(n) < len(b):
         raise ValueError("text length must be at least the pattern length")
 
 

@@ -1,7 +1,8 @@
 """Shared fixtures: model parameters and cached automata for the binary
 toys, and the clump automaton's walks, independent oracles of the CLUMP
 route (a stop-rule walk) and of the growth constants (a typed walk) over
-another state space than the law kernel's."""
+another state space than the law kernel's.  Every test starts with an
+empty memo of certified lines (automata._LINES)."""
 
 import math
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from kmerwait import automata
 from kmerwait.automata import _float_walk, clump_automaton, state_marks, \
     transfer_matrix
 from kmerwait.evolution import PERRON_TOL, ModelParams, load_params
@@ -18,6 +20,14 @@ TOYS = ("AAA", "ACC", "ACAC", "AACC", "AACA")
 
 UNIFORM = {"A": F(1, 2), "C": F(1, 2)}
 BIASED = {"A": F(1, 3), "C": F(2, 3)}
+
+
+@pytest.fixture(autouse=True)
+def empty_line_memo():
+    """Empty the memo of the lines that single-word BNN and CLUMP calls
+    certified, so that a test that patches LAW_TOL or counts the law
+    kernel's work never reads a line that another test left."""
+    automata._LINES.clear()
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,8 @@
 import math
 import random
 import re
+import sys
+import threading
 from fractions import Fraction as F
 from itertools import product
 
@@ -37,8 +39,8 @@ from kmerwait.automata import (
     transfer_matrix,
 )
 from kmerwait.cli import main
-from kmerwait.evolution import ModelParams, asymptotics, scan_kmers, \
-    waiting_time
+from kmerwait.evolution import ModelParams, asymptotics, \
+    clump_probability, load_params, scan_kmers, waiting_time
 from kmerwait.gfcore import POLY_ONE, POLY_ZERO, Poly, bareiss_det
 from kmerwait.languages import clump_gf_language
 from kmerwait.oracle import _kmp_table as oracle_kmp_table
@@ -1236,3 +1238,213 @@ def test_to_dot_smoke(ac, autos):
     assert ("AAA", ("A", "C"), "~") not in seen
     assert {("AAA", None, "~"), ("AACA", None, "~"),
             ("AACA", ("A", "C"), "~")} <= seen
+
+
+# the single-word call, the scan and the direct powers of each route
+ROUTES = {"BNN": (bnn_probability, bnn_scan, direct_bnn),
+          "CLUMP": (clump_probability, clump_scan, direct_clump)}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_line_memo_matches_kernel_every_5mer(table1, certified, route):
+    # every DNA 5-mer class certifies at 128 letters, so from n = 256 on a
+    # stored line answers: the first call on a word runs the kernel and
+    # every later one reads its line, bitwise the kernel's value, whether
+    # the small or the large n comes first
+    single, scan, _ = ROUTES[route]
+    words = dna_classes(5)
+    lengths = (256, 1000, 10 ** 5, 10 ** 8)
+    want = {n: scan(words, n, table1) for n in lengths}
+    certified.clear()
+    for order in (lengths, lengths[::-1]):
+        automata._LINES.clear()
+        for n in order:
+            assert [single(w, n, table1) for w in words] == want[n]
+    assert certified == [128] * (2 * len(words))
+    assert len(automata._LINES) == len(words)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_line_memo_answers_repeats_without_the_kernel(table1, certified,
+                                                      route):
+    # a second call at another n, on the word or its reversal, runs no
+    # kernel; below twice the certifying letter (128) the kernel runs
+    # again, takes the powers to n and keeps the stored line
+    single, scan, direct = ROUTES[route]
+    p = single("ACGTA", 1000, table1)
+    assert certified == [128]
+    assert single("ATGCA", 10 ** 5, table1) == scan(["ACGTA"], 10 ** 5,
+                                                    table1)[0]
+    assert single("ACGTA", 1000, table1) == p
+    assert single("ACGTA", 256, table1) == scan(["ACGTA"], 256, table1)[0]
+    assert certified == [128] * 3
+    stored = dict(automata._LINES)
+    for n in (128, 255):
+        assert single("ACGTA", n, table1) == direct(["ACGTA"], n, table1)[0]
+    assert certified == [128] * 3 + [None] * 2
+    assert automata._LINES == stored
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_line_memo_is_not_for_scans(table1, certified, route):
+    # a scan neither fills the memo nor reads it, so it runs its kernel
+    # at every call, even over words whose lines are stored
+    single, scan, _ = ROUTES[route]
+    scan(["ACGTA", "AAAAC"], 1000, table1)
+    assert not automata._LINES
+    single("ACGTA", 1000, table1)
+    scan(["ACGTA"], 10 ** 5, table1)
+    assert certified == [128] * 4
+    assert len(automata._LINES) == 1
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_line_memo_keeps_models_apart(table1, skewed, route):
+    # ACCA certifies at 128 letters under both models, over other letter
+    # weights and alphabets: each model reads its own line
+    single, scan, _ = ROUTES[route]
+    for n in (1000, 10 ** 4):
+        for params in (table1, skewed, table1):
+            assert single("ACCA", n, params) == scan(["ACCA"], n, params)[0]
+    assert len(automata._LINES) == 2
+    assert single("ACCA", 10 ** 4, skewed) != single("ACCA", 10 ** 4, table1)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_line_memo_sees_weights_changed_in_place(route):
+    # the weights are part of the key, byte for byte, so a model whose
+    # arrays change in place reads no stale line
+    single, scan, _ = ROUTES[route]
+    params = load_params("table1")
+    old = single("ACGTA", 1000, params)
+    for arr in params.bnn_weights:
+        arr *= 1.5
+        assert single("ACGTA", 1000, params) == scan(["ACGTA"], 1000,
+                                                     params)[0]
+    assert single("ACGTA", 1000, params) != old
+    assert len(automata._LINES) == 3
+
+
+@pytest.mark.parametrize("route,word,lengths", [
+    ("BNN", "AA", (2, 30, 100, 1000)), ("CLUMP", "AC", (2, 30, 1000))])
+def test_line_memo_stores_no_uncertified_word(binu, certified, route,
+                                              word, lengths):
+    # under binary-uniform AA by BNN reads p = 1 in float before its line
+    # certifies, and AC by CLUMP has a Perron root that is not simple:
+    # neither stores a line, and each call runs the kernel and returns or
+    # raises as the scan's value says
+    single, scan, _ = ROUTES[route]
+    for n in lengths * 2:
+        want = scan([word], n, binu)[0]
+        if 0.0 < want < 1.0:
+            assert single(word, n, binu) == want
+        else:
+            with pytest.raises(ArithmeticError, match="out of range"):
+                single(word, n, binu)
+    assert not automata._LINES
+    assert certified == [None] * (2 * 2 * len(lengths))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_line_memo_checks_before_it_answers(table1, certified, route):
+    # the word and length checks run before the memo is read, and the
+    # range check after it: a length that is no integer, a bad word or a
+    # short text raises even where a line would answer, and so does a
+    # value off the range, read off the line
+    single, _, _ = ROUTES[route]
+    single("ACGTA", 1000, table1)
+    (key, law), = automata._LINES.items()
+    with pytest.raises(TypeError, match=r"text length 100000\.0 is not"):
+        single("ACGTA", 1e5, table1)
+    with pytest.raises(ArithmeticError, match="out of range"):
+        single("ACGTA", 10 ** 13, table1)
+    # lines planted for a bad word, and at one letter for a short text
+    automata._LINES[key[:-1] + ("ACGTN",)] = law
+    with pytest.raises(ValueError, match="not in alphabet"):
+        single("ACGTN", 1000, table1)
+    automata._LINES[key] = law[:2] + (1,)
+    with pytest.raises(ValueError, match="text length"):
+        single("ACGTA", 4, table1)
+    assert certified == [128]
+
+
+def test_line_memo_drops_the_oldest_at_its_cap(table1, monkeypatch,
+                                               certified):
+    monkeypatch.setattr(automata, "LINE_MEMO_WORDS", 3)
+    words = ["AAAAC", "ACGTA", "ACCGT", "AGATT"]
+    for w in words:
+        bnn_probability(w, 1000, table1)
+    assert [key[-1] for key in automata._LINES] == words[1:]
+    # AAAAC is gone, so it runs the kernel again and ACGTA goes; AGATT
+    # is still there
+    bnn_probability("AAAAC", 10 ** 5, table1)
+    bnn_probability("AGATT", 10 ** 5, table1)
+    assert [key[-1] for key in automata._LINES] == words[2:] + words[:1]
+    assert certified == [128] * 5
+
+
+def test_line_memo_shared_by_threads(table1, monkeypatch):
+    # more threads than cores fill and evict a small memo at once, with
+    # short switch intervals: no eviction fails, the cap holds, and every
+    # answer is the scan's
+    monkeypatch.setattr(automata, "LINE_MEMO_WORDS", 5)
+    words = dna_classes(5)[::17]
+    lengths = (1000, 10 ** 5)
+    want = {n: bnn_scan(words, n, table1) for n in lengths}
+    got, errors = {}, []
+
+    def work(i):
+        try:
+            for n in lengths:
+                got[i, n] = [bnn_probability(w, n, table1)
+                             for w in words[i::2] + words[1 - i::2]]
+        except Exception as exc:  # reported below, in the main thread
+            errors.append(exc)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i % 2,))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert len(automata._LINES) <= 5
+    for (i, n), values in got.items():
+        order = words[i::2] + words[1 - i::2]
+        assert values == [want[n][words.index(w)] for w in order]
+
+
+@pytest.mark.parametrize("k", [16, 24])
+def test_walk_row_sum_bound_checks_once_per_doubling(table1, monkeypatch, k):
+    # a long word's square has slice masses near its order, so the slice
+    # bound fails over a doubling; the largest row sum, at most 1 here,
+    # still keeps every step in the window, so the walk checks no vector
+    # step by step (only n's bit products would be vectors, and 1000 has
+    # none below the one squaring) and gives bitwise the per-step values
+    word = "".join(random.Random(k).choice("ACGT") for _ in range(k))
+    want = [scan([word], 1000, table1) for scan in (bnn_scan, clump_scan)]
+    vectors = []
+    drift = automata._drift
+
+    def counting(y, one):
+        if y.shape[1] == 1:
+            vectors.append(len(y))
+        return drift(y, one)
+    monkeypatch.setattr(automata, "_drift", counting)
+    assert want == [scan([word], 1000, table1)
+                    for scan in (bnn_scan, clump_scan)]
+    assert not vectors
+
+    def every_step(r, y, steps, one, grow, high):
+        for _ in range(steps):
+            r = np.matmul(r, y)
+            high = drift(r, one)
+        return r, high
+    monkeypatch.setattr(automata, "_walk", every_step)
+    assert want == [scan([word], 1000, table1)
+                    for scan in (bnn_scan, clump_scan)]

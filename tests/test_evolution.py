@@ -1,6 +1,7 @@
 """Model parameters, the three probability routes, and growth constants."""
 
 import math
+import re
 from fractions import Fraction as F
 from itertools import product as iproduct
 
@@ -228,6 +229,35 @@ def test_negative_lengths_raise(ac, toy_eps):
                  lambda: clump_series(ca, toy_eps.nu, -1)):
         with pytest.raises(ValueError, match="negative"):
             call()
+
+
+@pytest.mark.parametrize("n", [1e5, 1000.0, "1000"])
+def test_lengths_that_are_no_integer_raise(table1, n):
+    # every public route raises TypeError naming the length, the BNN and
+    # CLUMP calls also where a stored line would answer that n
+    calls = [lambda: bnn_probability("ACGTA", n, table1),
+             lambda: clump_probability("ACGTA", n, table1),
+             lambda: bv_probability("ACGTA", n, table1)]
+    for method in ("BV", "BNN", "CLUMP"):
+        calls += [lambda m=method: waiting_time("ACGTA", n, table1, m),
+                  lambda m=method: scan_kmers(3, n, table1, m)]
+    bnn_probability("ACGTA", 1000, table1)
+    clump_probability("ACGTA", 1000, table1)
+    for call in calls:
+        with pytest.raises(TypeError, match="text length %s is not an "
+                           "integer" % re.escape(repr(n))):
+            call()
+
+
+@pytest.mark.parametrize("method", ["BV", "BNN", "CLUMP"])
+def test_numpy_int_lengths_are_lengths(table1, method):
+    for n in (1000, 10 ** 5):
+        want = waiting_time("ACGTA", n, table1, method).p_n
+        assert waiting_time("ACGTA", np.int64(n), table1,
+                            method).p_n == want
+    want = [r.p_n for r in scan_kmers(3, 1000, table1, method)]
+    assert [r.p_n for r in scan_kmers(3, np.int64(1000), table1,
+                                      method)] == want
 
 
 def test_expected_hits_typed_decomposition(toy_eps):
