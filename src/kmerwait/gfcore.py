@@ -348,21 +348,6 @@ def _as_rf(x):
 # ---------------------------------------------------------------------------
 # matrices
 
-def mat_mul_poly(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = POLY_ZERO
-            for l in range(m):
-                if a[i][l].terms and b[l][j].terms:
-                    acc = acc + a[i][l] * b[l][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def _bareiss_pivots(mat):
     """(minor, det) of a square Poly matrix, the last two pivots of one
     fraction-free elimination (Bareiss, Math. Comp. 1968): the leading
@@ -400,20 +385,36 @@ def bareiss_det(mat):
 
 
 def adjugate_poly(mat):
-    """Adjugate of a small square Poly matrix via cofactor minors."""
+    """(det, adj) of a square Poly matrix from one fraction-free
+    Gauss-Jordan elimination of [mat | I] (Bareiss, Math. Comp. 1968;
+    Nakos, Turner & Williams, SIGSAM Bull. 1997).  Step p clears column p
+    above the pivot as well as below it and divides by the previous pivot,
+    exactly, so the elimination ends at [d I | d mat^-1], d being the last
+    pivot: det up to the sign of the row swaps.  Cleared columns are not
+    stored.  A singular matrix raises ArithmeticError.
+    """
     n = len(mat)
-    if n == 1:
-        return [[POLY_ONE]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [mat[r][c] for c in range(n) if c != i]
-                for r in range(n) if r != j
-            ]
-            d = bareiss_det(minor)
-            adj[i][j] = d if (i + j) % 2 == 0 else -d
-    return adj
+    m = [row[:] + [POLY_ONE if i == j else POLY_ZERO for j in range(n)]
+         for i, row in enumerate(mat)]
+    sign, prev = 1, POLY_ONE
+    for p in range(n):
+        swap = next((r for r in range(p, n) if not m[r][p].is_zero()), None)
+        if swap is None:
+            raise ArithmeticError("singular matrix has no adjugate by elimination")
+        if swap != p:
+            m[p], m[swap] = m[swap], m[p]
+            sign = -sign
+        piv = m[p][p]
+        for i in range(n):
+            if i != p:
+                f = m[i][p]
+                m[i][p + 1:] = [(piv * a - f * b).divexact(prev)
+                                for a, b in zip(m[i][p + 1:], m[p][p + 1:])]
+        prev = piv
+    adj = [row[n:] for row in m]
+    if sign == 1:
+        return prev, adj
+    return -prev, [[-x for x in row] for row in adj]
 
 
 def rfm_inverse(mat):

@@ -6,20 +6,23 @@ first occurrence, the minimal continuations between consecutive
 occurrences, and the occurrence-free tails satisfy a linear system whose
 generating-function translation, B_ij = (1-z) C_ij + v_j over the word
 weights v and correlation polynomials C, is solved here exactly, as
-numerators over one denominator delta = det B.  On top of that sit the
-code matrices describing how occurrences chain into overlapping clumps,
-and F(z, t), counting putative-hit positions (marked by t) in texts that
-avoid a given k-mer.  F takes no adjugate of B: the clump chain and the
-word system of the neighbors and the k-mer form one block matrix Q, whose
-Schur complement on B is the gap-and-clump system, so det Q carries no
-spurious power delta^(r-1).  With the parse identity
+numerators over one denominator delta = det B.  One fraction-free
+Gauss-Jordan elimination of [B | I] gives delta and adj B together.  On
+top of that sit the code matrices describing how occurrences chain into
+overlapping clumps, and F(z, t), counting putative-hit positions (marked
+by t) in texts that avoid a given k-mer.  F takes no adjugate of B: the
+clump chain and the word system of the neighbors and the k-mer form one
+block matrix Q, whose Schur complement on B is the gap-and-clump system,
+so det Q carries no spurious power delta^(r-1).  With the parse identity
 N + (sum_j R_j) / (1-z) = 1/(1-z) (criterion 6), F is read off one
-fraction-free elimination of Q bordered by the word weights.
+fraction-free elimination of Q bordered by the word weights, and the
+factor (1-z)^(r+1) that its two parts share is divided out exactly.
 
 This is the paper's language route.  It imports nothing from the
 automaton route, so the two certify each other.
 """
 
+import math
 from collections import namedtuple
 
 from .gfcore import (
@@ -30,7 +33,6 @@ from .gfcore import (
     RatFun,
     _bareiss_pivots,
     adjugate_poly,
-    mat_mul_poly,
     rfm_inverse,
 )
 from .words import (
@@ -63,11 +65,6 @@ def _word_system(words, nuq):
     return v, C, B
 
 
-def _row_det(mat, adj):
-    """det(mat) as the expansion along row 0, from the adjugate adj."""
-    return sum((mat[0][j] * adj[j][0] for j in range(len(mat))), POLY_ZERO)
-
-
 class LanguageGFs:
     """Solved language system for a reduced word set.
 
@@ -76,8 +73,12 @@ class LanguageGFs:
     M[i][j] of minimal continuations from an occurrence of word i to the
     next occurrence, of word j; U[i] of tails after an occurrence of word
     i seeing no further occurrence.  R, U and M share the denominator
-    delta = det B.  vpolys and C are the word weights and correlation
-    polynomials the solve started from, nuq the letter distribution.
+    delta = det B; N's is delta v_j, whichever column j it is read
+    from.  With adj B the
+    adjugate, R = v adj B / delta, U_i = (sum_j adj B_ij) / delta and
+    M = I - (1-z) adj B / delta.  vpolys and C are the word weights and
+    correlation polynomials the solve started from, nuq the letter
+    distribution.
     """
 
     def __init__(self, words, nuq, vpolys, C, delta, R, U, M, N):
@@ -99,8 +100,11 @@ def rs_solve(words, alphabet, nu):
     of the word set: with C_ij the generating function of the correlation
     set of (v_i, v_j) and v_j(z) the word weight, the matrix
     B_ij = (1-z) C_ij + v_j(z) encodes the whole system.  Its determinant
-    and adjugate give all four families in closed form; the avoiding
-    function is recovered once per column and cross-checked.
+    delta and adjugate, both from one elimination (gfcore.adjugate_poly),
+    give all four families in closed form: R's numerators are v adj B, and
+    N's are R's numerators times C, over delta v_j for every column j.
+    The avoiding function is recovered once per column and cross-checked.
+    A singular B raises ArithmeticError.
     """
     words = tuple(words)
     if not words:
@@ -113,13 +117,15 @@ def rs_solve(words, alphabet, nu):
     r = len(words)
     vpolys, C, B = _word_system(words, nuq)
     one_minus_z = POLY_ONE - POLY_Z
-    adjB = adjugate_poly(B)
-    delta = _row_det(B, adjB)
-    if delta.is_zero():
-        raise ArithmeticError("degenerate language system")
-    [Rnum] = mat_mul_poly([vpolys], adjB)
+    try:
+        delta, adjB = adjugate_poly(B)
+    except ArithmeticError:
+        raise ArithmeticError("degenerate language system") from None
+    Rnum = [sum((vi * row[j] for vi, row in zip(vpolys, adjB)), POLY_ZERO)
+            for j in range(r)]
     # N v_j = sum_i R_i C_ij for every column j
-    [Nnum] = mat_mul_poly([Rnum], C)
+    Nnum = [sum((ri * row[j] for ri, row in zip(Rnum, C)), POLY_ZERO)
+            for j in range(r)]
     N = RatFun(Nnum[0], delta * vpolys[0])
     for j in range(1, r):
         if not (N == RatFun(Nnum[j], delta * vpolys[j])):
@@ -384,6 +390,27 @@ def clump_gf_language(b, alphabet, nu, mark=None):
     the column [0; 1] and the row [0, v].  One fraction-free elimination
     of Q' (gfcore._bareiss_pivots) yields det Q, its leading minor, and
     det Q'.
+
+    The two parts share the factor (1-z)^(r+1), r+1 being the number of
+    words, so F is returned as
+    ((det Q + det Q') / (1-z)^(r+1)) / (det Q / (1-z)^r), both divisions
+    exact.  First, every word has length k, so c_j = v_j / v_0 is a
+    constant.  Subtracting c_j times word column 0 from word column j,
+    j = 1..r, turns a chain row's entry into (1-z) (S_pj - c_j S_p0), a
+    word row's into (1-z) (C_ij - c_j C_i0) and the border row's into 0.
+    So each of those r columns is (1-z) times a polynomial column, and
+    (1-z)^r divides det Q and det Q'; the same operation on B alone shows
+    that (1-z)^r divides det B.  Write Q1 and Q1' for Q and Q' after it,
+    with (1-z) taken out of those r columns, so that
+    det Q = (1-z)^r det Q1 and det Q' = (1-z)^r det Q1'.  Second, word
+    column 0 is untouched.  At z = 1 its chain entries (1-z) S_p0 vanish
+    and its word entries are v_0(1), so in Q1 it is v_0(1) times the
+    border column [0; 1].  In Q1', word column 0 minus v_0 times the
+    border column is, at z = 1, zero but for v_0(1) in the border row.
+    Expanding det Q1'(1) along it leaves Q1(1) with word column 0
+    replaced by [0; 1], with the sign (-1)^(r+1) of the entry and (-1)^r
+    of moving the border column into place.  So det Q1'(1) = -det Q1(1),
+    and (1-z) divides det Q1 + det Q1'.
     """
     mk = marked_code_gf(b, alphabet, nu, mark)
     nuq = letter_distribution(alphabet, nu)
@@ -417,4 +444,6 @@ def clump_gf_language(b, alphabet, nu, mark=None):
     det_q, det_bordered = _bareiss_pivots(rows)
     if det_q.is_zero():
         raise ArithmeticError("degenerate clump system")
-    return RatFun(det_q + det_bordered, one_minus_z * det_q)
+    shift = math.prod([one_minus_z] * r, start=POLY_ONE)
+    return RatFun((det_q + det_bordered).divexact(one_minus_z * shift),
+                  det_q.divexact(shift))

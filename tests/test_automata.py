@@ -373,6 +373,8 @@ def test_gf_routes_agree_exactly(ac, b, mark):
     g1 = clump_gf_language(b, ac, UNIFORM, mark)
     g2 = gf_from_clump_automaton(clump_automaton(b, ac, mark=mark), UNIFORM)
     assert g1 == g2
+    # the same parts, so the same z-degrees: no spurious common factor
+    assert (g1.num, g1.den) == (g2.num, g2.den)
 
 
 SKEWED = {"A": F(1, 100), "C": F(99, 100)}

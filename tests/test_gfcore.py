@@ -12,7 +12,6 @@ from kmerwait.gfcore import (
     as_q,
     bareiss_det,
     gcd_univariate,
-    mat_mul_poly,
     parse_poly,
     render_poly,
     render_ratfun,
@@ -150,7 +149,7 @@ def _polys(rows):
             for row in rows]
 
 
-@pytest.mark.parametrize("rows, minor_zero, det_zero", [
+PIVOT_CASES = [
     # no swap, every pivot a different polynomial
     ([[2, Z, 1, 0], [1, 3, Z, 1], [Z, 1, 4, Z * Z], [1, Z, 0, 2]],
      False, False),
@@ -166,8 +165,13 @@ def _polys(rows):
     # singular with a nonzero leading minor, and with no pivot in column 0
     ([[1, 2, 3], [2, 5, Z], [3, 7, Z + Poly.const(3)]], False, True),
     ([[0, 1, Z], [0, 3, 4], [0, 5, 6]], True, True),
-], ids=["no-swap", "lead-swap", "lifted", "lifted-then-swap", "last-swap",
-        "singular", "no-pivot"])
+]
+PIVOT_IDS = ["no-swap", "lead-swap", "lifted", "lifted-then-swap",
+             "last-swap", "singular", "no-pivot"]
+
+
+@pytest.mark.parametrize("rows, minor_zero, det_zero", PIVOT_CASES,
+                         ids=PIVOT_IDS)
 def test_bareiss_pivots_are_leading_minor_and_det(rows, minor_zero,
                                                   det_zero):
     """The last two pivots of one elimination are the leading minor of
@@ -180,16 +184,35 @@ def test_bareiss_pivots_are_leading_minor_and_det(rows, minor_zero,
     assert (minor.is_zero(), det.is_zero()) == (minor_zero, det_zero)
 
 
+@pytest.mark.parametrize("rows, minor_zero, det_zero", PIVOT_CASES,
+                         ids=PIVOT_IDS)
+def test_adjugate_is_laplace_cofactors(rows, minor_zero, det_zero):
+    """One Gauss-Jordan elimination, row swaps included, gives the
+    determinant and every cofactor that Laplace expansion gives; a
+    singular matrix raises."""
+    m = _polys(rows)
+    if det_zero:
+        with pytest.raises(ArithmeticError):
+            adjugate_poly(m)
+        return
+    n = len(m)
+    cofactors = [[_laplace([row[:i] + row[i + 1:]
+                            for r, row in enumerate(m) if r != j])
+                  .scale((-1) ** (i + j)) for j in range(n)]
+                 for i in range(n)]
+    assert adjugate_poly(m) == (_laplace(m), cofactors)
+
+
 def test_adjugate_identity():
     m = [[ONE, Z, Poly.const(2)],
          [Poly(), ONE - Z, Z * Z],
          [Z, ONE, ONE]]
-    det = bareiss_det(m)
-    adj = adjugate_poly(m)
-    prod = mat_mul_poly(m, adj)
+    det, adj = adjugate_poly(m)
+    assert det == bareiss_det(m)
     for i in range(3):
         for j in range(3):
-            assert prod[i][j] == (det if i == j else Poly())
+            prod = sum((m[i][l] * adj[l][j] for l in range(3)), Poly())
+            assert prod == (det if i == j else Poly())
 
 
 def test_rfm_inverse_roundtrip():

@@ -77,7 +77,7 @@ def test_parse_identity_simple_sets(ac, dna):
         (("AAC", "ACA", "CAA"), ac, BIASED),
         (("CATAT", "TATAT"), dna, quarter),
         # seven words, the largest system here; rs_solve takes its
-        # adjugate from cofactor minors at every size
+        # determinant and adjugate from one elimination at every size
         (neighbors("AC", dna) + ("AC",), dna, quarter),
     ):
         lang = rs_solve(words, alphabet, nu)
@@ -227,8 +227,8 @@ def test_clump_gf_is_one_bordered_system(ac, monkeypatch):
 
 @pytest.mark.parametrize("b", TOYS)
 def test_clump_gf_denominator_has_no_spurious_factor(ac, b):
-    """The denominator is (1-z) det Q.  A chain row of Q has z-degree at
-    most k-1 and a word row at most k, so det Q is bounded by their sum.
+    """The denominator divides (1-z) det Q.  A chain row of Q has z-degree
+    at most k-1 and a word row at most k, so det Q is bounded by their sum.
     A power of the word system's determinant in the denominator (z-degree
     56 for ACAC, against a bound of 33) breaks the bound."""
     nuq = letter_distribution(ac, UNIFORM)
@@ -268,7 +268,9 @@ def test_clump_gf_three_letters(b):
     rows are the exhaustive census."""
     abc = Alphabet("ABC")
     gf = clump_gf_language(b, abc, THREE)
-    assert gf == gf_from_clump_automaton(clump_automaton(b, abc), THREE)
+    g = gf_from_clump_automaton(clump_automaton(b, abc), THREE)
+    assert gf == g
+    assert (gf.num, gf.den) == (g.num, g.den)
     rows = gf.taylor_tpolys(7)
     for n in range(8):
         want = dict(enumerate_census(b, n, abc, THREE).census)
@@ -277,8 +279,10 @@ def test_clump_gf_three_letters(b):
 
 def test_clump_gf_dna(table1):
     gf = clump_gf_language("AC", table1.alphabet, table1.nu)
-    ca = clump_automaton("AC", table1.alphabet)
-    assert gf == gf_from_clump_automaton(ca, table1.nu)
+    g = gf_from_clump_automaton(clump_automaton("AC", table1.alphabet),
+                                table1.nu)
+    assert gf == g
+    assert (gf.num, gf.den) == (g.num, g.den)
 
 
 def test_clump_gf_t1_is_plain_avoiding(ac, binu, acac_gf):
