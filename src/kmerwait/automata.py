@@ -705,7 +705,10 @@ def bnn_scan(words, n, params):
     its relative error stays near 1e-14 at every n.  A word that does not
     certify by letter n / 2, every word at a shorter n among them, takes
     p_n off row 0 of its n-th power, which the kernel goes on to make, and
-    whose relative error grows like n times the machine epsilon.
+    whose relative error grows like n times the machine epsilon.  So does
+    a word whose p reads 1 in float before its line certifies, in a stack
+    as alone: its readings decide only its own line, and a scan gives
+    every word bitwise what bnn_scan([word], n, params) gives.
     oracle.bnn_decimal, which divides by a power of the avoidance matrix
     of its own, is the 40-digit shadow of this quotient.  _run runs the
     stacks, as for clump_scan.
@@ -733,7 +736,9 @@ def clump_scan(words, n, params):
     line at 2**7 letters, after four squarings and seven vector steps,
     and a word that does not, such as one whose Perron root is not simple
     (AC under binary-uniform), takes E_n off row 0 of its n-th power.
-    _run runs the stacks, as for bnn_scan.
+    _run runs the stacks, as for bnn_scan: every word stays in its stack
+    to the end of the kernel's run, whenever its line certifies, and gets
+    bitwise the value it gets alone.
     """
     return _scan(words, n, params, _clump_route(params))
 
@@ -772,8 +777,8 @@ def _run(runs, n, params, route):
     None for a word that took the powers.  Each stack of step matrices
     runs the law kernel (_law) with the route's reading.  A word whose law
     certifies gets line(x + a (n - m)), its line extended to n (_on_line);
-    a word that does not gets its entry of last(rows, k), read off row 0
-    of its n-th power.
+    a word that does not gets its own entry of last(rows, k), read off row
+    0 of its n-th power, since rows holds one row per word of the stack.
 
     The stacks hold at most _STACK_ENTRIES matrix entries (145 words of
     length 5, 74 of length 6), and their squares share one buffer; a
@@ -787,9 +792,9 @@ def _run(runs, n, params, route):
     for start in range(0, len(runs), step):
         table = _kmp_tables(runs[start:start + step], params.alphabet)
         lines, rows = _law(build(table), k, n, read, squares)
-        rest = iter(() if rows is None else last(rows, k).tolist())
-        out += [next(rest) if law is None else _on_line(law, n, line)
-                for law in lines]
+        values = None if rows is None else last(rows, k).tolist()
+        out += [values[i] if law is None else _on_line(law, n, line)
+                for i, law in enumerate(lines)]
         laws += lines
     return out, laws
 
@@ -855,10 +860,11 @@ def _law(stack, k, n, read, squares=None):
     length k), the linear law of read, a reading taken off row 0 of its
     powers, or row 0 of its n-th power where that law does not certify.
     Returns (lines, rows): per word, as a list, (x, a, m), the line of
-    slope a through its reading x at letter m, or None; and the stack of
-    row 0 of the n-th power of the words with None, in order, each times a
-    power of two of its own (callers read only ratios within a slice), or
-    None when every word certifies.
+    slope a through its reading x at letter m, or None; and None when
+    every word certifies, else the stack of row 0 of the n-th power of
+    every word, one row per word in stack order, each times a power of two
+    of its own.  Callers read only ratios within a slice, and only the
+    rows of the words with None.
 
     Both readings, x = -log(1 - p) of BNN (_law_reading) and CLUMP's
     conditioned hit count (_hit_count), are a m + b up to terms that decay
@@ -867,20 +873,26 @@ def _law(stack, k, n, read, squares=None):
     earlier readings only cost), up to n / 2, off r, row 0 of the m-th
     power.  A word certifies at m when the line through its readings at
     m / 2 and m passes its reading at m / 4, and its reading at m + 1
-    (r times the step matrix once), each within LAW_TOL of that reading;
-    it then leaves the stack.  The probe reads the line off the powers of
-    two: it turns down a term whose period divides m / 4, which those
-    readings alone would miss, and BNN readings near p = 1, whose rounding
-    grows like eps / (1 - p).  A reading of 0 at all four letters
-    certifies the line 0, the value the powers give too; one of inf
-    (p = 1) never certifies.  BNN reads inf at p = 1 by a division by
-    zero, and nan past it, so numpy's divide and invalid warnings are off
-    for the whole call: turning them off around each reading instead cost
-    about 7 us a call, 4% of a DNA 5-mer's.  The products, of finite
-    nonnegative entries, raise neither, and an overflow still warns.
-    Reading stops once no word's last reading lies in (0, inf): at p = 1
-    in float a word's later readings are only rounding.  It does not start
-    when n is less than 8 first, too short for a third reading.
+    (r times the step matrix once), each within LAW_TOL of that reading.
+    Its line is then fixed and its later readings are ignored, but it
+    stays in the stack: no array changes shape during a run.  The probe
+    reads the line off the powers of two: it turns down a term whose
+    period divides m / 4, which those readings alone would miss, and BNN
+    readings near p = 1, whose rounding grows like eps / (1 - p).  A
+    reading of 0 at all four letters certifies the line 0, the value the
+    powers give too.  A word whose reading is not finite (p = 1 in float)
+    never certifies after it and takes the powers to n: its later
+    readings are only rounding, and a line through them would be rounding
+    too.  BNN reads inf at p = 1 by a division by zero, and nan past it,
+    so numpy's divide and invalid warnings are off for the whole call:
+    turning them off around each reading instead cost about 7 us a call,
+    4% of a DNA 5-mer's.  The products, of finite nonnegative entries,
+    raise neither, and an overflow still warns.  Reading stops once no
+    undecided word, one that has neither certified nor read a reading
+    that is not finite, has its last reading in (0, inf).  So each word's
+    readings decide only its own line, and a word in a stack stops
+    reading where it would alone.  Reading does not start when n is less
+    than 8 first, too short for a third reading.
 
     Only row 0 of each power is read, so the kernel squares the stack only
     as far as pays and walks r from power to power by vector steps
@@ -899,19 +911,19 @@ def _law(stack, k, n, read, squares=None):
     the doubling from m to 2 m, the walk squares once more while a
     squaring costs less than the m / (2 e) steps it saves on it.  The
     rule reads only s, k and n, never how many words share the stack, so
-    a scan gives each word the value it gets alone.  Against seven
-    squarings to letter 128, a 6-mer scan under table1 at n = 1000 went
-    from 0.083 to 0.057 s (bnn_scan) and CLUMP on a random 24-mer from
-    67-71 to 22-23 ms.
+    a scan gives each word the value it gets alone.
 
-    The words that do not certify go on from the squares made to the
-    binary powers of n: where n has the bit e, y = stack**e is multiplied
-    into u, their row vectors, before y is squared, so no squaring is done
-    twice, and the powers do not depend on where the walk went.  Only the
-    bits of n below the walk's square (below 16 at k <= 8) are multiplied
-    in before a word's line is read.  A word that does not certify costs
-    its walk and readings and no more.  Every operation acts on the rows
-    of one word, so a word's law does not depend on its stack mates.
+    Once reading stops with a word that has not certified, the stack goes
+    on from the squares made to the binary powers of n: where n has the
+    bit e, y = stack**e is multiplied into u, the row vectors of every
+    word, before y is squared, so no squaring is done twice, and the
+    powers do not depend on where the walk went.  Only the bits of n below
+    the walk's square (below 16 at k <= 8) are multiplied in before a
+    word's line is read.  A word that does not certify costs its walk and
+    readings and no more; its stack mates, certified or not, walk with it
+    until it decides and square with it to n where it takes the powers.
+    Every operation acts on the rows of one word, so a word's law does
+    not depend on its stack mates.
 
     A product is rescaled only when the mass of one of its slices leaves
     [2**-_DRIFT, 2**_DRIFT]: then _rescale divides each slice by the power
@@ -942,6 +954,10 @@ def _law(stack, k, n, read, squares=None):
     """
     count, size = len(stack), stack.shape[2]
     lines = [None] * count
+    # the words that have neither certified nor read a reading that is not
+    # finite; a word that is neither certified nor undecided takes the
+    # powers to n
+    undecided = list(range(count))
     first = 1 << (2 * k - 1).bit_length()
     # the last letter to read at, 0 once reading stops
     top = n // 2 if 8 * first <= n else 0
@@ -950,7 +966,6 @@ def _law(stack, k, n, read, squares=None):
     plan = max(4 * first, 128)
     cost = ((_SQUARE_PER_STEP * size ** 3 + _CALL_ENTRIES)
             / (size * size + _CALL_ENTRIES))
-    live = list(range(count))
     one = np.ones(size * size)
     if squares is None:
         squares = np.empty((2, *stack.shape))
@@ -990,34 +1005,28 @@ def _law(stack, k, n, read, squares=None):
             top = 0
         # lists: a stack holds few words, and numpy calls cost more
         reads.append(read(r, k).tolist())
-        if not any(0.0 < x < math.inf for x in reads[-1]):
+        last = reads[-1]
+        undecided = [i for i in undecided if last[i] < math.inf]
+        if not any(last[i] > 0.0 for i in undecided):
             top = 0
             continue
         if len(reads) < 3:
             continue
-        slope = [(last - half) / (m // 2)
-                 for half, last in zip(*reads[-2:])]
-        near = [abs(1.5 * half - 0.5 * last - quarter) <= LAW_TOL * quarter
-                for quarter, half, last in zip(*reads[-3:])]
-        if not any(near):
-            continue
-        probe = read(np.matmul(r, stack), k).tolist()
-        done = {i for i, (ok, last, a, at) in enumerate(zip(
-            near, reads[-1], slope, probe))
-            if ok and abs(at - last - a) <= LAW_TOL * at}
-        if not done:
-            continue
-        for i in done:
-            lines[live[i]] = (reads[-1][i], slope[i], m)
-        keep = [i for i in range(len(live)) if i not in done]
-        live = [live[i] for i in keep]
-        if not live:
-            return lines, None
-        stack, y, r = stack[keep], y[keep], r[keep]
-        if u is not None:
-            u = u[keep]
-        reads = [[x[i] for i in keep] for x in reads[-2:]]
-        bufs = [squares[0, :len(keep)], squares[1, :len(keep)]]
+        quarter, half = reads[-3:-1]
+        near = [i for i in undecided
+                if abs(1.5 * half[i] - 0.5 * last[i] - quarter[i])
+                <= LAW_TOL * quarter[i]]
+        if near:
+            probe = read(np.matmul(r, stack), k).tolist()
+        for i in near:
+            a = (last[i] - half[i]) / (m // 2)
+            if abs(probe[i] - last[i] - a) <= LAW_TOL * probe[i]:
+                lines[i] = (last[i], a, m)
+                undecided.remove(i)
+        if not undecided:
+            if None not in lines:
+                return lines, None
+            top = 0
 
 
 def _walk(r, y, steps, one, grow, high):

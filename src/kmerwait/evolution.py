@@ -506,7 +506,7 @@ def asymptotics(b, params):
     for the one build of all twelve step matrices, 0.21 for the closed
     forms and 0.21 for the kernel, which certifies every type at 2**7
     letters.  A random 20-mer takes about 0.13 s, its kernel squaring once
-    and walking to 2**8 letters (0.35 s when it squared eight times).
+    and walking to 2**8 letters.
     """
     # the constants describe the clump census of the word's substitution
     # neighborhood, which needs a word of the alphabet with k >= 2

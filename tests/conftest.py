@@ -50,6 +50,33 @@ def binu():
     return load_params("binary-uniform")
 
 
+@pytest.fixture(scope="module")
+def skewed(ac):
+    """Binary model with nu = 1/100 : 99/100."""
+    p1 = {"A": {"A": F(999, 1000), "C": F(1, 1000)},
+          "C": {"A": F(1, 500), "C": F(499, 500)}}
+    return ModelParams(ac, {"A": F(1, 100), "C": F(99, 100)}, p1,
+                       name="skewed")
+
+
+@pytest.fixture(scope="module")
+def lopsided(ac):
+    """Binary model with nu = 1/10 : 9/10, p(A -> C) = 1/2 and
+    p(C -> A) = 1/100."""
+    p1 = {"A": {"A": F(1, 2), "C": F(1, 2)},
+          "C": {"A": F(1, 100), "C": F(99, 100)}}
+    return ModelParams(ac, {"A": F(1, 10), "C": F(9, 10)}, p1,
+                       name="lopsided")
+
+
+SWAP = {"A": {"A": 0, "C": 1}, "C": {"A": 1, "C": 0}}
+
+
+@pytest.fixture(scope="module")
+def biased_swap(ac):
+    return ModelParams(ac, dict(BIASED), SWAP, name="biased-swap")
+
+
 @pytest.fixture(scope="session")
 def toy_eps(ac):
     """Binary model with a small symmetric substitution rate."""

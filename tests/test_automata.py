@@ -646,15 +646,6 @@ def every_product_bnn(words, n, params):
     return (hit / u.sum(axis=(1, 2))).tolist()
 
 
-@pytest.fixture(scope="module")
-def skewed(ac):
-    """Binary model with nu = 1/100 : 99/100."""
-    p1 = {"A": {"A": F(999, 1000), "C": F(1, 1000)},
-          "C": {"A": F(1, 500), "C": F(499, 500)}}
-    return ModelParams(ac, {"A": F(1, 100), "C": F(99, 100)}, p1,
-                       name="skewed")
-
-
 def table1_sample(k):
     # every word up to k = 3, then every 37th word and the four letter runs
     words = ["".join(t) for t in product("ACGT", repeat=k)]
@@ -724,7 +715,9 @@ def dna_classes(k):
 @pytest.fixture
 def fallbacks(monkeypatch):
     """The sizes of the stacks of rows that the law kernel of a scan
-    returns, one per stack with a word that takes the powers to n."""
+    returns, one per stack with a word that takes the powers to n: the
+    kernel returns a row for every word of that stack, certified or not,
+    so each size is its stack's count of words."""
     sizes = []
     law = automata._law
 
@@ -781,16 +774,6 @@ def test_bnn_law_matches_direct_powers(table1, fallbacks, squarings, steps,
     assert sum(steps) == 7 * len(words)
     want = direct_bnn(words, n, table1)
     assert max(abs(p - q) / q for p, q in zip(law, want)) < 1e-12
-
-
-@pytest.fixture(scope="module")
-def lopsided(ac):
-    """Binary model with nu = 1/10 : 9/10, p(A -> C) = 1/2 and
-    p(C -> A) = 1/100."""
-    p1 = {"A": {"A": F(1, 2), "C": F(1, 2)},
-          "C": {"A": F(1, 100), "C": F(99, 100)}}
-    return ModelParams(ac, {"A": F(1, 10), "C": F(9, 10)}, p1,
-                       name="lopsided")
 
 
 @pytest.mark.parametrize("word,model", [("AA", "binu"), ("AAC", "binu"),
@@ -988,12 +971,12 @@ MIXED_LETTERS = {("binu", 2): {128, None}, ("binu", 3): {256},
     ("binu", 2, (2, 30, 1000, 2000)), ("binu", 3, (3, 1000, 10 ** 5)),
     ("skewed", 6, (6, 30, 1000, 10 ** 5))])
 def test_clump_scan_mixes_jumps(request, certified, model, k, lengths):
-    # the words of one stack leave the law kernel at different letters:
+    # the words of one stack certify their lines at different letters:
     # AC and CA under binu have a Perron root that is not simple, so their
     # E never certifies a line and they take the powers to n, beside AA
     # and CC at 128 letters; the binary 3-mers under binu all certify at
-    # 256, and the 6-mers under skewed at 64 to 2048 letters, in two
-    # stacks.  At n = k no word reads a line.  Every row is still the
+    # 256, and the 6-mers under skewed at 64 to 2048 letters, in one
+    # stack.  At n = k no word reads a line.  Every row is still the
     # single-word value.
     params = request.getfixturevalue(model)
     words = ["".join(t) for t in product("AC", repeat=k)]
@@ -1080,6 +1063,51 @@ def test_scans_over_full_stacks_match_single_words(table1, k):
                                               for w in words]
 
 
+# binary stacks whose words certify their lines at 64 to 2048 letters, or
+# take the powers to n, in one stack each
+MIXED_STACKS = [("binu", 5), ("biased_swap", 4), ("lopsided", 4),
+                ("skewed", 6)]
+
+
+@pytest.mark.parametrize("model,k", MIXED_STACKS)
+def test_scans_over_mixed_stacks_match_single_words(request, model, k):
+    # a word's readings decide only its own line: AACAC and CACAA under
+    # binary-uniform, and AACA and ACAA under biased_swap, read p = 1 in
+    # float before their lines certify, so alone they take the powers to
+    # n; in a stack they do the same, though their mates read on, where
+    # their own later readings are only rounding
+    params = request.getfixturevalue(model)
+    words = ["".join(t) for t in product("AC", repeat=k)]
+    off = []
+    for n in (128, 1000, 10 ** 4, 10 ** 6, 10 ** 8):
+        for scan in (bnn_scan, clump_scan):
+            alone = [scan([w], n, params)[0].hex() for w in words]
+            got = [p.hex() for p in scan(words, n, params)]
+            off += [(scan.__name__, w, n)
+                    for w, p, q in zip(words, got, alone) if p != q]
+    assert off == []
+
+
+@pytest.mark.parametrize("model,k", MIXED_STACKS)
+def test_mixed_stacks_return_a_row_per_word(request, fallbacks, certified,
+                                            model, k):
+    # where some words of a stack certify and others take the powers to n,
+    # the law kernel still returns row 0 of the n-th power of every word,
+    # in stack order: no word leaves its stack
+    params = request.getfixturevalue(model)
+    words = ["".join(t) for t in product("AC", repeat=k)]
+    runs = len({min(w, w[::-1]) for w in words})
+    mixed = 0
+    for n in (128, 1000, 10 ** 4, 10 ** 6, 10 ** 8):
+        for scan in (bnn_scan, clump_scan):
+            fallbacks.clear()
+            certified.clear()
+            scan(words, n, params)
+            assert fallbacks in ([], [runs])
+            mixed += None in certified and set(certified) != {None}
+    assert mixed
+
+
 @pytest.mark.parametrize("k", [16, 20, 24])
 def test_clump_long_random_words_match_bnn(table1, k):
     # three seeded random DNA words per length, whose lines certify at 128
@@ -1131,8 +1159,8 @@ def test_bnn_scan_spans_capped_stacks(toy_eps, monkeypatch):
 
 def test_bnn_scan_words_leave_capped_stacks_apart(skewed, fallbacks,
                                                  monkeypatch):
-    # the words of a stack certify their laws at 64 to 2048 letters, so
-    # they leave it after different squarings, and at 1000 the last of
+    # the words of a stack certify their laws at 64 to 2048 letters,
+    # after different squarings, and all stay in it; at 1000 the last of
     # them takes the powers to n.  By 2048 letters a mass has left its
     # window, and only the rescale lets that word certify.
     capped_scan_is_single_words(skewed, (6, 1000, 10 ** 4), monkeypatch)

@@ -34,7 +34,7 @@ from kmerwait.oracle import bnn_decimal, bnn_first_order, enumerate_census, \
     exact_pn_tiny
 from kmerwait.words import Alphabet, minimal_period
 
-from conftest import BIASED, TOYS, UNIFORM, automaton_clump, \
+from conftest import SWAP, TOYS, UNIFORM, automaton_clump, \
     automaton_growth, weighted_marks
 
 
@@ -570,14 +570,6 @@ def test_asymptotics_acc_closed_forms(binu):
     # the root tau = 2 of 8 - 8 tau + tau^3 is lam2 = 1/2, so B = |lam2|/lam
     # is (sqrt5 - 1)/2
     assert a.B == pytest.approx((s5 - 1) / 2, abs=1e-14)
-
-
-SWAP = {"A": {"A": 0, "C": 1}, "C": {"A": 1, "C": 0}}
-
-
-@pytest.fixture(scope="module")
-def biased_swap(ac):
-    return ModelParams(ac, dict(BIASED), SWAP, name="biased-swap")
 
 
 @pytest.fixture(scope="module")
