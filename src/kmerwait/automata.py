@@ -30,7 +30,7 @@ import numpy as np
 
 from .gfcore import Poly, RatFun
 from .words import check_text_length, check_type, letter_distribution, \
-    neighbor_mismatch, neighbors
+    neighbor_mismatch, neighbors, text_length
 
 
 class Dfa:
@@ -311,7 +311,9 @@ def clump_series(ca, nu, n_max):
     probability that a random text of length n avoids b and its run
     collects exactly m marks.  Everything is exact: integer weights over
     D**n, D the transfer matrix's scale, and one Fraction per entry.
+    n_max must be an integer (words.text_length).
     """
+    n_max = text_length(n_max)
     if n_max < 0:
         raise ValueError("text length %d is negative" % n_max)
     tm = transfer_matrix(ca, nu)
@@ -363,8 +365,9 @@ def clump_moment_series(ca, nu, n_max, mark_vectors=None, exact=True):
     returns each hit mass as the conditioned expectation times the
     avoiding mass.  The masses are returned unscaled, so they fall to
     subnormal floats and 0 once the avoiding probability leaves the float
-    range.
+    range.  n_max must be an integer (words.text_length).
     """
+    n_max = text_length(n_max)
     if n_max < 0:
         raise ValueError("text length %d is negative" % n_max)
     tm = transfer_matrix(ca, nu)
@@ -864,7 +867,10 @@ def _law(stack, k, n, read, squares=None):
     every word certifies, else the stack of row 0 of the n-th power of
     every word, one row per word in stack order, each times a power of two
     of its own.  Callers read only ratios within a slice, and only the
-    rows of the words with None.
+    rows of the words with None.  The kernel runs in three phases, the
+    squarings before the walk, the walk, which reads and certifies, and
+    the powers of n, and every squaring of all three is one step of the
+    binary powers of n (square below).
 
     Both readings, x = -log(1 - p) of BNN (_law_reading) and CLUMP's
     conditioned hit count (_hit_count), are a m + b up to terms that decay
@@ -880,26 +886,14 @@ def _law(stack, k, n, read, squares=None):
     period divides m / 4, which those readings alone would miss, and BNN
     readings near p = 1, whose rounding grows like eps / (1 - p).  A
     reading of 0 at all four letters certifies the line 0, the value the
-    powers give too.  A word whose reading is not finite (p = 1 in float)
-    never certifies after it and takes the powers to n: its later
-    readings are only rounding, and a line through them would be rounding
-    too.  BNN reads inf at p = 1 by a division by zero, and nan past it,
-    so numpy's divide and invalid warnings are off for the whole call:
-    turning them off around each reading instead cost about 7 us a call,
-    4% of a DNA 5-mer's.  The products, of finite nonnegative entries,
-    raise neither, and an overflow still warns.  Reading stops once no
-    undecided word, one that has neither certified nor read a reading
-    that is not finite, has its last reading in (0, inf).  So each word's
-    readings decide only its own line, and a word in a stack stops
-    reading where it would alone.  Reading does not start when n is less
-    than 8 first, too short for a third reading.
+    powers give too.
 
-    Only row 0 of each power is read, so the kernel squares the stack only
-    as far as pays and walks r from power to power by vector steps
-    r <- r y, y = stack**e the last square made, e at most first.  One
-    cost rule sets the schedule: a squaring of s x s matrices costs about
-    (_SQUARE_PER_STEP s**3 + _CALL_ENTRIES) / (s**2 + _CALL_ENTRIES)
-    steps, and halves the steps still to walk.
+    1. The squarings before the walk.  Only row 0 of each power is read,
+    so the kernel squares the stack only as far as pays and walks r from
+    power to power by vector steps r <- r y, y = stack**e the last square
+    made, e at most first.  One cost rule sets the schedule: a squaring of
+    s x s matrices costs about (_SQUARE_PER_STEP s**3 + _CALL_ENTRIES) /
+    (s**2 + _CALL_ENTRIES) steps, and halves the steps still to walk.
     Before the walk the kernel squares while a squaring costs less than
     the steps it saves up to the plan letter max(4 first, 128).  4 first
     is the first letter at which a line can certify, and the DNA words
@@ -907,23 +901,42 @@ def _law(stack, k, n, read, squares=None):
     (from k = 5 to 14).  That gives four squarings, to letter 16, at every
     k <= 8, three at k = 10, two at k = 12 and one from k = 16 to 24:
     in single-word CLUMP calls (one BLAS thread) no other count took more
-    than 12% less time at any k from 6 to 24.  Past the plan letter, before
-    the doubling from m to 2 m, the walk squares once more while a
-    squaring costs less than the m / (2 e) steps it saves on it.  The
-    rule reads only s, k and n, never how many words share the stack, so
-    a scan gives each word the value it gets alone.
+    than 12% less time at any k from 6 to 24.  Each squaring is the step
+    of the binary powers of n: where n has the bit e, y = stack**e is
+    multiplied into u, the row vectors of every word, before y is squared,
+    so no squaring is done twice.  Only the bits of n below the walk's
+    square (below 16 at k <= 8) are multiplied in before a word's line is
+    read.
 
-    Once reading stops with a word that has not certified, the stack goes
-    on from the squares made to the binary powers of n: where n has the
-    bit e, y = stack**e is multiplied into u, the row vectors of every
-    word, before y is squared, so no squaring is done twice, and the
-    powers do not depend on where the walk went.  Only the bits of n below
-    the walk's square (below 16 at k <= 8) are multiplied in before a
-    word's line is read.  A word that does not certify costs its walk and
-    readings and no more; its stack mates, certified or not, walk with it
-    until it decides and square with it to n where it takes the powers.
-    Every operation acts on the rows of one word, so a word's law does
-    not depend on its stack mates.
+    2. The walk, which reads and certifies.  Reading does not start when n
+    is less than 8 first, too short for a third reading.  Otherwise the
+    walk reads at every power of two and stops on the first of three
+    rules.  A word whose reading is not finite (p = 1 in float) never
+    certifies after it and takes the powers to n: its later readings are
+    only rounding, and a line through them would be rounding too.  So
+    reading stops once no undecided word, one that has neither certified
+    nor read a reading that is not finite, has its last reading in
+    (0, inf); it stops once every word has decided; and it stops where the
+    next reading would pass n / 2.  So each word's readings decide only
+    its own line, and a word in a stack stops reading where it would
+    alone.  Past the plan letter, before the doubling from m to 2 m, the
+    walk squares once more while a squaring costs less than the m / (2 e)
+    steps it saves on it.  The rule reads only s, k and n, never how many
+    words share the stack, so a scan gives each word the value it gets
+    alone.  BNN reads inf at p = 1 by a division by zero, and nan past it,
+    so numpy's divide and invalid warnings are off for the whole call:
+    turning them off around each reading instead cost about 7 us a call,
+    4% of a DNA 5-mer's.  The products, of finite nonnegative entries,
+    raise neither, and an overflow still warns.
+
+    3. The powers.  Once reading stops with a word that has not certified,
+    the stack goes on from the squares made to the binary powers of n,
+    squaring and multiplying up to the top bit of n, so the powers do not
+    depend on where the walk went.  A word that does not certify costs its
+    walk and readings and no more; its stack mates, certified or not, walk
+    with it until it decides and square with it to n where it takes the
+    powers.  Every operation acts on the rows of one word, so a word's law
+    does not depend on its stack mates.
 
     A product is rescaled only when the mass of one of its slices leaves
     [2**-_DRIFT, 2**_DRIFT]: then _rescale divides each slice by the power
@@ -959,8 +972,6 @@ def _law(stack, k, n, read, squares=None):
     # powers to n
     undecided = list(range(count))
     first = 1 << (2 * k - 1).bit_length()
-    # the last letter to read at, 0 once reading stops
-    top = n // 2 if 8 * first <= n else 0
     # the letter that the squarings before the walk are planned for, and
     # what a squaring costs in vector steps
     plan = max(4 * first, 128)
@@ -971,62 +982,66 @@ def _law(stack, k, n, read, squares=None):
         squares = np.empty((2, *stack.shape))
     bufs = [squares[0, :count], squares[1, :count]]
     # y = stack**e, whose slices' masses, and so their row sums, are at
-    # most grow[0] (grow, _walk's list of bounds on them); r, once the
-    # walk starts, is row 0 of stack**m, whose slices' masses are at most
-    # high
-    y, u, e, r, m, reads = stack, None, 1, None, 0, []
-    grow, high = [math.inf], math.inf
-    while True:
-        if not top:
-            more = True
-        elif r is None:
-            more = 2 * e <= first and cost < plan / (2 * e)
-        else:
-            more = 2 * e <= m and 2 * m > plan and cost < m / (2 * e)
-        if more:
-            if n & e:
-                # row 0 of y is exactly what e_0 @ y sums to
-                u = y[:, :1].copy() if u is None else np.matmul(u, y)
-                _drift(u, one)
-            if 2 * e > n:
-                return lines, u
-            y = np.matmul(y, y, out=bufs[bufs[0] is y])
-            grow = [max(1.0, _drift(y, one))]
-            e *= 2
-            continue
-        if r is None:
-            r, high = _walk(y[:, :1].copy(), y, first // e - 1, one, grow,
-                            grow[0])
-            m = first
-        else:
+    # most grow[0] (grow, _walk's list of bounds on them); u is row 0 of
+    # the product of the squares y at the bits of n below e
+    y, u, e, grow = stack, None, 1, [math.inf]
+
+    # the one square-and-multiply step: multiply y into u where n has the
+    # bit e, then square y unless e is n's top bit; False at that bit
+    def square():
+        nonlocal y, u, e, grow
+        if n & e:
+            # row 0 of y is exactly what e_0 @ y sums to
+            u = y[:, :1].copy() if u is None else np.matmul(u, y)
+            _drift(u, one)
+        if 2 * e > n:
+            return False
+        y = np.matmul(y, y, out=bufs[bufs[0] is y])
+        grow = [max(1.0, _drift(y, one))]
+        e *= 2
+        return True
+
+    if 8 * first <= n:
+        # 1. the squarings before the walk
+        while 2 * e <= first and cost < plan / (2 * e):
+            square()
+        # 2. the walk, which reads and certifies; r is row 0 of stack**m,
+        # whose slices' masses are at most high
+        r, high = _walk(y[:, :1].copy(), y, first // e - 1, one, grow,
+                        grow[0])
+        m, reads = first, []
+        while True:
+            # lists: a stack holds few words, and numpy calls cost more
+            reads.append(read(r, k).tolist())
+            last = reads[-1]
+            undecided = [i for i in undecided if last[i] < math.inf]
+            if not any(last[i] > 0.0 for i in undecided):
+                break
+            if len(reads) >= 3:
+                quarter, half = reads[-3:-1]
+                near = [i for i in undecided
+                        if abs(1.5 * half[i] - 0.5 * last[i] - quarter[i])
+                        <= LAW_TOL * quarter[i]]
+                if near:
+                    probe = read(np.matmul(r, stack), k).tolist()
+                for i in near:
+                    a = (last[i] - half[i]) / (m // 2)
+                    if abs(probe[i] - last[i] - a) <= LAW_TOL * probe[i]:
+                        lines[i] = (last[i], a, m)
+                        undecided.remove(i)
+            # the next reading, at 2 m, would pass n / 2
+            if not undecided or 4 * m > n:
+                break
+            while 2 * e <= m and 2 * m > plan and cost < m / (2 * e):
+                square()
             r, high = _walk(r, y, m // e, one, grow, high)
             m *= 2
-        if 2 * m > top:
-            top = 0
-        # lists: a stack holds few words, and numpy calls cost more
-        reads.append(read(r, k).tolist())
-        last = reads[-1]
-        undecided = [i for i in undecided if last[i] < math.inf]
-        if not any(last[i] > 0.0 for i in undecided):
-            top = 0
-            continue
-        if len(reads) < 3:
-            continue
-        quarter, half = reads[-3:-1]
-        near = [i for i in undecided
-                if abs(1.5 * half[i] - 0.5 * last[i] - quarter[i])
-                <= LAW_TOL * quarter[i]]
-        if near:
-            probe = read(np.matmul(r, stack), k).tolist()
-        for i in near:
-            a = (last[i] - half[i]) / (m // 2)
-            if abs(probe[i] - last[i] - a) <= LAW_TOL * probe[i]:
-                lines[i] = (last[i], a, m)
-                undecided.remove(i)
-        if not undecided:
-            if None not in lines:
-                return lines, None
-            top = 0
+        if None not in lines:
+            return lines, None
+    # 3. the powers of n
+    while square():
+        pass
+    return lines, u
 
 
 def _walk(r, y, steps, one, grow, high):

@@ -839,6 +839,45 @@ def test_law_probe_turns_down_a_periodic_term():
     assert seen == [[1.0], [2.0], [4.0], [4.5]]
 
 
+# The law kernel's values, bit for bit (float.hex), one case per phase and
+# regime: ACGTA under table1 takes the powers at 100 letters (too short to
+# read) and at 255 (it reads at 16, 32 and 64 letters, and its line at 128
+# would pass n / 2), and certifies at 128 letters at the longer n, by both
+# routes
+LAW_ACGTA = {
+    "bnn": ["0x1.d580d06c53840p-27", "0x1.32dee254a3194p-25",
+            "0x1.306ac6e9c8a0dp-23", "0x1.37725dd67cd50p-23",
+            "0x1.38f295b9b7ecbp-13"],
+    "clump": ["0x1.d580d23f58393p-27", "0x1.32dee3beaaad8p-25",
+              "0x1.306ac95fae49dp-23", "0x1.377260637b8b3p-23",
+              "0x1.38f89134ec0d5p-13"]}
+
+
+def test_law_values_are_pinned(table1, binu, skewed):
+    for route, scan in (("bnn", bnn_scan), ("clump", clump_scan)):
+        assert [scan(["ACGTA"], n, table1)[0].hex()
+                for n in (100, 255, 1000, 1023, 2 ** 20)] == LAW_ACGTA[route]
+    # AC's reading under binary-uniform fails, so it takes the powers;
+    # AACAC reads p = 1 in float before its line certifies
+    assert clump_scan(["AC"], 10 ** 6, binu)[0].hex() == \
+        "0x1.e847c0000431cp+19"
+    assert bnn_scan(["AACAC"], 10 ** 6, binu)[0].hex() == \
+        "0x1.fffffffffffffp-1"
+    # CCCCCC under skewed squares mid-walk and certifies at 2048 letters;
+    # a 24-mer squares once and walks 127 steps to its line at 256
+    assert clump_scan(["CCCCCC"], 10 ** 4, skewed)[0].hex() == \
+        "0x1.e891a2ea392f4p+0"
+    rng = random.Random(24)
+    word = "".join(rng.choice("ACGT") for _ in range(24))
+    assert clump_scan([word], 1000, table1)[0].hex() == \
+        "0x1.8a869e540f336p-59"
+    # the certificate of the growth constants reads the same kernel
+    assert [(repr(a.C1), repr(a.C2)) for a in (
+        asymptotics("ACAC", binu), asymptotics("ACGTA", table1))] == [
+        ("0.24525038892893009", "-0.6855653516521703"),
+        ("1.423232592187194e-10", "-5.679841538160045e-10")]
+
+
 def test_law_schedule_follows_its_cost_rule(table1, skewed, squarings,
                                             steps, certified):
     # a full stack of DNA 6-mer classes squares four times, to letter 16,

@@ -25,6 +25,7 @@ from kmerwait.evolution import (
     bv_probability,
     clump_probability,
     expected_hits,
+    hit_series,
     load_params,
     scan_kmers,
     waiting_time,
@@ -232,12 +233,21 @@ def test_negative_lengths_raise(ac, toy_eps):
 
 
 @pytest.mark.parametrize("n", [1e5, 1000.0, "1000"])
-def test_lengths_that_are_no_integer_raise(table1, n):
+def test_lengths_that_are_no_integer_raise(table1, binu, n):
     # every public route raises TypeError naming the length, the BNN and
-    # CLUMP calls also where a stored line would answer that n
+    # CLUMP calls also where a stored line would answer that n, and so do
+    # the clump automaton's series, exact on binary and float on DNA
+    ca = clump_automaton("ACAC", binu.alphabet)
     calls = [lambda: bnn_probability("ACGTA", n, table1),
              lambda: clump_probability("ACGTA", n, table1),
-             lambda: bv_probability("ACGTA", n, table1)]
+             lambda: bv_probability("ACGTA", n, table1),
+             lambda: expected_hits("ACAC", n, binu),
+             lambda: expected_hits("ACGTA", n, table1),
+             lambda: hit_series("ACAC", n, binu),
+             lambda: hit_series("ACGTA", n, table1),
+             lambda: clump_series(ca, binu.nu, n),
+             lambda: clump_moment_series(ca, binu.nu, n),
+             lambda: clump_moment_series(ca, binu.nu, n, exact=False)]
     for method in ("BV", "BNN", "CLUMP"):
         calls += [lambda m=method: waiting_time("ACGTA", n, table1, m),
                   lambda m=method: scan_kmers(3, n, table1, m)]
